@@ -5,8 +5,8 @@ HTTP front-end (one thread, every keep-alive connection), then plays both
 tenants from plain `urllib`: a flood tenant dumps a burst of queries
 while a light tenant runs a closed loop — the deficit-round-robin fuser
 keeps the light tenant's latency at the wave time instead of the flood's
-queue depth.  Also demonstrates `/ingest` with back-buffer warming, the
-`/stats` tenant breakdown, and the zero-copy binary walks format via
+queue depth.  Also demonstrates `/v1/ingest` with back-buffer warming,
+the `/v1/stats` tenant breakdown, and the zero-copy binary walks format via
 `ServiceClient(..., binary=True)`.
 
 Run with:
@@ -68,12 +68,12 @@ def main() -> None:
     server, _thread = serve_event_loop(service)
     url = server.url
     print(f"serving on {url} (event-loop front-end, one thread)")
-    print("healthz:", call(url, "/healthz"))
+    print("healthz:", call(url, "/v1/healthz"))
 
     # --- two tenants contend for the fused waves ---------------------------
     def flood() -> None:
         for _wave in range(16):
-            call(url, "/query", {
+            call(url, "/v1/query", {
                 "application": "deepwalk",
                 "starts": starts[:64],
                 "walk_length": 10,
@@ -88,7 +88,7 @@ def main() -> None:
 
     light_latencies = []
     for _ in range(10):
-        result = call(url, "/query", {
+        result = call(url, "/v1/query", {
             "application": "deepwalk",
             "starts": starts[:128],
             "walk_length": 10,
@@ -106,8 +106,8 @@ def main() -> None:
          "kind": str(update.kind), "bias": update.bias}
         for update in stream.batches[0]
     ]
-    print("ingest:", call(url, "/ingest", {"updates": updates, "flush": True}))
-    probe = call(url, "/query", {
+    print("ingest:", call(url, "/v1/ingest", {"updates": updates, "flush": True}))
+    probe = call(url, "/v1/query", {
         "application": "ppr",
         "starts": starts[:32],
         "walk_length": 10,
@@ -131,7 +131,7 @@ def main() -> None:
               f"connections_opened={client.connections_opened}")
 
     # --- per-tenant accounting --------------------------------------------
-    stats = call(url, "/stats")
+    stats = call(url, "/v1/stats")
     for name, row in sorted(stats["tenants"].items()):
         print(f"tenant {name:>6}: served {row['served']:>3}, "
               f"p99 {row['latency_p99_seconds'] * 1e3:.1f} ms")

@@ -1652,7 +1652,7 @@ def chaos_serve(
       ``kill_worker`` mid-wave; the dispatcher must respawn the dead
       shard from the existing shared-memory export and retry the wave, so
       every ticket still resolves.
-    * **http** — the stdlib front-end drops injected 503s on a
+    * **http** — the event-loop front-end drops injected 503s on a
       :class:`~repro.serve.ServiceClient`, whose capped-backoff retries
       (honouring ``Retry-After``) must hide them from the caller.
 
@@ -1666,8 +1666,10 @@ def chaos_serve(
         FaultPlan,
         GraphService,
         ServiceClient,
+        ServiceConfig,
+        TenantQuota,
         WalkQuery,
-        serve_http,
+        serve_event_loop,
     )
     from repro.serve.faults import chaos_points
 
@@ -1824,18 +1826,21 @@ def chaos_serve(
         http_plan.fail("http.handler", index, message="chaos front-end fault")
     http_injector = FaultInjector(http_plan)
     service = GraphService(
-        engine, stream.initial_graph, rng=seed + 7, service_seed=seed + 8
+        engine,
+        stream.initial_graph,
+        rng=seed + 7,
+        service_seed=seed + 8,
+        default_quota=TenantQuota(max_pending=64),
     )
     server = None
     client_retries = 0
     http_resolved = 0
     expired = 0
     try:
-        server, _ = serve_http(
+        server, _ = serve_event_loop(
             service,
-            port=0,
+            config=ServiceConfig(retry_after_seconds=0.05),
             fault_injector=http_injector,
-            retry_after_seconds=0.05,
         )
         client = ServiceClient(
             server.url, max_retries=4, backoff_seconds=0.05, timeout=120.0
@@ -1911,25 +1916,21 @@ def concurrency_sweep(
 ) -> dict[str, object]:
     """PR 8 headline: keep-alive connection scaling + binary wire format.
 
-    For each front-end (the threaded debug server and the production
-    event loop) the sweep opens ``low_clients`` and then ``high_clients``
-    persistent keep-alive :class:`~repro.serve.ServiceClient` connections,
-    issues the *same* number of walk queries round-robin across them in
-    both phases (so the p50/p99 comparison is load-for-load), and records
-    how many OS threads the server grew to hold the connections:
-
-    * the threaded server pins one handler thread per open keep-alive
-      connection — at ``high_clients`` its thread count tracks the client
-      count, so ``clients_per_server_thread`` stays ~1;
-    * the event loop holds every connection in one ``selectors`` thread,
-      so ``clients_per_server_thread`` equals the client count.
+    Against the event-loop front-end the sweep opens ``low_clients`` and
+    then ``high_clients`` persistent keep-alive
+    :class:`~repro.serve.ServiceClient` connections, issues the *same*
+    number of walk queries round-robin across them in both phases (so the
+    p50/p99 comparison is load-for-load), and records how many OS threads
+    the server grew to hold the connections: the loop holds every
+    connection in one ``selectors`` thread, so
+    ``clients_per_server_thread`` equals the client count.
 
     The ``check_bench.py`` PR 8 gate pins the event loop to
     ``clients_per_server_thread >= 10`` at the high client count with
     ``high_vs_low_p99 <= 2`` (latency must not degrade with connection
     count — the ROADMAP's 10k-client target in miniature).
 
-    Each server also gets a JSON-vs-binary transfer comparison: the same
+    The server also gets a JSON-vs-binary transfer comparison: the same
     large query (``wire_walkers`` × ``wire_walk_length``) repeated
     ``wire_queries`` times per format, binary negotiated via
     ``Accept: application/x-walks-bin`` and decoded zero-copy
@@ -1939,7 +1940,12 @@ def concurrency_sweep(
 
     import numpy as np
 
-    from repro.serve import GraphService, ServiceClient, TenantQuota
+    from repro.serve import (
+        GraphService,
+        ServiceClient,
+        TenantQuota,
+        serve_event_loop,
+    )
 
     if low_clients < 1 or high_clients <= low_clients:
         raise BenchmarkError(
@@ -2045,9 +2051,7 @@ def concurrency_sweep(
             "shapes_match": bool(shapes_match),
         }
 
-    def run_server(kind: str) -> dict[str, object]:
-        from repro.serve import serve_event_loop, serve_http
-
+    def run_server() -> dict[str, object]:
         service = GraphService(
             engine,
             graph,
@@ -2056,17 +2060,13 @@ def concurrency_sweep(
             warm_on_publish=True,
             # The event loop submits from its only thread, so admission
             # must reject (429 + Retry-After, absorbed by the client's
-            # backoff), never block; the threaded server gets the same
-            # policy so the comparison is apples-to-apples.
+            # backoff), never block.
             default_quota=TenantQuota(max_pending=4096),
         )
         server = None
         try:
             baseline_threads = _threading.active_count()
-            if kind == "eventloop":
-                server, _ = serve_event_loop(service, port=0)
-            else:
-                server, _ = serve_http(service, port=0)
+            server, _ = serve_event_loop(service)
             low = run_phase(server.url, low_clients, baseline_threads)
             high = run_phase(server.url, high_clients, baseline_threads)
             wire_report = run_wire(server.url)
@@ -2084,12 +2084,6 @@ def concurrency_sweep(
             ),
         }
 
-    servers = {
-        "threaded": run_server("threaded"),
-        "eventloop": run_server("eventloop"),
-    }
-    eventloop = servers["eventloop"]
-    threaded = servers["threaded"]
     return {
         "dataset": dataset,
         "engine": engine,
@@ -2099,13 +2093,7 @@ def concurrency_sweep(
         "low_clients": int(low_clients),
         "high_clients": int(high_clients),
         "queries_per_phase": int(queries_per_phase),
-        "servers": servers,
-        "thread_advantage": (
-            eventloop["clients_per_server_thread"]
-            / threaded["clients_per_server_thread"]
-            if threaded["clients_per_server_thread"] > 0
-            else float("inf")
-        ),
+        "servers": {"eventloop": run_server()},
         "note": (
             "both phases issue queries_per_phase queries round-robin over "
             "the open keep-alive connections, so p99 compares the same "

@@ -62,6 +62,8 @@ EXPERIMENT_RUNNERS: dict[str, Callable[..., Any]] = {
 }
 
 #: Experiments whose JSON output lands in a file by default (perf trajectory).
+#: ``http`` has none: its committed BENCH_PR8.json also records the removed
+#: threaded front-end, so a fresh sweep is saved only with ``--output``.
 DEFAULT_OUTPUT_FILES = {
     "ingest": "BENCH_PR2.json",
     "scale": "BENCH_PR3.json",
@@ -69,7 +71,6 @@ DEFAULT_OUTPUT_FILES = {
     "serve": "BENCH_PR5.json",
     "flip": "BENCH_PR6.json",
     "chaos": "BENCH_PR7.json",
-    "http": "BENCH_PR8.json",
     "shard": "BENCH_PR9.json",
 }
 
@@ -260,15 +261,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--log-requests",
         action="store_true",
         help="print one access-log line per request to stderr",
-    )
-    serve_parser.add_argument(
-        "--event-loop",
-        action="store_true",
-        help=(
-            "serve with the single-threaded selectors event loop (binary "
-            "wire format + 10k keep-alive clients) instead of the "
-            "thread-per-connection debug server"
-        ),
     )
     serve_parser.add_argument(
         "--max-pending",
@@ -565,21 +557,19 @@ def _run_serve(args: argparse.Namespace) -> int:
         ServiceConfig,
         TenantQuota,
         serve_event_loop,
-        serve_http,
         service_from_config,
     )
 
     config = ServiceConfig.from_cli_args(args)
     graph = build_dataset(args.dataset, rng=config.seed)
-    default_quota = None
-    if config.event_loop:
-        # The event loop submits queries from its only thread, so the
-        # default admission lane must reject (429 + Retry-After), never
-        # block the submitter.
-        default_quota = TenantQuota(max_pending=config.max_pending_queries)
-    service = service_from_config(config, graph, default_quota=default_quota)
-    start_server = serve_event_loop if config.event_loop else serve_http
-    server, _thread = start_server(service, config=config)
+    # The event loop submits queries from its only thread, so the default
+    # admission lane must reject (429 + Retry-After), never block it.
+    service = service_from_config(
+        config,
+        graph,
+        default_quota=TenantQuota(max_pending=config.max_pending_queries),
+    )
+    server, _thread = serve_event_loop(service, config=config)
     stop = threading.Event()
 
     def _drain(signum, frame):  # noqa: ARG001 - signal handler signature
@@ -588,10 +578,9 @@ def _run_serve(args: argparse.Namespace) -> int:
     # Install the handler *before* announcing readiness: the banner is
     # the supervisor's cue that SIGTERM now drains instead of killing.
     previous_term = signal.signal(signal.SIGTERM, _drain)
-    front_end = "event-loop" if config.event_loop else "threaded"
     sharding = f", shards={config.shards}" if config.shards > 1 else ""
     sys.stderr.write(
-        f"serving {config.engine} walks on {server.url} ({front_end} "
+        f"serving {config.engine} walks on {server.url} (event-loop "
         f"front-end, dataset={args.dataset}, vertices={graph.num_vertices}, "
         f"warm={'off' if args.no_warm else 'on'}{sharding}); "
         "Ctrl-C or SIGTERM to stop\n"

@@ -20,19 +20,16 @@ Modules
     :class:`GraphService` — the double-buffered engine snapshots, the
     writer and fair-share dispatcher threads, and back-buffer warming.
 ``protocol``
-    The transport-agnostic HTTP layer both front-ends share: routing,
-    validation, error mapping (429 / 503 / 504 carry ``Retry-After``),
-    content negotiation and the incremental pipelining-safe request
-    parser.
-``http``
-    Stdlib ``ThreadingHTTPServer`` front-end (``POST /query``, ``POST
-    /ingest``, ``GET /stats``, ``GET /healthz``); tenant id comes from
-    the ``X-Tenant`` header.  One thread per connection — the debug
-    fallback.
+    The transport-agnostic HTTP layer: the ``/v1`` route table
+    (``POST /v1/query``, ``POST /v1/ingest``, ``GET /v1/stats``, ``GET
+    /v1/healthz``; tenant id from the ``X-Tenant`` header), validation,
+    error mapping (429 / 503 / 504 carry ``Retry-After``), content
+    negotiation and the incremental pipelining-safe request parser.
 ``eventloop``
-    The production front-end: a single-threaded ``selectors`` event loop
+    The network front-end: a single-threaded ``selectors`` event loop
     holding every keep-alive connection at once, resumed from query-
-    ticket done-callbacks via a self-pipe.
+    ticket done-callbacks via a self-pipe.  It refuses a service whose
+    admission lane blocks.
 ``wire``
     The ``application/x-walks-bin`` zero-copy binary walks format (fixed
     64-byte header + raw int64 matrix buffer).
@@ -44,10 +41,10 @@ Modules
 ``faults``
     The chaos harness: :class:`FaultPlan` schedules deterministic faults
     by (injection point, occurrence index); :class:`FaultInjector` fires
-    them from the writer, dispatcher, shard coordinator and HTTP handlers.
+    them from the writer, dispatcher, shard coordinator and HTTP handler.
 ``config``
     :class:`ServiceConfig` — the one frozen, validated configuration
-    object the CLI, both HTTP front-ends and the services are built from
+    object the CLI, the HTTP front-end and the services are built from
     (``BINGO_SERVE_*`` environment overrides included).
 ``router`` / ``shard_worker``
     Sharded multi-process serving: :class:`RouterService` fans each fused
@@ -66,11 +63,7 @@ from repro.serve.client import (
 from repro.serve.config import ServiceConfig
 from repro.serve.eventloop import EventLoopHTTPServer, serve_event_loop
 from repro.serve.faults import FAULT_POINTS, FaultAction, FaultInjector, FaultPlan
-from repro.serve.http import (
-    TENANT_HEADER,
-    GraphServiceHTTPServer,
-    serve_http,
-)
+from repro.serve.protocol import TENANT_HEADER
 from repro.serve.queries import (
     DEFAULT_TENANT,
     QueryTicket,
@@ -105,7 +98,6 @@ __all__ = [
     "FaultInjector",
     "FaultPlan",
     "GraphService",
-    "GraphServiceHTTPServer",
     "QueryTicket",
     "RouterService",
     "ServeResult",
@@ -125,7 +117,6 @@ __all__ = [
     "decode_walks",
     "encode_walks",
     "serve_event_loop",
-    "serve_http",
     "service_from_config",
     "validate_starts",
 ]

@@ -1,11 +1,11 @@
 """Stdlib HTTP client for the serve front-end, with capped backoff retries.
 
-The server side (:mod:`repro.serve.http` / :mod:`repro.serve.eventloop`)
-marks transient failures with 429 / 503 / 504 and a ``Retry-After``
-header; this client closes the loop: idempotent requests (``/v1/query``,
-``/v1/stats``, ``/v1/healthz``) are retried with capped exponential
-backoff, sleeping at least the server's ``Retry-After`` hint when one is
-present.  The client speaks the versioned ``/v1`` routes natively.
+The server side (:mod:`repro.serve.eventloop`) marks transient failures
+with 429 / 503 / 504 and a ``Retry-After`` header; this client closes
+the loop: idempotent requests (``/v1/query``, ``/v1/stats``,
+``/v1/healthz``) are retried with capped exponential backoff, sleeping
+at least the server's ``Retry-After`` hint when one is present.  The
+client speaks the ``/v1`` routes, the server's only route table.
 ``/v1/ingest`` is **never** retried on an HTTP error — replaying an update
 batch whose first attempt may have been applied is exactly the
 duplicate-batch bug the writer's dead-letter quarantine exists to catch,
@@ -122,7 +122,7 @@ class ServiceClient:
     Parameters
     ----------
     base_url:
-        The server root, e.g. ``server.url`` from :func:`serve_http` or
+        The server root, e.g. ``server.url`` from
         :func:`~repro.serve.eventloop.serve_event_loop`.
     tenant:
         Optional tenant id sent in the ``X-Tenant`` header of every

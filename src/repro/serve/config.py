@@ -1,18 +1,16 @@
 """One validated configuration object for the whole serve stack.
 
-Before this module, the service's knobs were spread over four surfaces
-that had to agree by convention: :class:`~repro.serve.service.GraphService`
-kwargs, ``serve_http(...)`` kwargs, ``serve_event_loop(...)`` kwargs, and
-the ``bingo-repro serve`` CLI flags.  :class:`ServiceConfig` subsumes all
-of them: the CLI (or environment) constructs one frozen, validated object
-and every layer — service, shard router, both HTTP front-ends — reads the
-fields it cares about.  The old per-call kwargs still work as thin
-deprecation shims that build a config internally.
+:class:`ServiceConfig` is the single source of the service's knobs: the
+``bingo-repro serve`` CLI (or environment) constructs one frozen,
+validated object and every layer — service, shard router, the
+event-loop front-end — reads the fields it cares about.
+``serve_event_loop(service, config=...)`` takes every transport setting
+from it; there are no per-call transport kwargs.
 
 Environment overrides use the ``BINGO_SERVE_`` prefix, e.g.
-``BINGO_SERVE_SHARDS=4`` or ``BINGO_SERVE_EVENT_LOOP=1`` —
-:meth:`ServiceConfig.from_env` applies them on top of an existing config,
-so precedence is CLI flag > environment > default.
+``BINGO_SERVE_SHARDS=4`` — :meth:`ServiceConfig.from_env` applies them
+on top of an existing config, so precedence is CLI flag > environment >
+default.
 """
 
 from __future__ import annotations
@@ -38,7 +36,8 @@ DEFAULT_BODY_TIMEOUT = 10.0
 #: Default ``Retry-After`` hint (seconds) sent with 429 / 503 / 504.
 DEFAULT_RETRY_AFTER_SECONDS = 1.0
 
-#: Largest accepted request body (matches ``protocol.MAX_BODY_BYTES``).
+#: Largest accepted request body (``protocol.MAX_BODY_BYTES``; 1 MiB of
+#: JSON is ~50k updates).
 DEFAULT_MAX_BODY_BYTES = 8 * 1024 * 1024
 
 
@@ -48,8 +47,8 @@ class ServiceConfig:
 
     Service-side fields feed :meth:`GraphService.from_config` (or
     :meth:`RouterService.from_config` when ``shards > 1``); transport
-    fields feed ``serve_http`` / ``serve_event_loop``; the CLI builds the
-    whole object from flags via :meth:`from_cli_args`.
+    fields feed ``serve_event_loop``; the CLI builds the whole object
+    from flags via :meth:`from_cli_args`.
     """
 
     # -- engine / execution ------------------------------------------- #
@@ -81,7 +80,9 @@ class ServiceConfig:
     # -- transport ----------------------------------------------------- #
     host: str = "127.0.0.1"
     port: int = 0
-    event_loop: bool = False
+    #: Kept only for callers that pass ``event_loop=True``: the event
+    #: loop is the only front-end, and ``False`` raises.
+    event_loop: bool = True
     query_timeout: float | None = DEFAULT_QUERY_TIMEOUT
     body_timeout: float | None = DEFAULT_BODY_TIMEOUT
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS
@@ -104,6 +105,11 @@ class ServiceConfig:
             value = getattr(self, timeout_name)
             if value is not None and value <= 0:
                 raise ServeError(f"{timeout_name} must be positive or None")
+        if not self.event_loop:
+            raise ServeError(
+                "event_loop=False selected the threaded HTTP front-end, which "
+                "was removed; serve_event_loop is the only front-end"
+            )
         if not 0 <= self.port <= 65535:
             raise ServeError(f"port must lie in [0, 65535], got {self.port}")
         if self.shards > 1 and self.workers > 1:
@@ -147,7 +153,7 @@ class ServiceConfig:
         """Overlay ``BINGO_SERVE_*`` environment variables on ``base``.
 
         Recognised names are the upper-cased field names
-        (``BINGO_SERVE_SHARDS``, ``BINGO_SERVE_EVENT_LOOP``, ...); booleans
+        (``BINGO_SERVE_SHARDS``, ``BINGO_SERVE_LOG_REQUESTS``, ...); booleans
         accept ``1/0/true/false/yes/no``.  Unknown ``BINGO_SERVE_`` names
         raise so a typo cannot silently fall back to defaults.
         """
@@ -181,53 +187,11 @@ class ServiceConfig:
             fuse_limit=args.fuse_limit,
             fuse_window_seconds=args.fuse_window,
             warm_on_publish=not args.no_warm,
-            event_loop=bool(getattr(args, "event_loop", False)),
             log_requests=bool(getattr(args, "log_requests", False)),
             max_pending_queries=args.max_pending,
             tenants=tenants,
         )
         return cls.from_env(base)
-
-
-#: Sentinel marking "kwarg not supplied" in the deprecation shims, so the
-#: front-ends can tell an explicit legacy kwarg from its default.
-UNSET = object()
-
-
-def resolve_transport_kwargs(
-    config: ServiceConfig | None,
-    caller: str,
-    **overrides: tuple[object, object],
-) -> dict[str, object]:
-    """Resolve the front-end deprecation shims against a config.
-
-    Each keyword maps to ``(value, legacy_default)`` where ``value`` is the
-    possibly-:data:`UNSET` kwarg the caller received.  Precedence:
-    explicit legacy kwarg > ``config`` field > legacy default.  Supplying
-    a legacy kwarg emits a :class:`DeprecationWarning` pointing at
-    :class:`ServiceConfig` — the kwargs keep working, they are just no
-    longer the canonical spelling.
-    """
-    import warnings
-
-    resolved: dict[str, object] = {}
-    legacy: list[str] = []
-    for name, (value, default) in overrides.items():
-        if value is not UNSET:
-            resolved[name] = value
-            legacy.append(name)
-        elif config is not None:
-            resolved[name] = getattr(config, name)
-        else:
-            resolved[name] = default
-    if legacy:
-        warnings.warn(
-            f"{caller}({', '.join(sorted(legacy))}=...) kwargs are deprecated; "
-            "construct a repro.serve.config.ServiceConfig and pass config=...",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-    return resolved
 
 
 def _parse_tenant_spec(spec: str) -> tuple[str, float, int]:
@@ -268,7 +232,5 @@ __all__ = [
     "DEFAULT_QUERY_TIMEOUT",
     "DEFAULT_RETRY_AFTER_SECONDS",
     "ENV_PREFIX",
-    "UNSET",
     "ServiceConfig",
-    "resolve_transport_kwargs",
 ]

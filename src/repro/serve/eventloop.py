@@ -1,10 +1,8 @@
 """Event-loop HTTP front-end: one thread, thousands of connections.
 
-The threaded front-end (:mod:`repro.serve.http`) spends one OS thread
-per connection, most of it parked on ``ticket.result`` — at thousands of
-keep-alive clients the thread stacks and scheduler churn dominate, not
-the sampling engines.  This server holds every connection in a single
-``selectors`` loop instead:
+The serve layer's only network front-end.  It holds every connection in
+a single ``selectors`` loop instead of spending an OS thread per
+connection:
 
 * **Non-blocking everything** — accept, read and write all happen on
   ready sockets only; a slow client costs one ``Connection`` object, not
@@ -13,7 +11,7 @@ the sampling engines.  This server holds every connection in a single
   :class:`~repro.serve.protocol.HTTPRequestParser`; requests may arrive
   split at any byte boundary or several per read (pipelining), and an
   oversized ``Content-Length`` is refused at the header boundary.
-* **Push-based query completion** — ``/query`` submits to the
+* **Push-based query completion** — ``/v1/query`` submits to the
   :class:`~repro.serve.GraphService` and registers a
   ``ticket.add_done_callback``; the dispatcher thread's callback drops
   the finished ticket onto a completion queue and tickles a self-pipe,
@@ -29,14 +27,15 @@ the sampling engines.  This server holds every connection in a single
   traceback.
 
 Routing, validation and error mapping are the shared
-:mod:`repro.serve.protocol` module, so behaviour cannot drift from the
-threaded server.
+:mod:`repro.serve.protocol` module.  Every transport setting comes from
+one :class:`~repro.serve.config.ServiceConfig`.
 
-One deployment caveat: admission control must *reject*, not block.  A
+Admission control must *reject*, not block: a
 :class:`~repro.serve.tenancy.TenantQuota` with ``block_when_full=True``
-(the no-tenancy default lane) parks the submitting thread — which here
-is the event loop itself.  ``bingo-repro serve --event-loop`` and the
-benchmarks configure rejecting quotas; do the same in your own wiring.
+(the default lane of a service built without ``tenants`` or
+``default_quota``) would park the submitting thread — which here is the
+loop itself, stalling every connection.  :class:`EventLoopHTTPServer`
+therefore refuses such a service with :class:`~repro.errors.ServeError`.
 """
 
 from __future__ import annotations
@@ -47,13 +46,11 @@ import threading
 import time
 from collections import deque
 
+from repro.errors import ServeError
 from repro.serve import protocol
-from repro.serve.config import UNSET, ServiceConfig, resolve_transport_kwargs
+from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector
 from repro.serve.protocol import (
-    DEFAULT_QUERY_TIMEOUT,
-    DEFAULT_RETRY_AFTER_SECONDS,
-    MAX_BODY_BYTES,
     RETRYABLE_STATUSES,
     HTTPParseError,
     HTTPRequestParser,
@@ -62,11 +59,6 @@ from repro.serve.protocol import (
     Response,
 )
 from repro.serve.service import GraphService
-
-#: Seconds an incomplete request may sit idle before the connection is
-#: answered with 400 and closed (parity with the threaded server's
-#: ``body_timeout`` bounding under-delivering clients).
-DEFAULT_BODY_TIMEOUT = 10.0
 
 #: Reason phrases for the statuses this server actually emits.
 _REASONS = {
@@ -144,34 +136,39 @@ class _Connection:
 class EventLoopHTTPServer:
     """A single-threaded ``selectors`` HTTP server over a GraphService.
 
-    API-compatible with :class:`~repro.serve.http.GraphServiceHTTPServer`
-    where it matters (``url``, ``server_address``, ``shutdown()``); use
-    :func:`serve_event_loop` to run it on a background thread.
+    Transport settings (address, query / body timeouts, ``Retry-After``
+    hint, body limit, access log) come from ``config``; an incomplete
+    request idle for ``body_timeout`` seconds is answered with 400 and
+    closed.  Use :func:`serve_event_loop` to run it on a background
+    thread.
     """
 
     def __init__(
         self,
         service: GraphService,
-        address: tuple[str, int] = ("127.0.0.1", 0),
+        config: ServiceConfig | None = None,
         *,
-        query_timeout: float | None = DEFAULT_QUERY_TIMEOUT,
-        body_timeout: float | None = DEFAULT_BODY_TIMEOUT,
-        log_requests: bool = False,
         fault_injector: FaultInjector | None = None,
-        retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS,
-        max_body_bytes: int = MAX_BODY_BYTES,
     ) -> None:
-        if not retry_after_seconds > 0:
-            raise ValueError("retry_after_seconds must be positive")
+        if service.admission_blocks():
+            raise ServeError(
+                "the service has a blocking admission lane, which would park "
+                "the event loop's only thread when full; build it with a "
+                "rejecting default_quota=TenantQuota(max_pending=...) or with "
+                "tenants=..."
+            )
+        config = config if config is not None else ServiceConfig()
         self.service = service
-        self.query_timeout = query_timeout
-        self.body_timeout = body_timeout
-        self.log_requests = bool(log_requests)
+        self.query_timeout = config.query_timeout
+        self.body_timeout = config.body_timeout
+        self.log_requests = config.log_requests
         self.fault_injector = fault_injector
-        self.retry_after_seconds = float(retry_after_seconds)
-        self.max_body_bytes = int(max_body_bytes)
+        self.retry_after_seconds = config.retry_after_seconds
+        self.max_body_bytes = config.max_body_bytes
 
-        self._listener = socket.create_server(address, backlog=1024)
+        self._listener = socket.create_server(
+            (config.host, config.port), backlog=1024
+        )
         self._listener.setblocking(False)
         self.server_address = self._listener.getsockname()
 
@@ -212,10 +209,6 @@ class EventLoopHTTPServer:
         self._stop = True
         self._wake()
         self._done.wait(timeout=10.0)
-
-    # Alias matching socketserver's cleanup method.
-    def server_close(self) -> None:
-        self.shutdown()
 
     def connection_count(self) -> int:
         """Open client connections (loop-thread accurate, others racy-ok)."""
@@ -346,7 +339,6 @@ class EventLoopHTTPServer:
             default_query_timeout=self.query_timeout,
             retry_after_seconds=self.retry_after_seconds,
             fault_injector=self.fault_injector,
-            defer_flush=True,
         )
         if isinstance(outcome, PendingQuery):
             slot.pending = outcome
@@ -619,47 +611,19 @@ class EventLoopHTTPServer:
 
 def serve_event_loop(
     service: GraphService,
-    host=UNSET,
-    port=UNSET,
     *,
     config: ServiceConfig | None = None,
-    query_timeout=UNSET,
-    body_timeout=UNSET,
-    log_requests=UNSET,
     fault_injector: FaultInjector | None = None,
-    retry_after_seconds=UNSET,
-    max_body_bytes=UNSET,
 ) -> tuple[EventLoopHTTPServer, threading.Thread]:
     """Start the event-loop front-end on a daemon thread.
 
-    Mirrors :func:`repro.serve.http.serve_http`: returns the bound
-    server (``server.url`` has the resolved port) and the loop thread;
-    ``server.shutdown()`` stops it without closing the service.
-    Transport knobs come from ``config``
-    (:class:`~repro.serve.config.ServiceConfig`); the individual kwargs
-    are deprecation shims that override it.
+    Returns the bound server (``server.url`` has the resolved port;
+    ``config.port=0`` lets the OS pick) and the loop thread;
+    ``server.shutdown()`` stops it without closing the service.  Raises
+    :class:`~repro.errors.ServeError` for a service whose admission lane
+    blocks (see :class:`EventLoopHTTPServer`).
     """
-    knobs = resolve_transport_kwargs(
-        config,
-        "serve_event_loop",
-        host=(host, "127.0.0.1"),
-        port=(port, 0),
-        query_timeout=(query_timeout, DEFAULT_QUERY_TIMEOUT),
-        body_timeout=(body_timeout, DEFAULT_BODY_TIMEOUT),
-        log_requests=(log_requests, False),
-        retry_after_seconds=(retry_after_seconds, DEFAULT_RETRY_AFTER_SECONDS),
-        max_body_bytes=(max_body_bytes, MAX_BODY_BYTES),
-    )
-    server = EventLoopHTTPServer(
-        service,
-        (knobs["host"], knobs["port"]),
-        query_timeout=knobs["query_timeout"],
-        body_timeout=knobs["body_timeout"],
-        log_requests=knobs["log_requests"],
-        fault_injector=fault_injector,
-        retry_after_seconds=knobs["retry_after_seconds"],
-        max_body_bytes=knobs["max_body_bytes"],
-    )
+    server = EventLoopHTTPServer(service, config, fault_injector=fault_injector)
     thread = threading.Thread(
         target=server.serve_forever, name="graph-service-eventloop", daemon=True
     )
@@ -668,7 +632,6 @@ def serve_event_loop(
 
 
 __all__ = [
-    "DEFAULT_BODY_TIMEOUT",
     "EventLoopHTTPServer",
     "serve_event_loop",
 ]

@@ -1,41 +1,33 @@
-"""Transport-agnostic HTTP protocol layer shared by both front-ends.
+"""Transport-agnostic HTTP protocol layer behind the event-loop front-end.
 
-The serve layer has two HTTP servers — the debug-friendly threaded one
-(:mod:`repro.serve.http`, one OS thread per connection) and the
-production event loop (:mod:`repro.serve.eventloop`, one thread total).
-Everything that defines the *service's* HTTP behaviour lives here, once,
-so the two cannot drift:
+Everything that defines the *service's* HTTP behaviour lives here, so
+the transport (:mod:`repro.serve.eventloop`) only moves bytes:
 
 * **Routing + validation** — :func:`handle_request` maps ``(method,
   path, headers, body)`` onto the :class:`~repro.serve.GraphService`
-  API.  Immediate endpoints (``/healthz``, ``/stats``, ``/ingest``,
-  every error) return a finished :class:`Response`; ``/query`` returns a
-  :class:`PendingQuery` carrying the submitted
-  :class:`~repro.serve.queries.QueryTicket` plus a renderer, and the
-  *transport* decides how to wait — the threaded server blocks its
-  handler thread on ``ticket.result``, the event loop registers a done-
-  callback and keeps serving other connections.
+  API.  Immediate endpoints (``/v1/healthz``, ``/v1/stats``,
+  ``/v1/ingest``, every error) return a finished :class:`Response`;
+  ``/v1/query`` returns a :class:`PendingQuery` carrying the submitted
+  :class:`~repro.serve.queries.QueryTicket` plus a renderer — the event
+  loop registers a done-callback and keeps serving other connections.
 * **Error mapping** — :func:`status_for_error` and
   :func:`error_response`: 400 validation / 413 oversized / 429 quota /
   503 closed / 504 deadline, with ``Retry-After`` on the transient ones.
   Every failure renders as the one canonical envelope
-  ``{"error": {"code", "message", "retry_after"}}`` — the same shape on
-  the threaded server, the event loop, and the shard router.
-* **Versioned routes** — the stable API lives under ``/v1`` (``/v1/query``,
-  ``/v1/ingest``, ``/v1/stats``, ``/v1/healthz``).  The original
-  unversioned paths keep working through a shim that serves the same
-  handlers but stamps ``Deprecation: true`` plus a ``Link:
-  </v1/...>; rel="successor-version"`` pointer on every response.
+  ``{"error": {"code", "message", "retry_after"}}`` — the same shape for
+  the single-process service and the shard router.
+* **One route table** — the API lives under ``/v1`` (``/v1/query``,
+  ``/v1/ingest``, ``/v1/stats``, ``/v1/healthz``); any other path,
+  including the pre-``/v1`` unversioned ones, is a 404 envelope.
 * **Content negotiation** — ``Accept: application/x-walks-bin`` selects
   the zero-copy binary walks format (:mod:`repro.serve.wire`); JSON
   stays the default.  A ``"stream": true`` query field asks for a
   chunked (``Transfer-Encoding: chunked``) response body.
 * **Incremental request parsing** — :class:`HTTPRequestParser` turns an
-  arbitrary byte stream into pipelined HTTP/1.1 requests for the event
-  loop: requests may arrive split at any byte boundary or several to a
-  single read, and an oversized ``Content-Length`` fails with 413 as
-  soon as the *headers* are complete, before any body byte arrives
-  (parity with the threaded server's header-only 413).
+  arbitrary byte stream into pipelined HTTP/1.1 requests: requests may
+  arrive split at any byte boundary or several to a single read, and an
+  oversized ``Content-Length`` fails with 413 as soon as the *headers*
+  are complete, before any body byte arrives.
 """
 
 from __future__ import annotations
@@ -54,6 +46,11 @@ from repro.errors import (
 )
 from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
 from repro.serve import wire
+from repro.serve.config import (
+    DEFAULT_MAX_BODY_BYTES as MAX_BODY_BYTES,
+    DEFAULT_QUERY_TIMEOUT,
+    DEFAULT_RETRY_AFTER_SECONDS,
+)
 from repro.serve.faults import FaultInjector
 from repro.serve.queries import DEFAULT_TENANT, QueryTicket, ServeResult, deadline_in
 from repro.serve.service import GraphService
@@ -61,25 +58,15 @@ from repro.serve.service import GraphService
 #: Request header naming the submitting tenant.
 TENANT_HEADER = "X-Tenant"
 
-#: Default seconds a /query waits on its ticket before answering 504.
-DEFAULT_QUERY_TIMEOUT = 30.0
-
-#: Largest accepted request body (1 MiB of JSON is ~50k updates).
-MAX_BODY_BYTES = 8 * 1024 * 1024
-
 #: Largest accepted request head (request line + headers).
 MAX_HEADER_BYTES = 64 * 1024
-
-#: Default ``Retry-After`` hint (seconds) sent with 429 / 503 / 504.
-DEFAULT_RETRY_AFTER_SECONDS = 1.0
 
 #: Statuses that mean "try again later" rather than "fix your request".
 RETRYABLE_STATUSES = (429, 503, 504)
 
 JSON_CONTENT_TYPE = "application/json"
 
-#: Versioned API prefix.  ``/v1/query`` etc. are the stable routes;
-#: the bare paths are deprecated aliases served through the same handlers.
+#: Versioned API prefix: ``/v1/query`` etc. are the only routes.
 API_PREFIX = "/v1"
 
 
@@ -162,9 +149,9 @@ class Response:
     headers: dict[str, str] = field(default_factory=dict)
     chunked: bool = False
     close: bool = False
-    #: Set on a deferred-flush /ingest response (``defer_flush=True``):
-    #: the transport must hold this response back until
-    #: :meth:`GraphService.pending_updates` reaches zero.
+    #: Set on a flushing /v1/ingest response: the transport must hold
+    #: this response back until :meth:`GraphService.pending_updates`
+    #: reaches zero.
     flush_pending: bool = False
 
     def parts(self) -> list[bytes | memoryview]:
@@ -213,15 +200,11 @@ def not_found(path: str) -> Response:
 
 
 class PendingQuery:
-    """A routed ``/query`` whose ticket has not resolved yet.
+    """A routed ``/v1/query`` whose ticket has not resolved yet.
 
-    The transport owns the waiting strategy:
-
-    * blocking transports call :meth:`wait` (parks the calling thread on
-      ``ticket.result`` for up to ``timeout`` seconds);
-    * the event loop registers ``ticket.add_done_callback`` and later
-      calls :meth:`finish` (the ticket is complete, so it never blocks),
-      or :meth:`timeout_response` when its own timer fires first.
+    The event loop registers ``ticket.add_done_callback`` and later calls
+    :meth:`finish` (the ticket is complete, so it never blocks), or
+    :meth:`timeout_response` when its own ``timeout`` timer fires first.
     """
 
     def __init__(
@@ -235,36 +218,21 @@ class PendingQuery:
         self.timeout = timeout
         self.render = render
         self.retry_after_seconds = retry_after_seconds
-        #: Headers the route shim wants on the eventual response (e.g. the
-        #: ``Deprecation`` pair on unversioned routes).
-        self.extra_headers: dict[str, str] = {}
-
-    def _respond(self, timeout: float | None) -> Response:
-        try:
-            result = self.ticket.result(timeout)
-        except Exception as exc:  # noqa: BLE001 - mapped onto HTTP statuses
-            response = error_response(exc, self.retry_after_seconds)
-        else:
-            response = self.render(result)
-        response.headers.update(self.extra_headers)
-        return response
-
-    def wait(self) -> Response:
-        """Block until the ticket resolves (threaded transport)."""
-        return self._respond(self.timeout)
 
     def finish(self) -> Response:
-        """Render a ticket known to be complete (event-loop transport)."""
-        return self._respond(0.0)
+        """Render a ticket known to be complete."""
+        try:
+            result = self.ticket.result(0.0)
+        except Exception as exc:  # noqa: BLE001 - mapped onto HTTP statuses
+            return error_response(exc, self.retry_after_seconds)
+        return self.render(result)
 
     def timeout_response(self) -> Response:
         """The 504 the event loop sends when its query timer fires first."""
-        response = error_response(
+        return error_response(
             QueryTimeoutError("timed out waiting for a walk query result"),
             self.retry_after_seconds,
         )
-        response.headers.update(self.extra_headers)
-        return response
 
 
 RouteOutcome = Response | PendingQuery
@@ -382,7 +350,7 @@ def _route_query(
     if not isinstance(params, dict):
         raise BadRequest('"params" must be an object')
     # A missing or null timeout falls back to the server default — a
-    # client cannot pin a handler thread (or a response slot) forever.
+    # client cannot pin a response slot forever.
     timeout = payload.get("timeout")
     if timeout is None:
         timeout = default_query_timeout
@@ -450,26 +418,16 @@ def _handle_stats(service: GraphService) -> Response:
     return Response(200, payload)
 
 
-def _handle_ingest(
-    service: GraphService, payload: dict, defer_flush: bool
-) -> Response:
+def _handle_ingest(service: GraphService, payload: dict) -> Response:
     batch = parse_updates(payload)
     service.ingest(batch)
-    flush_pending = False
-    if bool(payload.get("flush", False)):
-        if defer_flush:
-            # The event loop cannot park its only thread in flush();
-            # it holds the response until pending_updates() drains (and
-            # restamps the epoch once it has).
-            flush_pending = True
-        else:
-            service.flush()
-    # Epoch is read after any flush, so a flushing ingest reports the
-    # epoch its own updates were published under.
+    # A flushing ingest is answered once pending_updates() drains: the
+    # event loop cannot park its only thread in flush(), so it holds the
+    # response and restamps the epoch its updates were published under.
     return Response(
         202,
         {"queued_updates": len(batch), "epoch": service.epoch},
-        flush_pending=flush_pending,
+        flush_pending=bool(payload.get("flush", False)),
     )
 
 
@@ -483,33 +441,17 @@ def handle_request(
     default_query_timeout: float | None = DEFAULT_QUERY_TIMEOUT,
     retry_after_seconds: float = DEFAULT_RETRY_AFTER_SECONDS,
     fault_injector: FaultInjector | None = None,
-    defer_flush: bool = False,
 ) -> RouteOutcome:
     """Route one request; never raises (errors become :class:`Response`).
 
     ``headers`` must map **lower-cased** header names to values.  Only
-    ``/v1/query`` (and its deprecated alias) can return a
-    :class:`PendingQuery`; every other outcome is a finished
-    :class:`Response`.  ``defer_flush`` makes a flushing ``/v1/ingest``
-    return immediately with ``flush_pending=True`` instead of blocking
-    in ``flush()`` (the event loop answers it by polling
-    :meth:`GraphService.pending_updates`); the caller then owns the
-    flush wait.
-
-    Requests on unversioned paths are served by the same handlers but
-    every response carries ``Deprecation: true`` and a ``Link`` header
-    naming the ``/v1`` successor route.
+    ``/v1/query`` can return a :class:`PendingQuery`; every other outcome
+    is a finished :class:`Response`.  A flushing ``/v1/ingest`` returns
+    at once with ``flush_pending=True``; the caller owns the flush wait
+    (the event loop polls :meth:`GraphService.pending_updates`).  Paths
+    outside ``/v1`` are 404s.
     """
-    deprecated_headers: dict[str, str] | None = None
-    if path == API_PREFIX or path.startswith(API_PREFIX + "/"):
-        route = path[len(API_PREFIX):] or "/"
-    else:
-        route = path
-        if route in ("/query", "/ingest", "/stats", "/healthz"):
-            deprecated_headers = {
-                "Deprecation": "true",
-                "Link": f'<{API_PREFIX}{route}>; rel="successor-version"',
-            }
+    route = path[len(API_PREFIX):] if path.startswith(API_PREFIX + "/") else None
     try:
         if fault_injector is not None:
             # The chaos harness's ``http.handler`` injection point: an
@@ -535,7 +477,7 @@ def handle_request(
                     retry_after_seconds,
                 )
             elif route == "/ingest":
-                outcome = _handle_ingest(service, payload, defer_flush)
+                outcome = _handle_ingest(service, payload)
             else:
                 outcome = not_found(path)
         else:
@@ -548,16 +490,11 @@ def handle_request(
             )
     except Exception as exc:  # noqa: BLE001 - the trust boundary
         outcome = error_response(exc, retry_after_seconds)
-    if deprecated_headers is not None:
-        if isinstance(outcome, PendingQuery):
-            outcome.extra_headers.update(deprecated_headers)
-        else:
-            outcome.headers.update(deprecated_headers)
     return outcome
 
 
 # --------------------------------------------------------------------- #
-# incremental request parsing (event-loop transport)
+# incremental request parsing
 # --------------------------------------------------------------------- #
 class HTTPParseError(Exception):
     """A request stream the parser cannot (or will not) continue reading.
@@ -598,8 +535,8 @@ class HTTPRequestParser:
 
     * garbage request line / header framing → 400,
     * non-integer or negative ``Content-Length`` → 400,
-    * ``Transfer-Encoding`` request bodies → 400 (not supported, same as
-      the threaded server which only reads ``Content-Length`` bodies),
+    * ``Transfer-Encoding`` request bodies → 400 (only ``Content-Length``
+      bodies are supported),
     * ``Content-Length`` above ``max_body_bytes`` → **413 the moment the
       headers complete**, before a single body byte is read — a client
       declaring an 8 GiB body cannot make the server buffer it,

@@ -177,7 +177,7 @@ class QueryTicket:
     scheduling and the per-tenant latency windows key off it.
 
     Completion is observable two ways: pull (:meth:`result` blocks on an
-    event — what the threaded HTTP front-end does) and push
+    event — what in-process callers do) and push
     (:meth:`add_done_callback` — what the event-loop front-end uses to
     resume a connection without parking a thread per request).
     """

@@ -565,8 +565,8 @@ class RouterService(GraphService):
     booted from the front engine's exported state at epoch 0.  The
     public API is exactly :class:`GraphService`'s — ``from_config``,
     ``submit``/``query``, ``ingest``/``flush``, ``stats_snapshot``,
-    ``close`` — so every HTTP front-end (threaded and event-loop) serves
-    a router without knowing it.
+    ``close`` — so the event-loop front-end serves a router without
+    knowing it.
 
     Overridden hooks:
 

@@ -317,7 +317,7 @@ class GraphService:
         overrides ``config.seed`` when a live generator must be threaded
         through (sync-mode benchmarking); ``default_quota`` overrides the
         implicit unknown-tenant lane (the event-loop front-end needs a
-        rejecting one).
+        rejecting one when ``config.tenants`` is empty).
         """
         return cls(
             config.engine,
@@ -367,6 +367,14 @@ class GraphService:
         if not self.sync:
             self._update_queue.join()
         self._raise_failure()
+
+    def admission_blocks(self) -> bool:
+        """Whether a full admission lane blocks its submitter (no 429).
+
+        The event-loop front-end refuses such a service: the submitter
+        there is the loop's only thread.
+        """
+        return self._tenancy.blocks_when_full()
 
     def pending_updates(self) -> int:
         """Queued update batches not yet published (0 in sync mode).

@@ -191,6 +191,13 @@ class FairShareQueue:
                 }
             return summaries
 
+    def blocks_when_full(self) -> bool:
+        """Whether a full lane (declared or default) parks its submitter."""
+        with self._cond:
+            quotas = [lane.quota for lane in self._lanes.values()]
+        quotas.append(self._default_quota)
+        return any(quota.block_when_full for quota in quotas)
+
     def pending_count(self, tenant: str | None = None) -> int:
         with self._cond:
             if tenant is not None:

@@ -1,9 +1,8 @@
 """Serve-boundary bugfix sweep: raw-socket HTTP edges, tenancy races,
 and the epoch-delta warming stats.
 
-The urllib helper in ``test_http.py`` cannot produce a malformed
-Content-Length or an under-delivered body, so these tests speak raw HTTP
-over a socket.
+urllib cannot produce a malformed Content-Length or an under-delivered
+body, so these tests speak raw HTTP over a socket.
 """
 
 from __future__ import annotations
@@ -16,8 +15,8 @@ import pytest
 
 from repro.graph.generators import power_law_graph
 from repro.graph.update_stream import GraphUpdate, UpdateKind
-from repro.serve import GraphService, TenantQuota, serve_http
-from repro.serve.http import MAX_BODY_BYTES
+from repro.serve import GraphService, ServiceConfig, TenantQuota, serve_event_loop
+from repro.serve.protocol import MAX_BODY_BYTES
 from repro.serve.tenancy import FairShareQueue
 
 
@@ -27,8 +26,12 @@ from repro.serve.tenancy import FairShareQueue
 @pytest.fixture(scope="module")
 def server():
     graph = power_law_graph(60, 3, rng=2)
-    service = GraphService("knightking", graph, rng=1)
-    server, _thread = serve_http(service, body_timeout=0.75)
+    service = GraphService(
+        "knightking", graph, rng=1, default_quota=TenantQuota(max_pending=64)
+    )
+    server, _thread = serve_event_loop(
+        service, config=ServiceConfig(body_timeout=0.75)
+    )
     yield server
     server.shutdown()
     service.close()
@@ -64,7 +67,7 @@ def _raw_request(server, payload: bytes, timeout: float = 10.0):
 class TestHTTPBoundary:
     def test_non_numeric_content_length_is_400(self, server):
         request = (
-            b"POST /ingest HTTP/1.1\r\n"
+            b"POST /v1/ingest HTTP/1.1\r\n"
             b"Host: localhost\r\n"
             b"Content-Length: banana\r\n"
             b"\r\n"
@@ -76,7 +79,7 @@ class TestHTTPBoundary:
 
     def test_oversized_body_is_413_without_reading_it(self, server):
         request = (
-            b"POST /query HTTP/1.1\r\n"
+            b"POST /v1/query HTTP/1.1\r\n"
             b"Host: localhost\r\n"
             b"Content-Length: " + str(MAX_BODY_BYTES + 1).encode() + b"\r\n"
             b"\r\n"
@@ -89,15 +92,15 @@ class TestHTTPBoundary:
 
     def test_underdelivered_body_times_out_as_400(self, server):
         request = (
-            b"POST /ingest HTTP/1.1\r\n"
+            b"POST /v1/ingest HTTP/1.1\r\n"
             b"Host: localhost\r\n"
             b"Content-Length: 500\r\n"
             b"\r\n"
             b'{"updates": ['
         )
-        # 13 of the declared 500 bytes arrive; the handler's socket
-        # timeout (0.75 s on this fixture) must convert the stalled read
-        # into a 400 rather than pinning the thread.
+        # 13 of the declared 500 bytes arrive; the body timeout (0.75 s
+        # on this fixture) must convert the stalled read into a 400
+        # rather than holding the connection open.
         status, body = _raw_request(server, request)
         assert status == 400
         assert body["error"]["code"] == "bad_request"
@@ -108,7 +111,7 @@ class TestHTTPBoundary:
 
     def test_server_still_serves_after_boundary_abuse(self, server):
         request = (
-            b"GET /healthz HTTP/1.1\r\n"
+            b"GET /v1/healthz HTTP/1.1\r\n"
             b"Host: localhost\r\n"
             b"\r\n"
         )

@@ -14,9 +14,11 @@ from repro.serve import (
     FaultPlan,
     GraphService,
     ServiceClient,
+    ServiceConfig,
     ServiceHTTPError,
     ServiceUnreachableError,
-    serve_http,
+    TenantQuota,
+    serve_event_loop,
 )
 
 
@@ -30,17 +32,24 @@ def faulty_server(graph, request):
     """A front-end whose handler fails at the occurrences the test picks."""
 
     def start(plan, retry_after_seconds=0.05):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(
+        service = _service(graph)
+        server, _thread = serve_event_loop(
             service,
+            config=ServiceConfig(retry_after_seconds=retry_after_seconds),
             fault_injector=FaultInjector(plan),
-            retry_after_seconds=retry_after_seconds,
         )
         request.addfinalizer(service.close)
         request.addfinalizer(server.shutdown)
         return server
 
     return start
+
+
+def _service(graph):
+    # The event loop submits from its only thread: the lane must reject.
+    return GraphService(
+        "bingo", graph, rng=53, default_quota=TenantQuota(max_pending=64)
+    )
 
 
 def make_client(server, **kwargs):
@@ -138,8 +147,8 @@ class TestIdempotency:
         assert sleeps == []
 
     def test_ingest_succeeds_on_a_healthy_server(self, graph, request):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(service)
+        service = _service(graph)
+        server, _thread = serve_event_loop(service)
         request.addfinalizer(service.close)
         request.addfinalizer(server.shutdown)
         client, _sleeps = make_client(server)
@@ -232,8 +241,8 @@ def stale_server(request):
 
 class TestPersistentConnection:
     def test_many_requests_reuse_one_connection(self, graph, request):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(service)
+        service = _service(graph)
+        server, _thread = serve_event_loop(service)
         request.addfinalizer(service.close)
         request.addfinalizer(server.shutdown)
         client, _sleeps = make_client(server)
@@ -275,8 +284,8 @@ class TestPersistentConnection:
 
 class TestBinaryQueries:
     def test_binary_query_returns_decoded_walks(self, graph, request):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(service)
+        service = _service(graph)
+        server, _thread = serve_event_loop(service)
         request.addfinalizer(service.close)
         request.addfinalizer(server.shutdown)
         client, _sleeps = make_client(server)
@@ -290,8 +299,8 @@ class TestBinaryQueries:
         assert client.connections_opened == 1
 
     def test_binary_errors_still_raise_with_json_payload(self, graph, request):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(service)
+        service = _service(graph)
+        server, _thread = serve_event_loop(service)
         request.addfinalizer(service.close)
         request.addfinalizer(server.shutdown)
         client, _sleeps = make_client(server)
@@ -309,8 +318,8 @@ class TestHealth:
     def test_health_returns_unhealthy_payload_instead_of_raising(
         self, graph, request
     ):
-        service = GraphService("bingo", graph, rng=53)
-        server, _thread = serve_http(service)
+        service = _service(graph)
+        server, _thread = serve_event_loop(service)
         request.addfinalizer(server.shutdown)
         service.close()
         client, _sleeps = make_client(server)

@@ -1,17 +1,12 @@
-"""ServiceConfig: validation, env overlay, CLI construction, shims."""
+"""ServiceConfig: validation, env overlay, CLI construction."""
 
 import argparse
-import warnings
 
 import pytest
 
 from repro.errors import ServeError
 from repro.serve import ServiceConfig, TenantQuota
-from repro.serve.config import (
-    UNSET,
-    _parse_tenant_spec,
-    resolve_transport_kwargs,
-)
+from repro.serve.config import _parse_tenant_spec
 
 
 def make_namespace(**overrides):
@@ -26,7 +21,6 @@ def make_namespace(**overrides):
         fuse_limit=8,
         fuse_window=0.002,
         no_warm=False,
-        event_loop=False,
         log_requests=False,
         max_pending=64,
         tenant=None,
@@ -70,6 +64,13 @@ class TestValidation:
             ServiceConfig(**{field: 0.0})
         assert getattr(ServiceConfig(**{field: None}), field) is None
 
+    def test_the_removed_threaded_front_end_cannot_be_selected(self):
+        assert ServiceConfig().event_loop is True
+        with pytest.raises(ServeError, match="threaded HTTP front-end"):
+            ServiceConfig(event_loop=False)
+        with pytest.raises(ServeError, match="threaded HTTP front-end"):
+            ServiceConfig.from_env(environ={"BINGO_SERVE_EVENT_LOOP": "0"})
+
     def test_retry_after_must_be_positive(self):
         with pytest.raises(ServeError, match="retry_after"):
             ServiceConfig(retry_after_seconds=0.0)
@@ -112,14 +113,14 @@ class TestFromEnv:
         config = ServiceConfig.from_env(
             environ={
                 "BINGO_SERVE_SHARDS": "4",
-                "BINGO_SERVE_EVENT_LOOP": "true",
+                "BINGO_SERVE_LOG_REQUESTS": "true",
                 "BINGO_SERVE_FUSE_WINDOW_SECONDS": "0.01",
                 "BINGO_SERVE_HOST": "0.0.0.0",
                 "UNRELATED": "ignored",
             }
         )
         assert config.shards == 4
-        assert config.event_loop is True
+        assert config.log_requests is True
         assert config.fuse_window_seconds == 0.01
         assert config.host == "0.0.0.0"
 
@@ -185,33 +186,3 @@ class TestTenantSpecParsing:
     def test_malformed_specs_raise(self, spec):
         with pytest.raises(ServeError, match="tenant spec"):
             _parse_tenant_spec(spec)
-
-
-class TestTransportShims:
-    def test_config_fields_flow_through_without_warning(self):
-        config = ServiceConfig(port=8125, log_requests=True)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_transport_kwargs(
-                config,
-                "serve_http",
-                port=(UNSET, 0),
-                log_requests=(UNSET, False),
-            )
-        assert resolved == {"port": 8125, "log_requests": True}
-
-    def test_explicit_legacy_kwarg_wins_and_warns(self):
-        config = ServiceConfig(port=8125)
-        with pytest.warns(DeprecationWarning, match="ServiceConfig"):
-            resolved = resolve_transport_kwargs(
-                config, "serve_http", port=(9090, 0)
-            )
-        assert resolved["port"] == 9090
-
-    def test_no_config_falls_back_to_legacy_defaults(self):
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            resolved = resolve_transport_kwargs(
-                None, "serve_http", port=(UNSET, 1234)
-            )
-        assert resolved["port"] == 1234

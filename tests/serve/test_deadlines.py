@@ -13,9 +13,10 @@ from repro.serve import (
     FaultInjector,
     FaultPlan,
     GraphService,
+    TenantQuota,
     WalkQuery,
     deadline_in,
-    serve_http,
+    serve_event_loop,
 )
 
 
@@ -98,15 +99,17 @@ class TestDispatcherDropOnExpiry:
 class TestHTTPDeadlines:
     @pytest.fixture(scope="class")
     def server(self, graph):
-        service = GraphService("bingo", graph, rng=43)
-        server, _thread = serve_http(service)
+        service = GraphService(
+            "bingo", graph, rng=43, default_quota=TenantQuota(max_pending=64)
+        )
+        server, _thread = serve_event_loop(service)
         yield server
         server.shutdown()
         service.close()
 
     def _call(self, server, payload):
         request = urllib.request.Request(
-            server.url + "/query",
+            server.url + "/v1/query",
             data=json.dumps(payload).encode(),
             headers={"Content-Type": "application/json"},
         )

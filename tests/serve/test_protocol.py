@@ -4,6 +4,13 @@ import json
 
 import pytest
 
+from repro.errors import (
+    QueryTimeoutError,
+    QueryValidationError,
+    QuotaExceededError,
+    ServiceClosedError,
+    UpdateError,
+)
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -216,8 +223,6 @@ class TestResponseHelpers:
         assert not wants_binary({})
 
     def test_error_response_carries_retry_after_only_when_retryable(self):
-        from repro.errors import QuotaExceededError
-
         retryable = error_response(QuotaExceededError("full"), 0.25)
         assert retryable.status == 429
         assert retryable.headers["Retry-After"] == "0.25"
@@ -225,9 +230,21 @@ class TestResponseHelpers:
         assert terminal.status == 400
         assert "Retry-After" not in terminal.headers
 
-    def test_new_error_types_map_onto_their_statuses(self):
-        assert status_for_error(BadRequest("x")) == 400
-        assert status_for_error(PayloadTooLarge("x")) == 413
+    @pytest.mark.parametrize(
+        ("error", "status"),
+        [
+            (BadRequest, 400),
+            (PayloadTooLarge, 413),
+            (QueryValidationError, 400),
+            (QuotaExceededError, 429),
+            (ServiceClosedError, 503),
+            (QueryTimeoutError, 504),
+            (UpdateError, 400),
+            (RuntimeError, 500),
+        ],
+    )
+    def test_error_types_map_onto_their_statuses(self, error, status):
+        assert status_for_error(error("x")) == status
 
     def test_parse_json_body_rejects_empty_and_non_objects(self):
         with pytest.raises(BadRequest):

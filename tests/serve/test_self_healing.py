@@ -9,8 +9,9 @@ from repro.serve import (
     FaultInjector,
     FaultPlan,
     GraphService,
+    TenantQuota,
     WalkQuery,
-    serve_http,
+    serve_event_loop,
 )
 
 
@@ -203,14 +204,15 @@ class TestHealthzHTTP:
             stream,
             FaultPlan().fail("writer.apply", 0),
             writer_recovery_limit=0,
+            default_quota=TenantQuota(max_pending=64),
         )
-        server, _thread = serve_http(service)
+        server, _thread = serve_event_loop(service)
         try:
             service.ingest(stream.batches[0])
             with pytest.raises(ServeError):
                 service.flush()
             with pytest.raises(urllib.error.HTTPError) as info:
-                urllib.request.urlopen(server.url + "/healthz", timeout=30)
+                urllib.request.urlopen(server.url + "/v1/healthz", timeout=30)
             assert info.value.code == 503
             import json
 
@@ -227,13 +229,15 @@ class TestHealthzHTTP:
         import urllib.request
 
         service, _ = make_service(
-            stream, FaultPlan().fail("writer.apply", 0, message="chaos")
+            stream,
+            FaultPlan().fail("writer.apply", 0, message="chaos"),
+            default_quota=TenantQuota(max_pending=64),
         )
-        server, _thread = serve_http(service)
+        server, _thread = serve_event_loop(service)
         try:
             service.ingest(stream.batches[0])
             service.flush()
-            with urllib.request.urlopen(server.url + "/stats", timeout=30) as resp:
+            with urllib.request.urlopen(server.url + "/v1/stats", timeout=30) as resp:
                 body = json.loads(resp.read())
             assert body["writer_recoveries"] == 1
             assert len(body["dead_letter"]) == 1

@@ -3,8 +3,8 @@
 ``close(timeout=...)`` used to return as if the service had shut down even
 when a worker thread outlived the join; now it raises, and these tests
 drive the surrounding races: a quota-full rejection racing
-``close(drain=True)``, and the HTTP handler's behaviour when the service
-closes under an in-flight request.
+``close(drain=True)``, and the event-loop front-end's behaviour when the
+service closes under an in-flight request.
 """
 
 import json
@@ -21,7 +21,7 @@ from repro.errors import (
     ServeError,
     ServiceClosedError,
 )
-from repro.serve import GraphService, TenantQuota, serve_http
+from repro.serve import GraphService, TenantQuota, serve_event_loop
 
 
 @pytest.fixture(scope="module")
@@ -136,12 +136,14 @@ class TestQuotaRacingClose:
 
 class TestHTTPClosedService:
     def test_query_against_closed_service_returns_503(self, graph):
-        service = GraphService("bingo", graph, rng=29)
-        server, _ = serve_http(service)
+        service = GraphService(
+            "bingo", graph, rng=29, default_quota=TenantQuota(max_pending=64)
+        )
+        server, _ = serve_event_loop(service)
         service.close()
         try:
             request = urllib.request.Request(
-                server.url + "/query",
+                server.url + "/v1/query",
                 data=json.dumps(
                     {"application": "deepwalk", "starts": [0], "walk_length": 3}
                 ).encode(),
@@ -158,17 +160,22 @@ class TestHTTPClosedService:
             server.shutdown()
 
     def test_service_closed_mid_request_returns_503(self, graph):
-        """A handler blocked on its ticket sees the cancellation as 503."""
+        """A request waiting on its ticket sees the cancellation as 503."""
         service = GraphService(
-            "bingo", graph, rng=29, fuse_limit=1, fuse_window_seconds=0.0
+            "bingo",
+            graph,
+            rng=29,
+            fuse_limit=1,
+            fuse_window_seconds=0.0,
+            default_quota=TenantQuota(max_pending=64),
         )
         _slow_wave(service, 0.5)
-        server, _ = serve_http(service)
+        server, _ = serve_event_loop(service)
         responses = []
 
         def client():
             request = urllib.request.Request(
-                server.url + "/query",
+                server.url + "/v1/query",
                 data=json.dumps(
                     {"application": "deepwalk", "starts": [0], "walk_length": 3}
                 ).encode(),

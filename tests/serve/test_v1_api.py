@@ -1,8 +1,9 @@
-"""The versioned /v1 API: routes, deprecation shims, one error envelope.
+"""The versioned /v1 API: the one route table and one error envelope.
 
 The acceptance bar: the canonical ``{"error": {"code", "message",
-"retry_after"}}`` envelope must be byte-compatible across all three
-front-ends — threaded, event loop, and the shard-router-backed server.
+"retry_after"}}`` envelope must be byte-compatible across both served
+shapes — the single-process service and the shard-router-backed one,
+each behind the event loop.
 """
 
 import json
@@ -19,7 +20,6 @@ from repro.serve import (
     ServiceHTTPError,
     TenantQuota,
     serve_event_loop,
-    serve_http,
 )
 
 V1_ROUTES = ("/v1/query", "/v1/ingest", "/v1/stats", "/v1/healthz")
@@ -33,9 +33,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def front_ends(graph):
-    """All three server shapes the envelope must agree across."""
-    threaded_service = GraphService("bingo", graph, rng=31, warm_on_publish=True)
-    threaded, _ = serve_http(threaded_service)
+    """Both server shapes the envelope must agree across."""
     # The event loop submits from its only thread, so its default lane
     # must reject (429) rather than block.
     loop_service = GraphService(
@@ -46,15 +44,13 @@ def front_ends(graph):
         default_quota=TenantQuota(max_pending=256),
     )
     loop, _ = serve_event_loop(loop_service)
-    router_service = RouterService("bingo", graph, shards=2, rng=31)
-    routed, _ = serve_http(router_service)
-    servers = {"threaded": threaded, "eventloop": loop, "router": routed}
+    router_service = RouterService(
+        "bingo", graph, shards=2, rng=31, default_quota=TenantQuota(max_pending=256)
+    )
+    routed, _ = serve_event_loop(router_service)
+    servers = {"eventloop": loop, "router": routed}
     yield servers
-    for server, service in (
-        (threaded, threaded_service),
-        (loop, loop_service),
-        (routed, router_service),
-    ):
+    for server, service in ((loop, loop_service), (routed, router_service)):
         server.shutdown()
         service.close()
 
@@ -119,36 +115,20 @@ class TestV1Routes:
         assert all(body["shards_alive"])
 
 
-class TestDeprecatedRoutes:
-    def test_legacy_paths_still_serve_with_successor_headers(self, front_ends, graph):
-        for offset, (name, server) in enumerate(front_ends.items()):
-            payloads = {
-                "/query": QUERY,
-                "/ingest": {
-                    "updates": [
-                        {
-                            "kind": "insert",
-                            "src": 1,
-                            "dst": graph.num_vertices + 500 + offset,
-                            "bias": 1.0,
-                        }
-                    ]
-                },
-            }
-            for route in LEGACY_ROUTES:
-                status, _, headers = _call(server, route, payloads.get(route))
-                assert status in (200, 202), (name, route)
-                assert headers.get("Deprecation") == "true", (name, route)
-                assert (
-                    headers.get("Link")
-                    == f'</v1{route}>; rel="successor-version"'
-                ), (name, route)
-
-    def test_legacy_and_v1_bodies_have_the_same_shape(self, front_ends):
-        server = front_ends["threaded"]
-        _, legacy, _ = _call(server, "/stats")
-        _, versioned, _ = _call(server, "/v1/stats")
-        assert set(legacy) == set(versioned)
+class TestUnversionedRoutes:
+    @pytest.mark.parametrize("route", LEGACY_ROUTES)
+    def test_old_unversioned_paths_are_not_found_envelopes(self, front_ends, route):
+        bodies = {"/query": QUERY, "/ingest": {"updates": [{"src": 1, "dst": 2}]}}
+        for name, server in front_ends.items():
+            status, body, _ = _call(server, route, bodies.get(route))
+            assert status == 404, name
+            assert body == {
+                "error": {
+                    "code": "not_found",
+                    "message": f"unknown path {route}",
+                    "retry_after": None,
+                }
+            }, name
 
 
 class TestErrorEnvelope:
@@ -190,7 +170,7 @@ class TestErrorEnvelope:
             assert len(set(outcomes.values())) == 1, (path, outcomes)
 
     def test_bad_json_body_is_a_bad_request_envelope(self, front_ends):
-        server = front_ends["threaded"]
+        server = front_ends["eventloop"]
         request = urllib.request.Request(
             server.url + "/v1/query",
             data=b"{not json",
@@ -214,7 +194,7 @@ class TestClient:
                 assert binary.matrix.shape[0] == 2, name
 
     def test_client_surfaces_the_envelope_code(self, front_ends):
-        with ServiceClient(front_ends["threaded"].url, max_retries=0) as client:
+        with ServiceClient(front_ends["eventloop"].url, max_retries=0) as client:
             with pytest.raises(ServiceHTTPError) as excinfo:
                 client.query("deepwalk", [-5], walk_length=4)
         assert excinfo.value.status == 400

@@ -55,7 +55,7 @@ class TestSuppressions:
             def start(worker):
                 threading.Thread(target=worker)  # bingolint: allow[BGL007, BGL001]
         """
-        assert lint("BGL007", source, "src/repro/serve/http.py") == []
+        assert lint("BGL007", source, "src/repro/serve/eventloop.py") == []
 
     def test_suppression_map_lines(self):
         source = "x = 1  # bingolint: allow[BGL001]\ny = 2\n"

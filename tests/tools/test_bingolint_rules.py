@@ -208,7 +208,7 @@ class TestBGL002EventLoopBlocking:
             def worker():
                 time.sleep(1.0)
         """
-        assert lint("BGL002", source, "src/repro/serve/http.py") == []
+        assert lint("BGL002", source, "src/repro/serve/service.py") == []
 
 
 class TestBGL003BroadExcept:
@@ -269,7 +269,7 @@ class TestBGL003BroadExcept:
                 except Exception as exc:
                     log(exc)
         """
-        assert lint("BGL003", source, "src/repro/serve/http.py") == []
+        assert lint("BGL003", source, "src/repro/serve/eventloop.py") == []
 
     def test_conditional_reraise_counts(self):
         source = """
@@ -462,7 +462,7 @@ class TestBGL007ThreadDiscipline:
                 thread = threading.Thread(target=worker, daemon=True)
                 thread.start()
         """
-        findings = lint("BGL007", source, "src/repro/serve/http.py")
+        findings = lint("BGL007", source, "src/repro/serve/eventloop.py")
         assert len(findings) == 1
         assert "name=" in findings[0].message
 
@@ -507,7 +507,7 @@ class TestBGL007ThreadDiscipline:
 
 
 class TestBGL008ResponseEnvelope:
-    PATH = "src/repro/serve/http.py"
+    PATH = "src/repro/serve/eventloop.py"
 
     def test_true_positive_send_error(self):
         source = """
@@ -527,7 +527,7 @@ class TestBGL008ResponseEnvelope:
                 body = json.dumps({"error": {"code": "oops"}})
                 handler.wfile.write(body.encode())
         """
-        findings = lint("BGL008", source, "src/repro/serve/eventloop.py")
+        findings = lint("BGL008", source, self.PATH)
         assert len(findings) == 2
 
     def test_false_positive_protocol_built_response(self):

@@ -1,14 +1,14 @@
-"""BGL008 — front-ends never hand-roll responses; protocol.py owns them.
+"""BGL008 — the front-end never hand-rolls responses; protocol.py owns them.
 
-PR 8/9 unified the threaded and event-loop front-ends behind
-``serve/protocol.py`` precisely because the two had drifted (different
-error bodies, different status mapping) while both claimed the same
-API.  The versioned ``/v1`` surface now promises ONE canonical envelope
-``{"error": {code, message, retry_after}}`` across every front-end.  A
-front-end that constructs a response inline — ``send_error``, a literal
-status code, or an inline ``{"error": ...}`` dict — reintroduces drift
-the moment the envelope evolves.  Front-ends may only pass
-``Response`` objects built by the protocol helpers.
+PR 8/9 moved routing and error mapping into ``serve/protocol.py``
+because the two front-ends of the time had drifted (different error
+bodies, different status mapping) while both claimed the same API.  The
+``/v1`` surface promises ONE canonical envelope
+``{"error": {code, message, retry_after}}``.  A front-end that
+constructs a response inline — ``send_error``, a literal status code, or
+an inline ``{"error": ...}`` dict — reintroduces drift the moment the
+envelope evolves.  The front-end may only pass ``Response`` objects
+built by the protocol helpers.
 """
 
 from __future__ import annotations
@@ -18,9 +18,9 @@ import ast
 from bingolint.finding import Finding
 from bingolint.registry import Rule, register
 
-#: The transport front-end modules held to the envelope contract.  New
-#: front-ends must be added here when they land.
-_FRONT_END_SUFFIXES = ("serve/http.py", "serve/eventloop.py")
+#: The transport front-end modules held to the envelope contract.  A new
+#: front-end must be added here when it lands.
+_FRONT_END_SUFFIXES = ("serve/eventloop.py",)
 
 
 @register
@@ -29,7 +29,7 @@ class ResponseEnvelopeRule(Rule):
     name = "response-outside-protocol"
     rationale = (
         "HTTP responses are built only by serve/protocol.py helpers; "
-        "inline envelopes drift between front-ends (PR 8/9)"
+        "inline envelopes drift from the /v1 contract (PR 8/9)"
     )
 
     def applies_to(self, path: str) -> bool:
