@@ -619,19 +619,20 @@ def frontier_throughput(
         engine = create_engine(engine_name, rng=seed + 2)
         engine.build(graph.copy())
 
-        scalar_steps = 0
-        scalar_start = time.perf_counter()
-        for _ in range(rounds):
-            scalar_steps += run_deepwalk(engine, config, starts=starts).total_steps
-        scalar_seconds = time.perf_counter() - scalar_start
-
-        frontier_steps = 0
-        frontier_start = time.perf_counter()
+        # The two modes alternate round by round, so a burst of host load
+        # lands on both sides of the ratio instead of on one mode alone.
+        scalar_steps = frontier_steps = 0
+        scalar_seconds = frontier_seconds = 0.0
         for round_index in range(rounds):
+            round_start = time.perf_counter()
+            scalar_steps += run_deepwalk(engine, config, starts=starts).total_steps
+            scalar_seconds += time.perf_counter() - round_start
+
+            round_start = time.perf_counter()
             frontier_steps += run_deepwalk(
                 engine, config, starts=starts, frontier=True, rng=seed + 3 + round_index
             ).total_steps
-        frontier_seconds = time.perf_counter() - frontier_start
+            frontier_seconds += time.perf_counter() - round_start
 
         output[engine_name] = {
             "scalar_steps_per_second": (
@@ -917,7 +918,6 @@ def streaming_serve(
     walk_length: int = 12,
     queries_per_round: int = 12,
     walkers_per_query: int = 320,
-    workers: int = 1,
     fuse_limit: int | None = None,
     fuse_window_seconds: float = 0.004,
     seed: int = 79,
@@ -990,7 +990,6 @@ def streaming_serve(
             engine_name,
             stream.initial_graph,
             rng=seed + 2,
-            workers=workers if concurrent else 1,
             sync=not concurrent,
             max_pending_queries=max(total_queries, 2),
             fuse_limit=fuse,
@@ -1071,7 +1070,6 @@ def streaming_serve(
         "queries_per_round": queries_per_round,
         "walkers_per_query": walkers_per_query,
         "total_queries": total_queries,
-        "workers": workers,
         "fuse_limit": fuse,
         "host_cpus": os.cpu_count(),
         "note": (
@@ -1648,10 +1646,11 @@ def chaos_serve(
       with the same seed and the two injector histories must be identical
       (the replayability gate).  MTTR is
       ``recovery_seconds / writer_recoveries``.
-    * **worker** — a ``workers=2`` service takes a scheduled
-      ``kill_worker`` mid-wave; the dispatcher must respawn the dead
-      shard from the existing shared-memory export and retry the wave, so
-      every ticket still resolves.
+    * **worker** — a two-shard :class:`~repro.serve.RouterService` takes
+      a scheduled ``kill_worker`` on its second ``router.dispatch``; the
+      router must respawn the dead shard from the current snapshot and
+      retry the wave once, so every ticket still resolves.  (The router
+      needs a sliced-table engine: bingo, knightking or gsampler.)
     * **http** — the event-loop front-end drops injected 503s on a
       :class:`~repro.serve.ServiceClient`, whose capped-backoff retries
       (honouring ``Retry-After``) must hide them from the caller.
@@ -1665,6 +1664,7 @@ def chaos_serve(
         FaultInjector,
         FaultPlan,
         GraphService,
+        RouterService,
         ServiceClient,
         ServiceConfig,
         TenantQuota,
@@ -1783,27 +1783,29 @@ def chaos_serve(
     # ---------------------------------------------------------------- #
     # scenario 2: worker crash + respawn mid-wave
     # ---------------------------------------------------------------- #
-    kill_plan = FaultPlan().kill_worker(
-        "worker.step", min(2, walk_length - 1), shard=1
-    )
+    kill_plan = FaultPlan().kill_worker("router.dispatch", 1, shard=1)
     kill_injector = FaultInjector(kill_plan)
-    service = GraphService(
+    service = RouterService(
         engine,
         stream.initial_graph,
+        shards=2,
         rng=seed + 5,
         service_seed=seed + 6,
-        workers=2,
         fault_injector=kill_injector,
     )
     try:
-        tickets = service.submit_many(
-            [
-                WalkQuery(application, starts, walk_length)
-                for _ in range(queries_per_batch)
-            ]
-        )
-        settle(tickets)
-        # A post-crash ingest proves the respawned pool also refreshes.
+        # Two waves, settled one after the other: the second dispatch
+        # takes the kill.
+        for _ in range(2):
+            settle(
+                service.submit_many(
+                    [
+                        WalkQuery(application, starts, walk_length)
+                        for _ in range(queries_per_batch)
+                    ]
+                )
+            )
+        # A post-crash ingest proves the respawned pool also flips.
         service.ingest(stream.batches[0])
         service.flush()
         settle(

@@ -126,6 +126,12 @@ def run_evaluation(
                 "settings.serve executes walks through the batched frontier; "
                 "set frontier_walks=True as well"
             )
+        if settings.workers > 1:
+            raise ValueError(
+                "settings.serve executes walks in-process; shard-parallel "
+                "workers > 1 runs only on the direct path (serve scale-out "
+                "is the shard router)"
+            )
         if settings.streaming:
             raise ValueError(
                 "settings.serve ingests whole batches; it is incompatible "
@@ -225,14 +231,10 @@ def _run_serve_evaluation(
 ) -> EvaluationResult:
     """The update-then-walk loop routed through the sync serve layer.
 
-    Single-threaded by construction (``sync=True``), so with ``workers=1``
-    the walk matrices are bitwise-identical to the serial frontier path —
-    the serve layer's equivalence tests pin this down — while still
-    exercising the exact ingest/query code the concurrent streaming
-    experiment measures.  With ``workers > 1`` the service seeds its shard
-    runner at construction time (the direct path seeds it inside the batch
-    loop), so those rows are self-consistent but not stream-identical to
-    the direct shard-parallel rows.
+    Single-threaded by construction (``sync=True``), so the walk matrices
+    are bitwise-identical to the serial frontier path — the serve layer's
+    equivalence tests pin this down — while still exercising the exact
+    ingest/query code the concurrent streaming experiment measures.
     """
     from repro.serve import GraphService
 
@@ -241,8 +243,6 @@ def _run_serve_evaluation(
         update_stream.initial_graph,
         rng=generator,
         engine_kwargs=dict(settings.engine_kwargs),
-        workers=settings.workers,
-        partition_strategy=settings.partition_strategy,
         sync=True,
         max_pending_queries=settings.serve_queue_size,
         fuse_limit=settings.serve_fuse_limit,

@@ -132,7 +132,7 @@ def _build_parser() -> argparse.ArgumentParser:
         nargs="+",
         type=int,
         default=None,
-        help="worker counts to sweep (scale), or one count (streaming)",
+        help="worker counts to sweep (scale)",
     )
     run_parser.add_argument(
         "--walk-length", type=int, default=None, help="walk length (scale/streaming)"
@@ -223,16 +223,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument("--seed", type=int, default=2025)
     serve_parser.add_argument(
-        "--workers", type=int, default=1, help="shard-parallel walk workers"
-    )
-    serve_parser.add_argument(
         "--shards",
         type=int,
         default=1,
-        help=(
-            "shard serve processes behind the router front (>1 is mutually "
-            "exclusive with --workers>1)"
-        ),
+        help="shard serve processes behind the router front",
     )
     serve_parser.add_argument("--fuse-limit", type=int, default=8)
     serve_parser.add_argument("--fuse-window", type=float, default=0.002)
@@ -309,15 +303,10 @@ def _run_experiment(args: argparse.Namespace) -> int:
             + ", ".join(sorted(EXPERIMENT_RUNNERS))
         )
     if args.workers is not None:
-        if args.experiment not in {"scale", "streaming"}:
-            return _fail("--workers only applies to `run scale` / `run streaming`")
+        if args.experiment != "scale":
+            return _fail("--workers only applies to `run scale`")
         if any(count < 1 for count in args.workers):
             return _fail("--workers counts must be positive integers")
-        if args.experiment == "streaming" and len(args.workers) != 1:
-            return _fail(
-                "`run streaming` serves with one worker pool; pass a single "
-                "--workers count"
-            )
     for flag, value, experiments_allowed in (
         (
             "--walk-length",
@@ -384,8 +373,6 @@ def _run_experiment(args: argparse.Namespace) -> int:
             kwargs["walkers_per_query"] = args.num_walkers
         if args.queries_per_round is not None:
             kwargs["queries_per_round"] = args.queries_per_round
-        if args.workers is not None:
-            kwargs["workers"] = args.workers[0]
     if args.experiment == "serve":
         if args.datasets is not None:
             if len(args.datasets) > 1:

@@ -41,7 +41,7 @@ Modules
 ``faults``
     The chaos harness: :class:`FaultPlan` schedules deterministic faults
     by (injection point, occurrence index); :class:`FaultInjector` fires
-    them from the writer, dispatcher, shard coordinator and HTTP handler.
+    them from the writer, dispatcher, shard router and HTTP handler.
 ``config``
     :class:`ServiceConfig` — the one frozen, validated configuration
     object the CLI, the HTTP front-end and the services are built from

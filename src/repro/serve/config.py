@@ -48,17 +48,19 @@ class ServiceConfig:
     Service-side fields feed :meth:`GraphService.from_config` (or
     :meth:`RouterService.from_config` when ``shards > 1``); transport
     fields feed ``serve_event_loop``; the CLI builds the whole object
-    from flags via :meth:`from_cli_args`.
+    from flags via :meth:`from_cli_args`.  ``shards`` is the only
+    scale-out axis: every multi-process deployment runs behind the
+    shard router.
     """
 
     # -- engine / execution ------------------------------------------- #
     engine: str = "bingo"
     seed: int = 2025
-    workers: int = 1
     #: Number of shard serve *processes* behind the router.  1 keeps the
     #: single-process :class:`GraphService`; >1 builds a
     #: :class:`~repro.serve.router.RouterService` front.
     shards: int = 1
+    #: Shard layout of the router's pool (``shards > 1`` only).
     partition_strategy: str = "degree_balanced"
     sync: bool = False
     engine_kwargs: Mapping[str, object] | None = None
@@ -90,7 +92,7 @@ class ServiceConfig:
     log_requests: bool = False
 
     def __post_init__(self) -> None:
-        for name in ("workers", "shards", "max_pending_queries", "fuse_limit",
+        for name in ("shards", "max_pending_queries", "fuse_limit",
                      "dead_letter_limit", "max_body_bytes"):
             value = getattr(self, name)
             if not isinstance(value, int) or isinstance(value, bool) or value < 1:
@@ -112,11 +114,6 @@ class ServiceConfig:
             )
         if not 0 <= self.port <= 65535:
             raise ServeError(f"port must lie in [0, 65535], got {self.port}")
-        if self.shards > 1 and self.workers > 1:
-            raise ServeError(
-                "workers>1 (in-process shard pool) and shards>1 (shard serve "
-                "processes) are mutually exclusive; pick one scale-out axis"
-            )
         for spec in self.tenants:
             if len(spec) != 3:
                 raise ServeError(f"tenant spec must be (name, weight, max_pending), got {spec!r}")
@@ -180,7 +177,6 @@ class ServiceConfig:
         base = cls(
             engine=args.engine,
             seed=args.seed,
-            workers=args.workers,
             shards=getattr(args, "shards", 1),
             host=args.host,
             port=args.port,

@@ -314,7 +314,7 @@ class ServeStats:
     #: Of the warmed epochs: how many fell back to a full table rebuild
     #: (cold first build or amortized compaction) instead of a delta.
     warm_full_rebuilds: int = 0
-    #: Of which: shard-runner refresh folded into epoch publication.
+    #: Of which: the router's shard flip broadcast before each commit.
     refresh_seconds: float = 0.0
     #: Dispatcher-thread CPU seconds inside fused walk execution.
     query_busy_seconds: float = 0.0
@@ -324,7 +324,7 @@ class ServeStats:
     batches_quarantined: int = 0
     #: Wall seconds the writer spent rebuilding after failures (MTTR sum).
     recovery_seconds: float = 0.0
-    #: Dead shard workers replaced from the existing shared-memory shards.
+    #: Dead shard serve processes the router replaced.
     worker_respawns: int = 0
     #: Fused waves retried once after a worker crash.
     wave_retries: int = 0

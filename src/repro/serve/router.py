@@ -635,8 +635,6 @@ class RouterService(GraphService):
             graph,
             rng=rng,
             engine_kwargs=engine_kwargs,
-            workers=1,
-            partition_strategy=partition_strategy,
             sync=False,
             max_pending_queries=max_pending_queries,
             fuse_limit=fuse_limit,

@@ -4,7 +4,7 @@ Prior layers run updates and walks in strict alternation — ingest a batch,
 then walk, then ingest again.  :class:`GraphService` overlaps the two the
 way the paper's serving scenario demands:
 
-* **Epoch-based snapshots.**  With one walk worker the service keeps *two*
+* **Epoch-based snapshots.**  The concurrent service keeps *two*
   engines built from the same seed over copies of the same graph.  Queries
   always run against the published *front* engine, which is never mutated
   while it is published; the writer thread applies each
@@ -33,11 +33,9 @@ way the paper's serving scenario demands:
   per-vertex slices — O(touched) per flip instead of the O(V)
   re-concatenation the first serve layer performed.
 
-* **Shard-parallel dispatch.**  With ``workers > 1`` queries run through a
-  :class:`~repro.walks.parallel.ParallelWalkRunner`; its ``refresh()`` is
-  folded into epoch publication (under the same lock that serializes
-  fused runs), so the runner's shard engines always correspond to exactly
-  one published epoch.
+* **Scale-out.**  This class runs every walk in-process.  Multi-process
+  serving is :class:`~repro.serve.router.RouterService` (``shards > 1``),
+  which subclasses it and fans each fused wave out to shard processes.
 
 * **Sync mode.**  ``sync=True`` runs everything inline on the calling
   thread with a single engine: ``ingest`` applies immediately and every
@@ -59,12 +57,7 @@ from collections.abc import Mapping, Sequence
 import numpy as np
 
 from repro.engines.registry import create_engine
-from repro.errors import (
-    QueryExpiredError,
-    ServeError,
-    ServiceClosedError,
-    WorkerCrashError,
-)
+from repro.errors import QueryExpiredError, ServeError, ServiceClosedError
 from repro.serve.faults import FaultInjector
 from repro.graph.update_batch import UpdateBatch
 from repro.serve.queries import (
@@ -121,9 +114,6 @@ class GraphService:
         identical sampler state; sync mode also accepts a live
         ``random.Random`` (the benchmark harness hands its shared
         generator through).
-    workers:
-        ``1`` serves queries from the snapshot engines; ``> 1`` builds a
-        shard-parallel runner and folds its refresh into publication.
     sync:
         Run single-threaded: ingest applies immediately, queries execute
         inline and unfused.  Bitwise-identical to the serial frontier.
@@ -155,13 +145,13 @@ class GraphService:
         concatenated sampling structures the first fused query otherwise
         pays for) on the writer thread *before* each epoch flips, so a
         query landing right after publication starts warm.  Applies to the
-        double-buffered single-worker mode; sync mode and the
-        shard-parallel runner build their state elsewhere.
+        double-buffered mode; sync mode builds its tables lazily inline.
     fault_injector:
         Optional :class:`~repro.serve.faults.FaultInjector` threading the
         chaos harness's named injection points through the writer
-        (``writer.apply`` / ``writer.warm``), the dispatcher
-        (``dispatcher.wave``) and — via the shard runner — ``worker.step``.
+        (``writer.apply`` / ``writer.warm``) and the dispatcher
+        (``dispatcher.wave``); :class:`~repro.serve.router.RouterService`
+        adds ``router.dispatch``.
         ``None`` (the default) costs nothing on the production path.
     dead_letter_limit:
         Bound of the dead-letter list holding quarantined update batches
@@ -171,9 +161,7 @@ class GraphService:
         How many *consecutive* writer failures the self-healing path
         absorbs by quarantine + back-buffer rebuild before latching the
         fatal failure (a healthy apply resets the streak).  Recovery only
-        exists in the double-buffered mode: sync mode raises inline and
-        the shard-parallel writer has no pristine snapshot to rebuild
-        from.
+        exists in the double-buffered async mode: sync mode raises inline.
     """
 
     def __init__(
@@ -183,8 +171,6 @@ class GraphService:
         *,
         rng: RandomSource = 2025,
         engine_kwargs: dict | None = None,
-        workers: int = 1,
-        partition_strategy: str = "degree_balanced",
         sync: bool = False,
         max_pending_queries: int = 64,
         fuse_limit: int = 8,
@@ -198,12 +184,10 @@ class GraphService:
         dead_letter_limit: int = 16,
         writer_recovery_limit: int = 3,
     ) -> None:
-        check_positive_int(workers, "workers")
         check_positive_int(max_pending_queries, "max_pending_queries")
         check_positive_int(fuse_limit, "fuse_limit")
         check_positive_int(dead_letter_limit, "dead_letter_limit")
         self.engine_name = engine_name
-        self.workers = int(workers)
         self.sync = bool(sync)
         self.fuse_limit = int(fuse_limit)
         self.fuse_window_seconds = float(fuse_window_seconds)
@@ -252,41 +236,18 @@ class GraphService:
             engine.build(graph.copy())
             return engine
 
-        # Sync mode and shard-parallel mode keep a single engine (the runner
-        # holds its own exported snapshot); the concurrent single-worker
-        # mode double-buffers two identically seeded engines.
-        double_buffered = not self.sync and self.workers == 1
+        # Sync mode keeps a single engine; the concurrent mode
+        # double-buffers two identically seeded engines.
+        double_buffered = not self.sync
         buffers = [_EngineBuffer(engine=build_engine())]
         if double_buffered:
             buffers.append(_EngineBuffer(engine=build_engine()))
         self._buffers = buffers
         self._front = 0
 
-        self._runner = None
-        self._runner_lock = threading.Lock()
-        if self.workers > 1:
-            from repro.walks.parallel import ParallelWalkRunner
-
-            runner_seed = (
-                int(rng)
-                if isinstance(rng, (int, np.integer))
-                else ensure_rng(rng).randrange(1 << 48)
-            )
-            self._runner = ParallelWalkRunner(
-                engine_name,
-                self._buffers[0].engine.graph,
-                self.workers,
-                engine_seed=runner_seed,
-                engine_kwargs=self._engine_kwargs,
-                strategy=partition_strategy,
-                fault_injector=fault_injector,
-            )
-
         if self.warm_on_publish and double_buffered:
             # Serve the very first query warm too, not just post-flip ones.
-            # Only the double-buffered mode queries the snapshot engines'
-            # fused tables; sync mode builds lazily inline and the
-            # shard-parallel runner owns its workers' state.
+            # Sync mode builds its fused tables lazily inline.
             for buffer in self._buffers:
                 self._warm_engine(buffer.engine)
         self._update_queue: queue.Queue = queue.Queue()
@@ -324,8 +285,6 @@ class GraphService:
             graph,
             rng=config.seed if rng is None else rng,
             engine_kwargs=config.engine_kwargs,
-            workers=config.workers,
-            partition_strategy=config.partition_strategy,
             sync=config.sync,
             max_pending_queries=config.max_pending_queries,
             fuse_limit=config.fuse_limit,
@@ -577,8 +536,6 @@ class GraphService:
                 for thread in (self._writer, self._dispatcher)
                 if thread is not None and thread.is_alive()
             ]
-        if self._runner is not None:
-            self._runner.close()
         if stragglers:
             raise ServeError(
                 "service worker thread(s) still running after the "
@@ -693,17 +650,13 @@ class GraphService:
 
         Self-healing exists only in the double-buffered mode, where the
         published front buffer is a pristine snapshot to rebuild from.
-        Sync mode raises inline and never reaches here; the shard-parallel
-        writer mutates its only engine in place, so its failures stay
-        fatal.  Repeated back-to-back failures (more than
+        Sync mode raises inline and never reaches here.  Repeated back-to-back failures (more than
         ``writer_recovery_limit`` without a healthy apply in between)
         latch too — a poisoned *service* should fail loudly, not thrash.
         """
         self._writer_failures += 1
         recoverable = (
-            self.workers == 1
-            and not self.sync
-            and self._writer_failures <= self.writer_recovery_limit
+            not self.sync and self._writer_failures <= self.writer_recovery_limit
         )
         if not recoverable:
             self._failure = exc  # surface on flush()/ingest()
@@ -770,14 +723,6 @@ class GraphService:
         self._publish(buffer, batch, started)
 
     def _apply_and_publish(self, batch: UpdateBatch) -> None:
-        if self.workers > 1:
-            buffer = self._buffers[0]
-            started = time.thread_time()
-            if self._faults is not None:
-                self._faults.fire("writer.apply")
-            buffer.engine.apply_batch(batch)
-            self._publish(buffer, batch, started)
-            return
         back = self._buffers[1 - self._front]
         # Never mutate a buffer that still serves in-flight queries: the
         # buffer published two epochs ago is usually idle by now, but a
@@ -836,29 +781,6 @@ class GraphService:
 
     def _publish(self, buffer: _EngineBuffer, batch: UpdateBatch, started: float) -> None:
         """Atomically make ``buffer`` the published snapshot (epoch + 1)."""
-        if self._runner is not None:
-            # Fold the shard refresh into publication: the runner lock also
-            # serializes fused runs, so queries never observe a half-refreshed
-            # shard pool — and the epoch bump happens *inside* the lock, so a
-            # fused run dispatched right after the refresh reports the new
-            # epoch, never the stale one.
-            with self._runner_lock:
-                refresh_start = time.thread_time()
-                try:
-                    self._runner.refresh(buffer.engine.graph)
-                except WorkerCrashError:
-                    # A shard worker died before (or while) the refresh was
-                    # delivered.  Respawn from the shared-memory shards and
-                    # re-drive the refresh once on the fresh pool.
-                    respawned = self._runner.respawn_dead_workers()
-                    with self._cond:
-                        self.stats.worker_respawns += respawned
-                    self._runner.refresh(buffer.engine.graph)
-                refresh_seconds = time.thread_time() - refresh_start
-                self._commit_publish(
-                    buffer, batch, time.thread_time() - started, refresh_seconds
-                )
-            return
         self._commit_publish(buffer, batch, time.thread_time() - started, 0.0)
 
     def _commit_publish(
@@ -1009,28 +931,8 @@ class GraphService:
         This is the execution hook subclasses override:
         :class:`~repro.serve.router.RouterService` replaces it with a
         fan-out over shard serve processes.  The base implementation
-        drives either the in-process shard runner (``workers > 1``) or
-        the published snapshot engine.
+        drives the published snapshot engine.
         """
-        if self._runner is not None:
-            with self._runner_lock:
-                epoch = self._epoch
-                busy_start = time.thread_time()
-                try:
-                    walks = self._drive_runner(query, params, starts, rng)
-                except WorkerCrashError:
-                    # A shard worker died under the fused run.  Respawn
-                    # it from the existing shared-memory shards and
-                    # retry the wave ONCE on the fresh pool; a second
-                    # crash fails the tickets with the typed error —
-                    # resolved either way, never hung.
-                    respawned = self._runner.respawn_dead_workers()
-                    with self._cond:
-                        self.stats.worker_respawns += respawned
-                        self.stats.wave_retries += 1
-                    walks = self._drive_runner(query, params, starts, rng)
-                busy = time.thread_time() - busy_start
-            return walks, epoch, busy
         buffer = self._acquire_front()
         try:
             epoch = buffer.epoch
@@ -1055,21 +957,6 @@ class GraphService:
             )
         return run_frontier_node2vec(
             engine, starts, query.walk_length, p=params["p"], q=params["q"], rng=rng
-        )
-
-    def _drive_runner(self, query, params, starts, rng) -> BatchedWalks:
-        runner = self._runner
-        if query.application == "deepwalk":
-            return runner.run_deepwalk(starts, query.walk_length, rng=rng)
-        if query.application == "ppr":
-            return runner.run_ppr(
-                starts,
-                termination_probability=params["termination_probability"],
-                max_steps=int(params["max_steps"]),
-                rng=rng,
-            )
-        return runner.run_node2vec(
-            starts, query.walk_length, p=params["p"], q=params["q"], rng=rng
         )
 
     def _acquire_front(self) -> _EngineBuffer:

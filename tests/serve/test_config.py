@@ -14,7 +14,6 @@ def make_namespace(**overrides):
     values = dict(
         engine="bingo",
         seed=7,
-        workers=1,
         shards=1,
         host="127.0.0.1",
         port=0,
@@ -37,7 +36,14 @@ class TestValidation:
         assert config.tenant_quotas() is None
 
     @pytest.mark.parametrize(
-        "field", ["workers", "shards", "max_pending_queries", "fuse_limit"]
+        "field",
+        [
+            "shards",
+            "max_pending_queries",
+            "fuse_limit",
+            "dead_letter_limit",
+            "max_body_bytes",
+        ],
     )
     def test_counts_must_be_positive_integers(self, field):
         with pytest.raises(ServeError, match=field):
@@ -45,12 +51,10 @@ class TestValidation:
         with pytest.raises(ServeError, match=field):
             ServiceConfig(**{field: True})
 
-    def test_shards_and_workers_are_mutually_exclusive_axes(self):
-        with pytest.raises(ServeError, match="mutually exclusive"):
-            ServiceConfig(shards=2, workers=2)
-        # Either axis alone is fine.
+    def test_shards_is_the_only_scale_out_axis(self):
         assert ServiceConfig(shards=2).shards == 2
-        assert ServiceConfig(workers=2).workers == 2
+        with pytest.raises(TypeError, match="workers"):
+            ServiceConfig(workers=2)
 
     def test_port_range_is_enforced(self):
         with pytest.raises(ServeError, match="port"):
@@ -85,8 +89,8 @@ class TestValidation:
 
     def test_replace_revalidates(self):
         config = ServiceConfig(shards=2)
-        with pytest.raises(ServeError, match="mutually exclusive"):
-            config.replace(workers=4)
+        with pytest.raises(ServeError, match="fuse_limit"):
+            config.replace(fuse_limit=0)
 
     def test_config_is_frozen(self):
         with pytest.raises(dataclasses_frozen_errors()):
@@ -135,6 +139,9 @@ class TestFromEnv:
     def test_unknown_name_raises_instead_of_silently_defaulting(self):
         with pytest.raises(ServeError, match="BINGO_SERVE_SHRADS"):
             ServiceConfig.from_env(environ={"BINGO_SERVE_SHRADS": "4"})
+        # Serving scales out only through `shards`; `workers` is not a field.
+        with pytest.raises(ServeError, match="BINGO_SERVE_WORKERS"):
+            ServiceConfig.from_env(environ={"BINGO_SERVE_WORKERS": "2"})
 
     def test_composite_fields_cannot_come_from_env(self):
         with pytest.raises(ServeError, match="BINGO_SERVE_TENANTS"):

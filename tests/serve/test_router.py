@@ -246,6 +246,7 @@ def test_killed_shard_respawns_and_retries_bitwise():
         clean_results = [clean.query("deepwalk", starts, 8) for _ in range(3)]
         snapshot = faulted.stats_snapshot()
         assert snapshot["shard_respawns"] == 1
+        assert snapshot["worker_respawns"] == 1
         assert snapshot["wave_retries"] == 1
         assert all(snapshot["shards_alive"])
         for got, want in zip(faulted_results, clean_results):

@@ -13,7 +13,7 @@ from repro.bench.datasets import build_dataset
 from repro.errors import ServeError
 from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
-from repro.serve import GraphService, WalkQuery
+from repro.serve import GraphService, RouterService, WalkQuery
 
 
 @pytest.fixture(scope="module")
@@ -264,9 +264,9 @@ class TestShutdown:
 
 @pytest.mark.slow
 def test_concurrent_service_with_shard_parallel_workers(stream):
-    """workers > 1 routes fused queries through the shard runner, with the
-    refresh folded into epoch publication."""
-    service = GraphService("bingo", stream.initial_graph, rng=7, workers=2)
+    """Shard-parallel serving runs behind the router: fused queries fan out
+    to two shard processes while mixed batches flip epochs underneath."""
+    service = RouterService("bingo", stream.initial_graph, shards=2, rng=7)
     try:
         tickets = []
         for batch in stream.batches[:2]:

@@ -29,6 +29,18 @@ class TestHarnessServeKnobs:
                 rng=5,
             )
 
+    def test_serve_rejects_shard_parallel_workers(self):
+        with pytest.raises(ValueError, match="workers"):
+            run_evaluation(
+                "bingo",
+                "AM",
+                "deepwalk",
+                settings=EvaluationSettings(
+                    serve=True, frontier_walks=True, workers=2
+                ),
+                rng=5,
+            )
+
     @pytest.mark.parametrize("engine_name", ["bingo", "gsampler"])
     def test_serve_loop_matches_direct_frontier_loop(self, engine_name):
         """Routing the update-then-walk loop through the sync serve layer
@@ -71,9 +83,10 @@ class TestStreamingServeExperiment:
         for key in (
             "dataset", "application", "workload", "batch_size", "num_batches",
             "total_updates", "walk_length", "queries_per_round",
-            "walkers_per_query", "total_queries", "workers", "note", "engines",
+            "walkers_per_query", "total_queries", "note", "engines",
         ):
             assert key in report
+        assert "workers" not in report
         assert report["total_queries"] == 6
         row = report["engines"]["bingo"]
         for key in (

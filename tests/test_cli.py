@@ -37,6 +37,8 @@ class TestRun:
     def test_workers_flag_rejected_outside_scale(self, capsys):
         assert main(["run", "ingest", "--workers", "2"]) == 2
         assert "--workers" in capsys.readouterr().err
+        assert main(["run", "streaming", "--workers", "1"]) == 2
+        assert "only applies to `run scale`" in capsys.readouterr().err
 
     def test_scale_rejects_nonpositive_workers(self, capsys):
         assert main(["run", "scale", "--workers", "0"]) == 2
@@ -232,16 +234,12 @@ class TestServeCommand:
         assert main(["serve", "--tenant", "a:b:c:d", "--max-seconds", "0.1"]) == 2
         assert "tenant spec" in capsys.readouterr().err
 
-    def test_serve_rejects_zero_workers(self, capsys):
-        assert main(["serve", "--workers", "0", "--max-seconds", "0.1"]) == 2
-        assert "workers" in capsys.readouterr().err
-
-    def test_serve_rejects_both_scale_out_axes(self, capsys):
-        code = main(
-            ["serve", "--workers", "2", "--shards", "2", "--max-seconds", "0.1"]
-        )
-        assert code == 2
-        assert "mutually exclusive" in capsys.readouterr().err
+    def test_serve_has_no_workers_flag(self, capsys):
+        # Serving scales out only through --shards (the shard router).
+        with pytest.raises(SystemExit) as excinfo:
+            main(["serve", "--workers", "2", "--max-seconds", "0.1"])
+        assert excinfo.value.code == 2
+        assert "--workers" in capsys.readouterr().err
 
     def test_serve_sharded_runs_for_a_bounded_interval(self, capsys):
         code = main(

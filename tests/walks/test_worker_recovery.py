@@ -15,7 +15,7 @@ import pytest
 
 from repro.bench.datasets import build_dataset
 from repro.errors import WorkerCrashError
-from repro.serve import FaultInjector, FaultPlan, GraphService, WalkQuery
+from repro.serve import FaultInjector, FaultPlan, RouterService, WalkQuery
 from repro.walks.parallel import ParallelWalkRunner
 
 SHM_DIR = "/dev/shm"
@@ -139,12 +139,15 @@ class TestSharedMemoryHygiene:
 
 
 class TestServiceLevelRecovery:
+    """The same contract one layer up: a shard process SIGKILLed under the
+    serve router is respawned and its wave retried, and no ticket hangs."""
+
     def test_wave_is_retried_once_and_tickets_resolve(self, graph, starts):
         injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 2, shard=1)
+            FaultPlan().kill_worker("router.dispatch", 0, shard=1)
         )
-        service = GraphService(
-            "bingo", graph, rng=29, workers=2, fault_injector=injector
+        service = RouterService(
+            "bingo", graph, shards=2, rng=29, fault_injector=injector
         )
         try:
             tickets = service.submit_many(
@@ -156,17 +159,19 @@ class TestServiceLevelRecovery:
             stats = service.stats_snapshot()
             assert stats["worker_respawns"] == 1
             assert stats["wave_retries"] == 1
+            assert all(stats["shards_alive"])
         finally:
             service.close()
+        assert injector.history() == [("router.dispatch", 0, "kill_worker")]
 
     def test_close_drain_during_a_retried_wave_resolves_every_ticket(
         self, graph, starts
     ):
         injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 1, shard=0)
+            FaultPlan().kill_worker("router.dispatch", 0, shard=0)
         )
-        service = GraphService(
-            "bingo", graph, rng=29, workers=2, fault_injector=injector
+        service = RouterService(
+            "bingo", graph, shards=2, rng=29, fault_injector=injector
         )
         tickets = service.submit_many(
             [WalkQuery("deepwalk", starts, 6) for _ in range(4)]
@@ -179,3 +184,5 @@ class TestServiceLevelRecovery:
             except Exception:
                 continue  # failed cleanly — the contract allows it
             assert result.walks.num_walks == len(starts)
+        assert injector.history() == [("router.dispatch", 0, "kill_worker")]
+        assert service.stats.wave_retries == 1
