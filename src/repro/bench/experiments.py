@@ -1490,20 +1490,25 @@ def scale_workers(
     strategy: str = "degree_balanced",
     seed: int = 71,
 ) -> dict[str, object]:
-    """Walk throughput vs worker count through the shard-parallel runner.
+    """Walk throughput vs worker count through the shard pool.
 
-    For every engine and worker count, ``rounds`` DeepWalk rounds run through
-    a fresh :class:`~repro.walks.parallel.ParallelWalkRunner` (one walker per
-    start vertex, identical starts everywhere).  Two throughputs are
-    reported per cell:
+    For every engine and worker count, ``rounds`` DeepWalk rounds run
+    through a fresh :class:`~repro.serve.router.ShardServePool` (one walker
+    per start vertex, identical starts everywhere), booted from one source
+    engine built with the same engine seed.  Each shard runs its starts'
+    whole walks.  Two throughputs are reported per cell:
 
     * ``wall_steps_per_second`` — wall clock, which only scales when the
       host actually has spare cores;
     * ``steps_per_second`` — the critical-path model: total steps divided by
-      the busiest shard's sampling CPU time.  This is the device-model
-      throughput (one simulated device per shard), the same convention
-      Figure 12 uses for batched-update parallelism, and the quantity whose
-      scaling curve the paper's Section 9.1 ablation plots.
+      the busiest shard's walk CPU time, summed over rounds.  This is the
+      device-model throughput (one simulated device per shard), the same
+      convention Figure 12 uses for batched-update parallelism, and the
+      quantity whose scaling curve the paper's Section 9.1 ablation plots.
+
+    ``transfer_rate`` is counted from the finished walk matrices against
+    the pool's partition: the share of steps that cross a shard boundary,
+    i.e. the hand-off rate the paper's walker-moving policy would incur.
 
     ``speedup_vs_baseline`` compares the modelled throughput against the
     smallest requested worker count (``speedup_baseline_workers`` in the
@@ -1513,9 +1518,13 @@ def scale_workers(
     """
     import os
 
+    import numpy as np
+
+    from repro.gpu.multi_device import MultiDeviceTracker
     from repro.graph.partition import partition_graph
+    from repro.serve.router import ShardServePool
     from repro.utils.timing import PhaseTimer
-    from repro.walks.parallel import ParallelWalkRunner
+    from repro.walks.frontier import BatchedWalks
 
     if rounds < 1:
         raise BenchmarkError("scale experiment needs at least one round")
@@ -1525,19 +1534,20 @@ def scale_workers(
 
     rng = ensure_rng(seed)
     graph = build_dataset(dataset, rng=rng)
-    starts = sample_start_vertices(
-        graph,
-        num_walkers if num_walkers is not None else graph.num_vertices,
-        rng=seed + 1,
+    starts = np.asarray(
+        sample_start_vertices(
+            graph,
+            num_walkers if num_walkers is not None else graph.num_vertices,
+            rng=seed + 1,
+        ),
+        dtype=np.int64,
     )
 
-    # Partitions (and their quality metrics) are engine-independent; compute
-    # once per worker count and hand the layout to every runner.
-    partitions: dict[int, object] = {}
+    # The pool partitions with the same deterministic partition_graph, so
+    # these engine-independent metrics describe the layout it runs.
     layouts: dict[int, dict[str, float]] = {}
     for workers in counts:
         partition = partition_graph(graph, workers, strategy=strategy)
-        partitions[workers] = partition
         layouts[workers] = {
             "edge_cut": partition.edge_cut(graph),
             "balance": partition.balance(graph),
@@ -1547,30 +1557,42 @@ def scale_workers(
     for engine_name in engines:
         rows: dict[int, dict[str, object]] = {}
         for workers in counts:
+            source = create_engine(engine_name, rng=seed + 2)
+            source.build(graph.copy())
             timer = PhaseTimer()
             total_steps = 0
             critical_seconds = 0.0
-            with ParallelWalkRunner(
-                engine_name,
-                graph,
-                workers,
+            pool = ShardServePool(
+                engine_name=engine_name,
+                engine_kwargs=None,
                 engine_seed=seed + 2,
+                graph=source.graph,
+                num_shards=workers,
                 strategy=strategy,
-                partition=partitions[workers],
-            ) as runner:
+                source_engine=source,
+                epoch=0,
+            )
+            try:
+                tracker = MultiDeviceTracker(pool.owner, workers)
                 round_walk_seconds = []
                 for round_index in range(rounds):
                     with timer.measure("walk"):
-                        result = runner.run_deepwalk(
-                            starts, walk_length, rng=seed + 3 + round_index
+                        matrix, busy = pool.run(
+                            "deepwalk",
+                            starts,
+                            walk_length,
+                            {},
+                            (seed + 3 + round_index,),
+                            0,
                         )
-                    stats = runner.last_stats
-                    total_steps += result.total_steps
-                    critical_seconds += stats.critical_path_seconds
+                    total_steps += BatchedWalks(matrix=matrix).total_steps
+                    critical_seconds += max(busy)
+                    tracker.record_walk_matrix(matrix)
                     # One reused timer, one summary per round (PhaseTimer's
                     # round-reset semantics keep later rounds honest).
                     round_walk_seconds.append(timer.finish_round()["walk"])
-                transfer_rate = runner.tracker.stats.transfer_rate()
+            finally:
+                pool.close()
             wall_seconds = timer.totals()["walk"]
             rows[workers] = {
                 "steps": total_steps,
@@ -1585,7 +1607,7 @@ def scale_workers(
                     if critical_seconds > 0
                     else float("inf")
                 ),
-                "transfer_rate": transfer_rate,
+                "transfer_rate": tracker.stats.transfer_rate(),
                 **layouts[workers],
             }
         baseline = rows[counts[0]]["steps_per_second"]
@@ -1610,7 +1632,9 @@ def scale_workers(
         "note": (
             "steps_per_second is the critical-path (busiest-shard CPU time) "
             "device model; wall_steps_per_second only scales with spare host "
-            "cores"
+            "cores; transfer_rate is the hand-off rate the paper's "
+            "walker-moving policy would incur on the same partition, counted "
+            "from the walks"
         ),
         "engines": per_engine,
     }

@@ -13,12 +13,21 @@ import time
 from dataclasses import dataclass, field
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.bench.datasets import build_dataset
-from repro.bench.workloads import run_application, sample_start_vertices
+from repro.bench.workloads import (
+    application_params,
+    run_application,
+    sample_start_vertices,
+)
 from repro.engines.registry import create_engine
+from repro.engines.sliced_tables import pack_arrays
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_stream import UpdateStream, UpdateWorkload, generate_update_stream
+from repro.serve.router import ShardServePool, flip_payload
 from repro.utils.rng import RandomSource, ensure_rng
+from repro.walks.frontier import BatchedWalks
 
 
 @dataclass(frozen=True)
@@ -153,7 +162,8 @@ def run_evaluation(
     starts = sample_start_vertices(
         update_stream.initial_graph, settings.num_walkers, rng=generator
     )
-    executor = None
+    pool = None
+    epoch = 0
     total_walk_steps = 0
     update_seconds = 0.0
     walk_seconds = 0.0
@@ -168,40 +178,61 @@ def run_evaluation(
             update_seconds += time.perf_counter() - update_start
 
             if settings.workers > 1:
-                # Shard-parallel walk phase: export the freshly updated
-                # snapshot to the persistent worker pool (created lazily on
-                # the first round).  Pool setup / refresh is sampler
-                # maintenance, not walking — it is kept outside walk_seconds
-                # so the workers>1 rows stay comparable to the serial ones.
-                from repro.walks.parallel import ParallelWalkRunner
-
-                if executor is None:
-                    executor = ParallelWalkRunner(
-                        engine_name,
-                        engine.graph,
-                        settings.workers,
-                        engine_seed=generator.randrange(1 << 48),
+                # Shard-parallel walk phase: boot the shard pool from the
+                # updated snapshot on the first round, then flip it with
+                # the router's O(touched) payload.  Boot and flips are
+                # sampler maintenance, not walking — they stay outside
+                # walk_seconds so the workers>1 rows stay comparable to
+                # the serial ones.
+                if pool is None:
+                    pool = ShardServePool(
+                        engine_name=engine_name,
                         engine_kwargs=dict(settings.engine_kwargs),
+                        engine_seed=generator.randrange(1 << 48),
+                        graph=engine.graph,
+                        num_shards=settings.workers,
                         strategy=settings.partition_strategy,
+                        source_engine=engine,
+                        epoch=epoch,
                     )
                 else:
-                    executor.refresh(engine.graph)
+                    epoch += 1
+                    # FlowWalker keeps no fused tables: nothing to warm,
+                    # and its flip ships only the batch columns.
+                    warm = getattr(engine, "warm_frontier_tables", None)
+                    payload, _ = flip_payload(
+                        engine, batch, warm() if warm is not None else None
+                    )
+                    pool.flip(epoch, pack_arrays(payload), engine)
             walk_start = time.perf_counter()
-            result = run_application(
-                application,
-                engine,
-                walk_length=settings.walk_length,
-                starts=starts,
-                rng=generator,
-                frontier=settings.frontier_walks,
-                executor=executor,
-            )
+            if pool is None:
+                result = run_application(
+                    application,
+                    engine,
+                    walk_length=settings.walk_length,
+                    starts=starts,
+                    rng=generator,
+                    frontier=settings.frontier_walks,
+                )
+                steps = result.total_steps
+            else:
+                matrix, _ = pool.run(
+                    application,
+                    np.asarray(starts, dtype=np.int64),
+                    settings.walk_length,
+                    application_params(application, settings.walk_length),
+                    # The serial frontier's derivation from a Random:
+                    # default_rng(getrandbits(64)).
+                    (generator.getrandbits(64),),
+                    epoch,
+                )
+                steps = BatchedWalks(matrix=matrix).total_steps
             walk_seconds += time.perf_counter() - walk_start
-            total_walk_steps += result.total_steps
+            total_walk_steps += steps
         runtime = time.perf_counter() - run_start
     finally:
-        if executor is not None:
-            executor.close()
+        if pool is not None:
+            pool.close()
 
     memory = engine.memory_report()
     return EvaluationResult(

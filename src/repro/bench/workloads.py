@@ -50,7 +50,6 @@ class ApplicationSpec:
         starts: Sequence[int] | None = None,
         rng: RandomSource = None,
         frontier: bool = False,
-        executor=None,
     ) -> WalkResult:
         """Execute the application on ``engine`` with a scaled walk length."""
         return self.runner(
@@ -59,24 +58,10 @@ class ApplicationSpec:
             starts=starts,
             rng=rng,
             frontier=frontier,
-            executor=executor,
         )
 
 
-def _executor_starts(executor, starts):
-    """Paper-default walker placement (one per vertex) on the parallel path."""
-    if starts is not None:
-        return starts
-    return list(range(executor.num_vertices))
-
-
-def _run_deepwalk(
-    engine, *, walk_length, starts, rng, frontier=False, executor=None
-) -> WalkResult:
-    if executor is not None:
-        return executor.run_deepwalk(
-            _executor_starts(executor, starts), walk_length, rng=rng
-        ).to_walk_result()
+def _run_deepwalk(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
     return run_deepwalk(
         engine,
         DeepWalkConfig(walk_length=walk_length),
@@ -86,37 +71,15 @@ def _run_deepwalk(
     )
 
 
-def _run_node2vec(
-    engine, *, walk_length, starts, rng, frontier=False, executor=None
-) -> WalkResult:
-    config = Node2VecConfig(p=0.5, q=2.0, walk_length=walk_length)
-    if executor is not None:
-        return executor.run_node2vec(
-            _executor_starts(executor, starts),
-            config.walk_length,
-            p=config.p,
-            q=config.q,
-            rng=rng,
-        ).to_walk_result()
+def _run_node2vec(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
+    config = Node2VecConfig(
+        walk_length=walk_length, **application_params("node2vec", walk_length)
+    )
     return run_node2vec(engine, config, starts=starts, rng=rng, frontier=frontier)
 
 
-def _run_ppr(
-    engine, *, walk_length, starts, rng, frontier=False, executor=None
-) -> WalkResult:
-    # Termination probability 1/walk_length gives expected length walk_length,
-    # matching the paper's 1/80 default; max_steps caps the tail.
-    config = PPRConfig(
-        termination_probability=1.0 / walk_length,
-        max_steps=4 * walk_length,
-    )
-    if executor is not None:
-        return executor.run_ppr(
-            _executor_starts(executor, starts),
-            termination_probability=config.termination_probability,
-            max_steps=config.max_steps,
-            rng=rng,
-        ).to_walk_result()
+def _run_ppr(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
+    config = PPRConfig(**application_params("ppr", walk_length))
     return run_ppr(engine, config, starts=starts, rng=rng, frontier=frontier)
 
 
@@ -133,6 +96,35 @@ def application_names() -> list[str]:
     return list(APPLICATIONS)
 
 
+def _application_spec(name: str) -> ApplicationSpec:
+    spec = APPLICATIONS.get(name)
+    if spec is None:
+        raise BenchmarkError(
+            f"unknown application {name!r}; available: {', '.join(APPLICATIONS)}"
+        )
+    return spec
+
+
+def application_params(name: str, walk_length: int) -> dict[str, float]:
+    """The hyper-parameters of application ``name`` at ``walk_length``.
+
+    node2vec uses the paper's p = 0.5, q = 2.  PPR's termination
+    probability 1/walk_length gives an expected length of walk_length
+    (the paper's 1/80 default) and ``max_steps`` caps the tail.  The
+    dict is the ``params`` a :class:`~repro.serve.router.ShardServePool`
+    run takes.
+    """
+    _application_spec(name)
+    if name == "node2vec":
+        return {"p": 0.5, "q": 2.0}
+    if name == "ppr":
+        return {
+            "termination_probability": 1.0 / walk_length,
+            "max_steps": 4 * walk_length,
+        }
+    return {}
+
+
 def run_application(
     name: str,
     engine: RandomWalkEngine,
@@ -141,28 +133,18 @@ def run_application(
     starts: Sequence[int] | None = None,
     rng: RandomSource = None,
     frontier: bool = False,
-    executor=None,
 ) -> WalkResult:
     """Run one named application on an engine.
 
     ``frontier=True`` executes the walks through the batched walk-frontier
-    engine instead of the scalar per-walker loop.  Passing an ``executor``
-    (a :class:`~repro.walks.parallel.ParallelWalkRunner`) routes the walks
-    through the shard-parallel worker pool instead of ``engine``, with the
-    same application hyper-parameters.
+    engine instead of the scalar per-walker loop.
     """
-    spec = APPLICATIONS.get(name)
-    if spec is None:
-        raise BenchmarkError(
-            f"unknown application {name!r}; available: {', '.join(APPLICATIONS)}"
-        )
-    return spec.run(
+    return _application_spec(name).run(
         engine,
         walk_length=walk_length,
         starts=starts,
         rng=rng,
         frontier=frontier,
-        executor=executor,
     )
 
 

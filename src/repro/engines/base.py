@@ -75,14 +75,14 @@ class RandomWalkEngine(abc.ABC):
     def for_shard(cls, graph, owned_vertices, **kwargs) -> RandomWalkEngine:
         """Build an engine whose sampling state covers only ``owned_vertices``.
 
-        The shard-parallel walk runner gives each worker the full (shared,
-        read-only) topology — walkers are handed off between shards, and
-        node2vec probes arbitrary edges — but each worker only constructs
-        the per-vertex sampling structures of the vertices its shard owns.
-        ``graph`` is typically a
+        Each shard serve worker (:mod:`repro.serve.shard_worker`) gets the
+        full topology — its whole walks reach any vertex, and node2vec
+        probes arbitrary edges — but only constructs the per-vertex
+        sampling structures of the vertices its shard owns.  ``graph`` is
+        a :class:`~repro.graph.dynamic_graph.DynamicGraph` or a
         :class:`~repro.graph.partition.ShardSubgraph` view over the
-        shared-memory columns; any object with the ``DynamicGraph`` read API
-        works.  With ``owned_vertices`` spanning every vertex this is
+        shared-memory columns; any object with the ``DynamicGraph`` read
+        API works.  With ``owned_vertices`` spanning every vertex this is
         exactly :meth:`build` (the single-shard case the equivalence tests
         pin down).
         """

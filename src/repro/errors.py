@@ -100,16 +100,16 @@ class BenchmarkError(ReproError):
 
 
 class ParallelExecutionError(ReproError):
-    """Raised when the shard-parallel walk runner or one of its workers fails."""
+    """Raised when the shard pool or one of its worker processes fails."""
 
 
 class WorkerCrashError(ParallelExecutionError):
     """Raised when a shard worker process died while a walk run needed it.
 
-    The runner detects the dead process on the hand-off wait instead of
-    blocking forever; the pool itself stays up, so callers can
-    :meth:`~repro.walks.parallel.ParallelWalkRunner.respawn_dead_workers`
-    and retry the run against the fresh pool.
+    The pool detects the dead process on the reply wait instead of
+    blocking forever and itself stays up, so callers can
+    :meth:`~repro.serve.router.ShardServePool.respawn` the dead shard and
+    retry the run against the whole pool.
     """
 
     def __init__(self, shard: int) -> None:

@@ -14,8 +14,8 @@ model of the pieces the paper's design depends on:
 * :mod:`~repro.gpu.kernels` — the batched-update workflow of Section 5.2,
   including request reordering by vertex and the 2-phase parallel
   delete-and-swap of Figure 10(b).
-* :class:`~repro.gpu.multi_device.MultiDeviceRuntime` — 1-D partitioned
-  multi-GPU walking with walker transfer (Section 9.1).
+* :class:`~repro.gpu.multi_device.MultiDeviceTracker` — walker-transfer
+  accounting for 1-D partitioned multi-GPU walking (Section 9.1).
 """
 
 from repro.gpu.memory_pool import MemoryPool, PoolStatistics
@@ -26,7 +26,7 @@ from repro.gpu.kernels import (
     group_updates_by_vertex,
     parallel_delete_and_swap,
 )
-from repro.gpu.multi_device import MultiDeviceRuntime, WalkerTransferStats
+from repro.gpu.multi_device import MultiDeviceTracker, WalkerTransferStats
 
 __all__ = [
     "MemoryPool",
@@ -38,6 +38,6 @@ __all__ = [
     "BatchStatistics",
     "group_updates_by_vertex",
     "parallel_delete_and_swap",
-    "MultiDeviceRuntime",
+    "MultiDeviceTracker",
     "WalkerTransferStats",
 ]

@@ -4,10 +4,12 @@ Bingo scales across GPUs by 1-D partitioning the vertex set and *moving
 walkers, not sampling structures*: when a walker steps onto a vertex owned by
 another device, it is shipped to that device (fast peer-to-peer in the real
 system).  :class:`MultiDeviceTracker` is the routing bookkeeping of that
-policy — a vectorized owner-column tracker the shard-parallel walk runner
-(:mod:`repro.walks.parallel`) feeds whole frontiers, counting per-device load
-and cross-device transfers.  :class:`MultiDeviceRuntime` keeps the original
-scalar per-step API on top of the tracker for the scalability ablation.
+policy — a vectorized owner-column tracker that counts per-device load and
+cross-device transfers.  The Figure 12 scaling experiment runs whole walks
+per shard (:class:`~repro.serve.router.ShardServePool`) and feeds the
+finished walk matrices to :meth:`MultiDeviceTracker.record_walk_matrix`,
+so ``transfer_rate`` is the hand-off rate the walker-moving policy would
+incur on the same partition.
 """
 
 from __future__ import annotations
@@ -67,10 +69,6 @@ class MultiDeviceTracker:
         return cls(partition.owner_array(), partition.num_parts)
 
     # ------------------------------------------------------------------ #
-    def update_owner(self, owner: Sequence[int]) -> None:
-        """Swap in a new owner column (after a repartition); stats accumulate."""
-        self.owner = np.ascontiguousarray(owner, dtype=np.int64)
-
     def device_of(self, vertex: int) -> int:
         """The device owning ``vertex`` (round-robin beyond the column)."""
         if vertex < len(self.owner):
@@ -126,35 +124,18 @@ class MultiDeviceTracker:
         self.stats.transfers += transfers
         return transfers
 
+    def record_walk_matrix(self, matrix: np.ndarray) -> int:
+        """Record every transition of a ``-1``-padded walk matrix.
+
+        Column ``j`` to ``j + 1`` is one frontier step; padding after a
+        walker retires counts as no transition.  Returns the transfers.
+        """
+        return sum(
+            self.record_frontier(matrix[:, step], matrix[:, step + 1])
+            for step in range(matrix.shape[1] - 1)
+        )
+
     def record_walk(self, path: Sequence[int]) -> None:
         """Record every transition of a completed walk path."""
         for current_vertex, next_vertex in zip(path, path[1:]):
             self.record_step(current_vertex, next_vertex)
-
-
-class MultiDeviceRuntime:
-    """Scalar per-step facade over :class:`MultiDeviceTracker`.
-
-    Kept for the scalability ablation and older call-sites; the shard-parallel
-    execution path talks to the tracker directly.
-    """
-
-    def __init__(self, partition: OneDimPartition) -> None:
-        self.partition = partition
-        self.tracker = MultiDeviceTracker.for_partition(partition)
-
-    @property
-    def stats(self) -> WalkerTransferStats:
-        return self.tracker.stats
-
-    def device_of(self, vertex: int) -> int:
-        """The device owning ``vertex``."""
-        return self.tracker.device_of(vertex)
-
-    def record_step(self, current_vertex: int, next_vertex: int) -> bool:
-        """Record one walk transition; returns True when a transfer happened."""
-        return self.tracker.record_step(current_vertex, next_vertex)
-
-    def record_walk(self, path: Sequence[int]) -> None:
-        """Record every transition of a completed walk path."""
-        self.tracker.record_walk(path)

@@ -14,11 +14,11 @@ that design:
   processes attach zero-copy NumPy views instead of pickling neighbour
   lists;
 * :class:`ShardSubgraph` — one worker's read-only view: the full topology
-  (walker hand-offs need every vertex reachable) plus the set of vertices
-  the shard *owns* and therefore builds sampling state for.
+  (a shard runs whole walks, which reach any vertex) plus the set of
+  vertices the shard *owns* and therefore builds sampling state for.
 
-The shard-parallel walk runner in :mod:`repro.walks.parallel` consumes these;
-the transfer accounting lives in :mod:`repro.gpu.multi_device`.
+The shard pool in :mod:`repro.serve.router` consumes these; the transfer
+accounting lives in :mod:`repro.gpu.multi_device`.
 """
 
 from __future__ import annotations
@@ -151,7 +151,7 @@ def partition_graph(
         Greedy longest-processing-time assignment: vertices are placed, in
         decreasing degree order, onto the currently lightest partition.
         Produces non-contiguous shards with near-perfect arc balance, which
-        is what the shard-parallel walk runner wants.
+        is what the shard pool wants.
     """
     check_positive_int(num_parts, "num_parts")
     n = graph.num_vertices
@@ -385,8 +385,8 @@ class ShardSubgraph:
     """One shard's read-only view of a shared columnar graph.
 
     Exposes the :class:`~repro.graph.dynamic_graph.DynamicGraph` read API the
-    engines need (full topology, so walkers can be handed off and node2vec
-    can test arbitrary edges) plus the ``owned`` vertex set the shard builds
+    engines need (full topology, so whole walks can reach any vertex and
+    node2vec can test arbitrary edges) plus the ``owned`` vertex set the shard builds
     sampling state for.
     """
 

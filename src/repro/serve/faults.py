@@ -16,8 +16,7 @@ run can be reproduced byte for byte.  This module provides both halves:
   ``injector.fire(point)`` call counts one occurrence, looks the pair up
   in the plan and either raises an :class:`~repro.errors.InjectedFault`,
   sleeps a scheduled delay, or hands a ``kill_worker`` action back to the
-  call site (only the shard router and the offline shard runner can
-  actually kill a worker process).
+  call site (only the shard router can actually kill a worker process).
   Every fired action lands in :meth:`FaultInjector.history`, which is what
   the chaos experiment compares across two same-seed runs to assert
   replayability.
@@ -46,9 +45,6 @@ from repro.errors import InjectedFault, ServeError
 #: ``writer.warm``     writer thread, before pre-building the back buffer's
 #:                     fused frontier tables (publication *and* recovery)
 #: ``dispatcher.wave`` dispatcher thread, before executing one fused wave
-#: ``worker.step``     ParallelWalkRunner coordinator, before routing one
-#:                     step's hand-off messages (``kill_worker`` actions
-#:                     fire here)
 #: ``router.dispatch`` shard-serve router, before fanning one fused group
 #:                     out to the shard serve processes (``kill_worker``
 #:                     actions SIGKILL the named shard serve process here)
@@ -58,7 +54,6 @@ FAULT_POINTS = (
     "writer.apply",
     "writer.warm",
     "dispatcher.wave",
-    "worker.step",
     "router.dispatch",
     "http.handler",
 )
@@ -104,7 +99,7 @@ class FaultPlan:
             FaultPlan()
             .fail("writer.apply", 1, message="poisoned batch")
             .delay("dispatcher.wave", 0, 0.05)
-            .kill_worker("worker.step", 3, shard=1)
+            .kill_worker("router.dispatch", 3, shard=1)
         )
     """
 

@@ -285,8 +285,8 @@ class ServeStats:
 
     Busy times are per-thread CPU seconds (``time.thread_time``), so the
     writer and query figures can be compared as if each ran on its own
-    device — the same critical-path convention the shard-parallel runner
-    and the fig12 batched-update model use.  ``latencies`` and
+    device — the same critical-path convention the shard-parallel scale
+    experiment and the fig12 batched-update model use.  ``latencies`` and
     ``fused_sizes`` are sliding windows of the most recent
     :data:`STATS_WINDOW` samples; every other field is exact.
     """

@@ -43,6 +43,7 @@ from __future__ import annotations
 import multiprocessing as mp
 import threading
 import time
+from multiprocessing import connection as mp_connection
 from multiprocessing import shared_memory
 from collections.abc import Sequence
 
@@ -61,7 +62,17 @@ from repro.serve.shard_worker import (
 )
 from repro.utils.validation import check_positive_int
 from repro.walks.frontier import BatchedWalks
-from repro.walks.parallel import wait_worker_reply
+
+#: Seconds the router waits for a shard reply before giving up entirely
+#: (a *live* worker this slow is treated as a protocol failure).
+_REPLY_TIMEOUT = 300.0
+
+#: Seconds between liveness polls while waiting on the per-worker reply
+#: pipes: every poll checks ``Process.is_alive()`` for all workers, so a
+#: crashed worker surfaces as :class:`~repro.errors.WorkerCrashError`
+#: within one poll interval instead of hanging the run.  (A dead worker's
+#: pipe usually reports EOF even sooner.)
+_LIVENESS_POLL_SECONDS = 0.1
 
 
 class ShardStreamKey(tuple):
@@ -181,7 +192,7 @@ def flip_payload(engine, batch, delta) -> tuple[dict[str, np.ndarray], bool]:
     }
     full = delta is None or delta.full_rebuild or delta.vertex_ids is None
     if full:
-        payload.update(engine.export_frontier_state())
+        payload.update(_export_state(engine))
     else:
         payload.update(engine.export_frontier_patch(delta.vertex_ids))
     payload[FULL_STATE_KEY] = np.array([1 if full else 0], dtype=np.int64)
@@ -195,10 +206,66 @@ def _publish_blob(blob: bytes) -> tuple[shared_memory.SharedMemory, int]:
     return block, len(blob)
 
 
+def _export_state(engine) -> dict[str, np.ndarray]:
+    """The engine's full frontier state; empty for a stateless engine.
+
+    FlowWalker keeps no fused tables (it samples straight off the
+    adjacency), so its shards need only the graph and the batch columns.
+    """
+    if not hasattr(engine, "export_frontier_state"):
+        return {}
+    return engine.export_frontier_state()
+
+
 def _boot_blob(engine, epoch: int) -> bytes:
-    state = engine.export_frontier_state()
+    state = _export_state(engine)
     state[EPOCH_KEY] = np.array([int(epoch)], dtype=np.int64)
     return pack_arrays(state)
+
+
+def wait_worker_reply(
+    reply_readers: Sequence, workers: Sequence, *, timeout: float = _REPLY_TIMEOUT
+) -> tuple[int, tuple]:
+    """Block until one worker reply arrives; surface dead workers fast.
+
+    Polls the per-worker reply pipes, sweeps ``Process.is_alive()``
+    between polls, and returns ``(shard, reply)`` for the first message.
+    A dead worker — EOF on its private pipe, or caught by the liveness
+    sweep — raises :class:`~repro.errors.WorkerCrashError` *without*
+    tearing the pool down, so the caller can respawn the dead shard and
+    retry.  A live-but-silent pool past ``timeout`` raises
+    :class:`~repro.errors.ParallelExecutionError`.
+    """
+    deadline = time.monotonic() + timeout
+    while True:
+        ready = mp_connection.wait(reply_readers, timeout=_LIVENESS_POLL_SECONDS)
+        if not ready:
+            dead = [
+                shard
+                for shard, process in enumerate(workers)
+                if not process.is_alive()
+            ]
+            if dead:
+                raise WorkerCrashError(dead[0])
+            if time.monotonic() >= deadline:
+                raise ParallelExecutionError(
+                    "timed out waiting for shard workers "
+                    f"(no reply within {timeout:.0f}s)"
+                )
+            continue
+        reader = ready[0]
+        shard = reply_readers.index(reader)
+        try:
+            return shard, reader.recv()
+        except (EOFError, OSError) as exc:
+            # EOF (or a truncated message) on a worker's private pipe: the
+            # worker died, possibly mid-send.  Only its own channel is
+            # corrupted; respawn replaces both.
+            process = workers[shard]
+            if process.is_alive():  # pragma: no cover - broken pipe only
+                process.terminate()
+                process.join(timeout=5)
+            raise WorkerCrashError(shard) from exc
 
 
 # --------------------------------------------------------------------------- #
@@ -206,6 +273,12 @@ def _boot_blob(engine, epoch: int) -> bytes:
 # --------------------------------------------------------------------------- #
 class ShardServePool:
     """N shard serve processes plus the router-side dispatch machinery.
+
+    This is the repo's one multi-process walk executor: the
+    :class:`RouterService` serves traffic through it, and the offline
+    Figure 12 paths (``run scale``, the harness's ``workers > 1`` rounds)
+    drive :meth:`run` and :meth:`flip` directly.  A stateless engine
+    (FlowWalker) boots and flips with an empty frontier state.
 
     Boot exports the graph once into
     :class:`~repro.graph.partition.SharedGraphShards` and the source
@@ -254,7 +327,8 @@ class ShardServePool:
         self.build_seconds = [0.0] * self.num_shards
 
         partition = partition_graph(graph, self.num_shards, strategy=strategy)
-        self._owner = partition.owner_for(graph.num_vertices)
+        #: Owner shard of every boot-time vertex (the pinned routing column).
+        self.owner = partition.owner_for(graph.num_vertices)
         if start_method is None:
             start_method = "fork" if "fork" in mp.get_all_start_methods() else "spawn"
         context = mp.get_context(start_method)
@@ -326,9 +400,8 @@ class ShardServePool:
     def respawn(self, source_engine, epoch: int) -> list[int]:
         """Replace crashed workers, booted from the current snapshot.
 
-        Unlike the walk runner's respawn (which re-attaches a still-live
-        shared export), the serve pool holds no export to re-attach — it
-        re-exports the *current* graph and frontier state, so the fresh
+        The pool holds no long-lived export to re-attach, so respawn
+        re-exports the *current* graph and frontier state; the fresh
         worker boots already at ``epoch`` and needs no flip replay.
         Returns the list of replaced shards (empty if all alive).
         """
@@ -418,10 +491,10 @@ class ShardServePool:
         vertices = np.asarray(vertices, dtype=np.int64)
         if self.num_shards == 1:
             return np.zeros(len(vertices), dtype=np.int64)
-        limit = len(self._owner)
+        limit = len(self.owner)
         if limit == 0:
             return np.abs(vertices) % self.num_shards
-        owners = self._owner[np.clip(vertices, 0, limit - 1)]
+        owners = self.owner[np.clip(vertices, 0, limit - 1)]
         outside = (vertices < 0) | (vertices >= limit)
         if outside.any():
             owners = np.where(outside, np.abs(vertices) % self.num_shards, owners)

@@ -16,11 +16,10 @@ This is the execution half of the scale-out serve path
   local graph — the batch and the touched slices travel in one
   shared-memory block, so a flip never re-pickles the world.
 
-The message protocol mirrors :mod:`repro.walks.parallel`'s discipline:
-a per-worker inbox queue, a private reply pipe (a crash corrupts at most
-the dead worker's own channel), run ids so stragglers from an aborted
-run are discarded, and epoch tags so the router can detect stale
-replies.  Because queries and flips ride the *same* FIFO inbox, a
+The message protocol: a per-worker inbox queue, a private reply pipe
+(a crash corrupts at most the dead worker's own channel), run ids so
+stragglers from an aborted run are discarded, and epoch tags so the
+router can detect stale replies.  Because queries and flips ride the *same* FIFO inbox, a
 worker's reply epoch always matches the epoch the router dispatched
 against — unless the worker was respawned mid-query, which the router
 resolves with one retry.
@@ -92,6 +91,20 @@ def batch_from_payload(payload) -> UpdateBatch:
     )
 
 
+def _install_frontier_state(engine, payload, *, full: bool) -> None:
+    """Adopt a full snapshot or apply an O(touched) patch to ``engine``.
+
+    A stateless engine (FlowWalker has no fused tables) walks straight
+    off the local graph, which the flip's batch columns already updated.
+    """
+    if not hasattr(engine, "adopt_frontier_state"):
+        return
+    if full:
+        engine.adopt_frontier_state(payload)
+    else:
+        engine.apply_frontier_patch(payload)
+
+
 def execute_walk(engine, application, starts, walk_length, params, rng):
     """Run one whole-walk group on a shard engine (the router's work unit)."""
     if application == "deepwalk":
@@ -126,7 +139,7 @@ def shard_serve_main(
 
     ``generation`` is the router's respawn counter at spawn time; the
     ``ready`` reply echoes it so the router can discard stale readies
-    from a boot a crash aborted (the :mod:`repro.walks.parallel` idiom).
+    from a boot a crash aborted.
     """
     # Imported here so "spawn" children resolve the registry cleanly.
     from repro.engines.registry import ENGINE_REGISTRY
@@ -145,7 +158,7 @@ def shard_serve_main(
         )
         boot_state = unpack_arrays(read_shared_blob(boot_name, boot_nbytes))
         epoch = int(boot_state[EPOCH_KEY][0])
-        engine.adopt_frontier_state(boot_state)
+        _install_frontier_state(engine, boot_state, full=True)
         replies.send(("ready", shard, generation, time.process_time() - build_start))
 
         while True:
@@ -174,10 +187,9 @@ def shard_serve_main(
                     batch = batch_from_payload(payload)
                     if len(batch):
                         engine._apply_batch_to_graph(batch)
-                    if int(payload[FULL_STATE_KEY][0]):
-                        engine.adopt_frontier_state(payload)
-                    else:
-                        engine.apply_frontier_patch(payload)
+                    _install_frontier_state(
+                        engine, payload, full=bool(payload[FULL_STATE_KEY][0])
+                    )
                     epoch = int(new_epoch)
                     replies.send(
                         ("flipped", shard, epoch, time.process_time() - busy_start)

@@ -21,13 +21,10 @@ from repro.walks.frontier import (
 )
 from repro.walks.deepwalk import DeepWalkConfig, deepwalk_walk, run_deepwalk
 from repro.walks.node2vec import Node2VecConfig, node2vec_walk, run_node2vec
-from repro.walks.parallel import ParallelRunStats, ParallelWalkRunner
 from repro.walks.ppr import PPRConfig, ppr_walk, run_ppr, ppr_scores
 from repro.walks.simple import run_simple_sampling
 
 __all__ = [
-    "ParallelRunStats",
-    "ParallelWalkRunner",
     "NeighborSampler",
     "VisitCounter",
     "WalkResult",

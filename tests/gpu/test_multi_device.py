@@ -4,14 +4,14 @@ import pytest
 
 from repro.graph.generators import power_law_graph
 from repro.graph.partition import partition_graph
-from repro.gpu.multi_device import MultiDeviceRuntime
+from repro.gpu.multi_device import MultiDeviceTracker
 
 
 @pytest.fixture
 def runtime():
     graph = power_law_graph(80, 3, rng=41)
     partition = partition_graph(graph, 4)
-    return graph, MultiDeviceRuntime(partition)
+    return graph, MultiDeviceTracker.for_partition(partition)
 
 
 class TestRecordStep:
@@ -85,15 +85,20 @@ class TestMultiDeviceTracker:
         ) == 0
         assert tracker.stats.steps == 0
 
-    def test_update_owner_keeps_stats(self):
+    def test_walk_matrix_matches_per_walk_accounting(self):
+        import numpy as np
+
         from repro.gpu.multi_device import MultiDeviceTracker
 
-        tracker = MultiDeviceTracker([0, 1], 2)
-        tracker.record_step(0, 1)
-        tracker.update_owner([0, 0])
-        tracker.record_step(0, 1)
-        assert tracker.stats.steps == 2
-        assert tracker.stats.transfers == 1
+        matrix = np.array([[0, 1, 2, 3], [2, 0, -1, -1], [3, -1, -1, -1]])
+        by_matrix = MultiDeviceTracker([0, 1, 1, 0], 2)
+        by_walk = MultiDeviceTracker([0, 1, 1, 0], 2)
+        transfers = by_matrix.record_walk_matrix(matrix)
+        for row in matrix.tolist():
+            by_walk.record_walk([v for v in row if v >= 0])
+        assert by_matrix.stats.steps == by_walk.stats.steps == 4
+        assert by_matrix.stats.transfers == by_walk.stats.transfers == transfers == 3
+        assert by_matrix.stats.per_device_steps == by_walk.stats.per_device_steps
 
     def test_device_of_round_robin_tail(self):
         from repro.gpu.multi_device import MultiDeviceTracker

@@ -106,7 +106,9 @@ class TestDuplicateInsertDelete:
         assert engine.graph.edge_bias(0, 1) == pytest.approx(9.0)
 
     def test_cancelled_pair_through_parallel_walks(self):
-        from repro.walks.parallel import ParallelWalkRunner
+        import numpy as np
+
+        from repro.serve.router import ShardServePool
 
         graph = _graph()
         engine = create_engine("bingo", rng=5)
@@ -122,11 +124,23 @@ class TestDuplicateInsertDelete:
         )
         # Vertex 2 netted out to zero degree; walkers reaching it retire on
         # the shard-parallel path just like on the serial one.
-        with ParallelWalkRunner("bingo", engine.graph, 2, engine_seed=5) as runner:
-            result = runner.run_deepwalk([2, 0, 1], 5, rng=11)
-        assert result.matrix[0, 0] == 2
-        assert (result.matrix[0, 1:] == -1).all()
-        for row in result.matrix[1:]:
+        pool = ShardServePool(
+            engine_name="bingo",
+            engine_kwargs=None,
+            engine_seed=5,
+            graph=engine.graph,
+            num_shards=2,
+            strategy="degree_balanced",
+            source_engine=engine,
+            epoch=0,
+        )
+        try:
+            matrix, _ = pool.run("deepwalk", np.array([2, 0, 1]), 5, {}, (11,), 0)
+        finally:
+            pool.close()
+        assert matrix[0, 0] == 2
+        assert (matrix[0, 1:] == -1).all()
+        for row in matrix[1:]:
             for current, nxt in zip(row, row[1:]):
                 if nxt < 0:
                     break

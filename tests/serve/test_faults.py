@@ -35,17 +35,18 @@ class TestFaultPlan:
             FaultPlan()
             .fail("writer.apply", 1, message="poisoned")
             .delay("dispatcher.wave", 0, 0.01)
-            .kill_worker("worker.step", 3, shard=1)
+            .kill_worker("router.dispatch", 3, shard=1)
         )
         assert len(plan) == 3
         assert plan.get("writer.apply", 1).kind == "raise"
         assert plan.get("dispatcher.wave", 0).delay_seconds == 0.01
-        assert plan.get("worker.step", 3).worker == 1
+        assert plan.get("router.dispatch", 3).worker == 1
         assert plan.get("writer.apply", 0) is None
 
-    def test_unknown_point_is_rejected(self):
+    @pytest.mark.parametrize("point", ["writer.nope", "worker.step"])
+    def test_unknown_point_is_rejected(self, point):
         with pytest.raises(ServeError, match="unknown injection point"):
-            FaultPlan().fail("writer.nope", 0)
+            FaultPlan().fail(point, 0)
 
     def test_negative_index_is_rejected(self):
         with pytest.raises(ServeError, match="non-negative"):
@@ -54,12 +55,12 @@ class TestFaultPlan:
     def test_entries_are_deterministically_ordered(self):
         plan = (
             FaultPlan()
-            .fail("worker.step", 2)
+            .fail("router.dispatch", 2)
             .fail("writer.apply", 5)
             .fail("writer.apply", 0)
         )
         assert [(p, i) for p, i, _ in plan.entries()] == [
-            ("worker.step", 2),
+            ("router.dispatch", 2),
             ("writer.apply", 0),
             ("writer.apply", 5),
         ]
@@ -117,8 +118,10 @@ class TestFaultInjector:
         assert injector.history() == [("dispatcher.wave", 0, "delay")]
 
     def test_kill_actions_are_returned_to_the_call_site(self):
-        injector = FaultInjector(FaultPlan().kill_worker("worker.step", 0, shard=2))
-        action = injector.fire("worker.step")
+        injector = FaultInjector(
+            FaultPlan().kill_worker("router.dispatch", 0, shard=2)
+        )
+        action = injector.fire("router.dispatch")
         assert action is not None
         assert action.kind == "kill_worker"
         assert action.worker == 2
@@ -169,8 +172,8 @@ class TestFaultInjector:
 
 
 def test_chaos_points_labels():
-    entries = [("writer.apply", 3, "raise"), ("worker.step", 0, "kill_worker")]
+    entries = [("writer.apply", 3, "raise"), ("router.dispatch", 0, "kill_worker")]
     assert chaos_points(entries) == [
         "writer.apply@3:raise",
-        "worker.step@0:kill_worker",
+        "router.dispatch@0:kill_worker",
     ]

@@ -410,7 +410,7 @@ class TestBGL006SharedReplyQueue:
                 def __init__(self, workers):
                     self._replies = mp.Queue()
         """
-        findings = lint("BGL006", source, "src/repro/walks/parallel.py")
+        findings = lint("BGL006", source, "src/repro/serve/router.py")
         assert len(findings) == 1
         assert "Pipe" in findings[0].message
 
@@ -429,7 +429,7 @@ class TestBGL006SharedReplyQueue:
                 def __init__(self, context, workers):
                     self._inboxes = [context.Queue() for _ in range(workers)]
         """
-        assert lint("BGL006", source, "src/repro/walks/parallel.py") == []
+        assert lint("BGL006", source, "src/repro/serve/router.py") == []
 
     def test_false_positive_threading_queue(self):
         # queue.Queue is in-process: no cross-process lock to die holding.

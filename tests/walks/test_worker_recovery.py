@@ -3,9 +3,9 @@
 The contract under test is the chaos harness's "worker dies mid-query"
 scenario: a SIGKILLed shard worker must surface as
 :class:`~repro.errors.WorkerCrashError` within one liveness-poll interval
-(never a hang), the pool must respawn the dead shard from the existing
-shared-memory export, and no ``/dev/shm`` segment may outlive the runner
-— whichever way its workers died.
+(never a hang), the pool must respawn the dead shard from the current
+snapshot, and no ``/dev/shm`` segment may outlive the pool — whichever
+way its workers died.
 """
 
 import os
@@ -14,9 +14,10 @@ import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
+from repro.engines.registry import create_engine
 from repro.errors import WorkerCrashError
 from repro.serve import FaultInjector, FaultPlan, RouterService, WalkQuery
-from repro.walks.parallel import ParallelWalkRunner
+from repro.serve.router import ShardServePool
 
 SHM_DIR = "/dev/shm"
 
@@ -38,103 +39,128 @@ def starts(graph):
     return [int(v) for v in rng.integers(0, graph.num_vertices, size=24)]
 
 
+@pytest.fixture(scope="module")
+def source(graph):
+    """The snapshot engine every pool boots and respawns from."""
+    engine = create_engine("bingo", rng=2025)
+    engine.build(graph.copy())
+    return engine
+
+
+def _pool(source):
+    return ShardServePool(
+        engine_name="bingo",
+        engine_kwargs=None,
+        engine_seed=2025,
+        graph=source.graph,
+        num_shards=2,
+        strategy="degree_balanced",
+        source_engine=source,
+        epoch=0,
+    )
+
+
+def _run(pool, starts, walk_length, seed):
+    matrix, _ = pool.run(
+        "deepwalk", np.asarray(starts, dtype=np.int64), walk_length, {}, (seed,), 0
+    )
+    return matrix
+
+
 class TestCrashDetection:
-    def test_killed_worker_raises_instead_of_hanging(self, graph, starts):
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 1, shard=1)
-        )
-        with ParallelWalkRunner(
-            "bingo", graph, 2, fault_injector=injector
-        ) as runner:
-            with pytest.raises(WorkerCrashError) as info:
-                runner.run_deepwalk(starts, 6, rng=11)
-            assert info.value.shard == 1
-
-    def test_crash_leaves_the_pool_open_for_respawn(self, graph, starts):
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 0, shard=0)
-        )
-        runner = ParallelWalkRunner("bingo", graph, 2, fault_injector=injector)
+    def test_killed_worker_raises_instead_of_hanging(self, source, starts):
+        pool = _pool(source)
         try:
-            with pytest.raises(WorkerCrashError):
-                runner.run_deepwalk(starts, 6, rng=11)
-            assert runner.respawn_dead_workers() == 1
-            assert runner.respawns == 1
-            # The pool is whole again.
-            assert all(process.is_alive() for process in runner._workers)
+            pool.kill_worker(1)
+            with pytest.raises(WorkerCrashError) as info:
+                _run(pool, starts, 6, 11)
+            assert info.value.shard == 1
         finally:
-            runner.close()
+            pool.close()
 
-    def test_respawn_is_a_noop_when_all_workers_live(self, graph, starts):
-        with ParallelWalkRunner("bingo", graph, 2) as runner:
-            assert runner.respawn_dead_workers() == 0
-            assert runner.respawns == 0
+    def test_crash_leaves_the_pool_open_for_respawn(self, source, starts):
+        pool = _pool(source)
+        try:
+            pool.kill_worker(0)
+            with pytest.raises(WorkerCrashError):
+                _run(pool, starts, 6, 11)
+            assert pool.respawn(source, 0) == [0]
+            assert pool.respawns == 1
+            # The pool is whole again.
+            assert all(pool.alive())
+        finally:
+            pool.close()
+
+    def test_respawn_is_a_noop_when_all_workers_live(self, source, starts):
+        pool = _pool(source)
+        try:
+            assert pool.respawn(source, 0) == []
+            assert pool.respawns == 0
+        finally:
+            pool.close()
 
 
 class TestRespawnDeterminism:
-    def test_retry_after_respawn_matches_the_undisturbed_run(self, graph, starts):
-        with ParallelWalkRunner("bingo", graph, 2) as runner:
-            reference = runner.run_deepwalk(starts, 8, rng=23).matrix
-
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 2, shard=1)
-        )
-        runner = ParallelWalkRunner("bingo", graph, 2, fault_injector=injector)
+    def test_retry_after_respawn_matches_the_undisturbed_run(self, source, starts):
+        pool = _pool(source)
         try:
-            with pytest.raises(WorkerCrashError):
-                runner.run_deepwalk(starts, 8, rng=23)
-            assert runner.respawn_dead_workers() == 1
-            retried = runner.run_deepwalk(starts, 8, rng=23).matrix
+            reference = _run(pool, starts, 8, 23)
         finally:
-            runner.close()
-        # The respawned shard rebuilt from the same engine seed over the
-        # same shared export: the retried run is bitwise identical.
+            pool.close()
+
+        pool = _pool(source)
+        try:
+            pool.kill_worker(1)
+            with pytest.raises(WorkerCrashError):
+                _run(pool, starts, 8, 23)
+            assert pool.respawn(source, 0) == [1]
+            retried = _run(pool, starts, 8, 23)
+        finally:
+            pool.close()
+        # The respawned shard booted from the same snapshot and engine
+        # seed, and the seed key is the same: the retry is bitwise equal.
         np.testing.assert_array_equal(reference, retried)
 
     def test_straggler_replies_from_the_aborted_run_are_discarded(
-        self, graph, starts
+        self, source, starts
     ):
-        # Kill late in the run so the surviving shard has queued replies
-        # for the aborted run; the retry must not consume them.
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 5, shard=0)
-        )
-        runner = ParallelWalkRunner("bingo", graph, 2, fault_injector=injector)
+        # Shard 0's EOF surfaces at once while shard 1 is still walking,
+        # so shard 1's reply to the aborted run is left queued on its
+        # pipe; the retry must not consume it.
+        pool = _pool(source)
         try:
+            pool.kill_worker(0)
             with pytest.raises(WorkerCrashError):
-                runner.run_deepwalk(starts, 8, rng=23)
-            runner.respawn_dead_workers()
-            retried = runner.run_deepwalk(starts, 8, rng=23)
-            assert retried.num_walks == len(starts)
+                _run(pool, starts, 8, 23)
+            pool.respawn(source, 0)
+            retried = _run(pool, starts, 8, 23)
+            assert retried.shape[0] == len(starts)
+            assert (retried[:, 0] == starts).all()
         finally:
-            runner.close()
+            pool.close()
 
 
 class TestSharedMemoryHygiene:
-    def test_no_orphaned_segments_after_kill_and_close(self, graph, starts):
+    def test_no_orphaned_segments_after_kill_and_close(self, source, starts):
         before = shm_entries()
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 0, shard=1)
-        )
-        runner = ParallelWalkRunner("bingo", graph, 2, fault_injector=injector)
+        pool = _pool(source)
+        pool.kill_worker(1)
         with pytest.raises(WorkerCrashError):
-            runner.run_deepwalk(starts, 6, rng=11)
-        # Close with the dead worker still dead: the terminate() path must
-        # still unlink the creator-owned shared columns.
-        runner.close()
+            _run(pool, starts, 6, 11)
+        # Close with the dead worker still dead: no export outlives boot,
+        # and the close path must not leave one behind either.
+        pool.close()
         assert shm_entries() - before == set()
 
-    def test_no_orphaned_segments_after_respawn_cycle(self, graph, starts):
+    def test_no_orphaned_segments_after_respawn_cycle(self, source, starts):
         before = shm_entries()
-        injector = FaultInjector(
-            FaultPlan().kill_worker("worker.step", 1, shard=0)
-        )
-        runner = ParallelWalkRunner("bingo", graph, 2, fault_injector=injector)
+        pool = _pool(source)
+        pool.kill_worker(0)
         with pytest.raises(WorkerCrashError):
-            runner.run_deepwalk(starts, 6, rng=11)
-        runner.respawn_dead_workers()
-        runner.run_deepwalk(starts, 6, rng=11)
-        runner.close()
+            _run(pool, starts, 6, 11)
+        pool.respawn(source, 0)
+        _run(pool, starts, 6, 11)
+        pool.close()
         assert shm_entries() - before == set()
 
 
