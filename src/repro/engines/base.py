@@ -35,6 +35,42 @@ PHASE_REBUILD = "rebuild"
 PHASE_SAMPLING = "sampling"
 
 
+def live_frontier(
+    lengths: np.ndarray, vertices: np.ndarray
+) -> tuple[np.ndarray | None, np.ndarray, np.ndarray]:
+    """Split a non-empty frontier into the entries a fused kernel can draw for.
+
+    ``lengths`` maps each vertex to the length of its table row (0 for a
+    sink).  Returns ``(live, query, sizes)``: the positions of the entries
+    whose row is non-empty, their vertices and their row lengths.  ``live``
+    is ``None`` when that is every entry, so the kernel skips both gathers
+    here and the scatter in :func:`scatter_live`.  Vertices outside the
+    table — negative ids (retired-walker padding) or ids past its end —
+    count as empty; one min/max check lets the usual all-in-range frontier
+    gather without masking.
+    """
+    limit = len(lengths)
+    if vertices.min() >= 0 and vertices.max() < limit:
+        sizes = lengths[vertices]
+    else:
+        in_range = (vertices >= 0) & (vertices < limit)
+        sizes = np.zeros(len(vertices), dtype=lengths.dtype)
+        sizes[in_range] = lengths[vertices[in_range]]
+    if sizes.min() > 0:
+        return None, vertices, sizes
+    live = np.flatnonzero(sizes)
+    return live, vertices[live], sizes[live]
+
+
+def scatter_live(drawn: np.ndarray, live: np.ndarray | None, count: int) -> np.ndarray:
+    """Align a kernel's draws with its frontier: ``-1`` at the dead entries."""
+    if live is None:
+        return drawn
+    out = np.full(count, -1, dtype=np.int64)
+    out[live] = drawn
+    return out
+
+
 class RandomWalkEngine(abc.ABC):
     """Abstract dynamic-graph random walk engine."""
 
@@ -323,6 +359,14 @@ class RandomWalkEngine(abc.ABC):
         if src >= graph.num_vertices or dst >= graph.num_vertices:
             return False
         return graph.has_edge(src, dst)
+
+    def has_arcs(self, srcs: Sequence[int], dsts: Sequence[int]) -> np.ndarray:
+        """Vectorized :meth:`has_edge` over aligned ``(src, dst)`` pairs.
+
+        Returns a boolean array; pairs with an id outside the snapshot
+        (negative ones included) are absent.
+        """
+        return self._require_graph().has_arcs(srcs, dsts)
 
     def num_vertices(self) -> int:
         """Number of vertices in the current snapshot."""

@@ -31,6 +31,8 @@ from repro.engines.base import (
     PHASE_INSERT,
     PHASE_REBUILD,
     RandomWalkEngine,
+    live_frontier,
+    scatter_live,
 )
 from repro.engines.sliced_tables import (
     FrontierDelta,
@@ -709,28 +711,17 @@ class BingoEngine(RandomWalkEngine):
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self._frontier_tables()
-        count = len(vertices)
-        out = np.full(count, -1, dtype=np.int64)
-        limit = len(tables["group_count"])
-        if limit == 0:
-            return out
-        # Out-of-range vertices — negative ids (retired-walker padding) or ids
-        # past the table range — draw -1, matching the scalar path; clipping
-        # keeps the gather in bounds instead of wrapping onto another vertex.
-        in_range = (vertices >= 0) & (vertices < limit)
-        safe = np.clip(vertices, 0, limit - 1)
-        counts = np.where(in_range, tables["group_count"][safe], 0)
-        live = np.nonzero(counts > 0)[0]
-        if len(live) == 0:
-            return out
-        query = vertices[live]
+        # Sinks and out-of-range vertices draw -1, matching the scalar path.
+        live, query, sizes = live_frontier(tables["group_count"], vertices)
+        width = len(query)
+        if width == 0:
+            return np.full(len(vertices), -1, dtype=np.int64)
         offsets = tables["group_offset"][query]
-        sizes = counts[live]
 
-        uniforms = rng.random(3 * len(live))
-        first = uniforms[: len(live)]
-        second = uniforms[len(live) : 2 * len(live)]
-        third = uniforms[2 * len(live) :]
+        uniforms = rng.random(3 * width)
+        first = uniforms[:width]
+        second = uniforms[width : 2 * width]
+        third = uniforms[2 * width :]
 
         # Stage 1 — vectorized group selection (per-vertex alias slices).
         buckets = offsets + (first * sizes).astype(np.int64)
@@ -757,8 +748,7 @@ class BingoEngine(RandomWalkEngine):
                     len(members), rng, counter=sampler.counter
                 )
                 drawn[members] = ids[indices]
-        out[live] = drawn
-        return out
+        return scatter_live(drawn, live, len(vertices))
 
     # ------------------------------------------------------------------ #
     # reporting

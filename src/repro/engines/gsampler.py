@@ -16,7 +16,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
-from repro.engines.base import PHASE_REBUILD, RandomWalkEngine
+from repro.engines.base import (
+    PHASE_REBUILD,
+    RandomWalkEngine,
+    live_frontier,
+    scatter_live,
+)
 from repro.engines.sliced_tables import (
     FrontierDelta,
     SlicedTableStore,
@@ -276,24 +281,15 @@ class GSamplerEngine(RandomWalkEngine):
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self._frontier_tables()
-        out = np.full(len(vertices), -1, dtype=np.int64)
-        limit = len(tables["seg_length"])
-        if limit == 0:
-            return out
-        # Out-of-range vertices — negative ids (retired-walker padding) or
-        # ids past the table range — draw -1, matching the scalar path.
-        in_range = (vertices >= 0) & (vertices < limit)
-        safe = np.clip(vertices, 0, limit - 1)
-        lengths = np.where(in_range, tables["seg_length"][safe], 0)
-        live = np.nonzero(lengths > 0)[0]
-        if len(live) == 0:
-            return out
-        query = vertices[live]
+        # Sinks and out-of-range vertices draw -1, matching the scalar path.
+        live, query, lengths = live_frontier(tables["seg_length"], vertices)
+        if len(query) == 0:
+            return np.full(len(vertices), -1, dtype=np.int64)
         cumulative = tables["cumulative"]
         low = tables["seg_offset"][query]
-        last = low + lengths[live] - 1
+        last = low + lengths - 1
         # Segment totals live at each segment's last cumulative entry.
-        draws = rng.random(len(live)) * cumulative[last]
+        draws = rng.random(len(query)) * cumulative[last]
         # Bounded per-segment binary search: the first position in
         # [low, last] whose cumulative exceeds the draw, clamping to the
         # segment end against float boundary drift — the vectorized form
@@ -307,8 +303,7 @@ class GSamplerEngine(RandomWalkEngine):
             lo = np.where(go_right, mid + 1, lo)
             hi = np.where(active & ~go_right, mid, hi)
             active = lo < hi
-        out[live] = tables["ids"][lo]
-        return out
+        return scatter_live(tables["ids"][lo], live, len(vertices))
 
     # ------------------------------------------------------------------ #
     def memory_report(self) -> MemoryReport:

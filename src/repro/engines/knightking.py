@@ -22,7 +22,12 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
-from repro.engines.base import PHASE_REBUILD, RandomWalkEngine
+from repro.engines.base import (
+    PHASE_REBUILD,
+    RandomWalkEngine,
+    live_frontier,
+    scatter_live,
+)
 from repro.engines.sliced_tables import (
     FrontierDelta,
     SlicedTableStore,
@@ -273,30 +278,20 @@ class KnightKingEngine(RandomWalkEngine):
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self._frontier_tables()
-        out = np.full(len(vertices), -1, dtype=np.int64)
-        limit = len(tables["seg_length"])
-        if limit == 0:
-            return out
-        # Out-of-range vertices — negative ids (retired-walker padding) or
-        # ids past the table range — draw -1, matching the scalar path.
-        in_range = (vertices >= 0) & (vertices < limit)
-        safe = np.clip(vertices, 0, limit - 1)
-        lengths = np.where(in_range, tables["seg_length"][safe], 0)
-        live = np.nonzero(lengths > 0)[0]
-        if len(live) == 0:
-            return out
-        query = vertices[live]
+        # Sinks and out-of-range vertices draw -1, matching the scalar path.
+        live, query, degrees = live_frontier(tables["seg_length"], vertices)
+        width = len(query)
+        if width == 0:
+            return np.full(len(vertices), -1, dtype=np.int64)
         offsets = tables["seg_offset"][query]
-        degrees = lengths[live]
-        uniforms = rng.random(2 * len(live))
-        buckets = offsets + (uniforms[: len(live)] * degrees).astype(np.int64)
+        uniforms = rng.random(2 * width)
+        buckets = offsets + (uniforms[:width] * degrees).astype(np.int64)
         chosen = np.where(
-            uniforms[len(live) :] < tables["prob"][buckets],
+            uniforms[width:] < tables["prob"][buckets],
             buckets,
             offsets + tables["alias"][buckets],
         )
-        out[live] = tables["ids"][chosen]
-        return out
+        return scatter_live(tables["ids"][chosen], live, len(vertices))
 
     # ------------------------------------------------------------------ #
     def memory_report(self) -> MemoryReport:

@@ -344,6 +344,23 @@ class DynamicGraph:
         dsts = np.ascontiguousarray(dsts, dtype=np.int64)
         return self._adjacency[src].contains_many(dsts)
 
+    def has_arcs(self, srcs: Sequence[int], dsts: Sequence[int]) -> np.ndarray:
+        """Vectorized :meth:`has_edge` over aligned ``(src, dst)`` pairs.
+
+        Returns a boolean array aligned with the inputs.  Unlike
+        :meth:`has_edge`, which raises on an id outside the vertex range,
+        a pair with a negative id or one at or past :attr:`num_vertices`
+        is simply reported absent.
+        """
+        adjacency = self._adjacency
+        limit = len(adjacency)
+        pairs = zip(np.asarray(srcs).tolist(), np.asarray(dsts).tolist())
+        return np.fromiter(
+            (0 <= src < limit and dst in adjacency[src].position for src, dst in pairs),
+            dtype=bool,
+            count=len(srcs),
+        )
+
     def add_edge(self, src: int, dst: int, bias: Number = 1.0) -> None:
         """Insert an edge with the given bias.
 

@@ -53,11 +53,10 @@ from repro.engines.registry import ENGINE_REGISTRY
 from repro.engines.sliced_tables import pack_arrays
 from repro.errors import ParallelExecutionError, ServeError, WorkerCrashError
 from repro.graph.partition import SharedGraphShards, partition_graph
-from repro.serve.service import GraphService
+from repro.serve.service import GraphService, execute_walk
 from repro.serve.shard_worker import (
     EPOCH_KEY,
     FULL_STATE_KEY,
-    execute_walk,
     shard_serve_main,
 )
 from repro.utils.validation import check_positive_int

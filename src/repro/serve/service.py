@@ -85,6 +85,28 @@ _STOP = object()
 _POLL_SECONDS = 0.05
 
 
+def execute_walk(engine, application, starts, walk_length, params, rng):
+    """Run one fused group of walks: the deepwalk / ppr / node2vec dispatch.
+
+    :class:`GraphService` runs it on its published snapshot engine and
+    every shard serve worker runs it on its shard engine, so a served
+    walk takes the same path on both.
+    """
+    if application == "deepwalk":
+        return run_frontier_deepwalk(engine, starts, walk_length, rng=rng)
+    if application == "ppr":
+        return run_frontier_ppr(
+            engine,
+            starts,
+            termination_probability=params["termination_probability"],
+            max_steps=int(params["max_steps"]),
+            rng=rng,
+        )
+    return run_frontier_node2vec(
+        engine, starts, walk_length, p=params["p"], q=params["q"], rng=rng
+    )
+
+
 @dataclass
 class _EngineBuffer:
     """One snapshot buffer: an engine, its epoch, and reader bookkeeping."""
@@ -937,27 +959,13 @@ class GraphService:
         try:
             epoch = buffer.epoch
             busy_start = time.thread_time()
-            walks = self._drive_engine(buffer.engine, query, params, starts, rng)
+            walks = execute_walk(
+                buffer.engine, query.application, starts, query.walk_length, params, rng
+            )
             busy = time.thread_time() - busy_start
         finally:
             self._release(buffer)
         return walks, epoch, busy
-
-    def _drive_engine(self, engine_or_none, query, params, starts, rng) -> BatchedWalks:
-        engine = engine_or_none
-        if query.application == "deepwalk":
-            return run_frontier_deepwalk(engine, starts, query.walk_length, rng=rng)
-        if query.application == "ppr":
-            return run_frontier_ppr(
-                engine,
-                starts,
-                termination_probability=params["termination_probability"],
-                max_steps=int(params["max_steps"]),
-                rng=rng,
-            )
-        return run_frontier_node2vec(
-            engine, starts, query.walk_length, p=params["p"], q=params["q"], rng=rng
-        )
 
     def _acquire_front(self) -> _EngineBuffer:
         with self._cond:

@@ -37,11 +37,7 @@ from repro.engines.sliced_tables import unpack_arrays
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.partition import SharedGraphShards, SharedShardHandle
 from repro.graph.update_batch import UpdateBatch
-from repro.walks.frontier import (
-    run_frontier_deepwalk,
-    run_frontier_node2vec,
-    run_frontier_ppr,
-)
+from repro.serve.service import execute_walk
 
 #: Key carrying the epoch number inside boot / flip payload blobs.
 EPOCH_KEY = "__epoch"
@@ -103,23 +99,6 @@ def _install_frontier_state(engine, payload, *, full: bool) -> None:
         engine.adopt_frontier_state(payload)
     else:
         engine.apply_frontier_patch(payload)
-
-
-def execute_walk(engine, application, starts, walk_length, params, rng):
-    """Run one whole-walk group on a shard engine (the router's work unit)."""
-    if application == "deepwalk":
-        return run_frontier_deepwalk(engine, starts, walk_length, rng=rng)
-    if application == "ppr":
-        return run_frontier_ppr(
-            engine,
-            starts,
-            termination_probability=params["termination_probability"],
-            max_steps=int(params["max_steps"]),
-            rng=rng,
-        )
-    return run_frontier_node2vec(
-        engine, starts, walk_length, p=params["p"], q=params["q"], rng=rng
-    )
 
 
 def shard_serve_main(
@@ -213,7 +192,6 @@ __all__ = [
     "EPOCH_KEY",
     "FULL_STATE_KEY",
     "batch_from_payload",
-    "execute_walk",
     "materialize_local_graph",
     "read_shared_blob",
     "shard_serve_main",

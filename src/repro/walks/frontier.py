@@ -2,12 +2,15 @@
 
 The paper's throughput numbers come from advancing *many* walkers per kernel
 launch, not one walker per Python loop iteration.  This module reproduces
-that execution model on the host: the positions of N concurrent walkers live
-in one NumPy vector, an alive mask tracks which walkers still step, and each
-step hands the whole frontier to the engine's
+that execution model on the host: the alive walkers and their current
+vertices live in two compact NumPy vectors, and each step hands the whole
+vertex vector to the engine's
 :meth:`~repro.engines.base.RandomWalkEngine.sample_frontier` kernel — a
-fused whole-frontier draw for Bingo, or a group-by-vertex dispatch onto the
-vectorized ``sample_many`` / ``sample_batch`` kernels for the baselines.
+fused whole-frontier draw for Bingo, KnightKing and gSampler, or a
+group-by-vertex dispatch onto the vectorized batch kernel for FlowWalker.
+A step costs that one kernel call plus a few NumPy calls; node2vec adds one
+vectorized :meth:`~repro.engines.base.RandomWalkEngine.has_arcs` edge probe
+per rejection round.
 
 The result is a dense walk matrix (walkers × steps, ``-1`` padded) that
 converts back to the scalar :class:`~repro.walks.walker.WalkResult` when the
@@ -72,7 +75,14 @@ class BatchedWalks:
 
 
 class WalkFrontier:
-    """N concurrent walkers advanced one step at a time as NumPy vectors."""
+    """N concurrent walkers advanced one step at a time as NumPy vectors.
+
+    The alive walkers are kept compact: their row indices (ascending) and
+    their current vertices live in two aligned arrays, so a step hands the
+    vertex array straight to the engine's kernel and a step nobody dies in
+    costs one column write and one reassignment.  Deaths compact both
+    arrays with one boolean mask.
+    """
 
     def __init__(
         self,
@@ -89,30 +99,57 @@ class WalkFrontier:
         # Python generators, so scalar-path callers can seed the frontier.
         self.rng = coerce_np_rng(rng)
         self.walk_length = int(walk_length)
-        self.current = np.asarray(list(starts), dtype=np.int64)
-        if self.current.ndim != 1:
+        vertices = np.asarray(list(starts), dtype=np.int64)
+        if vertices.ndim != 1:
             raise ValueError("starts must be a flat sequence of vertex ids")
-        size = len(self.current)
-        self.alive = np.ones(size, dtype=bool)
+        size = len(vertices)
+        self._walkers = np.arange(size, dtype=np.int64)
+        self._vertices = vertices
         columns = min(self.walk_length + 1, _INITIAL_COLUMNS)
         self.matrix = np.full((size, columns), -1, dtype=np.int64)
         if size:
-            self.matrix[:, 0] = self.current
+            self.matrix[:, 0] = vertices
         self.steps_taken = 0
 
     # ------------------------------------------------------------------ #
     # state
     # ------------------------------------------------------------------ #
+    @property
+    def alive(self) -> np.ndarray:
+        """Boolean mask over all walkers: which still step."""
+        mask = np.zeros(self.matrix.shape[0], dtype=bool)
+        mask[self._walkers] = True
+        return mask
+
     def alive_count(self) -> int:
-        return int(self.alive.sum())
+        return len(self._walkers)
 
     def alive_walkers(self) -> np.ndarray:
-        """Indices of walkers that still step."""
-        return np.nonzero(self.alive)[0]
+        """Indices of walkers that still step, ascending."""
+        return self._walkers
+
+    def alive_vertices(self) -> np.ndarray:
+        """Current vertices of the alive walkers, aligned with :meth:`alive_walkers`."""
+        return self._vertices
 
     def kill(self, walkers: np.ndarray) -> None:
         """Retire the given walker indices (their rows stop growing)."""
-        self.alive[walkers] = False
+        self._retain(np.isin(self._walkers, walkers, invert=True))
+
+    def _retain(self, keep: np.ndarray) -> None:
+        """Keep the alive walkers where the (alive-aligned) mask is true."""
+        self._walkers = self._walkers[keep]
+        self._vertices = self._vertices[keep]
+
+    def _slots(self, walkers: np.ndarray) -> np.ndarray:
+        """Positions of alive walker indices in the compact alive arrays."""
+        slots = np.searchsorted(self._walkers, walkers)
+        if len(slots) and (
+            slots.max() >= len(self._walkers)
+            or not np.array_equal(self._walkers[slots], walkers)
+        ):
+            raise ValueError("walkers must be alive walker indices")
+        return slots
 
     # ------------------------------------------------------------------ #
     # the batched sampling step
@@ -120,46 +157,47 @@ class WalkFrontier:
     def propose(self, walkers: np.ndarray) -> np.ndarray:
         """One biased neighbour draw per walker index.
 
-        Engines expose :meth:`~repro.engines.base.RandomWalkEngine.sample_frontier`,
-        which either runs a fused whole-frontier kernel (Bingo) or partitions
-        by vertex and serves each group with one vectorized kernel call.  A
-        plain :class:`~repro.walks.walker.NeighborSampler` without the
-        batched API is walked scalar.  Entries are ``-1`` where the walker
-        sits on a sink vertex.
+        Hands the walkers' vertices to the engine's
+        :meth:`~repro.engines.base.RandomWalkEngine.sample_frontier`, which
+        either runs a fused whole-frontier kernel or partitions by vertex
+        and serves each group with one vectorized kernel call.  Entries
+        are ``-1`` where the walker sits on a sink vertex.
         """
         if len(walkers) == 0:
             return np.empty(0, dtype=np.int64)
-        vertices = self.current[walkers]
-        sampler = getattr(self.engine, "sample_frontier", None)
-        if sampler is not None:
-            return sampler(vertices, self.rng)
-        draws = np.full(len(walkers), -1, dtype=np.int64)
-        # A walker sitting on a vertex outside the sampler's current range
-        # (its vertex was never created, or updates shrank the snapshot the
-        # sampler covers) retires with -1 instead of crashing the walk.
-        limit = self.engine.num_vertices()
-        for position, vertex in enumerate(vertices):
-            if not 0 <= vertex < limit:
-                continue
-            drawn = self.engine.sample_neighbor(int(vertex))
-            draws[position] = -1 if drawn is None else drawn
-        return draws
+        vertices = self._vertices
+        if walkers is not self._walkers:
+            vertices = vertices[self._slots(walkers)]
+        return self.engine.sample_frontier(vertices, self.rng)
 
     def advance(self, walkers: np.ndarray, next_vertices: np.ndarray) -> int:
         """Commit one step: walkers with a ``-1`` draw die, the rest move.
 
-        Returns the number of walkers still alive.  The alive mask only ever
+        ``walkers`` are alive walker indices; passing the
+        :meth:`alive_walkers` array itself takes the compact fast path.
+        Returns the number of walkers still alive.  The alive set only ever
         shrinks — a retired walker can never be stepped again.
         """
+        slots = None if walkers is self._walkers else self._slots(walkers)
         self.steps_taken += 1
         self._ensure_columns(self.steps_taken + 1)
-        stepping = walkers[next_vertices >= 0]
-        dying = walkers[next_vertices < 0]
-        moved = next_vertices[next_vertices >= 0]
-        self.matrix[stepping, self.steps_taken] = moved
-        self.current[stepping] = moved
-        self.alive[dying] = False
-        return self.alive_count()
+        # Dying walkers write -1 over a column that is already -1.
+        self.matrix[walkers, self.steps_taken] = next_vertices
+        moving = next_vertices >= 0
+        if slots is None:
+            if moving.all():
+                self._vertices = next_vertices
+            else:
+                self._walkers = walkers[moving]
+                self._vertices = next_vertices[moving]
+            return len(self._walkers)
+        vertices = self._vertices.copy()
+        vertices[slots[moving]] = next_vertices[moving]
+        self._vertices = vertices
+        keep = np.ones(len(self._walkers), dtype=bool)
+        keep[slots[~moving]] = False
+        self._retain(keep)
+        return len(self._walkers)
 
     def _ensure_columns(self, needed: int) -> None:
         rows, columns = self.matrix.shape
@@ -221,12 +259,13 @@ def run_frontier_ppr(
         raise ValueError("termination_probability must lie in (0, 1]")
     frontier = WalkFrontier(engine, starts, max_steps, rng=rng)
     for _ in range(max_steps):
-        walkers = frontier.alive_walkers()
-        if len(walkers) == 0:
+        alive = frontier.alive_count()
+        if alive == 0:
             break
-        coins = frontier.rng.random(len(walkers))
-        frontier.kill(walkers[coins < termination_probability])
-        walkers = walkers[coins >= termination_probability]
+        survive = frontier.rng.random(alive) >= termination_probability
+        if not survive.all():
+            frontier._retain(survive)
+        walkers = frontier.alive_walkers()
         if len(walkers) == 0:
             break
         frontier.advance(walkers, frontier.propose(walkers))
@@ -246,54 +285,63 @@ def run_frontier_node2vec(
 
     The first step of every walker is a plain first-order draw.  Later steps
     follow the KnightKing strategy batched: the whole pending frontier
-    proposes from the static distribution in grouped kernel calls, the
+    proposes from the static distribution in one kernel call, the
     Equation (1) factors are evaluated against the walkers' previous
-    vertices, and one vectorized coin flip accepts or returns each walker to
-    the pending set.
+    vertices — backtracks and the default ``1/q`` vectorize, and the
+    distance-1 case is one :meth:`~repro.engines.base.RandomWalkEngine.has_arcs`
+    probe per rejection round — and one vectorized coin flip accepts or
+    returns each walker to the pending set.
     """
     if p <= 0 or q <= 0:
         raise ValueError("node2vec hyper-parameters p and q must be positive")
     envelope = max(1.0 / p, 1.0, 1.0 / q)
     frontier = WalkFrontier(engine, starts, walk_length, rng=rng)
-    previous = np.full(len(frontier.current), -1, dtype=np.int64)
+    # Aligned with the compact alive set, like the frontier's own vertices.
+    previous = np.empty(0, dtype=np.int64)
     for step in range(walk_length):
         walkers = frontier.alive_walkers()
         if len(walkers) == 0:
             break
-        resolved = np.full(len(frontier.current), -1, dtype=np.int64)
         if step == 0:
-            resolved[walkers] = frontier.propose(walkers)
+            resolved = frontier.propose(walkers)
         else:
-            pending = walkers
-            for _ in range(_MAX_REJECTION_ROUNDS):
-                if len(pending) == 0:
-                    break
-                proposals = frontier.propose(pending)
-                sinks = proposals < 0
-                # Sink walkers are resolved as dead; the rest face the
-                # acceptance test against their previous vertex.
-                candidates = pending[~sinks]
-                drawn = proposals[~sinks]
-                if len(candidates) == 0:
-                    pending = candidates
-                    break
-                befores = previous[candidates]
-                # Equation (1) factors: backtracks and the default 1/q case
-                # vectorize; only the distance-1 test needs edge lookups.
-                factors = np.full(len(candidates), 1.0 / q, dtype=np.float64)
-                backtrack = drawn == befores
-                factors[backtrack] = 1.0 / p
-                for index in np.nonzero(~backtrack)[0]:
-                    if engine.has_edge(int(befores[index]), int(drawn[index])):
-                        factors[index] = 1.0
-                accepted = frontier.rng.random(len(candidates)) < factors / envelope
-                resolved[candidates[accepted]] = drawn[accepted]
-                pending = candidates[~accepted]
-            else:
-                raise SamplerStateError(
-                    "node2vec frontier rejection failed to accept; check p/q values"
-                )
-        stepped = walkers[resolved[walkers] >= 0]
-        previous[stepped] = frontier.current[stepped]
-        frontier.advance(walkers, resolved[walkers])
+            resolved = _node2vec_step(
+                engine, frontier, previous, 1.0 / p, 1.0 / q, envelope
+            )
+        previous = frontier.alive_vertices()
+        frontier.advance(walkers, resolved)
+        if frontier.alive_count() < len(walkers):
+            previous = previous[resolved >= 0]
     return frontier.finish()
+
+
+def _node2vec_step(engine, frontier, previous, backtrack, default, envelope):
+    """Rejection-sample one node2vec step for every alive walker.
+
+    Works on positions in the compact alive set, so ``previous`` and the
+    frontier's vertices need no per-walker gather.  Returns the accepted
+    draws aligned with the alive set, ``-1`` for walkers on sinks.
+    """
+    vertices = frontier.alive_vertices()
+    resolved = np.full(len(vertices), -1, dtype=np.int64)
+    pending = np.arange(len(vertices))
+    for _ in range(_MAX_REJECTION_ROUNDS):
+        proposals = engine.sample_frontier(vertices[pending], frontier.rng)
+        # Sink walkers are resolved as dead; the rest face the acceptance
+        # test against their previous vertex.
+        live = proposals >= 0
+        candidates = pending[live]
+        if len(candidates) == 0:
+            return resolved
+        drawn = proposals[live]
+        befores = previous[candidates]
+        factors = np.where(engine.has_arcs(befores, drawn), 1.0, default)
+        factors[drawn == befores] = backtrack
+        accepted = frontier.rng.random(len(candidates)) < factors / envelope
+        resolved[candidates[accepted]] = drawn[accepted]
+        pending = candidates[~accepted]
+        if len(pending) == 0:
+            return resolved
+    raise SamplerStateError(
+        "node2vec frontier rejection failed to accept; check p/q values"
+    )

@@ -1,5 +1,6 @@
 """Tests for the dynamic graph substrate."""
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -192,3 +193,39 @@ class TestCopy:
         clone = example_graph.copy()
         for edge in example_graph.edges():
             assert clone.edge_bias(edge.src, edge.dst) == edge.bias
+
+
+class TestHasArcs:
+    @staticmethod
+    def _graph(undirected):
+        graph = DynamicGraph(5, undirected=undirected)
+        for src, dst in [(0, 1), (1, 2), (2, 2), (3, 0), (4, 4), (1, 4)]:
+            graph.add_edge(src, dst, 1.5)
+        return graph
+
+    @pytest.mark.parametrize("undirected", [False, True])
+    def test_matches_has_edge_elementwise(self, undirected):
+        graph = self._graph(undirected)
+        ids = range(-2, graph.num_vertices + 2)
+        pairs = [(src, dst) for src in ids for dst in ids]
+        srcs = np.array([src for src, _ in pairs])
+        dsts = np.array([dst for _, dst in pairs])
+        expected = [
+            src in graph and dst in graph and graph.has_edge(src, dst)
+            for src, dst in pairs
+        ]
+        result = graph.has_arcs(srcs, dsts)
+        assert result.dtype == bool
+        assert result.tolist() == expected
+        # Self-loops are ordinary arcs.
+        assert graph.has_arcs(np.array([2, 4]), np.array([2, 4])).all()
+
+    def test_out_of_range_ids_are_absent_not_errors(self):
+        graph = self._graph(False)
+        with pytest.raises(VertexNotFoundError):
+            graph.has_edge(-1, 0)
+        assert not graph.has_arcs(np.array([-1, 0, 5]), np.array([0, -1, 0])).any()
+
+    def test_empty_input(self):
+        result = self._graph(True).has_arcs(np.array([], dtype=np.int64), [])
+        assert result.shape == (0,) and result.dtype == bool

@@ -80,6 +80,31 @@ class TestShardSubgraph:
         assert not view.has_edge(graph.num_vertices + 1, 0)
         assert view.degree(graph.num_vertices + 5) == 0
 
+    def test_has_arcs_matches_has_edge(self, graph, store):
+        view = store.shard_view(1)
+        ids = np.arange(-2, graph.num_vertices + 2)
+        srcs = np.repeat(ids, len(ids))
+        dsts = np.tile(ids, len(ids))
+        expected = [view.has_edge(int(s), int(d)) for s, d in zip(srcs, dsts)]
+        assert view.has_arcs(srcs, dsts).tolist() == expected
+        assert any(expected)
+        empty = view.has_arcs(np.array([], dtype=np.int64), [])
+        assert empty.shape == (0,) and empty.dtype == bool
+
+    def test_has_arcs_self_loops(self):
+        looped = DynamicGraph.from_edges([(0, 0, 1.0), (0, 1, 2.0), (2, 2, 0.5)])
+        shards = SharedGraphShards.create(looped, partition_graph(looped, 2))
+        try:
+            view = shards.shard_view(0)
+            result = view.has_arcs(np.array([0, 1, 2, 0]), np.array([0, 1, 2, 2]))
+            assert result.tolist() == [True, False, True, False]
+            assert result.tolist() == [
+                looped.has_edge(0, 0), looped.has_edge(1, 1),
+                looped.has_edge(2, 2), looped.has_edge(0, 2),
+            ]
+        finally:
+            shards.close()
+
     def test_edges_iteration(self, graph, store):
         view = store.shard_view(0)
         expected = [(e.src, e.dst, e.bias) for e in graph.edges()]
