@@ -141,62 +141,46 @@ class WalkFrontier:
         self._walkers = self._walkers[keep]
         self._vertices = self._vertices[keep]
 
-    def _slots(self, walkers: np.ndarray) -> np.ndarray:
-        """Positions of alive walker indices in the compact alive arrays."""
-        slots = np.searchsorted(self._walkers, walkers)
-        if len(slots) and (
-            slots.max() >= len(self._walkers)
-            or not np.array_equal(self._walkers[slots], walkers)
-        ):
-            raise ValueError("walkers must be alive walker indices")
-        return slots
+    def _check_alive_set(self, walkers: np.ndarray) -> None:
+        if walkers is not self._walkers and not np.array_equal(walkers, self._walkers):
+            raise ValueError("a step takes the whole alive set: pass alive_walkers()")
 
     # ------------------------------------------------------------------ #
     # the batched sampling step
     # ------------------------------------------------------------------ #
     def propose(self, walkers: np.ndarray) -> np.ndarray:
-        """One biased neighbour draw per walker index.
+        """One biased neighbour draw per alive walker.
 
-        Hands the walkers' vertices to the engine's
-        :meth:`~repro.engines.base.RandomWalkEngine.sample_frontier`, which
-        either runs a fused whole-frontier kernel or partitions by vertex
-        and serves each group with one vectorized kernel call.  Entries
-        are ``-1`` where the walker sits on a sink vertex.
+        ``walkers`` is :meth:`alive_walkers`.  Their vertices go to the
+        engine's :meth:`~repro.engines.base.RandomWalkEngine.sample_frontier`,
+        which either runs a fused whole-frontier kernel or partitions by
+        vertex and serves each group with one vectorized kernel call.
+        Entries are ``-1`` where the walker sits on a sink vertex.
         """
+        self._check_alive_set(walkers)
         if len(walkers) == 0:
             return np.empty(0, dtype=np.int64)
-        vertices = self._vertices
-        if walkers is not self._walkers:
-            vertices = vertices[self._slots(walkers)]
-        return self.engine.sample_frontier(vertices, self.rng)
+        return self.engine.sample_frontier(self._vertices, self.rng)
 
     def advance(self, walkers: np.ndarray, next_vertices: np.ndarray) -> int:
         """Commit one step: walkers with a ``-1`` draw die, the rest move.
 
-        ``walkers`` are alive walker indices; passing the
-        :meth:`alive_walkers` array itself takes the compact fast path.
-        Returns the number of walkers still alive.  The alive set only ever
-        shrinks — a retired walker can never be stepped again.
+        ``walkers`` is :meth:`alive_walkers` and ``next_vertices`` its
+        :meth:`propose` draws.  Returns the number of walkers still alive.
+        The alive set only ever shrinks — a retired walker can never be
+        stepped again.
         """
-        slots = None if walkers is self._walkers else self._slots(walkers)
+        self._check_alive_set(walkers)
         self.steps_taken += 1
         self._ensure_columns(self.steps_taken + 1)
         # Dying walkers write -1 over a column that is already -1.
         self.matrix[walkers, self.steps_taken] = next_vertices
         moving = next_vertices >= 0
-        if slots is None:
-            if moving.all():
-                self._vertices = next_vertices
-            else:
-                self._walkers = walkers[moving]
-                self._vertices = next_vertices[moving]
-            return len(self._walkers)
-        vertices = self._vertices.copy()
-        vertices[slots[moving]] = next_vertices[moving]
-        self._vertices = vertices
-        keep = np.ones(len(self._walkers), dtype=bool)
-        keep[slots[~moving]] = False
-        self._retain(keep)
+        if moving.all():
+            self._vertices = next_vertices
+        else:
+            self._walkers = walkers[moving]
+            self._vertices = next_vertices[moving]
         return len(self._walkers)
 
     def _ensure_columns(self, needed: int) -> None:
