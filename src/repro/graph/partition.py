@@ -460,26 +460,14 @@ class ShardSubgraph:
         return bool(np.any(self.neighbor_array(src) == dst))
 
     def has_arcs(self, srcs: Sequence[int], dsts: Sequence[int]) -> np.ndarray:
-        """Vectorized :meth:`has_edge` over aligned ``(src, dst)`` pairs.
+        """:meth:`has_edge` over aligned ``(src, dst)`` pairs, as a bool array.
 
-        Pairs with an id outside ``[0, num_vertices)`` are absent.  Scans
-        every probed source's CSR row in one pass of array operations.
+        Pairs with an id outside ``[0, num_vertices)`` are absent.
         """
-        srcs = np.asarray(srcs, dtype=np.int64)
-        dsts = np.asarray(dsts, dtype=np.int64)
-        found = np.zeros(len(srcs), dtype=bool)
-        limit = self.num_vertices
-        in_range = (srcs >= 0) & (srcs < limit) & (dsts >= 0) & (dsts < limit)
-        pairs = np.flatnonzero(in_range)
-        lows = self.indptr[srcs[pairs]]
-        lengths = self.indptr[srcs[pairs] + 1] - lows
-        # One entry per (pair, neighbour): its pair and its CSR slot.
-        owner = np.repeat(np.arange(len(pairs)), lengths)
-        row_starts = np.repeat(np.cumsum(lengths) - lengths, lengths)
-        slots = np.repeat(lows, lengths) + np.arange(len(owner)) - row_starts
-        hits = owner[self.targets[slots] == dsts[pairs][owner]]
-        found[pairs[hits]] = True
-        return found
+        pairs = zip(np.asarray(srcs).tolist(), np.asarray(dsts).tolist())
+        return np.fromiter(
+            (self.has_edge(src, dst) for src, dst in pairs), dtype=bool, count=len(srcs)
+        )
 
     def out_edges(self, vertex: int) -> Iterator[Edge]:
         for dst, bias in zip(self.neighbors(vertex), self.neighbor_biases(vertex)):

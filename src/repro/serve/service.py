@@ -90,7 +90,9 @@ def execute_walk(engine, application, starts, walk_length, params, rng):
 
     :class:`GraphService` runs it on its published snapshot engine and
     every shard serve worker runs it on its shard engine, so a served
-    walk takes the same path on both.
+    walk takes the same path on both.  It lives here, not in
+    :mod:`repro.walks.frontier`, because ``perfbench --trace 1`` times
+    served walks by wrapping this module's ``run_frontier_*`` names.
     """
     if application == "deepwalk":
         return run_frontier_deepwalk(engine, starts, walk_length, rng=rng)

@@ -278,7 +278,6 @@ def run_frontier_node2vec(
     """
     if p <= 0 or q <= 0:
         raise ValueError("node2vec hyper-parameters p and q must be positive")
-    envelope = max(1.0 / p, 1.0, 1.0 / q)
     frontier = WalkFrontier(engine, starts, walk_length, rng=rng)
     # Aligned with the compact alive set, like the frontier's own vertices.
     previous = np.empty(0, dtype=np.int64)
@@ -289,9 +288,7 @@ def run_frontier_node2vec(
         if step == 0:
             resolved = frontier.propose(walkers)
         else:
-            resolved = _node2vec_step(
-                engine, frontier, previous, 1.0 / p, 1.0 / q, envelope
-            )
+            resolved = _node2vec_step(engine, frontier, previous, p, q)
         previous = frontier.alive_vertices()
         frontier.advance(walkers, resolved)
         if frontier.alive_count() < len(walkers):
@@ -299,13 +296,14 @@ def run_frontier_node2vec(
     return frontier.finish()
 
 
-def _node2vec_step(engine, frontier, previous, backtrack, default, envelope):
+def _node2vec_step(engine, frontier, previous, p, q):
     """Rejection-sample one node2vec step for every alive walker.
 
     Works on positions in the compact alive set, so ``previous`` and the
     frontier's vertices need no per-walker gather.  Returns the accepted
     draws aligned with the alive set, ``-1`` for walkers on sinks.
     """
+    envelope = max(1.0 / p, 1.0, 1.0 / q)
     vertices = frontier.alive_vertices()
     resolved = np.full(len(vertices), -1, dtype=np.int64)
     pending = np.arange(len(vertices))
@@ -319,8 +317,9 @@ def _node2vec_step(engine, frontier, previous, backtrack, default, envelope):
             return resolved
         drawn = proposals[live]
         befores = previous[candidates]
-        factors = np.where(engine.has_arcs(befores, drawn), 1.0, default)
-        factors[drawn == befores] = backtrack
+        # Equation (1): 1/p for a backtrack, 1 at distance 1, else 1/q.
+        factors = np.where(engine.has_arcs(befores, drawn), 1.0, 1.0 / q)
+        factors[drawn == befores] = 1.0 / p
         accepted = frontier.rng.random(len(candidates)) < factors / envelope
         resolved[candidates[accepted]] = drawn[accepted]
         pending = candidates[~accepted]
