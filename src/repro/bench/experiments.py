@@ -1326,10 +1326,10 @@ def scale_flip(
     * ``full`` — the frontier cache is invalidated wholesale and the
       tables re-concatenated end to end, the pre-delta publication cost.
 
-    The per-vertex sampler tables are primed *before* either timing: those
+    The per-vertex sampler caches are primed *before* either timing: those
     are maintained by the update path in both worlds, so the timed regions
-    isolate pure publication cost — O(touched) slice repair vs O(V)
-    re-concatenation.  At a fixed batch size the delta median must stay
+    isolate publication cost — each slice's gather from its sampler plus
+    the O(touched) slice repair vs the O(V) re-concatenation.  At a fixed batch size the delta median must stay
     flat while vertices grow 4x and the full-rebuild median grows roughly
     linearly with the vertex count — the gap ``scripts/check_bench.py``
     gates on through the committed ``BENCH_PR6.json``.
@@ -1366,22 +1366,15 @@ def scale_flip(
                 f"engine {engine!r} does not publish fused frontier tables; "
                 "scale_flip measures the fused-table warm path"
             )
-        samplers = getattr(instance, "_tables", None)
-        if samplers is None:
-            samplers = instance._samplers
+        tables = instance.frontier_tables
 
         def prime(vertices) -> None:
-            # Re-derive the touched vertices' sampler tables outside the
+            # Re-derive the touched vertices' sampler caches outside the
             # timed regions: sampler maintenance happens on the update path
-            # in both the delta and the pre-delta world.
+            # in both the delta and the pre-delta world.  Slice parts are
+            # not cached, so both timed arms still pay their gather.
             for vertex in vertices:
-                sampler = samplers.get(vertex)
-                if sampler is None or len(sampler) == 0:
-                    continue
-                if hasattr(instance, "_vertex_parts"):
-                    instance._vertex_parts(vertex, sampler)
-                else:
-                    sampler.numpy_tables()
+                instance._frontier_parts(vertex)
 
         warm()  # the one cold build; every flip below is a delta against it
         delta_seconds: list[float] = []
@@ -1398,7 +1391,7 @@ def scale_flip(
                 ]
             )
             instance.apply_batch(batch)
-            prime(sorted(instance._frontier_dirty))
+            prime(touched)
             # Slice repair is idempotent (same widths patch in place), so
             # re-dirtying the same touched set and repairing again measures
             # the same work; min-of-repeats strips scheduler noise from the
@@ -1406,7 +1399,7 @@ def scale_flip(
             samples = []
             for attempt in range(repeats):
                 if attempt:
-                    instance._frontier_dirty.update(touched)
+                    tables.mark_dirty(touched)
                 started = time.perf_counter()
                 delta = warm()
                 samples.append(time.perf_counter() - started)
@@ -1418,12 +1411,11 @@ def scale_flip(
             # the whole cache, so publication re-concatenated every slice.
             samples = []
             for attempt in range(repeats):
-                instance._frontier_cache = None
-                instance._frontier_dirty.clear()
+                tables.invalidate()
                 if attempt == 0:
-                    prime(samplers)
+                    prime(range(instance.num_vertices()))
                 started = time.perf_counter()
-                instance._frontier_tables()
+                warm()
                 samples.append(time.perf_counter() - started)
             full_seconds.append(min(samples))
         flips = num_batches

@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
+from repro.engines.sliced_tables import FrontierDelta, FusedTables, SliceParts
 from repro.errors import UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_batch import UpdateBatch
@@ -392,3 +393,64 @@ class RandomWalkEngine(abc.ABC):
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         vertices = self.graph.num_vertices if self.graph is not None else 0
         return f"{type(self).__name__}(vertices={vertices})"
+
+
+class FusedFrontierEngine(RandomWalkEngine):
+    """An engine whose fused frontier kernel reads sliced per-vertex tables.
+
+    A subclass declares :attr:`frontier_schemas` and implements
+    :meth:`_frontier_parts`; :attr:`frontier_tables` (a
+    :class:`~repro.engines.sliced_tables.FusedTables`) owns the rest of
+    the table lifecycle.  Updates mark their touched vertices with
+    ``frontier_tables.mark_dirty``, and kernels read
+    ``frontier_tables.views()``.  Per-vertex scalar samplers live in
+    ``_samplers``.
+    """
+
+    #: Store name -> column name -> dtype of the fused tables.
+    frontier_schemas: dict[str, dict[str, type]] = {}
+
+    def __init__(self, *, rng: RandomSource = None) -> None:
+        super().__init__(rng=rng)
+        self._samplers: dict = {}
+        self.frontier_tables = FusedTables(
+            self.frontier_schemas, self._frontier_parts, self.num_vertices
+        )
+
+    @abc.abstractmethod
+    def _frontier_parts(self, vertex: int) -> SliceParts | None:
+        """``vertex``'s slice of every store (``None`` without out-edges)."""
+
+    def warm_frontier_tables(self) -> FrontierDelta:
+        """Repair the fused tables now; reports the slices it re-derived."""
+        return self.frontier_tables.warm()
+
+    # ------------------------------------------------------------------ #
+    # cross-process frontier state (the shard-router transport)
+    # ------------------------------------------------------------------ #
+    def export_frontier_state(self) -> dict[str, np.ndarray]:
+        """The fused tables' full state as plain arrays (shard boot payload)."""
+        return self.frontier_tables.export_state()
+
+    def adopt_frontier_state(self, state: dict[str, np.ndarray]) -> None:
+        """Replace the fused tables with a writer's exported snapshot.
+
+        A shard replica keeps its own (owned-only) samplers but walks the
+        *global* adopted tables; later flips arrive as
+        :meth:`apply_frontier_patch` slices.
+        """
+        self.frontier_tables.adopt_state(state)
+
+    def export_frontier_patch(self, vertices) -> dict[str, np.ndarray]:
+        """The touched vertices' slices (self-contained, layout-free)."""
+        return self.frontier_tables.export_patch(vertices)
+
+    def apply_frontier_patch(self, payload: dict[str, np.ndarray]) -> None:
+        """Apply a writer's patch; untouched slices stay untouched.
+
+        The touched vertices' scalar samplers are stale afterwards and
+        are dropped.
+        """
+        for vertex in payload["vertices"].tolist():
+            self._samplers.pop(vertex, None)
+        self.frontier_tables.apply_patch(payload)

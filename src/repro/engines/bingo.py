@@ -30,18 +30,11 @@ from repro.engines.base import (
     PHASE_DELETE,
     PHASE_INSERT,
     PHASE_REBUILD,
-    RandomWalkEngine,
+    FusedFrontierEngine,
     live_frontier,
     scatter_live,
 )
-from repro.engines.sliced_tables import (
-    FrontierDelta,
-    SlicedTableStore,
-    adopt_store_state,
-    export_store_state,
-    mark_frontier_dirty,
-    warm_frontier_delta,
-)
+from repro.engines.sliced_tables import SliceParts
 from repro.errors import UpdateError
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernels import (
@@ -54,7 +47,7 @@ from repro.graph.update_stream import GraphUpdate
 from repro.utils.rng import RandomSource, spawn_rng
 
 
-class BingoEngine(RandomWalkEngine):
+class BingoEngine(FusedFrontierEngine):
     """GPU-style random walk engine built on radix-based bias factorization.
 
     Parameters
@@ -75,6 +68,19 @@ class BingoEngine(RandomWalkEngine):
 
     name = "bingo"
     supports_batch = True
+    # Two stores: each vertex's inter-group alias slice, and its flat
+    # member table.  ``entry_offset`` is local to the vertex's own flat
+    # segment, so the stores patch and compact independently.
+    frontier_schemas = {
+        "inter": {
+            "prob": np.float64,
+            "alias": np.int64,
+            "entry_offset": np.int64,
+            "entry_size": np.int64,
+            "entry_decimal": np.bool_,
+        },
+        "flat": {"members": np.int64},
+    }
 
     def __init__(
         self,
@@ -97,28 +103,6 @@ class BingoEngine(RandomWalkEngine):
         self.conversion_tracker = ConversionTracker()
         self.device = device if device is not None else SimulatedDevice()
         self.batch_stats = BatchStatistics()
-        self._samplers: dict[int, BingoVertexSampler] = {}
-        # Concatenated per-vertex sampling tables for the fused frontier
-        # kernel, kept as sliced segments in two coupled stores: the
-        # inter-group alias slices and the flat member table they point
-        # into.  An update batch marks its touched vertices dirty and the
-        # next table build repairs exactly those slices; the per-vertex
-        # parts (with local offsets) are cached in ``_vertex_tables``.
-        self._frontier_cache: dict[str, np.ndarray] | None = None
-        self._vertex_tables: dict[int, tuple] = {}
-        self._frontier_dirty: set[int] = set()
-        self._inter_store = SlicedTableStore(
-            {
-                "prob": np.float64,
-                "alias": np.int64,
-                "entry_offset": np.int64,
-                "entry_size": np.int64,
-                "entry_decimal": np.bool_,
-            }
-        )
-        self._flat_store = SlicedTableStore({"flat": np.int64})
-        #: Cold/compaction full concatenations performed (delta accounting).
-        self.frontier_full_builds = 0
 
     # ------------------------------------------------------------------ #
     # construction
@@ -136,9 +120,7 @@ class BingoEngine(RandomWalkEngine):
                 biases = [edge.bias for edge in graph.edges()]
             self.lam = choose_amortization_factor(biases) if biases else 1.0
         self._samplers = {}
-        self._frontier_cache = None
-        self._vertex_tables = {}
-        self._frontier_dirty.clear()
+        self.frontier_tables.invalidate()
         for vertex in self._build_vertex_ids():
             if graph.degree(vertex) == 0:
                 continue
@@ -185,8 +167,7 @@ class BingoEngine(RandomWalkEngine):
     # streaming updates: O(K) per event plus one inter-group rebuild
     # ------------------------------------------------------------------ #
     def _on_insert(self, src: int, dst: int, bias: float) -> None:
-        mark_frontier_dirty(self, (src,))
-        self._vertex_tables.pop(src, None)
+        self.frontier_tables.mark_dirty((src,))
         sampler = self._samplers.get(src)
         if sampler is None:
             sampler = self._new_sampler(src)
@@ -197,8 +178,7 @@ class BingoEngine(RandomWalkEngine):
         self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
 
     def _on_delete(self, src: int, dst: int) -> None:
-        mark_frontier_dirty(self, (src,))
-        self._vertex_tables.pop(src, None)
+        self.frontier_tables.mark_dirty((src,))
         sampler = self._samplers.get(src)
         if sampler is None or not sampler.contains(dst):
             raise UpdateError(f"Bingo has no sampling state for edge ({src}, {dst})")
@@ -234,7 +214,7 @@ class BingoEngine(RandomWalkEngine):
         batch = UpdateBatch.coerce(updates)
         stats = BatchStatistics()
         groups = batch.group_by_source()
-        mark_frontier_dirty(self, (group.vertex for group in groups))
+        self.frontier_tables.mark_dirty(group.vertex for group in groups)
         stats.touched_vertices = len(groups)
         highest = batch.max_vertex()
         if highest >= 0:
@@ -245,7 +225,6 @@ class BingoEngine(RandomWalkEngine):
         plans = []
         for group in groups:
             vertex = group.vertex
-            self._vertex_tables.pop(vertex, None)
             deletions, insert_dsts, insert_biases, cancelled = group.normalize(
                 partial(graph.has_edges, vertex)
             )
@@ -336,12 +315,11 @@ class BingoEngine(RandomWalkEngine):
         graph = self._require_graph()
         stats = BatchStatistics()
         grouped = group_updates_by_vertex(updates)
-        mark_frontier_dirty(self, grouped)
+        self.frontier_tables.mark_dirty(grouped)
         stats.touched_vertices = len(grouped)
 
         def process_vertex(item) -> None:
             vertex, vertex_updates = item
-            self._vertex_tables.pop(vertex, None)
             graph.ensure_vertex(vertex)
             for update in vertex_updates:
                 graph.ensure_vertex(update.dst)
@@ -414,309 +392,46 @@ class BingoEngine(RandomWalkEngine):
     # ------------------------------------------------------------------ #
     # fused frontier kernel
     # ------------------------------------------------------------------ #
-    def _vertex_parts(self, vertex: int, sampler: BingoVertexSampler) -> tuple:
-        parts = self._vertex_tables.get(vertex)
-        if parts is None:
-            parts = self._build_vertex_table(sampler)
-            self._vertex_tables[vertex] = parts
-        return parts
+    def _frontier_parts(self, vertex: int) -> SliceParts | None:
+        """One vertex's slices of both stores, every offset segment-local.
 
-    def _set_vertex_slices(self, vertex: int, parts: tuple) -> None:
-        """Write one vertex's segments into both stores (flat first).
-
-        The inter store's ``entry_offset`` entries are *global* positions
-        in the flat member table, so the flat segment must land before its
-        offset is known.
+        The inter slice is the vertex's inter-group alias table; each of
+        its entries points at a group's members inside the vertex's own
+        flat slice (``entry_offset`` / ``entry_size``).  Entries landing
+        in a decimal group are flagged and re-resolved by the per-vertex
+        rejection kernel (they are rare by the choice of λ).
         """
-        prob, alias, entry_offset, entry_size, entry_decimal, flat = parts
-        flat_offset = self._flat_store.set_slice(vertex, {"flat": flat})
-        self._inter_store.set_slice(
-            vertex,
-            {
-                "prob": prob,
-                "alias": alias,
-                "entry_offset": flat_offset + entry_offset,
-                "entry_size": entry_size,
-                "entry_decimal": entry_decimal,
-            },
-        )
-
-    def _rebuild_frontier_stores(self) -> None:
-        """Cold full concatenation of both stores from the parts cache.
-
-        Also the compaction fallback: flat-store compaction moves segments
-        the inter store's global ``entry_offset`` values point into, so
-        instead of rewriting offsets piecemeal both stores are re-packed
-        from the (hot) per-vertex parts cache in one pass.  Stale parts of
-        vertices whose samplers dropped to zero edges are evicted here.
-        """
-        graph = self._require_graph()
-        self.frontier_full_builds += 1
-        self._frontier_dirty.clear()
-        self._inter_store.reset(graph.num_vertices)
-        self._flat_store.reset(graph.num_vertices)
-        live: set[int] = set()
-        for vertex, sampler in self._samplers.items():
-            if len(sampler) == 0:
-                continue
-            live.add(vertex)
-            self._set_vertex_slices(vertex, self._vertex_parts(vertex, sampler))
-        for vertex in [v for v in self._vertex_tables if v not in live]:
-            del self._vertex_tables[vertex]
-
-    def _frontier_tables(self) -> dict[str, np.ndarray]:
-        """Per-vertex sampling tables concatenated into global arrays.
-
-        One flattened structure serves the whole graph: per-vertex slices of
-        the inter-group alias arrays (``group_offset`` / ``group_count``)
-        select a group with a fused bucket-and-toss, and per-inter-entry
-        slices of a global member table (``entry_offset`` / ``entry_size``)
-        resolve the intra-group uniform pick — so a frontier of N walkers on
-        arbitrary vertices advances with a fixed number of NumPy operations.
-        Entries landing in a decimal group are flagged and re-resolved by
-        the per-vertex rejection kernel (they are rare by the choice of λ).
-        Built cold once; afterwards an update batch marks its touched
-        vertices in ``_frontier_dirty`` and this repairs exactly those
-        slices in the sliced stores, so a flip costs O(touched), not O(V)
-        (compaction of either store falls back to the full re-pack).
-        """
-        if self._frontier_cache is not None and not self._frontier_dirty:
-            return self._frontier_cache
-        graph = self._require_graph()
-        if self._frontier_cache is None:
-            self._rebuild_frontier_stores()
-        else:
-            self._inter_store.ensure_vertices(graph.num_vertices)
-            self._flat_store.ensure_vertices(graph.num_vertices)
-            for vertex in sorted(self._frontier_dirty):
-                sampler = self._samplers.get(vertex)
-                if sampler is None or len(sampler) == 0:
-                    # Evict, don't skip: a vertex churned down to zero edges
-                    # must release both its slices and its parts cache.
-                    self._vertex_tables.pop(vertex, None)
-                    self._inter_store.clear_slice(vertex)
-                    self._flat_store.clear_slice(vertex)
-                    continue
-                self._set_vertex_slices(vertex, self._vertex_parts(vertex, sampler))
-            self._frontier_dirty.clear()
-            if self._inter_store.needs_compaction() or self._flat_store.needs_compaction():
-                self._rebuild_frontier_stores()
-        # Re-derive the view dict every repair: capacity growth and
-        # compaction replace the backing arrays.
-        self._refresh_frontier_views()
-        return self._frontier_cache
-
-    def _refresh_frontier_views(self) -> None:
-        self._frontier_cache = {
-            "group_offset": self._inter_store.seg_offset,
-            "group_count": self._inter_store.seg_length,
-            "prob": self._inter_store.column("prob"),
-            "alias": self._inter_store.column("alias"),
-            "entry_offset": self._inter_store.column("entry_offset"),
-            "entry_size": self._inter_store.column("entry_size"),
-            "entry_decimal": self._inter_store.column("entry_decimal"),
-            "flat": self._flat_store.column("flat"),
-        }
-
-    def warm_frontier_tables(self) -> FrontierDelta:
-        """Repair the fused tables now; reports the slices it re-derived."""
-        return warm_frontier_delta(self)
-
-    # ------------------------------------------------------------------ #
-    # cross-process frontier state (the shard-router transport)
-    # ------------------------------------------------------------------ #
-    def export_frontier_state(self) -> dict[str, np.ndarray]:
-        """Both stores' full state as plain arrays (the shard boot payload).
-
-        The inter store's global ``entry_offset`` values stay valid
-        verbatim because the flat heap ships whole — offsets reference
-        the same positions on the adopting side.
-        """
-        self._frontier_tables()
-        state = {
-            "num_vertices": np.array(
-                [self._require_graph().num_vertices], dtype=np.int64
-            )
-        }
-        state.update(export_store_state(self._inter_store, "inter_"))
-        state.update(export_store_state(self._flat_store, "flat_"))
-        return state
-
-    def adopt_frontier_state(self, state: dict[str, np.ndarray]) -> None:
-        """Replace the fused tables with a writer's exported snapshot.
-
-        A shard replica keeps its own (owned-only) samplers but walks the
-        *global* adopted tables; subsequent flips arrive as
-        :meth:`apply_frontier_patch` slices instead of fresh snapshots.
-        """
-        adopt_store_state(self._inter_store, state, "inter_")
-        adopt_store_state(self._flat_store, state, "flat_")
-        self._frontier_dirty.clear()
-        self._refresh_frontier_views()
-
-    def export_frontier_patch(self, vertices) -> dict[str, np.ndarray]:
-        """The touched vertices' slices of both stores, offsets made local.
-
-        ``entry_offset`` entries are global positions in *this* engine's
-        flat heap; the replica's heap packs the same slices at different
-        positions, so the patch carries offsets relative to each vertex's
-        own flat segment and :meth:`apply_frontier_patch` re-bases them —
-        the exact discipline of :meth:`_set_vertex_slices`.
-        """
-        self._frontier_tables()
-        inter, flat = self._inter_store, self._flat_store
-        ids = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
-        inter_lengths = np.zeros(len(ids), dtype=np.int64)
-        flat_lengths = np.zeros(len(ids), dtype=np.int64)
-        in_directory = ids < inter.num_vertices
-        inter_lengths[in_directory] = inter.seg_length[ids[in_directory]]
-        flat_lengths[in_directory] = flat.seg_length[ids[in_directory]]
-        payload: dict[str, np.ndarray] = {
-            "vertices": ids,
-            "inter_lengths": inter_lengths,
-            "flat_lengths": flat_lengths,
-            "num_vertices": np.array(
-                [self._require_graph().num_vertices], dtype=np.int64
-            ),
-        }
-        for name in ("prob", "alias", "entry_offset", "entry_size", "entry_decimal"):
-            column = inter.column(name)
-            pieces = [
-                column[inter.seg_offset[v] : inter.seg_offset[v] + length]
-                for v, length in zip(ids, inter_lengths)
-                if length > 0
-            ]
-            payload[name] = (
-                np.concatenate(pieces)
-                if pieces
-                else np.empty(0, dtype=column.dtype)
-            )
-        flat_column = flat.column("flat")
-        flat_pieces = [
-            flat_column[flat.seg_offset[v] : flat.seg_offset[v] + length]
-            for v, length in zip(ids, flat_lengths)
-            if length > 0
-        ]
-        payload["flat"] = (
-            np.concatenate(flat_pieces)
-            if flat_pieces
-            else np.empty(0, dtype=np.int64)
-        )
-        # Globals -> locals: subtract each vertex's flat segment base.
-        bases = np.zeros(len(ids), dtype=np.int64)
-        bases[in_directory] = flat.seg_offset[ids[in_directory]]
-        payload["entry_offset"] = payload["entry_offset"] - np.repeat(
-            bases, inter_lengths
-        )
-        return payload
-
-    def apply_frontier_patch(self, payload: dict[str, np.ndarray]) -> None:
-        """Apply a writer's :meth:`export_frontier_patch` to this replica.
-
-        Mirrors :meth:`_set_vertex_slices`: each vertex's flat slice lands
-        first and its fresh offset re-bases the local ``entry_offset``
-        entries.  Touched vertices' scalar samplers are evicted (stale);
-        the decimal fallback rebuilds them lazily from the (kept-fresh)
-        local graph.
-        """
-        inter, flat = self._inter_store, self._flat_store
-        num_vertices = int(payload["num_vertices"][0])
-        inter.ensure_vertices(num_vertices)
-        flat.ensure_vertices(num_vertices)
-        inter_cursor = 0
-        flat_cursor = 0
-        for position, v in enumerate(payload["vertices"]):
-            vertex = int(v)
-            inter_length = int(payload["inter_lengths"][position])
-            flat_length = int(payload["flat_lengths"][position])
-            self._samplers.pop(vertex, None)
-            self._vertex_tables.pop(vertex, None)
-            if vertex >= inter.num_vertices:
-                inter.ensure_vertices(vertex + 1)
-                flat.ensure_vertices(vertex + 1)
-            if inter_length == 0:
-                inter.clear_slice(vertex)
-                flat.clear_slice(vertex)
-                continue
-            flat_offset = flat.set_slice(
-                vertex,
-                {"flat": payload["flat"][flat_cursor : flat_cursor + flat_length]},
-            )
-            inter.set_slice(
-                vertex,
-                {
-                    "prob": payload["prob"][inter_cursor : inter_cursor + inter_length],
-                    "alias": payload["alias"][inter_cursor : inter_cursor + inter_length],
-                    "entry_offset": payload["entry_offset"][
-                        inter_cursor : inter_cursor + inter_length
-                    ]
-                    + flat_offset,
-                    "entry_size": payload["entry_size"][
-                        inter_cursor : inter_cursor + inter_length
-                    ],
-                    "entry_decimal": payload["entry_decimal"][
-                        inter_cursor : inter_cursor + inter_length
-                    ],
-                },
-            )
-            inter_cursor += inter_length
-            flat_cursor += flat_length
-        if inter.needs_compaction() or flat.needs_compaction():
-            self._compact_replica_stores()
-        self._frontier_dirty.clear()
-        self._refresh_frontier_views()
-
-    def _compact_replica_stores(self) -> None:
-        """Compact both stores without the writer's per-vertex parts cache.
-
-        The writer-side compaction fallback re-packs from
-        ``_vertex_tables``; a replica adopted its tables over the wire and
-        has no such cache, so it compacts the heaps directly and re-bases
-        the global ``entry_offset`` entries by each vertex's flat-segment
-        displacement.
-        """
-        flat = self._flat_store
-        inter = self._inter_store
-        old_flat_offset = flat.seg_offset.copy()
-        flat.compact()
-        shift = flat.seg_offset - old_flat_offset
-        entry_offset = inter.column("entry_offset")
-        for vertex in np.nonzero(inter.seg_length > 0)[0]:
-            if shift[vertex] == 0:
-                continue
-            start = inter.seg_offset[vertex]
-            entry_offset[start : start + inter.seg_length[vertex]] += shift[vertex]
-        inter.compact()
-
-    @staticmethod
-    def _build_vertex_table(sampler: BingoVertexSampler) -> tuple:
-        """One vertex's slice of the fused tables (offsets still local)."""
+        sampler = self._samplers.get(vertex)
+        if sampler is None or len(sampler) == 0:
+            return None
         if sampler._inter_dirty:
             sampler.rebuild()
         ids, lut, flat, offsets, sizes = sampler._batch_cache()
         group_ids, prob, alias = sampler._inter_group.numpy_tables()
         slots = lut[group_ids + 1]
-        # Translate neighbour indices to neighbour ids once, here, so the
-        # query path gathers final vertex ids directly.
-        return (
-            prob,
-            alias,
-            offsets[slots],
-            sizes[slots],
-            group_ids == DECIMAL_GROUP_KEY,
-            ids[flat],
-        )
+        return {
+            "inter": {
+                "prob": prob,
+                "alias": alias,
+                "entry_offset": offsets[slots],
+                "entry_size": sizes[slots],
+                "entry_decimal": group_ids == DECIMAL_GROUP_KEY,
+            },
+            # Translate neighbour indices to neighbour ids once, here, so
+            # the query path gathers final vertex ids directly.
+            "flat": {"members": ids[flat]},
+        }
 
     def _sample_frontier(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
-        tables = self._frontier_tables()
+        tables = self.frontier_tables.views()
         # Sinks and out-of-range vertices draw -1, matching the scalar path.
-        live, query, sizes = live_frontier(tables["group_count"], vertices)
+        live, query, sizes = live_frontier(tables["inter_length"], vertices)
         width = len(query)
         if width == 0:
             return np.full(len(vertices), -1, dtype=np.int64)
-        offsets = tables["group_offset"][query]
+        offsets = tables["inter_offset"][query]
 
         uniforms = rng.random(3 * width)
         first = uniforms[:width]
@@ -732,10 +447,12 @@ class BingoEngine(RandomWalkEngine):
         )
         # Stage 2 — vectorized intra-group uniform pick via the member table.
         entry_sizes = tables["entry_size"][chosen]
-        positions = tables["entry_offset"][chosen] + np.minimum(
-            (third * entry_sizes).astype(np.int64), entry_sizes - 1
+        positions = (
+            tables["flat_offset"][query]
+            + tables["entry_offset"][chosen]
+            + np.minimum((third * entry_sizes).astype(np.int64), entry_sizes - 1)
         )
-        drawn = tables["flat"][positions]
+        drawn = tables["members"][positions]
 
         decimal_mask = tables["entry_decimal"][chosen]
         if decimal_mask.any():

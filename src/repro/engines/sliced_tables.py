@@ -1,39 +1,37 @@
 """Per-vertex sliced storage for the fused frontier tables.
 
-The fused frontier kernels (PR 1) gather from *global* concatenated
-arrays — one slice per vertex — so a frontier of N walkers advances in a
-fixed number of NumPy operations.  Until this PR the concatenation was a
-monolith: any update invalidated the whole cache and the next query (or
-the serve writer's warming pass) re-concatenated every vertex, an O(V)
-cost per epoch that made the writer thread the scale ceiling.
-
-:class:`SlicedTableStore` turns the monolith into a segment heap with a
-per-vertex directory, the same amortized-doubling discipline
-``DynamicGraph`` uses for its adjacency columns:
+The fused frontier kernels gather from *global* concatenated arrays —
+one slice per vertex — so a frontier of N walkers advances in a fixed
+number of NumPy operations.  :class:`SlicedTableStore` keeps such a
+concatenation as a segment heap with a per-vertex directory, the same
+amortized-doubling discipline ``DynamicGraph`` uses for its adjacency
+columns:
 
 * Each vertex owns one segment ``[seg_offset[v], seg_offset[v] +
   seg_length[v])`` shared by every column in the store's schema.
 * Re-deriving a vertex whose slice did not grow patches the segment in
   place; a grown slice is appended at the tail (capacity-doubled) and
   the old segment becomes waste.
-* When waste exceeds the live payload the store compacts — one
+* When waste exceeds the live payload the store compacts in place — one
   vectorized gather that re-packs every live segment — so the amortized
   cost of a flip stays proportional to the vertices the batch touched,
   never to the graph.
 
-Engines keep a ``_frontier_dirty`` set instead of dropping their cache:
-an update marks its touched vertices, and the next
-:meth:`~repro.engines.base.RandomWalkEngine` table build repairs exactly
-those slices.  :func:`warm_frontier_delta` wraps that repair for the
-serve writer and reports what it cost as a :class:`FrontierDelta` — the
-unit the epoch-delta publication path ships instead of a rebuilt world.
+:class:`FusedTables` is the one owner of an engine's stores.  An engine
+supplies its store schemas and one function, vertex → that vertex's
+slices; the owner does the cold build, the dirty-set repair, compaction,
+and the cross-process state and patch codec.  Every value inside a slice
+is local to the vertex's own segments, so each store patches and
+compacts independently of the others.  :meth:`FusedTables.warm` reports
+what a repair cost as a :class:`FrontierDelta` — the unit the
+epoch-delta publication path ships instead of a rebuilt world.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from collections.abc import Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -46,6 +44,9 @@ _COMPACTION_SLACK = 1024
 #: Smallest data-column capacity allocated once a store holds anything.
 _MIN_CAPACITY = 16
 
+#: One vertex's slices: store name -> column name -> values.
+SliceParts = Mapping[str, Mapping[str, np.ndarray]]
+
 
 @dataclass(frozen=True)
 class FrontierDelta:
@@ -54,19 +55,27 @@ class FrontierDelta:
     This is the publication unit of the epoch-delta serve path: after a
     batch is applied, warming re-derives ``vertices`` slices (the union
     of the dirty-sets of the applied and caught-up batches) instead of
-    re-concatenating the world.  ``full_rebuild`` marks the repairs that
-    did cost O(V) — the cold first build and the amortized compaction
-    fallback — so the serve stats can account them separately.
+    re-concatenating the world.  Compaction re-packs the stores in place
+    and stays part of the delta; only the cold first build (a fresh or
+    reset engine) costs O(V) and is marked ``full_rebuild``, so the serve
+    stats can account it separately.
     """
 
     #: Number of vertex slices re-derived by this repair.
     vertices: int
-    #: True when the repair rebuilt the whole concatenation.
+    #: True when the repair was a cold build of every slice.
     full_rebuild: bool
     #: The ids of the repaired slices (``None`` for full rebuilds, whose
     #: "touched set" is the world).  The shard router serializes exactly
     #: these slices into the cross-process flip payload.
     vertex_ids: tuple[int, ...] | None = None
+
+
+def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Positions of the segments ``[start, start + length)``, back to back."""
+    ends = np.cumsum(lengths)
+    total = int(ends[-1]) if len(ends) else 0
+    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
 
 
 class SlicedTableStore:
@@ -83,9 +92,9 @@ class SlicedTableStore:
     def __init__(self, schema: Mapping[str, np.dtype]) -> None:
         if not schema:
             raise ReproError("a sliced table store needs at least one column")
-        self._schema = {name: np.dtype(dtype) for name, dtype in schema.items()}
+        self.schema = {name: np.dtype(dtype) for name, dtype in schema.items()}
         self._columns: dict[str, np.ndarray] = {
-            name: np.empty(0, dtype=dtype) for name, dtype in self._schema.items()
+            name: np.empty(0, dtype=dtype) for name, dtype in self.schema.items()
         }
         self.seg_offset = np.zeros(0, dtype=np.int64)
         self.seg_length = np.zeros(0, dtype=np.int64)
@@ -148,10 +157,10 @@ class SlicedTableStore:
         tail and the old segment is orphaned.  Either way the directory
         points at consistent data when this returns.
         """
-        if set(parts) != set(self._schema):
+        if set(parts) != set(self.schema):
             raise ReproError(
                 "slice parts must cover exactly the store schema: expected "
-                f"{sorted(self._schema)}, got {sorted(parts)}"
+                f"{sorted(self.schema)}, got {sorted(parts)}"
             )
         length = len(next(iter(parts.values())))
         for name, values in parts.items():
@@ -209,61 +218,221 @@ class SlicedTableStore:
     def compact(self) -> None:
         """Re-pack every live segment contiguously (one vectorized gather)."""
         live_vertices = np.nonzero(self.seg_length > 0)[0]
-        if len(live_vertices) == 0:
-            self.used = 0
-            self.live = 0
-            return
         # Stable layout: keep the segments in their current storage order.
         live_vertices = live_vertices[np.argsort(self.seg_offset[live_vertices], kind="stable")]
         lengths = self.seg_length[live_vertices]
-        ends = np.cumsum(lengths)
-        total = int(ends[-1])
-        out_starts = ends - lengths
-        # For each packed position, the source position it pulls from:
-        # segment v's packed entries [start, start+len) copy from
-        # [old_offset, old_offset+len).  Fancy indexing gathers into a
-        # fresh array first, so overlapping moves are safe.
-        gather = np.repeat(self.seg_offset[live_vertices] - out_starts, lengths) + np.arange(
-            total, dtype=np.int64
-        )
+        # Fancy indexing gathers into a fresh array first, so overlapping
+        # moves are safe.
+        gather = _segment_positions(self.seg_offset[live_vertices], lengths)
+        total = len(gather)
         for column in self._columns.values():
             column[:total] = column[gather]
-        self.seg_offset[live_vertices] = out_starts
+        self.seg_offset[live_vertices] = np.cumsum(lengths) - lengths
         self.used = total
         self.live = total
 
+    # ------------------------------------------------------------------ #
+    # cross-process state (full snapshots and O(touched) slice patches)
+    # ------------------------------------------------------------------ #
+    def export_state(self, prefix: str) -> dict[str, np.ndarray]:
+        """The full state as plain arrays (directory + live columns).
 
-def mark_frontier_dirty(engine, vertices: Iterable[int]) -> None:
-    """Record ``vertices`` as needing slice repair on the next table build.
+        Only the prefix below the high-water mark ships; segment offsets
+        reference positions within that prefix, so they stay valid
+        verbatim on the adopting side.
+        """
+        state = {
+            prefix + "seg_offset": self.seg_offset.copy(),
+            prefix + "seg_length": self.seg_length.copy(),
+            prefix + "counters": np.array([self.used, self.live], dtype=np.int64),
+        }
+        for name, column in self._columns.items():
+            state[prefix + name] = column[: self.used].copy()
+        return state
 
-    Before the first build there is nothing to repair incrementally —
-    the cache is still ``None`` and the next :meth:`_frontier_tables`
-    call performs the cold full concatenation anyway.
+    def adopt_state(self, state: Mapping[str, np.ndarray], prefix: str) -> None:
+        """Replace the contents with an :meth:`export_state` snapshot."""
+        used, live = (int(value) for value in state[prefix + "counters"])
+        self.seg_offset = np.asarray(state[prefix + "seg_offset"], dtype=np.int64).copy()
+        self.seg_length = np.asarray(state[prefix + "seg_length"], dtype=np.int64).copy()
+        self.used = used
+        self.live = live
+        for name, dtype in self.schema.items():
+            column = np.empty(used, dtype=dtype)
+            column[:] = state[prefix + name][:used]
+            self._columns[name] = column
+
+    def export_slices(self, vertices: np.ndarray, prefix: str) -> dict[str, np.ndarray]:
+        """``vertices``' segments: per-vertex ``lengths`` + columns back to back.
+
+        A length of zero means "this vertex's slice was cleared" on the
+        applying side.
+        """
+        lengths = self.seg_length[vertices]
+        gather = _segment_positions(self.seg_offset[vertices], lengths)
+        payload = {prefix + "lengths": lengths}
+        for name, column in self._columns.items():
+            payload[prefix + name] = column[gather]
+        return payload
+
+    def apply_slices(
+        self, vertices: np.ndarray, payload: Mapping[str, np.ndarray], prefix: str
+    ) -> None:
+        """Write an :meth:`export_slices` patch over ``vertices``' segments."""
+        columns = {name: payload[prefix + name] for name in self.schema}
+        cursor = 0
+        for vertex, length in zip(vertices.tolist(), payload[prefix + "lengths"].tolist()):
+            self.set_slice(
+                vertex,
+                {name: values[cursor : cursor + length] for name, values in columns.items()},
+            )
+            cursor += length
+
+
+class FusedTables:
+    """The one owner of an engine's fused frontier tables.
+
+    Parameters
+    ----------
+    schemas:
+        Store name -> that store's column schema.  Column names must be
+        unique across stores: :meth:`views` keys them by name.
+    parts:
+        Vertex -> its slice of every store, or ``None`` when the vertex
+        has no out-edges.  Values must be local to the vertex's segments.
+    num_vertices:
+        The current vertex count of the engine's graph.
+
+    :meth:`views` is what the kernels read: every column by name, plus
+    each store's directory as ``<store>_offset`` / ``<store>_length``.
     """
-    if engine._frontier_cache is None:
-        return
-    engine._frontier_dirty.update(int(vertex) for vertex in vertices)
 
+    def __init__(
+        self,
+        schemas: Mapping[str, Mapping[str, np.dtype]],
+        parts: Callable[[int], SliceParts | None],
+        num_vertices: Callable[[], int],
+    ) -> None:
+        self.stores = {name: SlicedTableStore(schema) for name, schema in schemas.items()}
+        self._parts = parts
+        self._num_vertices = num_vertices
+        self._dirty: set[int] = set()
+        self._views: dict[str, np.ndarray] | None = None
+        #: Cold builds performed (the only ``full_rebuild`` repairs).
+        self.full_builds = 0
 
-def warm_frontier_delta(engine) -> FrontierDelta:
-    """Repair the engine's fused tables and report what the repair cost.
+    def invalidate(self) -> None:
+        """Drop the tables; the next access performs a cold build."""
+        self._views = None
+        self._dirty.clear()
 
-    This is the serve writer's warming entry point: after applying a
-    batch (and any catch-up replays, whose dirty vertices union into the
-    same set) it re-derives only the dirty slices.  Cold first builds
-    and compaction fallbacks surface as ``full_rebuild`` deltas.
-    """
-    dirty_ids = tuple(sorted(engine._frontier_dirty))
-    cold = engine._frontier_cache is None
-    builds_before = engine.frontier_full_builds
-    engine._frontier_tables()
-    if cold or engine.frontier_full_builds > builds_before:
-        return FrontierDelta(
-            vertices=int(engine._require_graph().num_vertices), full_rebuild=True
-        )
-    return FrontierDelta(
-        vertices=len(dirty_ids), full_rebuild=False, vertex_ids=dirty_ids
-    )
+    def mark_dirty(self, vertices: Iterable[int]) -> None:
+        """Record ``vertices`` as needing slice repair on the next access.
+
+        Before the first build there is nothing to repair incrementally:
+        the next access performs the cold build anyway.
+        """
+        if self._views is not None:
+            self._dirty.update(int(vertex) for vertex in vertices)
+
+    def views(self) -> dict[str, np.ndarray]:
+        """The kernels' arrays, repaired first when anything is dirty."""
+        if self._views is None or self._dirty:
+            self.warm()
+        return self._views
+
+    def warm(self) -> FrontierDelta:
+        """Bring every slice up to date and report what that cost.
+
+        Cold: build every vertex's slices.  Otherwise re-derive only the
+        dirty vertices (a vertex without edges clears its slices), then
+        compact the stores whose waste outweighs their live payload.
+        """
+        num_vertices = self._num_vertices()
+        if self._views is None:
+            self.full_builds += 1
+            for store in self.stores.values():
+                store.reset(num_vertices)
+            for vertex in range(num_vertices):
+                parts = self._parts(vertex)
+                if parts is not None:
+                    self._write(vertex, parts)
+            self._refresh_views()
+            return FrontierDelta(vertices=num_vertices, full_rebuild=True)
+        dirty = tuple(sorted(self._dirty))
+        self._dirty.clear()
+        for store in self.stores.values():
+            store.ensure_vertices(num_vertices)
+        for vertex in dirty:
+            self._write(vertex, self._parts(vertex))
+        self.compact()
+        self._refresh_views()
+        return FrontierDelta(vertices=len(dirty), full_rebuild=False, vertex_ids=dirty)
+
+    def compact(self) -> None:
+        """Compact, in place, each store whose waste outweighs its payload."""
+        for store in self.stores.values():
+            if store.needs_compaction():
+                store.compact()
+
+    def _write(self, vertex: int, parts: SliceParts | None) -> None:
+        for name, store in self.stores.items():
+            if parts is None:
+                store.clear_slice(vertex)
+            else:
+                store.set_slice(vertex, parts[name])
+
+    def _refresh_views(self) -> None:
+        # Re-derived after every repair: capacity growth replaces the
+        # backing arrays.
+        views: dict[str, np.ndarray] = {}
+        for name, store in self.stores.items():
+            views[name + "_offset"] = store.seg_offset
+            views[name + "_length"] = store.seg_length
+            for column in store.schema:
+                views[column] = store.column(column)
+        self._views = views
+
+    # ------------------------------------------------------------------ #
+    # cross-process state (the shard-router transport)
+    # ------------------------------------------------------------------ #
+    def export_state(self) -> dict[str, np.ndarray]:
+        """Every store's full state as plain arrays (the shard boot payload)."""
+        self.views()
+        state: dict[str, np.ndarray] = {}
+        for name, store in self.stores.items():
+            state.update(store.export_state(name + "_"))
+        return state
+
+    def adopt_state(self, state: Mapping[str, np.ndarray]) -> None:
+        """Replace the tables with an :meth:`export_state` snapshot."""
+        for name, store in self.stores.items():
+            store.adopt_state(state, name + "_")
+        self._dirty.clear()
+        self._refresh_views()
+
+    def export_patch(self, vertices: Iterable[int]) -> dict[str, np.ndarray]:
+        """The touched vertices' slices of every store (O(touched) bytes)."""
+        self.views()
+        ids = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
+        payload = {
+            "vertices": ids,
+            "num_vertices": np.array([self._num_vertices()], dtype=np.int64),
+        }
+        for name, store in self.stores.items():
+            payload.update(store.export_slices(ids, name + "_"))
+        return payload
+
+    def apply_patch(self, payload: Mapping[str, np.ndarray]) -> None:
+        """Apply an :meth:`export_patch`; untouched slices stay untouched."""
+        ids = payload["vertices"]
+        num_vertices = int(payload["num_vertices"][0])
+        for name, store in self.stores.items():
+            store.ensure_vertices(num_vertices)
+            store.apply_slices(ids, payload, name + "_")
+        self.compact()
+        self._dirty.clear()
+        self._refresh_views()
 
 
 # --------------------------------------------------------------------- #
@@ -288,114 +457,10 @@ def unpack_arrays(blob) -> dict[str, np.ndarray]:
         return {name: archive[name] for name in archive.files}
 
 
-def export_store_state(store: SlicedTableStore, prefix: str = "") -> dict[str, np.ndarray]:
-    """One store's full state as plain arrays (directory + live columns).
-
-    Only the prefix below the high-water mark ships; segment offsets
-    reference positions within that prefix, so they stay valid verbatim
-    on the adopting side.
-    """
-    state = {
-        prefix + "seg_offset": store.seg_offset.copy(),
-        prefix + "seg_length": store.seg_length.copy(),
-        prefix + "counters": np.array([store.used, store.live], dtype=np.int64),
-    }
-    for name in store._schema:
-        state[prefix + name] = store.column(name)[: store.used].copy()
-    return state
-
-
-def adopt_store_state(
-    store: SlicedTableStore, state: Mapping[str, np.ndarray], prefix: str = ""
-) -> None:
-    """Replace ``store``'s contents with an :func:`export_store_state` snapshot."""
-    used, live = (int(value) for value in state[prefix + "counters"])
-    store.seg_offset = np.asarray(state[prefix + "seg_offset"], dtype=np.int64).copy()
-    store.seg_length = np.asarray(state[prefix + "seg_length"], dtype=np.int64).copy()
-    store.used = used
-    store.live = live
-    for name, dtype in store._schema.items():
-        column = np.empty(used, dtype=dtype)
-        column[:] = state[prefix + name][:used]
-        store._columns[name] = column
-
-
-def export_store_slices(
-    store: SlicedTableStore, vertices: Iterable[int], prefix: str = ""
-) -> dict[str, np.ndarray]:
-    """The touched vertices' segments as concatenated per-column arrays.
-
-    This is the O(touched) patch payload: ``vertices`` + per-vertex
-    ``lengths`` + each column's slices back to back.  A length of zero
-    means "this vertex's slice was cleared" on the applying side.
-    """
-    ids = np.asarray(sorted(int(v) for v in vertices), dtype=np.int64)
-    lengths = np.zeros(len(ids), dtype=np.int64)
-    in_directory = ids < store.num_vertices
-    lengths[in_directory] = store.seg_length[ids[in_directory]]
-    payload = {prefix + "vertices": ids, prefix + "lengths": lengths}
-    for name in store._schema:
-        column = store.column(name)
-        pieces = [
-            column[store.seg_offset[v] : store.seg_offset[v] + length]
-            for v, length in zip(ids, lengths)
-            if length > 0
-        ]
-        payload[prefix + name] = (
-            np.concatenate(pieces)
-            if pieces
-            else np.empty(0, dtype=store._schema[name])
-        )
-    return payload
-
-
-def apply_store_slices(
-    store: SlicedTableStore,
-    payload: Mapping[str, np.ndarray],
-    prefix: str = "",
-    num_vertices: int | None = None,
-) -> None:
-    """Apply an :func:`export_store_slices` patch to a replica store.
-
-    Untouched segments are untouched here too — the point of the delta
-    path — and the amortized compaction discipline carries over: churn on
-    the replica repacks only when waste outweighs the live payload.
-    """
-    if num_vertices is not None:
-        store.ensure_vertices(int(num_vertices))
-    ids = payload[prefix + "vertices"]
-    lengths = payload[prefix + "lengths"]
-    cursor = 0
-    columns = {name: payload[prefix + name] for name in store._schema}
-    for v, length in zip(ids, lengths):
-        vertex = int(v)
-        length = int(length)
-        if vertex >= store.num_vertices:
-            store.ensure_vertices(vertex + 1)
-        if length == 0:
-            store.clear_slice(vertex)
-            continue
-        store.set_slice(
-            vertex,
-            {
-                name: column[cursor : cursor + length]
-                for name, column in columns.items()
-            },
-        )
-        cursor += length
-    if store.needs_compaction():
-        store.compact()
-
-
 __all__ = [
     "FrontierDelta",
+    "FusedTables",
     "SlicedTableStore",
-    "adopt_store_state",
-    "apply_store_slices",
-    "export_store_slices",
-    "export_store_state",
-    "mark_frontier_dirty",
     "pack_arrays",
     "unpack_arrays",
-    "warm_frontier_delta",
 ]

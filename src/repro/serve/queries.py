@@ -311,8 +311,8 @@ class ServeStats:
     epochs_warmed: int = 0
     #: Vertex slices re-derived by warming (the published epoch deltas).
     warm_vertices: int = 0
-    #: Of the warmed epochs: how many fell back to a full table rebuild
-    #: (cold first build or amortized compaction) instead of a delta.
+    #: Of the warmed epochs: how many were a cold full table build (a
+    #: fresh or recovered engine) instead of a delta.
     warm_full_rebuilds: int = 0
     #: Of which: the router's shard flip broadcast before each commit.
     refresh_seconds: float = 0.0

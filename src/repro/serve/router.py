@@ -179,8 +179,8 @@ def flip_payload(engine, batch, delta) -> tuple[dict[str, np.ndarray], bool]:
     :class:`~repro.engines.sliced_tables.FrontierDelta`'s touched
     vertices as an :meth:`export_frontier_patch` — O(touched) bytes.  A
     full :meth:`export_frontier_state` snapshot ships only when the warm
-    fell back to a full rebuild (writer recovery, engine reset), flagged
-    so workers adopt instead of patch.
+    was a cold full build (writer recovery, engine reset), flagged so
+    workers adopt instead of patch.
     """
     payload: dict[str, np.ndarray] = {
         "batch_src": np.ascontiguousarray(batch.src, dtype=np.int64),

@@ -788,20 +788,14 @@ class GraphService:
     def _warm_engine(engine):
         """Bring the engine's fused frontier tables up to date now.
 
-        Engines with the sliced-table cache expose
-        ``warm_frontier_tables`` and return the
-        :class:`~repro.engines.sliced_tables.FrontierDelta` the repair
-        shipped (dirty vertex count + whether it fell back to a full
-        rebuild).  Engines without a fused-table cache (FlowWalker
-        samples straight off the adjacency views) have nothing to warm.
+        Engines with fused tables expose ``warm_frontier_tables`` and
+        return the :class:`~repro.engines.sliced_tables.FrontierDelta`
+        the repair shipped (dirty vertex count + whether it was a cold
+        full build).  Engines without fused tables (FlowWalker samples
+        straight off the adjacency views) have nothing to warm.
         """
         warm = getattr(engine, "warm_frontier_tables", None)
-        if warm is not None:
-            return warm()
-        build_tables = getattr(engine, "_frontier_tables", None)
-        if build_tables is not None:
-            build_tables()
-        return None
+        return warm() if warm is not None else None
 
     def _publish(self, buffer: _EngineBuffer, batch: UpdateBatch, started: float) -> None:
         """Atomically make ``buffer`` the published snapshot (epoch + 1)."""

@@ -92,13 +92,6 @@ class TestBaselineCostProfiles:
         engine.apply_batch([_insert(2, 3, 3.0)])
         assert engine.breakdown.get("rebuild") > rebuild_before
 
-    def test_knightking_partial_rebuild_mode(self, example_graph):
-        engine = KnightKingEngine(rng=1, full_rebuild_on_batch=False)
-        engine.build(example_graph)
-        engine.apply_batch([_insert(2, 3, 3.0), _delete(0, 1)])
-        draws = {engine.sample_neighbor(2) for _ in range(300)}
-        assert 3 in draws
-
     def test_gsampler_insert_is_append_only(self, example_graph):
         engine = GSamplerEngine(rng=2)
         engine.build(example_graph)

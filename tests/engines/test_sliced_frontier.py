@@ -21,6 +21,7 @@ from repro.engines.knightking import KnightKingEngine
 from repro.engines.sliced_tables import FrontierDelta, SlicedTableStore
 from repro.errors import ReproError
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
+from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import (
     GraphUpdate,
     UpdateKind,
@@ -57,19 +58,17 @@ def _run_app(engine, application, starts, seed):
     return walks.matrix.copy()
 
 
+#: The store whose payload grows with edges (flat member table on bingo).
+PAYLOAD_STORE = {"bingo": "flat", "knightking": "table", "gsampler": "cdf"}
+
+
 def _reset_frontier_state(engine):
     """Force the next table access onto the cold full-rebuild path."""
-    engine._frontier_cache = None
-    engine._frontier_dirty.clear()
-    if hasattr(engine, "_vertex_tables"):
-        engine._vertex_tables = {}
+    engine.frontier_tables.invalidate()
 
 
 def _payload_store(engine):
-    """The store whose payload grows with edges (flat member table on bingo)."""
-    if isinstance(engine, BingoEngine):
-        return engine._flat_store
-    return engine._frontier_store
+    return engine.frontier_tables.stores[PAYLOAD_STORE[engine.name]]
 
 
 # --------------------------------------------------------------------- #
@@ -176,13 +175,13 @@ def test_incremental_tables_bitwise_match_cold_rebuild(engine_cls, application):
     engine = engine_cls(rng=9)
     engine.build(stream.initial_graph)
     starts = list(range(40))
-    engine._frontier_tables()  # cold build once; batches repair from here on
+    engine.warm_frontier_tables()  # cold build once; batches repair from here on
     for position, batch in enumerate(stream.batches):
         engine.apply_batch(batch)
         incremental = _run_app(engine, application, starts, seed=100 + position)
         # Each cold rebuild below bumps the counter by one; the repairs the
         # incremental runs perform must not.
-        assert engine.frontier_full_builds == 1 + position
+        assert engine.frontier_tables.full_builds == 1 + position
         _reset_frontier_state(engine)
         cold = _run_app(engine, application, starts, seed=100 + position)
         assert np.array_equal(incremental, cold)
@@ -193,7 +192,7 @@ def test_delete_then_reinsert_same_vertex_matches_cold(engine_cls):
     graph = power_law_graph(50, 3, rng=7)
     engine = engine_cls(rng=5)
     engine.build(graph)
-    engine._frontier_tables()
+    engine.warm_frontier_tables()
     starts = list(range(50))
     victim = max(range(graph.num_vertices), key=graph.degree)
     neighbors = list(graph.neighbors(victim))
@@ -228,7 +227,7 @@ def test_slice_width_growth_appends_and_stays_equivalent(engine_cls):
     graph = power_law_graph(40, 2, rng=3)
     engine = engine_cls(rng=4)
     engine.build(graph)
-    engine._frontier_tables()
+    engine.warm_frontier_tables()
     victim = next(v for v in range(graph.num_vertices) if graph.degree(v) > 0)
     new_dsts = [
         v
@@ -252,21 +251,60 @@ def test_compaction_fallback_stays_equivalent(engine_cls):
     graph = power_law_graph(12, 2, rng=17)
     engine = engine_cls(rng=8)
     engine.build(graph)
-    engine._frontier_tables()
+    engine.warm_frontier_tables()
     base = graph.num_vertices
     dsts = list(range(base, base + 1500))  # brand-new sink vertices
     engine.apply_batch([_insert(0, d, 1.0, ts=i) for i, d in enumerate(dsts)])
-    engine._frontier_tables()
-    # Shrinking 1500 -> 1 leaves ~1499 dead entries, beyond both the slack
-    # and the live payload: the next repair must compact (or, on bingo,
-    # re-pack both stores) without changing walk output.
-    engine.apply_batch([_delete(0, d, ts=i) for i, d in enumerate(dsts[:-1])])
-    incremental = _run_app(engine, "deepwalk", list(range(base)), seed=21)
+    engine.warm_frontier_tables()
     store = _payload_store(engine)
+    assert store.used >= 1500
+    builds = engine.frontier_tables.full_builds
+    # Shrinking 1500 -> 1 leaves ~1499 dead entries, beyond both the slack
+    # and the live payload: the next repair must compact in place and
+    # still publish a one-vertex delta, without changing walk output.
+    engine.apply_batch([_delete(0, d, ts=i) for i, d in enumerate(dsts[:-1])])
+    assert engine.warm_frontier_tables() == FrontierDelta(
+        vertices=1, full_rebuild=False, vertex_ids=(0,)
+    )
+    assert engine.frontier_tables.full_builds == builds
+    assert store.used == store.live < 1500
+    incremental = _run_app(engine, "deepwalk", list(range(base)), seed=21)
     assert store.waste <= max(store.live, 1024)
     _reset_frontier_state(engine)
     cold = _run_app(engine, "deepwalk", list(range(base)), seed=21)
     assert np.array_equal(incremental, cold)
+
+
+@pytest.mark.parametrize("engine_cls", FUSED_ENGINE_CLASSES)
+def test_replica_fed_patches_tracks_a_compacting_writer(engine_cls):
+    """State + slice patches reproduce the writer's tables exactly."""
+    graph = power_law_graph(12, 2, rng=17)
+    writer = engine_cls(rng=8)
+    writer.build(graph.copy())
+    replica = engine_cls(rng=8)
+    replica.build(graph.copy())
+    replica.adopt_frontier_state(writer.export_frontier_state())
+    base = graph.num_vertices
+    dsts = list(range(base, base + 1500))
+    grow = [_insert(0, d, 1.0, ts=i) for i, d in enumerate(dsts)]
+    shrink = [_delete(0, d, ts=i) for i, d in enumerate(dsts[:-1])]
+    for seed, updates in enumerate((grow, shrink)):
+        writer.apply_batch(updates)
+        # A shard replica's graph takes the batch; its tables take patches.
+        replica._apply_batch_to_graph(UpdateBatch.coerce(updates))
+        delta = writer.warm_frontier_tables()
+        replica.apply_frontier_patch(writer.export_frontier_patch(delta.vertex_ids))
+        want = writer.export_frontier_state()
+        got = replica.export_frontier_state()
+        assert sorted(got) == sorted(want)
+        assert all(np.array_equal(got[key], want[key]) for key in want)
+        starts = list(range(base))
+        assert np.array_equal(
+            _run_app(replica, "deepwalk", starts, seed),
+            _run_app(writer, "deepwalk", starts, seed),
+        )
+    store = _payload_store(replica)
+    assert store.used == store.live < 1500
 
 
 # --------------------------------------------------------------------- #
@@ -297,7 +335,7 @@ def test_zero_degree_vertices_evict_cached_slices(engine_cls):
     graph = erdos_renyi_graph(50, 300, rng=13)
     engine = engine_cls(rng=6)
     engine.build(graph)
-    engine._frontier_tables()
+    engine.warm_frontier_tables()
     store = _payload_store(engine)
     live_before = store.live
     victims = [v for v in range(graph.num_vertices) if graph.degree(v) > 0][:20]
@@ -308,8 +346,9 @@ def test_zero_degree_vertices_evict_cached_slices(engine_cls):
             updates.append(_delete(victim, dst, ts))
             ts += 1
     engine.apply_batch(updates)
-    engine._frontier_tables()
+    engine.warm_frontier_tables()
     assert store.live < live_before
     assert all(store.seg_length[victim] == 0 for victim in victims)
     if engine_cls is BingoEngine:
-        assert all(victim not in engine._vertex_tables for victim in victims)
+        inter = engine.frontier_tables.stores["inter"]
+        assert all(inter.seg_length[victim] == 0 for victim in victims)

@@ -184,7 +184,7 @@ def test_two_shard_router_matches_in_process_reference(engine):
     )
     mirror = create_engine(engine, rng=13)
     mirror.build(make_graph())
-    mirror._frontier_tables()
+    mirror.warm_frontier_tables()
     try:
         for round_ in range(2):
             starts = np.asarray([1, 5, 9, 30, 44, 2, 57, 18])
@@ -219,6 +219,54 @@ def test_two_shard_router_matches_in_process_reference(engine):
             mirror.apply_batch(updates)
             mirror.warm_frontier_tables()
         assert router.stats_snapshot()["flip_full_snapshots"] == 0
+    finally:
+        router.close()
+
+
+def test_compacting_churn_flips_as_patches_on_bingo():
+    """A batch that compacts the writer's tables still flips as a patch."""
+    router = RouterService("bingo", make_graph(), shards=2, rng=13, service_seed=42)
+    mirror = create_engine("bingo", rng=13)
+    mirror.build(make_graph())
+    mirror.warm_frontier_tables()
+    hub, base, count = 7, 60, 1500
+    # Grow one vertex by 1500 edges to fresh sinks, then shrink it back:
+    # the dead member entries outweigh the live payload, so that warm
+    # compacts the flat member store.  The writer's other buffer replays
+    # the shrink on the third flip and compacts there.
+    grow = [
+        GraphUpdate(UpdateKind.INSERT, hub, base + index, 1.0 + index % 5)
+        for index in range(count)
+    ]
+    shrink = [
+        GraphUpdate(UpdateKind.DELETE, hub, base + index) for index in range(count - 1)
+    ]
+    touch = [GraphUpdate(UpdateKind.INSERT, 3, base + count, 2.0)]
+    members = mirror.frontier_tables.stores["flat"]
+    try:
+        for query, updates in enumerate((grow, shrink, touch)):
+            router.ingest(updates)
+            router.flush()
+            mirror.apply_batch(updates)
+            mirror.warm_frontier_tables()
+            if updates is shrink:
+                assert members.used == members.live < count
+            starts = np.asarray([hub, 1, 5, hub, 30, 44, 2, hub])
+            result = router.query("deepwalk", list(starts), 8)
+            expected = reference_shard_walks(
+                mirror,
+                "deepwalk",
+                starts,
+                router._pool.owners_of(starts),
+                8,
+                {},
+                (42, query),
+                2,
+            )
+            assert np.array_equal(result.walks.matrix, expected), query
+        snapshot = router.stats_snapshot()
+        assert snapshot["shard_flips"] == 3
+        assert snapshot["flip_full_snapshots"] == 0
     finally:
         router.close()
 

@@ -292,7 +292,7 @@ class TestWarming:
             front = warm._buffers[warm._front]
             # The published snapshot's fused tables were built by the
             # writer *before* the flip — no query has run yet.
-            assert front.engine._frontier_cache is not None
+            assert front.engine.frontier_tables.full_builds == 1
             assert warm.stats.epochs_warmed == 2
             assert warm.stats.warm_seconds > 0
         finally:
@@ -304,7 +304,7 @@ class TestWarming:
         try:
             cold.ingest(stream.batches[0])
             cold.flush()
-            assert cold._buffers[cold._front].engine._frontier_cache is None
+            assert cold._buffers[cold._front].engine.frontier_tables.full_builds == 0
             assert cold.stats.epochs_warmed == 0
         finally:
             cold.close()

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engines.registry import create_engine
-from repro.engines.sliced_tables import pack_arrays, warm_frontier_delta
+from repro.engines.sliced_tables import pack_arrays
 from repro.errors import ParallelExecutionError, ServeError
 from repro.gpu.multi_device import MultiDeviceTracker
 from repro.graph.dynamic_graph import DynamicGraph
@@ -183,7 +183,7 @@ class TestFlip:
                 ]
             )
             engine.apply_batch(batch)
-            payload, _ = flip_payload(engine, batch, warm_frontier_delta(engine))
+            payload, _ = flip_payload(engine, batch, engine.warm_frontier_tables())
             pool.flip(1, pack_arrays(payload), engine)
             after, _ = pool.run("deepwalk", np.array([0, 1, 2]), 5, {}, (562,), 1)
         finally:
