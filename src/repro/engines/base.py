@@ -21,6 +21,7 @@ from collections.abc import Iterable, Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
+from repro.engines import compiled
 from repro.engines.sliced_tables import FrontierDelta, FusedTables, SliceParts
 from repro.errors import UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -350,6 +351,20 @@ class RandomWalkEngine(abc.ABC):
                     draws[member] = -1 if drawn is None else drawn
         return draws
 
+    def compiled_walk(self, frontier, *, termination_probability: float = 0.0) -> bool:
+        """Run ``frontier``'s whole walk in the compiled kernel, if this engine has one.
+
+        Returns ``False`` without drawing anything when it does not, and the
+        caller steps the frontier itself.  See
+        :meth:`FusedFrontierEngine.compiled_walk`.
+        """
+        return False
+
+    @property
+    def frontier_kernel(self) -> str:
+        """Which kernel serves this engine's frontier draws: ``"compiled"`` or ``"numpy"``."""
+        return "numpy"
+
     def degree(self, vertex: int) -> int:
         """Out-degree of ``vertex`` in the current snapshot."""
         return self._require_graph().degree(vertex)
@@ -405,10 +420,23 @@ class FusedFrontierEngine(RandomWalkEngine):
     ``frontier_tables.mark_dirty``, and kernels read
     ``frontier_tables.views()``.  Per-vertex scalar samplers live in
     ``_samplers``.
+
+    Frontier draws run in the compiled kernel (:mod:`repro.engines.compiled`)
+    when it loads, else in the subclass's NumPy kernel
+    (:meth:`_sample_frontier_numpy`); both consume the generator identically
+    and produce the same draws.  A subclass names its kernel routine in
+    :attr:`kernel_kind` and the views it reads in :attr:`kernel_fields`.
     """
 
     #: Store name -> column name -> dtype of the fused tables.
     frontier_schemas: dict[str, dict[str, type]] = {}
+
+    #: The compiled kernel's draw routine (``compiled.KIND_*``).
+    kernel_kind: int = -1
+
+    #: The views the compiled routine reads, in its table order: the
+    #: primary store's ``<store>_offset`` and ``<store>_length`` first.
+    kernel_fields: tuple[str, ...] = ()
 
     def __init__(self, *, rng: RandomSource = None) -> None:
         super().__init__(rng=rng)
@@ -416,10 +444,116 @@ class FusedFrontierEngine(RandomWalkEngine):
         self.frontier_tables = FusedTables(
             self.frontier_schemas, self._frontier_parts, self.num_vertices
         )
+        #: ``(views, packed addresses)``: views are rebuilt after every
+        #: repair, so packing once per views dict keeps the addresses valid.
+        self._packed: tuple[dict, np.ndarray] | None = None
 
     @abc.abstractmethod
     def _frontier_parts(self, vertex: int) -> SliceParts | None:
         """``vertex``'s slice of every store (``None`` without out-edges)."""
+
+    # ------------------------------------------------------------------ #
+    # frontier kernels
+    # ------------------------------------------------------------------ #
+    @property
+    def frontier_kernel(self) -> str:
+        return compiled.kernel_name()
+
+    def _compiled_tables(self) -> tuple[compiled.FrontierKernel, np.ndarray] | None:
+        """The loaded kernel and the packed table addresses, or ``None``."""
+        kernel = compiled.load()
+        if kernel is None:
+            return None
+        views = self.frontier_tables.views()
+        packed = self._packed
+        if packed is None or packed[0] is not views:
+            limit = min(
+                len(views[name + "_length"]) for name in self.frontier_tables.stores
+            )
+            packed = (views, compiled.pack_tables(views, self.kernel_fields, limit))
+            self._packed = packed
+        return kernel, packed[1]
+
+    def _sample_frontier(
+        self, vertices: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        loaded = self._compiled_tables()
+        if loaded is None:
+            return self._sample_frontier_numpy(vertices, rng)
+        kernel, tables = loaded
+        draws, picks = kernel.step(tables, self.kernel_kind, rng, vertices)
+        if len(picks):
+            self._resolve_decimal_picks(vertices, draws, picks, rng)
+        return draws
+
+    @abc.abstractmethod
+    def _sample_frontier_numpy(
+        self, vertices: np.ndarray, rng: np.random.Generator
+    ) -> np.ndarray:
+        """The NumPy frontier kernel: the reference the compiled one matches."""
+
+    def _resolve_decimal_picks(
+        self,
+        vertices: np.ndarray,
+        draws: np.ndarray,
+        picks: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Fill ``draws[picks]`` the kernel left to a rejection sampler.
+
+        Only Bingo's kernel leaves picks (its decimal group).
+        """
+        raise NotImplementedError(f"{self.name} kernels leave no picks")
+
+    def compiled_walk(self, frontier, *, termination_probability: float = 0.0) -> bool:
+        """Run ``frontier``'s whole DeepWalk or PPR walk in the compiled kernel.
+
+        ``termination_probability`` 0 is DeepWalk; otherwise each step
+        first flips the PPR termination coins.  The kernel makes the
+        generator calls :func:`~repro.walks.frontier.run_frontier_deepwalk`
+        / ``run_frontier_ppr`` make, in the same order, and leaves
+        ``frontier`` (matrix, alive walkers, ``steps_taken``) and
+        :attr:`samples_drawn` as they leave them.  A step that picks Bingo
+        decimal-group entries pauses the kernel; they are resolved here, in
+        the NumPy kernel's vertex order, before the step commits.  Returns
+        ``False``, having drawn nothing, when the kernel is unavailable.
+        """
+        if self._compiled_tables() is None:
+            return False
+        start = time.perf_counter()
+        walkers = np.array(frontier.alive_walkers(), dtype=np.int64)
+        vertices = np.array(frontier.alive_vertices(), dtype=np.int64)
+        draws = np.empty(len(walkers), dtype=np.int64)
+        picks = np.empty(len(walkers), dtype=np.int64)
+        state = np.zeros(compiled.STATE_SLOTS, dtype=np.int64)
+        state[compiled.S_ALIVE] = len(walkers)
+        state[compiled.S_STEPS] = frontier.steps_taken
+        state[compiled.S_MAX] = frontier.walk_length
+        rng = frontier.rng
+        while True:
+            kernel, tables = self._compiled_tables()
+            state[compiled.S_COLUMNS] = frontier.matrix.shape[1]
+            code = kernel.walk(
+                tables,
+                self.kernel_kind,
+                rng,
+                state,
+                (frontier.matrix, walkers, vertices, draws, picks),
+                termination_probability,
+            )
+            if code == compiled.WALK_DONE:
+                break
+            if code == compiled.WALK_DECIMAL:
+                alive = int(state[compiled.S_ALIVE])
+                found = int(state[compiled.S_PICKS])
+                self._resolve_decimal_picks(vertices[:alive], draws, picks[:found], rng)
+            else:  # WALK_GROW: the next column is past the matrix edge
+                frontier.ensure_columns(int(state[compiled.S_STEPS]) + 2)
+        alive = int(state[compiled.S_ALIVE])
+        frontier.resume(walkers[:alive], vertices[:alive], int(state[compiled.S_STEPS]))
+        self.samples_drawn += int(state[compiled.S_SAMPLES])
+        self.breakdown.add(PHASE_SAMPLING, time.perf_counter() - start)
+        return True
 
     def warm_frontier_tables(self) -> FrontierDelta:
         """Repair the fused tables now; reports the slices it re-derived."""

@@ -26,6 +26,7 @@ from repro.core.vertex_sampler import (
     BingoVertexSampler,
     rebuild_samplers_batch,
 )
+from repro.engines import compiled
 from repro.engines.base import (
     PHASE_DELETE,
     PHASE_INSERT,
@@ -81,6 +82,18 @@ class BingoEngine(FusedFrontierEngine):
         },
         "flat": {"members": np.int64},
     }
+    kernel_kind = compiled.KIND_BINGO
+    kernel_fields = (
+        "inter_offset",
+        "inter_length",
+        "prob",
+        "alias",
+        "entry_offset",
+        "entry_size",
+        "entry_decimal",
+        "flat_offset",
+        "members",
+    )
 
     def __init__(
         self,
@@ -422,7 +435,7 @@ class BingoEngine(FusedFrontierEngine):
             "flat": {"members": ids[flat]},
         }
 
-    def _sample_frontier(
+    def _sample_frontier_numpy(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self.frontier_tables.views()
@@ -456,16 +469,29 @@ class BingoEngine(FusedFrontierEngine):
 
         decimal_mask = tables["entry_decimal"][chosen]
         if decimal_mask.any():
-            picks = np.nonzero(decimal_mask)[0]
-            for vertex in np.unique(query[picks]):
-                members = picks[query[picks] == vertex]
-                sampler = self._decimal_sampler(int(vertex))
-                ids = sampler._batch_cache()[0]
-                indices = sampler._decimal.sample_batch(
-                    len(members), rng, counter=sampler.counter
-                )
-                drawn[members] = ids[indices]
+            self._resolve_decimal_picks(query, drawn, np.nonzero(decimal_mask)[0], rng)
         return scatter_live(drawn, live, len(vertices))
+
+    def _resolve_decimal_picks(
+        self,
+        vertices: np.ndarray,
+        draws: np.ndarray,
+        picks: np.ndarray,
+        rng: np.random.Generator,
+    ) -> None:
+        """Re-draw the decimal-group picks with each vertex's rejection kernel.
+
+        One batched call per distinct vertex, in ascending vertex order.
+        """
+        picked = vertices[picks]
+        for vertex in np.unique(picked):
+            members = picks[picked == vertex]
+            sampler = self._decimal_sampler(int(vertex))
+            ids = sampler._batch_cache()[0]
+            indices = sampler._decimal.sample_batch(
+                len(members), rng, counter=sampler.counter
+            )
+            draws[members] = ids[indices]
 
     # ------------------------------------------------------------------ #
     # reporting

@@ -16,6 +16,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
+from repro.engines import compiled
 from repro.engines.base import (
     PHASE_REBUILD,
     FusedFrontierEngine,
@@ -44,6 +45,8 @@ class GSamplerEngine(FusedFrontierEngine):
     name = "gsampler"
     supports_batch = True
     frontier_schemas = {"cdf": {"ids": np.int64, "cumulative": np.float64}}
+    kernel_kind = compiled.KIND_GSAMPLER
+    kernel_fields = ("cdf_offset", "cdf_length", "cumulative", "ids")
 
     # ------------------------------------------------------------------ #
     def _build_state(self) -> None:
@@ -145,7 +148,7 @@ class GSamplerEngine(FusedFrontierEngine):
         ids, cumulative = sampler.numpy_tables()
         return {"cdf": {"ids": ids, "cumulative": cumulative}}
 
-    def _sample_frontier(
+    def _sample_frontier_numpy(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self.frontier_tables.views()

@@ -22,6 +22,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
+from repro.engines import compiled
 from repro.engines.base import (
     PHASE_REBUILD,
     FusedFrontierEngine,
@@ -48,6 +49,8 @@ class KnightKingEngine(FusedFrontierEngine):
     frontier_schemas = {
         "table": {"ids": np.int64, "prob": np.float64, "alias": np.int64}
     }
+    kernel_kind = compiled.KIND_KNIGHTKING
+    kernel_fields = ("table_offset", "table_length", "prob", "alias", "ids")
 
     # ------------------------------------------------------------------ #
     def _build_state(self) -> None:
@@ -144,7 +147,7 @@ class KnightKingEngine(FusedFrontierEngine):
         ids, prob, alias = table.numpy_tables()
         return {"table": {"ids": ids, "prob": prob, "alias": alias}}
 
-    def _sample_frontier(
+    def _sample_frontier_numpy(
         self, vertices: np.ndarray, rng: np.random.Generator
     ) -> np.ndarray:
         tables = self.frontier_tables.views()

@@ -324,6 +324,8 @@ class ShardServePool:
         #: Replies discarded (and re-asked) for carrying a stale epoch tag.
         self.stale_replies = 0
         self.build_seconds = [0.0] * self.num_shards
+        #: Each shard's frontier kernel (``"compiled"`` / ``"numpy"``), from its ready reply.
+        self.frontier_kernels = ["numpy"] * self.num_shards
 
         partition = partition_graph(graph, self.num_shards, strategy=strategy)
         #: Owner shard of every boot-time vertex (the pinned routing column).
@@ -394,6 +396,7 @@ class ShardServePool:
             if kind != "ready" or reply[2] != self._generation:
                 continue  # straggler from a superseded boot or aborted run
             self.build_seconds[reply[1]] = float(reply[3])
+            self.frontier_kernels[reply[1]] = str(reply[4])
             remaining -= 1
 
     def respawn(self, source_engine, epoch: int) -> list[int]:
@@ -887,6 +890,10 @@ class RouterService(GraphService):
                 snapshot["shard_pids"] = pool.worker_pids()
                 snapshot["shards_alive"] = pool.alive()
                 snapshot["shard_build_seconds"] = list(pool.build_seconds)
+                # One shard on the NumPy fallback makes the whole run "numpy".
+                snapshot["frontier_kernel"] = (
+                    "numpy" if "numpy" in pool.frontier_kernels else "compiled"
+                )
         return snapshot
 
     def close(self, *, drain: bool = True, timeout: float = 60.0) -> None:

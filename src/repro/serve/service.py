@@ -456,13 +456,17 @@ class GraphService:
         dispatcher resolves queries (reading :attr:`stats`'s latency
         windows unlocked is not — a concurrent append can fault the
         percentile iteration).  This is what ``GET /stats`` serves.
+        ``frontier_kernel`` says whether walks run in the compiled kernel
+        or fell back to NumPy.
         """
+        frontier_kernel = self.engine.frontier_kernel
         with self._cond:
             stats = self.stats
             percentiles = stats.latency_percentiles()
             return {
                 "epoch": self._epoch,
                 "engine": self.engine_name,
+                "frontier_kernel": frontier_kernel,
                 "queries_served": stats.queries_served,
                 "fused_groups": stats.fused_groups,
                 "mean_fused_queries": stats.mean_fused_queries(),

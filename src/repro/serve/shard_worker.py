@@ -138,7 +138,8 @@ def shard_serve_main(
         boot_state = unpack_arrays(read_shared_blob(boot_name, boot_nbytes))
         epoch = int(boot_state[EPOCH_KEY][0])
         _install_frontier_state(engine, boot_state, full=True)
-        replies.send(("ready", shard, generation, time.process_time() - build_start))
+        build_seconds = time.process_time() - build_start
+        replies.send(("ready", shard, generation, build_seconds, engine.frontier_kernel))
 
         while True:
             message = inbox.get()

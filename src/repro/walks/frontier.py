@@ -10,7 +10,10 @@ fused whole-frontier draw for Bingo, KnightKing and gSampler, or a
 group-by-vertex dispatch onto the vectorized batch kernel for FlowWalker.
 A step costs that one kernel call plus a few NumPy calls; node2vec adds one
 vectorized :meth:`~repro.engines.base.RandomWalkEngine.has_arcs` edge probe
-per rejection round.
+per rejection round.  On the fused engines DeepWalk and PPR skip the
+Python step loop altogether when the compiled kernel loads:
+:meth:`~repro.engines.base.RandomWalkEngine.compiled_walk` runs the whole
+walk in one foreign call, with the same generator calls in the same order.
 
 The result is a dense walk matrix (walkers × steps, ``-1`` padded) that
 converts back to the scalar :class:`~repro.walks.walker.WalkResult` when the
@@ -99,7 +102,9 @@ class WalkFrontier:
         # Python generators, so scalar-path callers can seed the frontier.
         self.rng = coerce_np_rng(rng)
         self.walk_length = int(walk_length)
-        vertices = np.asarray(list(starts), dtype=np.int64)
+        if not isinstance(starts, np.ndarray):
+            starts = list(starts)  # any iterable, generators included
+        vertices = np.array(starts, dtype=np.int64)
         if vertices.ndim != 1:
             raise ValueError("starts must be a flat sequence of vertex ids")
         size = len(vertices)
@@ -172,7 +177,7 @@ class WalkFrontier:
         """
         self._check_alive_set(walkers)
         self.steps_taken += 1
-        self._ensure_columns(self.steps_taken + 1)
+        self.ensure_columns(self.steps_taken + 1)
         # Dying walkers write -1 over a column that is already -1.
         self.matrix[walkers, self.steps_taken] = next_vertices
         moving = next_vertices >= 0
@@ -183,7 +188,19 @@ class WalkFrontier:
             self._vertices = next_vertices[moving]
         return len(self._walkers)
 
-    def _ensure_columns(self, needed: int) -> None:
+    def resume(self, walkers: np.ndarray, vertices: np.ndarray, steps_taken: int) -> None:
+        """Adopt the state of a walk advanced outside :meth:`advance`.
+
+        The compiled kernel (:meth:`~repro.engines.base.FusedFrontierEngine.compiled_walk`)
+        writes the walk matrix itself and hands back the alive walkers,
+        their vertices and the steps taken.
+        """
+        self._walkers = walkers
+        self._vertices = vertices
+        self.steps_taken = steps_taken
+
+    def ensure_columns(self, needed: int) -> None:
+        """Widen the walk matrix (doubling) unless ``needed`` < its width."""
         rows, columns = self.matrix.shape
         if needed < columns:
             return
@@ -217,6 +234,8 @@ def run_frontier_deepwalk(
 ) -> BatchedWalks:
     """DeepWalk for every start vertex, executed as one batched frontier."""
     frontier = WalkFrontier(engine, starts, walk_length, rng=rng)
+    if engine.compiled_walk(frontier):
+        return frontier.finish()
     for _ in range(walk_length):
         walkers = frontier.alive_walkers()
         if len(walkers) == 0:
@@ -242,6 +261,8 @@ def run_frontier_ppr(
     if not 0.0 < termination_probability <= 1.0:
         raise ValueError("termination_probability must lie in (0, 1]")
     frontier = WalkFrontier(engine, starts, max_steps, rng=rng)
+    if engine.compiled_walk(frontier, termination_probability=termination_probability):
+        return frontier.finish()
     for _ in range(max_steps):
         alive = frontier.alive_count()
         if alive == 0:

@@ -5,6 +5,7 @@ import glob
 import numpy as np
 import pytest
 
+from repro.engines import compiled
 from repro.engines.registry import create_engine
 from repro.errors import ServeError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -172,6 +173,10 @@ def test_one_shard_router_is_bitwise_identical(engine):
         assert snapshot["shard_flips"] == 2
         assert snapshot["flip_full_snapshots"] == 0
         assert snapshot["flip_payload_bytes"] > 0
+        # Each shard reports its kernel at boot; one fallback shows.
+        assert snapshot["frontier_kernel"] == compiled.kernel_name()
+        router._pool.frontier_kernels[-1] = "numpy"
+        assert router.stats_snapshot()["frontier_kernel"] == "numpy"
     finally:
         reference.close()
         router.close()

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
+from repro.engines import compiled
 from repro.engines.registry import create_engine, engine_names
 from repro.errors import ServeError
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
@@ -69,6 +70,19 @@ def test_sync_mode_bitwise_identical_to_serial_frontier(
             expected = _reference_walk(reference, application, seed)
             assert np.array_equal(served.walks.matrix, expected.matrix)
             assert served.epoch == round_index + 1
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("engine_name", engine_names())
+def test_stats_report_the_frontier_kernel(stream, engine_name, monkeypatch):
+    fused = engine_name != "flowwalker"
+    service = GraphService(engine_name, stream.initial_graph, rng=11, sync=True)
+    try:
+        expected = compiled.kernel_name() if fused else "numpy"
+        assert service.stats_snapshot()["frontier_kernel"] == expected
+        monkeypatch.setattr(compiled, "load", lambda: None)
+        assert service.stats_snapshot()["frontier_kernel"] == "numpy"
     finally:
         service.close()
 
