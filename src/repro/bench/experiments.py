@@ -39,6 +39,7 @@ from repro.sampling.alias import AliasTable
 from repro.sampling.its import InverseTransformSampler
 from repro.sampling.rejection import RejectionSampler
 from repro.utils.rng import ensure_rng
+from repro.utils.timing import gc_paused
 
 #: Engines compared in Table 3, in the paper's order.
 SOTA_ENGINES = ("bingo", "knightking", "gsampler", "flowwalker")
@@ -413,7 +414,11 @@ def fig13_breakdown(
     num_samples: int = 3000,
     seed: int = 37,
 ) -> dict[str, dict[str, dict[str, float]]]:
-    """Insert/delete, rebuild and sampling time with and without group adaption."""
+    """Insert/delete, rebuild and sampling time with and without group adaption.
+
+    The measured phases run with the collector paused (a full collection
+    outlasts a whole few-millisecond phase).
+    """
     output: dict[str, dict[str, dict[str, float]]] = {}
     for dataset in datasets:
         rng = ensure_rng(seed)
@@ -430,12 +435,13 @@ def fig13_breakdown(
             engine = BingoEngine(rng=seed + 1, adaptive_groups=adaptive)
             engine.build(stream.initial_graph.copy())
             engine.reset_breakdown()
-            for batch in stream.batches:
-                engine.apply_batch(batch)
             starts = sample_start_vertices(stream.initial_graph, 64, rng=seed + 2)
             sample_rng = ensure_rng(seed + 3)
-            for _ in range(num_samples):
-                engine.sample_neighbor(starts[sample_rng.randrange(len(starts))])
+            with gc_paused():
+                for batch in stream.batches:
+                    engine.apply_batch(batch)
+                for _ in range(num_samples):
+                    engine.sample_neighbor(starts[sample_rng.randrange(len(starts))])
             phases = engine.breakdown.as_dict()
             output[dataset][label] = {
                 "insert_delete": phases.get("insert", 0.0) + phases.get("delete", 0.0),
@@ -621,18 +627,22 @@ def frontier_throughput(
 
         # The two modes alternate round by round, so a burst of host load
         # lands on both sides of the ratio instead of on one mode alone.
+        # Rounds run with the collector paused: a full collection in a
+        # long-lived process outlasts a whole few-millisecond frontier round.
         scalar_steps = frontier_steps = 0
         scalar_seconds = frontier_seconds = 0.0
         for round_index in range(rounds):
-            round_start = time.perf_counter()
-            scalar_steps += run_deepwalk(engine, config, starts=starts).total_steps
-            scalar_seconds += time.perf_counter() - round_start
+            with gc_paused():
+                round_start = time.perf_counter()
+                scalar_steps += run_deepwalk(engine, config, starts=starts).total_steps
+                scalar_seconds += time.perf_counter() - round_start
 
-            round_start = time.perf_counter()
-            frontier_steps += run_deepwalk(
-                engine, config, starts=starts, frontier=True, rng=seed + 3 + round_index
-            ).total_steps
-            frontier_seconds += time.perf_counter() - round_start
+            with gc_paused():
+                round_start = time.perf_counter()
+                frontier_steps += run_deepwalk(
+                    engine, config, starts=starts, frontier=True, rng=seed + 3 + round_index
+                ).total_steps
+                frontier_seconds += time.perf_counter() - round_start
 
         output[engine_name] = {
             "scalar_steps_per_second": (

@@ -2,10 +2,30 @@
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 from contextlib import contextmanager
+
+
+@contextmanager
+def gc_paused() -> Iterator[None]:
+    """Pause the cyclic garbage collector for a timed block, as ``timeit`` does.
+
+    A full collection walks every tracked object in the process, so in a
+    long-lived process (a test session, a server) one can stall for
+    100+ ms and land inside a few-millisecond measurement.  Collections the
+    block's own allocations would trigger run after it instead.  Leaves the
+    collector disabled if it already was.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 class Stopwatch:

@@ -16,6 +16,7 @@ import pytest
 
 from repro.engines.bingo import BingoEngine
 from repro.graph.generators import power_law_graph
+from repro.utils.timing import gc_paused
 from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
 
 NUM_VERTICES = 5_000
@@ -34,18 +35,22 @@ def test_batched_frontier_beats_scalar_loop_by_2x():
     run_deepwalk(engine, config, starts=starts, frontier=True, rng=0)
 
     # Best-of-3 timings: a single measurement is at the mercy of the host
-    # scheduler on small shared CI machines and flakes spuriously.
+    # scheduler on small shared CI machines and flakes spuriously.  Each runs
+    # with the collector paused, so a full collection of the test session's
+    # heap cannot land inside one.
     scalar_seconds = float("inf")
     for _ in range(3):
-        scalar_start = time.perf_counter()
-        scalar = run_deepwalk(engine, config, starts=starts)
-        scalar_seconds = min(scalar_seconds, time.perf_counter() - scalar_start)
+        with gc_paused():
+            scalar_start = time.perf_counter()
+            scalar = run_deepwalk(engine, config, starts=starts)
+            scalar_seconds = min(scalar_seconds, time.perf_counter() - scalar_start)
 
     frontier_seconds = float("inf")
     for _ in range(3):
-        frontier_start = time.perf_counter()
-        batched = run_deepwalk(engine, config, starts=starts, frontier=True, rng=1)
-        frontier_seconds = min(frontier_seconds, time.perf_counter() - frontier_start)
+        with gc_paused():
+            frontier_start = time.perf_counter()
+            batched = run_deepwalk(engine, config, starts=starts, frontier=True, rng=1)
+            frontier_seconds = min(frontier_seconds, time.perf_counter() - frontier_start)
 
     # Identical workload, both paths completed it.
     assert batched.num_walks == scalar.num_walks == len(starts)

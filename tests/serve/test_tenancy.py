@@ -6,6 +6,8 @@ that tenancy actually protects a light tenant's latency from a flooding
 co-tenant and that the per-tenant stats add up.
 """
 
+import queue
+
 import pytest
 
 from repro.bench.datasets import build_dataset
@@ -148,8 +150,16 @@ class TestServiceTenancy:
                 tenant="flood",
             )
             light = service.submit("deepwalk", [1, 2, 3], 8, tenant="light")
+            # Count on the resolving thread, at the moment the light query
+            # completes: counting after result() returns would also count
+            # every flood wave served while this thread waited to be
+            # scheduled again.
+            counted: queue.Queue[int] = queue.Queue()
+            light.add_done_callback(
+                lambda _: counted.put(sum(1 for ticket in flood_tickets if not ticket.done))
+            )
             light.result(timeout=60.0)
-            flood_pending = sum(1 for ticket in flood_tickets if not ticket.done)
+            flood_pending = counted.get(timeout=60.0)
             # The light query resolved while a meaningful share of the
             # flood was still waiting — FIFO would have served all 120
             # flood queries first.

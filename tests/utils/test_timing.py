@@ -1,10 +1,34 @@
 """Tests for repro.utils.timing."""
 
+import gc
 import time
 
 import pytest
 
-from repro.utils.timing import Stopwatch, TimeBreakdown
+from repro.utils.timing import Stopwatch, TimeBreakdown, gc_paused
+
+
+class TestGcPaused:
+    def test_pauses_and_restores_the_collector(self):
+        assert gc.isenabled()
+        with gc_paused():
+            assert not gc.isenabled()
+        assert gc.isenabled()
+
+    def test_restores_after_an_exception(self):
+        with pytest.raises(RuntimeError):
+            with gc_paused():
+                raise RuntimeError("boom")
+        assert gc.isenabled()
+
+    def test_leaves_a_disabled_collector_disabled(self):
+        gc.disable()
+        try:
+            with gc_paused():
+                assert not gc.isenabled()
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
 
 
 class TestStopwatch:
