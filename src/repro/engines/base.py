@@ -22,13 +22,18 @@ import numpy as np
 
 from repro.core.memory_model import MemoryReport
 from repro.engines import compiled
-from repro.engines.sliced_tables import FrontierDelta, FusedTables, SliceParts
-from repro.errors import UpdateError
+from repro.engines.sliced_tables import FrontierDelta, FusedTables, SliceParts, SliceRows
+from repro.errors import SamplerStateError, UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng, ensure_rng
 from repro.utils.timing import TimeBreakdown
+
+#: The store every fused engine carries beside its draw tables: each
+#: vertex's out-neighbour ids, sorted ascending (the compiled node2vec
+#: walk's distance-1 test).
+ADJACENCY_SCHEMA: dict[str, dict[str, type]] = {"adjacency": {"neighbors": np.int64}}
 
 #: Phase names used in every engine's time breakdown.
 PHASE_INSERT = "insert"
@@ -351,7 +356,13 @@ class RandomWalkEngine(abc.ABC):
                     draws[member] = -1 if drawn is None else drawn
         return draws
 
-    def compiled_walk(self, frontier, *, termination_probability: float = 0.0) -> bool:
+    def compiled_walk(
+        self,
+        frontier,
+        *,
+        termination_probability: float = 0.0,
+        node2vec: tuple[float, float] | None = None,
+    ) -> bool:
         """Run ``frontier``'s whole walk in the compiled kernel, if this engine has one.
 
         Returns ``False`` without drawing anything when it does not, and the
@@ -421,6 +432,14 @@ class FusedFrontierEngine(RandomWalkEngine):
     ``frontier_tables.views()``.  Per-vertex scalar samplers live in
     ``_samplers``.
 
+    Beside the subclass's stores the tables hold one more, declared here:
+    :data:`ADJACENCY_SCHEMA`, each vertex's out-neighbour ids sorted
+    ascending, which the compiled node2vec walk binary-searches for the
+    distance-1 test.  It is derived from the graph for all repaired
+    vertices at once (:meth:`_adjacency_rows`) and rides the same cold
+    build, dirty repair, compaction and state/patch codec as the draw
+    tables.
+
     Frontier draws run in the compiled kernel (:mod:`repro.engines.compiled`)
     when it loads, else in the subclass's NumPy kernel
     (:meth:`_sample_frontier_numpy`); both consume the generator identically
@@ -442,15 +461,54 @@ class FusedFrontierEngine(RandomWalkEngine):
         super().__init__(rng=rng)
         self._samplers: dict = {}
         self.frontier_tables = FusedTables(
-            self.frontier_schemas, self._frontier_parts, self.num_vertices
+            {**self.frontier_schemas, **ADJACENCY_SCHEMA},
+            self._frontier_parts,
+            self.num_vertices,
+            rows={"adjacency": self._adjacency_rows},
         )
-        #: ``(views, packed addresses)``: views are rebuilt after every
-        #: repair, so packing once per views dict keeps the addresses valid.
-        self._packed: tuple[dict, np.ndarray] | None = None
+        #: ``(views, packed draw tables, packed adjacency)``: views are
+        #: rebuilt after every repair, so packing once per views dict keeps
+        #: the addresses valid.
+        self._packed: tuple[dict, np.ndarray, np.ndarray] | None = None
 
     @abc.abstractmethod
     def _frontier_parts(self, vertex: int) -> SliceParts | None:
-        """``vertex``'s slice of every store (``None`` without out-edges)."""
+        """``vertex``'s slice of each :attr:`frontier_schemas` store (``None``
+        without out-edges)."""
+
+    def _adjacency_rows(self, vertices: np.ndarray) -> SliceRows:
+        """``vertices``' adjacency slices: each graph row, sorted, back to back.
+
+        One ``lexsort`` sorts every row at once.
+        """
+        graph = self._require_graph()
+        rows = [graph.neighbor_array(vertex) for vertex in vertices.tolist()]
+        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
+        neighbors = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
+        owners = np.repeat(np.arange(len(rows)), lengths)
+        return lengths, {"neighbors": neighbors[np.lexsort((neighbors, owners))]}
+
+    def check_adjacency_store(self) -> None:
+        """Verify every adjacency slice is the vertex's sorted graph row.
+
+        The test hook behind :meth:`check_consistency`; it also holds on a
+        shard replica, whose tables are the writer's.
+        """
+        graph = self._require_graph()
+        views = self.frontier_tables.views()
+        offsets, lengths = views["adjacency_offset"], views["adjacency_length"]
+        neighbors = views["neighbors"]
+        for vertex in range(graph.num_vertices):
+            start = int(offsets[vertex])
+            actual = neighbors[start : start + int(lengths[vertex])]
+            if not np.array_equal(actual, np.sort(graph.neighbor_array(vertex))):
+                raise UpdateError(
+                    f"vertex {vertex} adjacency slice disagrees with the graph"
+                )
+
+    def check_consistency(self) -> None:
+        """Verify the fused tables against the graph (test hook)."""
+        self.check_adjacency_store()
 
     # ------------------------------------------------------------------ #
     # frontier kernels
@@ -459,8 +517,11 @@ class FusedFrontierEngine(RandomWalkEngine):
     def frontier_kernel(self) -> str:
         return compiled.kernel_name()
 
-    def _compiled_tables(self) -> tuple[compiled.FrontierKernel, np.ndarray] | None:
-        """The loaded kernel and the packed table addresses, or ``None``."""
+    def _compiled_tables(
+        self,
+    ) -> tuple[compiled.FrontierKernel, np.ndarray, np.ndarray] | None:
+        """The loaded kernel and the packed draw-table and adjacency
+        addresses, or ``None``."""
         kernel = compiled.load()
         if kernel is None:
             return None
@@ -470,9 +531,13 @@ class FusedFrontierEngine(RandomWalkEngine):
             limit = min(
                 len(views[name + "_length"]) for name in self.frontier_tables.stores
             )
-            packed = (views, compiled.pack_tables(views, self.kernel_fields, limit))
+            packed = (
+                views,
+                compiled.pack_tables(views, self.kernel_fields, limit),
+                compiled.pack_tables(views, compiled.ADJACENCY_FIELDS, limit),
+            )
             self._packed = packed
-        return kernel, packed[1]
+        return kernel, packed[1], packed[2]
 
     def _sample_frontier(
         self, vertices: np.ndarray, rng: np.random.Generator
@@ -480,7 +545,7 @@ class FusedFrontierEngine(RandomWalkEngine):
         loaded = self._compiled_tables()
         if loaded is None:
             return self._sample_frontier_numpy(vertices, rng)
-        kernel, tables = loaded
+        kernel, tables, _ = loaded
         draws, picks = kernel.step(tables, self.kernel_kind, rng, vertices)
         if len(picks):
             self._resolve_decimal_picks(vertices, draws, picks, rng)
@@ -505,54 +570,85 @@ class FusedFrontierEngine(RandomWalkEngine):
         """
         raise NotImplementedError(f"{self.name} kernels leave no picks")
 
-    def compiled_walk(self, frontier, *, termination_probability: float = 0.0) -> bool:
-        """Run ``frontier``'s whole DeepWalk or PPR walk in the compiled kernel.
+    def compiled_walk(
+        self,
+        frontier,
+        *,
+        termination_probability: float = 0.0,
+        node2vec: tuple[float, float] | None = None,
+    ) -> bool:
+        """Run ``frontier``'s whole DeepWalk, PPR or node2vec walk in the compiled kernel.
 
         ``termination_probability`` 0 is DeepWalk; otherwise each step
-        first flips the PPR termination coins.  The kernel makes the
-        generator calls :func:`~repro.walks.frontier.run_frontier_deepwalk`
-        / ``run_frontier_ppr`` make, in the same order, and leaves
-        ``frontier`` (matrix, alive walkers, ``steps_taken``) and
-        :attr:`samples_drawn` as they leave them.  A step that picks Bingo
-        decimal-group entries pauses the kernel; they are resolved here, in
-        the NumPy kernel's vertex order, before the step commits.  Returns
-        ``False``, having drawn nothing, when the kernel is unavailable.
+        first flips the PPR termination coins.  ``node2vec=(p, q)`` runs
+        :func:`~repro.walks.frontier.run_frontier_node2vec`'s rejection
+        rounds instead, with the distance-1 test read from the adjacency
+        store.  The kernel makes the generator calls the Python drivers
+        make, in the same order, and leaves ``frontier`` (matrix, alive
+        walkers, ``steps_taken``) and :attr:`samples_drawn` as they leave
+        them.  A draw that picks Bingo decimal-group entries pauses the
+        kernel; they are resolved here, in the NumPy kernel's vertex order,
+        before the draw is used.  A node2vec step that exhausts
+        ``frontier.max_rejection_rounds`` raises :class:`SamplerStateError`
+        after the same draws as the Python driver.  Returns ``False``,
+        having drawn nothing, when the kernel is unavailable.
         """
         if self._compiled_tables() is None:
             return False
         start = time.perf_counter()
+        size = frontier.alive_count()
         walkers = np.array(frontier.alive_walkers(), dtype=np.int64)
         vertices = np.array(frontier.alive_vertices(), dtype=np.int64)
-        draws = np.empty(len(walkers), dtype=np.int64)
-        picks = np.empty(len(walkers), dtype=np.int64)
+        draws = np.empty(size, dtype=np.int64)
+        picks = np.empty(size, dtype=np.int64)
         state = np.zeros(compiled.STATE_SLOTS, dtype=np.int64)
-        state[compiled.S_ALIVE] = len(walkers)
+        state[compiled.S_ALIVE] = size
         state[compiled.S_STEPS] = frontier.steps_taken
         state[compiled.S_MAX] = frontier.walk_length
+        params = np.zeros(4, dtype=np.float64)
+        params[0] = termination_probability
+        buffers: list[np.ndarray] = []
+        if node2vec is not None:
+            p, q = node2vec
+            # The same float expressions as walks.frontier._node2vec_step.
+            params[1:] = (1.0 / p, 1.0 / q, max(1.0 / p, 1.0, 1.0 / q))
+            state[compiled.S_ROUND_LIMIT] = frontier.max_rejection_rounds
+            # previous, pending, resolved, query
+            buffers = [np.empty(size, dtype=np.int64) for _ in range(4)]
         rng = frontier.rng
-        while True:
-            kernel, tables = self._compiled_tables()
-            state[compiled.S_COLUMNS] = frontier.matrix.shape[1]
-            code = kernel.walk(
-                tables,
-                self.kernel_kind,
-                rng,
-                state,
-                (frontier.matrix, walkers, vertices, draws, picks),
-                termination_probability,
-            )
-            if code == compiled.WALK_DONE:
-                break
-            if code == compiled.WALK_DECIMAL:
-                alive = int(state[compiled.S_ALIVE])
-                found = int(state[compiled.S_PICKS])
-                self._resolve_decimal_picks(vertices[:alive], draws, picks[:found], rng)
-            else:  # WALK_GROW: the next column is past the matrix edge
-                frontier.ensure_columns(int(state[compiled.S_STEPS]) + 2)
+        try:
+            while True:
+                kernel, tables, adjacency = self._compiled_tables()
+                state[compiled.S_COLUMNS] = frontier.matrix.shape[1]
+                code = kernel.walk(
+                    tables,
+                    self.kernel_kind,
+                    rng,
+                    state,
+                    (frontier.matrix, walkers, vertices, draws, picks),
+                    params,
+                    (adjacency, *buffers) if buffers else None,
+                )
+                if code == compiled.WALK_DONE:
+                    break
+                if code == compiled.WALK_DECIMAL:
+                    found = int(state[compiled.S_PICKS])
+                    if state[compiled.S_PHASE] == compiled.PHASE_ROUND:
+                        drawn_for = buffers[3][: int(state[compiled.S_WAITING])]
+                    else:
+                        drawn_for = vertices[: int(state[compiled.S_ALIVE])]
+                    self._resolve_decimal_picks(drawn_for, draws, picks[:found], rng)
+                elif code == compiled.WALK_GROW:
+                    frontier.ensure_columns(int(state[compiled.S_STEPS]) + 2)
+                else:
+                    raise SamplerStateError(
+                        "node2vec frontier rejection failed to accept; check p/q values"
+                    )
+        finally:
+            self.samples_drawn += int(state[compiled.S_SAMPLES])
+            self.breakdown.add(PHASE_SAMPLING, time.perf_counter() - start)
         alive = int(state[compiled.S_ALIVE])
         frontier.resume(walkers[:alive], vertices[:alive], int(state[compiled.S_STEPS]))
-        self.samples_drawn += int(state[compiled.S_SAMPLES])
-        self.breakdown.add(PHASE_SAMPLING, time.perf_counter() - start)
         return True
 
     def warm_frontier_tables(self) -> FrontierDelta:

@@ -518,7 +518,7 @@ class BingoEngine(FusedFrontierEngine):
         return {kind: count / total for kind, count in counts.items()}
 
     def check_consistency(self) -> None:
-        """Verify every sampler matches the graph adjacency (test hook)."""
+        """Verify every sampler and the fused tables match the graph (test hook)."""
         graph = self._require_graph()
         for vertex in range(graph.num_vertices):
             sampler = self._samplers.get(vertex)
@@ -536,3 +536,4 @@ class BingoEngine(FusedFrontierEngine):
                 if abs(actual[dst] - bias) > 1e-9:
                     raise UpdateError(f"vertex {vertex} bias mismatch on edge to {dst}")
             sampler.check_invariants()
+        super().check_consistency()

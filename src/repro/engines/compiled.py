@@ -1,10 +1,10 @@
 """Build, load and call the compiled frontier walk kernel.
 
-``frontier_kernel.c`` runs whole DeepWalk / PPR walks — and single
-frontier steps — over the fused tables of Bingo, KnightKing and gSampler
-in one foreign call, drawing from the caller's NumPy generator through its
-``bit_generator`` C interface in exactly the NumPy kernels' order.  This
-module is the only place that touches it:
+``frontier_kernel.c`` runs whole DeepWalk / PPR / node2vec walks — and
+single frontier steps — over the fused tables of Bingo, KnightKing and
+gSampler in one foreign call, drawing from the caller's NumPy generator
+through its ``bit_generator`` C interface in exactly the NumPy kernels'
+order.  This module is the only place that touches it:
 
 * :func:`load` compiles the source lazily, once per process, and caches
   the shared library by source sha256 under ``$XDG_CACHE_HOME/repro``
@@ -51,11 +51,31 @@ WALK_DONE = 0
 WALK_DECIMAL = 1
 #: The next commit needs a wider walk matrix: grow it, call again.
 WALK_GROW = 2
+#: A node2vec step used up its rejection rounds (``S_ROUND_LIMIT``).
+WALK_REJECTED = 3
 WALK_NO_MEMORY = -1
 
 #: ``frontier_walk`` state slots (see the C source).
-STATE_SLOTS = 7
-S_ALIVE, S_STEPS, S_MAX, S_COLUMNS, S_PENDING, S_PICKS, S_SAMPLES = range(STATE_SLOTS)
+STATE_SLOTS = 10
+(
+    S_ALIVE,
+    S_STEPS,
+    S_MAX,
+    S_COLUMNS,
+    S_PHASE,
+    S_PICKS,
+    S_SAMPLES,
+    S_WAITING,
+    S_ROUNDS,
+    S_ROUND_LIMIT,
+) = range(STATE_SLOTS)
+
+#: ``S_PHASE`` on a node2vec rejection round's ``WALK_DECIMAL`` pause: the
+#: picks index ``query``, not ``vertices``.
+PHASE_ROUND = 2
+
+#: The views the node2vec distance-1 test reads (the ``adjacency`` store).
+ADJACENCY_FIELDS = ("adjacency_offset", "adjacency_length", "neighbors")
 
 #: Upper bound on one compiler run.
 _COMPILE_TIMEOUT_S = 120.0
@@ -75,7 +95,8 @@ class FrontierKernel:
         self._step.argtypes = [_P, _I, _P, _P, _I, _P, _P]
         self._step.restype = _I
         self._walk = library.frontier_walk
-        self._walk.argtypes = [_P, _I, _P, _P, _P, _P, _P, _P, _P, ctypes.c_double]
+        # tables, kind, then thirteen pointers (see frontier_walk).
+        self._walk.argtypes = [_P, _I] + [_P] * 13
         self._walk.restype = _I
 
     def step(
@@ -111,13 +132,21 @@ class FrontierKernel:
         rng: np.random.Generator,
         state: np.ndarray,
         arrays: Sequence[np.ndarray],
-        termination_probability: float,
+        params: np.ndarray,
+        node2vec: Sequence[np.ndarray] | None = None,
     ) -> int:
         """Advance a resumable walk; returns a ``WALK_*`` code.
 
         ``arrays`` is ``(matrix, walkers, vertices, draws, picks)``, all
-        C-contiguous int64.
+        C-contiguous int64.  ``params`` is the float64 vector
+        ``(termination_probability, 1/p, 1/q, envelope)``.  A node2vec walk
+        passes ``node2vec = (adjacency, previous, pending, resolved,
+        query)``: the packed adjacency addresses, then four int64 buffers
+        as long as ``walkers``.
         """
+        extra: list[int | None] = [None] * 5
+        if node2vec is not None:
+            extra = [array.ctypes.data for array in node2vec]
         bit_generator = rng.bit_generator
         with bit_generator.lock:
             code: int = self._walk(
@@ -126,7 +155,8 @@ class FrontierKernel:
                 bit_generator.ctypes.bit_generator.value,
                 state.ctypes.data,
                 *(array.ctypes.data for array in arrays),
-                termination_probability,
+                *extra,
+                params.ctypes.data,
             )
         if code == WALK_NO_MEMORY:
             raise MemoryError("frontier kernel scratch allocation failed")

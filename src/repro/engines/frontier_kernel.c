@@ -17,6 +17,10 @@
  *               [7] entry_decimal (bool bytes)  [8] flat_offset  [9] members
  *   knightking: [3] prob  [4] alias  [5] ids
  *   gsampler:   [3] cumulative  [4] ids
+ *
+ * Adjacency layout (`adjacency`, node2vec only): [0] directory length,
+ * [1] segment offsets, [2] segment lengths, [3] each vertex's out-neighbour
+ * ids, sorted ascending within its segment.
  */
 
 #include <stdint.h>
@@ -34,7 +38,13 @@ typedef struct bitgen {
 enum { KIND_BINGO = 0, KIND_KNIGHTKING = 1, KIND_GSAMPLER = 2 };
 
 /* frontier_walk return codes. */
-enum { WALK_DONE = 0, WALK_DECIMAL = 1, WALK_GROW = 2, WALK_NO_MEMORY = -1 };
+enum {
+    WALK_DONE = 0,
+    WALK_DECIMAL = 1,  /* a draw left Bingo decimal picks: resolve, call again */
+    WALK_GROW = 2,     /* the next commit needs a wider matrix */
+    WALK_REJECTED = 3, /* a node2vec step ran out of rejection rounds */
+    WALK_NO_MEMORY = -1
+};
 
 /* frontier_walk state slots (an int64 array the caller keeps between calls). */
 enum {
@@ -42,9 +52,22 @@ enum {
     S_STEPS = 1,   /* steps taken (committed columns after column 0) */
     S_MAX = 2,     /* walk length / max steps */
     S_COLUMNS = 3, /* current matrix width */
-    S_PENDING = 4, /* 1: draws[0..alive) hold a drawn, uncommitted step */
+    S_PHASE = 4,   /* PHASE_*: where the walk resumes */
     S_PICKS = 5,   /* decimal picks written on a WALK_DECIMAL pause */
-    S_SAMPLES = 6  /* draws requested so far (engine.samples_drawn) */
+    S_SAMPLES = 6, /* draws requested so far (engine.samples_drawn) */
+    S_WAITING = 7, /* node2vec: walkers still rejecting in this step */
+    S_ROUNDS = 8,  /* node2vec: rejection rounds drawn in this step */
+    S_ROUND_LIMIT = 9 /* node2vec: rounds allowed per step */
+};
+
+/* Walk phases (state[S_PHASE]). */
+enum {
+    PHASE_IDLE = 0,   /* no step in flight */
+    PHASE_DRAWN = 1,  /* draws[0..alive) hold the step, uncommitted */
+    PHASE_ROUND = 2,  /* draws[0..waiting) hold a rejection round's proposals
+                       * for query[0..waiting), not yet tested */
+    PHASE_REJECT = 3, /* the next rejection round is due */
+    PHASE_RESOLVED = 4 /* resolved[0..alive) hold the node2vec step, uncommitted */
 };
 
 #define PTR(type, index) ((type *)(intptr_t)tables[index])
@@ -199,28 +222,68 @@ int64_t frontier_step(const int64_t *tables, int64_t kind, void *bitgen,
     return result;
 }
 
-/* Whole DeepWalk (`termination_probability` 0) or PPR walks, resumable.
+/* Whether `target` is an out-neighbour of `source`: a binary search in
+ * `source`'s sorted adjacency segment (graph.has_arcs). */
+static int has_arc(const int64_t *adjacency, int64_t source, int64_t target)
+{
+    if (source < 0 || source >= adjacency[0]) {
+        return 0;
+    }
+    const int64_t *neighbors = (const int64_t *)(intptr_t)adjacency[3];
+    int64_t lo = ((const int64_t *)(intptr_t)adjacency[1])[source];
+    int64_t end = lo + ((const int64_t *)(intptr_t)adjacency[2])[source];
+    int64_t hi = end;
+    while (lo < hi) {
+        int64_t mid = (lo + hi) >> 1;
+        if (neighbors[mid] < target) {
+            lo = mid + 1;
+        } else {
+            hi = mid;
+        }
+    }
+    return lo < end && neighbors[lo] == target;
+}
+
+/* Whole DeepWalk (`termination_probability` 0), PPR or node2vec walks,
+ * resumable.
  *
  * `walkers` / `vertices` hold the alive walkers' rows (ascending) and
  * positions in their first state[S_ALIVE] entries; `matrix` is the
  * rows x state[S_COLUMNS] walk matrix.  Each step mirrors
  * walks/frontier.py: PPR termination coins for every alive walker, one
  * draw_step, then the commit (column write, dead walkers compacted out).
- * The call returns WALK_DECIMAL with the step drawn but not committed when
- * a Bingo pick needs the decimal sampler, and WALK_GROW before a commit
- * that needs a wider matrix; the caller fixes either up and calls again. */
+ *
+ * With `adjacency` non-NULL the walk is node2vec (run_frontier_node2vec):
+ * step 0 is a plain draw, and every later step rejection-samples
+ * Equation (1) (_node2vec_step).  A round draws for query[j] =
+ * vertices[pending[j]], then tests each live proposal in order with one
+ * uniform against factor / envelope, where factor is `inv_p` on a
+ * backtrack, 1 when the proposal is an out-neighbour of the walker's
+ * `previous` vertex and `inv_q` otherwise.  Accepted proposals land in
+ * `resolved`; sinks resolve to -1; the rest stay pending.  `params` is
+ * {termination_probability, inv_p, inv_q, envelope}.
+ *
+ * The call returns WALK_DECIMAL with a draw made but not used when a Bingo
+ * pick needs the decimal sampler, WALK_GROW before a commit that needs a
+ * wider matrix, and WALK_REJECTED when a node2vec step used up its
+ * rejection rounds; the caller fixes the first two up and calls again. */
 int64_t frontier_walk(const int64_t *tables, int64_t kind, void *bitgen,
                       int64_t *state, int64_t *matrix, int64_t *walkers,
                       int64_t *vertices, int64_t *draws, int64_t *picks,
-                      double termination_probability)
+                      const int64_t *adjacency, int64_t *previous,
+                      int64_t *pending, int64_t *resolved, int64_t *query,
+                      const double *params)
 {
     bitgen_t *generator = (bitgen_t *)bitgen;
+    double termination_probability = params[0];
     int64_t alive = state[S_ALIVE];
     int64_t steps = state[S_STEPS];
     int64_t max_steps = state[S_MAX];
     int64_t columns = state[S_COLUMNS];
-    int64_t pending = state[S_PENDING];
+    int64_t phase = state[S_PHASE];
     int64_t samples = state[S_SAMPLES];
+    int64_t waiting = state[S_WAITING];
+    int64_t rounds = state[S_ROUNDS];
     int64_t result = WALK_DONE;
     int64_t *live = malloc((size_t)(alive > 0 ? alive : 1) * sizeof(int64_t));
     double *u = malloc((size_t)(alive > 0 ? alive : 1) * 3 * sizeof(double));
@@ -229,7 +292,7 @@ int64_t frontier_walk(const int64_t *tables, int64_t kind, void *bitgen,
         goto out;
     }
     for (;;) {
-        if (!pending) {
+        if (phase == PHASE_IDLE) {
             if (steps >= max_steps || alive == 0) {
                 break;
             }
@@ -247,30 +310,90 @@ int64_t frontier_walk(const int64_t *tables, int64_t kind, void *bitgen,
                     break;
                 }
             }
+            if (adjacency != NULL && steps > 0) {
+                for (int64_t i = 0; i < alive; i++) {
+                    resolved[i] = -1;
+                    pending[i] = i;
+                }
+                waiting = alive;
+                rounds = 0;
+                phase = PHASE_REJECT;
+                continue;
+            }
             int64_t count = draw_step(tables, kind, generator, vertices, alive,
                                       draws, picks, live, u);
             samples += alive;
-            pending = 1;
+            phase = PHASE_DRAWN;
             if (count > 0) {
                 state[S_PICKS] = count;
                 result = WALK_DECIMAL;
                 break;
             }
         }
-        /* The frontier widens its matrix when the next column reaches
-         * the edge (WalkFrontier.ensure_columns). */
+        if (phase == PHASE_REJECT) {
+            if (rounds >= state[S_ROUND_LIMIT]) {
+                result = WALK_REJECTED;
+                break;
+            }
+            for (int64_t j = 0; j < waiting; j++) {
+                query[j] = vertices[pending[j]];
+            }
+            int64_t count = draw_step(tables, kind, generator, query, waiting,
+                                      draws, picks, live, u);
+            samples += waiting;
+            rounds++;
+            phase = PHASE_ROUND;
+            if (count > 0) {
+                state[S_PICKS] = count;
+                result = WALK_DECIMAL;
+                break;
+            }
+        }
+        if (phase == PHASE_ROUND) {
+            double inv_p = params[1];
+            double inv_q = params[2];
+            double envelope = params[3];
+            int64_t still = 0;
+            for (int64_t j = 0; j < waiting; j++) {
+                int64_t drawn = draws[j];
+                if (drawn < 0) {
+                    continue; /* a sink: the walker dies this step */
+                }
+                int64_t walker = pending[j];
+                int64_t before = previous[walker];
+                double factor = has_arc(adjacency, before, drawn) ? 1.0 : inv_q;
+                if (drawn == before) {
+                    factor = inv_p;
+                }
+                if (generator->next_double(generator->state) < factor / envelope) {
+                    resolved[walker] = drawn;
+                } else {
+                    pending[still++] = walker;
+                }
+            }
+            waiting = still;
+            phase = waiting > 0 ? PHASE_REJECT : PHASE_RESOLVED;
+            continue;
+        }
+        /* PHASE_DRAWN or PHASE_RESOLVED: commit the step.  The frontier
+         * widens its matrix when the next column reaches the edge
+         * (WalkFrontier.ensure_columns). */
         if (steps + 2 >= columns && columns < max_steps + 1) {
             result = WALK_GROW;
             break;
         }
+        const int64_t *next_vertices = phase == PHASE_DRAWN ? draws : resolved;
         steps++;
-        pending = 0;
+        phase = PHASE_IDLE;
         int64_t kept = 0;
         for (int64_t i = 0; i < alive; i++) {
-            int64_t next = draws[i];
+            int64_t next = next_vertices[i];
             matrix[walkers[i] * columns + steps] = next;
             if (next >= 0) {
                 walkers[kept] = walkers[i];
+                if (adjacency != NULL) {
+                    previous[kept] = vertices[i];
+                }
                 vertices[kept] = next;
                 kept++;
             }
@@ -282,7 +405,9 @@ out:
     free(u);
     state[S_ALIVE] = alive;
     state[S_STEPS] = steps;
-    state[S_PENDING] = pending;
+    state[S_PHASE] = phase;
     state[S_SAMPLES] = samples;
+    state[S_WAITING] = waiting;
+    state[S_ROUNDS] = rounds;
     return result;
 }

@@ -19,19 +19,22 @@ columns:
 
 :class:`FusedTables` is the one owner of an engine's stores.  An engine
 supplies its store schemas and one function, vertex → that vertex's
-slices; the owner does the cold build, the dirty-set repair, compaction,
-and the cross-process state and patch codec.  Every value inside a slice
-is local to the vertex's own segments, so each store patches and
-compacts independently of the others.  :meth:`FusedTables.warm` reports
-what a repair cost as a :class:`FrontierDelta` — the unit the
-epoch-delta publication path ships instead of a rebuilt world.
+slices (plus, for a store it derives for many vertices at once, vertex
+ids → their slices back to back); the owner does the cold build, the
+dirty-set repair, compaction, and the cross-process state and patch
+codec.  A repair writes each store's slices in one vectorized pass.
+Every value inside a slice is local to the vertex's own segments, so
+each store patches and compacts independently of the others.
+:meth:`FusedTables.warm` reports what a repair cost as a
+:class:`FrontierDelta` — the unit the epoch-delta publication path ships
+instead of a rebuilt world.
 """
 
 from __future__ import annotations
 
 import io
 from dataclasses import dataclass
-from collections.abc import Callable, Iterable, Mapping
+from collections.abc import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -44,8 +47,15 @@ _COMPACTION_SLACK = 1024
 #: Smallest data-column capacity allocated once a store holds anything.
 _MIN_CAPACITY = 16
 
+#: Vertices whose slices one repair pass derives and writes together.
+_WRITE_CHUNK = 256
+
 #: One vertex's slices: store name -> column name -> values.
 SliceParts = Mapping[str, Mapping[str, np.ndarray]]
+
+#: Many vertices' slices of one store: per-vertex lengths, and each column's
+#: slices back to back.
+SliceRows = tuple[np.ndarray, Mapping[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -157,41 +167,86 @@ class SlicedTableStore:
         tail and the old segment is orphaned.  Either way the directory
         points at consistent data when this returns.
         """
-        if set(parts) != set(self.schema):
-            raise ReproError(
-                "slice parts must cover exactly the store schema: expected "
-                f"{sorted(self.schema)}, got {sorted(parts)}"
-            )
-        length = len(next(iter(parts.values())))
-        for name, values in parts.items():
-            if len(values) != length:
+        self.set_slices(np.array([vertex], dtype=np.int64), [parts])
+        return int(self.seg_offset[vertex])
+
+    def set_slices(
+        self, vertices: np.ndarray, slices: Sequence[Mapping[str, np.ndarray] | None]
+    ) -> None:
+        """:meth:`set_slice` for each of the distinct ``vertices``, in one pass.
+
+        ``slices[i]`` holds ``vertices[i]``'s columns, or ``None`` to clear
+        its slice.
+        """
+        lengths = []
+        chunks: dict[str, list[np.ndarray]] = {name: [] for name in self.schema}
+        for parts in slices:
+            if parts is None:
+                lengths.append(0)
+                continue
+            if parts.keys() != self.schema.keys():
                 raise ReproError(
-                    f"slice column {name!r} has {len(values)} entries, "
-                    f"expected {length}"
+                    "slice parts must cover exactly the store schema: expected "
+                    f"{sorted(self.schema)}, got {sorted(parts)}"
                 )
-        if length == 0:
-            self.clear_slice(vertex)
-            return 0
-        old_length = int(self.seg_length[vertex])
-        if 0 < length <= old_length:
-            offset = int(self.seg_offset[vertex])
-        else:
-            # Orphan the old segment (if any) and append at the tail.
-            offset = self.used
-            self._ensure_capacity(offset + length)
-            self.used = offset + length
-        for name, values in parts.items():
-            self._columns[name][offset : offset + length] = values
-        self.seg_offset[vertex] = offset
-        self.seg_length[vertex] = length
-        self.live += length - old_length
-        return offset
+            length = -1
+            for name, values in parts.items():
+                if length < 0:
+                    length = len(values)
+                elif len(values) != length:
+                    raise ReproError(
+                        f"slice column {name!r} has {len(values)} entries, "
+                        f"expected {length}"
+                    )
+                chunks[name].append(values)
+            lengths.append(length)
+        columns = {
+            name: np.concatenate(chunk) if chunk else np.empty(0, dtype=self.schema[name])
+            for name, chunk in chunks.items()
+        }
+        self.place(vertices, np.array(lengths, dtype=np.int64), columns)
+
+    def place(
+        self, vertices: np.ndarray, lengths: np.ndarray, columns: Mapping[str, np.ndarray]
+    ) -> None:
+        """Write distinct ``vertices``' slices, given back to back.
+
+        ``columns[name]`` holds ``lengths[i]`` entries for ``vertices[i]``,
+        in order; a length of zero clears the slice.  The layout is the one
+        successive :meth:`set_slice` calls in ``vertices`` order leave.
+        """
+        if columns.keys() != self.schema.keys():
+            raise ReproError(
+                f"slice columns must be exactly {sorted(self.schema)}, "
+                f"got {sorted(columns)}"
+            )
+        if len(np.unique(vertices)) != len(vertices):
+            raise ReproError("a slice write names a vertex twice")
+        total = int(lengths.sum())
+        for name, values in columns.items():
+            if len(values) != total:
+                raise ReproError(
+                    f"slice column {name!r} has {len(values)} entries, expected {total}"
+                )
+        old = self.seg_length[vertices]
+        grown = lengths > old
+        appended = np.where(grown, lengths, 0)
+        tail = self.used + np.cumsum(appended) - appended
+        offsets = np.where(grown, tail, self.seg_offset[vertices])
+        offsets[lengths == 0] = 0
+        added = int(appended.sum())
+        self._ensure_capacity(self.used + added)
+        destination = _segment_positions(offsets, lengths)
+        for name, values in columns.items():
+            self._columns[name][destination] = values
+        self.used += added
+        self.seg_offset[vertices] = offsets
+        self.seg_length[vertices] = lengths
+        self.live += total - int(old.sum())
 
     def clear_slice(self, vertex: int) -> None:
         """Drop ``vertex``'s segment (its entries become waste)."""
-        self.live -= int(self.seg_length[vertex])
-        self.seg_offset[vertex] = 0
-        self.seg_length[vertex] = 0
+        self.set_slices(np.array([vertex], dtype=np.int64), [None])
 
     def _ensure_capacity(self, needed: int) -> None:
         capacity = self.capacity
@@ -279,14 +334,11 @@ class SlicedTableStore:
         self, vertices: np.ndarray, payload: Mapping[str, np.ndarray], prefix: str
     ) -> None:
         """Write an :meth:`export_slices` patch over ``vertices``' segments."""
-        columns = {name: payload[prefix + name] for name in self.schema}
-        cursor = 0
-        for vertex, length in zip(vertices.tolist(), payload[prefix + "lengths"].tolist()):
-            self.set_slice(
-                vertex,
-                {name: values[cursor : cursor + length] for name, values in columns.items()},
-            )
-            cursor += length
+        self.place(
+            np.asarray(vertices, dtype=np.int64),
+            np.asarray(payload[prefix + "lengths"], dtype=np.int64),
+            {name: payload[prefix + name] for name in self.schema},
+        )
 
 
 class FusedTables:
@@ -298,10 +350,15 @@ class FusedTables:
         Store name -> that store's column schema.  Column names must be
         unique across stores: :meth:`views` keys them by name.
     parts:
-        Vertex -> its slice of every store, or ``None`` when the vertex
-        has no out-edges.  Values must be local to the vertex's segments.
+        Vertex -> its slice of every store not in ``rows``, or ``None``
+        when the vertex has no out-edges.  Values must be local to the
+        vertex's segments.
     num_vertices:
         The current vertex count of the engine's graph.
+    rows:
+        Store name -> a function deriving many vertices' slices of that
+        store at once: vertex ids -> ``(lengths, columns)`` with the
+        slices back to back (:meth:`SlicedTableStore.place`).
 
     :meth:`views` is what the kernels read: every column by name, plus
     each store's directory as ``<store>_offset`` / ``<store>_length``.
@@ -312,9 +369,11 @@ class FusedTables:
         schemas: Mapping[str, Mapping[str, np.dtype]],
         parts: Callable[[int], SliceParts | None],
         num_vertices: Callable[[], int],
+        rows: Mapping[str, Callable[[np.ndarray], SliceRows]] | None = None,
     ) -> None:
         self.stores = {name: SlicedTableStore(schema) for name, schema in schemas.items()}
         self._parts = parts
+        self._rows = dict(rows or {})
         self._num_vertices = num_vertices
         self._dirty: set[int] = set()
         self._views: dict[str, np.ndarray] | None = None
@@ -353,18 +412,14 @@ class FusedTables:
             self.full_builds += 1
             for store in self.stores.values():
                 store.reset(num_vertices)
-            for vertex in range(num_vertices):
-                parts = self._parts(vertex)
-                if parts is not None:
-                    self._write(vertex, parts)
+            self._write(range(num_vertices))
             self._refresh_views()
             return FrontierDelta(vertices=num_vertices, full_rebuild=True)
         dirty = tuple(sorted(self._dirty))
         self._dirty.clear()
         for store in self.stores.values():
             store.ensure_vertices(num_vertices)
-        for vertex in dirty:
-            self._write(vertex, self._parts(vertex))
+        self._write(dirty)
         self.compact()
         self._refresh_views()
         return FrontierDelta(vertices=len(dirty), full_rebuild=False, vertex_ids=dirty)
@@ -375,12 +430,20 @@ class FusedTables:
             if store.needs_compaction():
                 store.compact()
 
-    def _write(self, vertex: int, parts: SliceParts | None) -> None:
-        for name, store in self.stores.items():
-            if parts is None:
-                store.clear_slice(vertex)
-            else:
-                store.set_slice(vertex, parts[name])
+    def _write(self, vertices: Sequence[int]) -> None:
+        """Re-derive ``vertices``' slices, then write each store in one pass.
+
+        Chunked, so a cold build holds a bounded number of slices at once.
+        """
+        for start in range(0, len(vertices), _WRITE_CHUNK):
+            chunk = vertices[start : start + _WRITE_CHUNK]
+            ids = np.asarray(chunk, dtype=np.int64)
+            parts = [self._parts(vertex) for vertex in chunk]
+            for name, store in self.stores.items():
+                if name in self._rows:
+                    store.place(ids, *self._rows[name](ids))
+                else:
+                    store.set_slices(ids, [None if p is None else p[name] for p in parts])
 
     def _refresh_views(self) -> None:
         # Re-derived after every repair: capacity growth replaces the

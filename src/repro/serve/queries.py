@@ -11,6 +11,8 @@ tests check snapshot isolation against.
 
 from __future__ import annotations
 
+import math
+import numbers
 import threading
 import time
 from collections import deque
@@ -93,6 +95,13 @@ def validate_starts(starts, num_vertices: int) -> list[int]:
     return [int(v) for v in array]
 
 
+def _number(name: str, value) -> float:
+    """``value`` as a float, or :class:`QueryValidationError` if it is no number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise QueryValidationError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
 @dataclass
 class WalkQuery:
     """One walk request against the currently published snapshot.
@@ -125,11 +134,40 @@ class WalkQuery:
             )
         if self.walk_length < 1:
             raise QueryValidationError("walk_length must be positive")
+        self._check_params()
         if self.deadline is not None and not float(self.deadline) > 0:
             raise QueryValidationError(
                 "deadline must be a positive time.monotonic() timestamp; "
                 "use repro.serve.deadline_in(seconds)"
             )
+
+    def _check_params(self) -> None:
+        """Reject hyper-parameters the walk drivers would only trip on late.
+
+        A NaN node2vec ``p`` otherwise runs every rejection round before
+        failing, and a string one fails inside the dispatcher.
+        """
+        params = self.params
+        if self.application == "node2vec":
+            for name in ("p", "q"):
+                if name in params and not 0 < _number(name, params[name]) < math.inf:
+                    raise QueryValidationError(
+                        f"node2vec {name} must be positive and finite, got {params[name]!r}"
+                    )
+        elif self.application == "ppr":
+            name = "termination_probability"
+            if name in params and not 0 < _number(name, params[name]) <= 1:
+                raise QueryValidationError(
+                    f"ppr {name} must lie in (0, 1], got {params[name]!r}"
+                )
+            steps = params.get("max_steps", 1)
+            integral = isinstance(steps, numbers.Integral) or (
+                isinstance(steps, float) and steps.is_integer()
+            )
+            if isinstance(steps, bool) or not integral or steps < 1:
+                raise QueryValidationError(
+                    f"ppr max_steps must be a positive integer, got {steps!r}"
+                )
 
     def expired(self, now: float | None = None) -> bool:
         """Whether the deadline passed (always ``False`` without one)."""

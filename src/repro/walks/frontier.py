@@ -10,8 +10,8 @@ fused whole-frontier draw for Bingo, KnightKing and gSampler, or a
 group-by-vertex dispatch onto the vectorized batch kernel for FlowWalker.
 A step costs that one kernel call plus a few NumPy calls; node2vec adds one
 vectorized :meth:`~repro.engines.base.RandomWalkEngine.has_arcs` edge probe
-per rejection round.  On the fused engines DeepWalk and PPR skip the
-Python step loop altogether when the compiled kernel loads:
+per rejection round.  On the fused engines DeepWalk, PPR and node2vec skip
+the Python step loop altogether when the compiled kernel loads:
 :meth:`~repro.engines.base.RandomWalkEngine.compiled_walk` runs the whole
 walk in one foreign call, with the same generator calls in the same order.
 
@@ -22,6 +22,7 @@ application wants paths.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from collections.abc import Sequence
 
@@ -86,6 +87,9 @@ class WalkFrontier:
     costs one column write and one reassignment.  Deaths compact both
     arrays with one boolean mask.
     """
+
+    #: Rejection rounds a node2vec step may take before it gives up.
+    max_rejection_rounds = _MAX_REJECTION_ROUNDS
 
     def __init__(
         self,
@@ -295,11 +299,17 @@ def run_frontier_node2vec(
     vertices — backtracks and the default ``1/q`` vectorize, and the
     distance-1 case is one :meth:`~repro.engines.base.RandomWalkEngine.has_arcs`
     probe per rejection round — and one vectorized coin flip accepts or
-    returns each walker to the pending set.
+    returns each walker to the pending set.  On the fused engines the
+    compiled kernel runs the same rounds, reading the distance-1 test from
+    the engine's sorted adjacency store.
     """
-    if p <= 0 or q <= 0:
-        raise ValueError("node2vec hyper-parameters p and q must be positive")
+    # Plain floats: the compiled rounds evaluate Equation (1) in float64.
+    p, q = float(p), float(q)
+    if not (0 < p < math.inf and 0 < q < math.inf):
+        raise ValueError("node2vec hyper-parameters p and q must be positive and finite")
     frontier = WalkFrontier(engine, starts, walk_length, rng=rng)
+    if engine.compiled_walk(frontier, node2vec=(p, q)):
+        return frontier.finish()
     # Aligned with the compact alive set, like the frontier's own vertices.
     previous = np.empty(0, dtype=np.int64)
     for step in range(walk_length):
@@ -328,7 +338,7 @@ def _node2vec_step(engine, frontier, previous, p, q):
     vertices = frontier.alive_vertices()
     resolved = np.full(len(vertices), -1, dtype=np.int64)
     pending = np.arange(len(vertices))
-    for _ in range(_MAX_REJECTION_ROUNDS):
+    for _ in range(frontier.max_rejection_rounds):
         proposals = engine.sample_frontier(vertices[pending], frontier.rng)
         # Sink walkers are resolved as dead; the rest face the acceptance
         # test against their previous vertex.

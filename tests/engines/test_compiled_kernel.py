@@ -1,13 +1,15 @@
 """The compiled frontier kernel against the NumPy kernels it replaces.
 
-The NumPy kernels are the reference: with the kernel loaded, every fused
-engine (Bingo, KnightKing, gSampler) × DeepWalk / PPR / node2vec must
-produce the same walk matrix, the same ``samples_drawn`` and leave the
-generator in the same state as with the loader forced to ``None``.  The
-graphs cover integer biases and fractional ones (Bingo's decimal-group
-pause), sinks, an isolated vertex, out-of-range and repeated starts, and
-the repaired tables after a churn batch.  The loader tests pin the
-fallback and cache behaviour.
+The NumPy kernels and the Python node2vec driver are the reference: with
+the kernel loaded, every fused engine (Bingo, KnightKing, gSampler) ×
+DeepWalk / PPR / node2vec must produce the same walk matrix, the same
+``samples_drawn`` and leave the generator in the same state as with the
+loader forced to ``None``.  The graphs cover integer biases and fractional
+ones (Bingo's decimal-group pause, at a plain step and inside a node2vec
+rejection round), sinks, an isolated vertex, out-of-range and repeated
+starts, an undirected graph, walks past the matrix's initial width, the
+repaired tables after a churn batch and a node2vec step that runs out of
+rejection rounds.  The loader tests pin the fallback and cache behaviour.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -24,6 +27,7 @@ import pytest
 
 from repro.engines import compiled
 from repro.engines.registry import create_engine
+from repro.errors import SamplerStateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.walks.frontier import (
     run_frontier_deepwalk,
@@ -108,42 +112,176 @@ def force_numpy(monkeypatch) -> None:
 def test_compiled_walks_equal_numpy_walks(engine_name, graph_name, application, monkeypatch):
     fast = observe(engine_name, graph_name, application)
     force_numpy(monkeypatch)
-    reference = observe(engine_name, graph_name, application)
+    assert_same_runs(fast, observe(engine_name, graph_name, application))
+
+
+def assert_same_runs(fast, reference) -> None:
+    """Equal matrices (or errors), ``samples_drawn`` and next uniforms."""
+    assert len(fast) == len(reference)
     for (matrix, drawn, after), (ref_matrix, ref_drawn, ref_after) in zip(fast, reference):
-        assert matrix.shape == ref_matrix.shape
-        np.testing.assert_array_equal(matrix, ref_matrix)
+        if isinstance(ref_matrix, str):
+            assert matrix == ref_matrix
+        else:
+            assert matrix.shape == ref_matrix.shape
+            np.testing.assert_array_equal(matrix, ref_matrix)
         assert drawn == ref_drawn
         assert after == ref_after
 
 
+def circulant_graph() -> DynamicGraph:
+    """No sinks, so walks outlive the matrix's initial width."""
+    graph = DynamicGraph(60)
+    for vertex in range(60):
+        for hop, bias in ((1, 1.5), (5, 2.25), (17, 3.0)):
+            graph.add_edge(vertex, (vertex + hop) % 60, bias)
+    return graph
+
+
 @requires_kernel
-@pytest.mark.parametrize("application", ("deepwalk", "ppr"))
+@pytest.mark.parametrize("application", APPLICATIONS)
 @pytest.mark.parametrize("engine_name", FUSED_ENGINES)
 def test_long_walks_grow_the_matrix_like_numpy(engine_name, application, monkeypatch):
     """Walks past the initial 129 columns pause the kernel to widen the matrix."""
 
-    def long_walk() -> np.ndarray:
-        # A circulant graph: no sinks, so walks outlive the initial width.
-        graph = DynamicGraph(60)
-        for vertex in range(60):
-            for hop, bias in ((1, 1.5), (5, 2.25), (17, 3.0)):
-                graph.add_edge(vertex, (vertex + hop) % 60, bias)
+    def long_walk():
         kwargs = {"lam": 1.0} if engine_name == "bingo" else {}
         engine = create_engine(engine_name, rng=ENGINE_SEED, **kwargs)
-        engine.build(graph)
+        engine.build(circulant_graph())
         starts = list(range(60)) * 2
         rng = np.random.default_rng(11)
         if application == "deepwalk":
-            return run_frontier_deepwalk(engine, starts, 300, rng=rng).matrix
-        return run_frontier_ppr(
-            engine, starts, termination_probability=0.002, max_steps=300, rng=rng
-        ).matrix
+            walks = run_frontier_deepwalk(engine, starts, 300, rng=rng)
+        elif application == "ppr":
+            walks = run_frontier_ppr(
+                engine, starts, termination_probability=0.002, max_steps=300, rng=rng
+            )
+        else:
+            walks = run_frontier_node2vec(engine, starts, 300, p=0.5, q=2.0, rng=rng)
+        return [(walks.matrix, engine.samples_drawn, rng.random())]
 
     fast = long_walk()
     force_numpy(monkeypatch)
     reference = long_walk()
-    assert fast.shape[1] > 129
-    np.testing.assert_array_equal(fast, reference)
+    assert fast[0][0].shape[1] > 129
+    assert_same_runs(fast, reference)
+
+
+def node2vec_runs(make_engine, starts, length, p, q, *, churn=churn_batch):
+    """Two node2vec runs (the second after ``churn``), as :func:`observe` records them.
+
+    A run that fails records the error's text instead of a matrix.
+    """
+    engine = make_engine()
+    observed = []
+    for seed in (7, 8):
+        if seed == 8 and churn is not None:
+            engine.apply_batch(churn(engine.graph))
+        rng = np.random.default_rng(seed)
+        try:
+            matrix = run_frontier_node2vec(engine, starts, length, p=p, q=q, rng=rng).matrix
+        except SamplerStateError as error:
+            matrix = f"SamplerStateError: {error}"
+        observed.append((matrix, engine.samples_drawn, rng.random()))
+    return observed
+
+
+@requires_kernel
+@pytest.mark.parametrize(
+    "p, q", [(0.5, 2.0), (1.0, 1.0), (2.0, 0.25), (0.3, 0.3), (4.0, 2.0)]
+)
+@pytest.mark.parametrize("graph_name", sorted(GRAPHS))
+@pytest.mark.parametrize("engine_name", FUSED_ENGINES)
+def test_compiled_node2vec_equals_the_python_driver(
+    engine_name, graph_name, p, q, monkeypatch
+):
+    """Sinks, an isolated start, out-of-range and repeated starts, churn."""
+
+    def runs():
+        make_engine = partial(build, engine_name, graph_name)
+        return node2vec_runs(make_engine, fused_starts(), 15, p, q)
+
+    fast = runs()
+    force_numpy(monkeypatch)
+    assert_same_runs(fast, runs())
+
+
+def undirected_graph() -> DynamicGraph:
+    """``make_graph``'s arcs as undirected edges (every arc mirrored)."""
+    directed = make_graph()
+    graph = DynamicGraph(directed.num_vertices, undirected=True)
+    for vertex in range(directed.num_vertices):
+        for dst, bias in zip(
+            directed.neighbor_array(vertex).tolist(),
+            directed.bias_array(vertex).tolist(),
+        ):
+            if not graph.has_edge(vertex, dst):
+                graph.add_edge(vertex, dst, bias)
+    return graph
+
+
+@requires_kernel
+@pytest.mark.parametrize("engine_name", FUSED_ENGINES)
+def test_compiled_node2vec_on_an_undirected_graph(engine_name, monkeypatch):
+    def make_engine():
+        kwargs = {"lam": 1.0} if engine_name == "bingo" else {}
+        engine = create_engine(engine_name, rng=ENGINE_SEED, **kwargs)
+        engine.build(undirected_graph())
+        return engine
+
+    def runs():
+        # No churn: batch updates do not mirror undirected arcs into the
+        # engines' sampling state yet (ROADMAP), on either path.
+        return node2vec_runs(make_engine, fused_starts(), 15, 0.5, 2.0, churn=None)
+
+    fast = runs()
+    force_numpy(monkeypatch)
+    assert_same_runs(fast, runs())
+
+
+@requires_kernel
+def test_node2vec_decimal_pauses_at_step_zero_and_inside_a_round(monkeypatch):
+    kernel = compiled.load()
+    pauses = set()
+    original = kernel.walk
+
+    def recorded(tables, kind, rng, state, *args):
+        code = original(tables, kind, rng, state, *args)
+        if code == compiled.WALK_DECIMAL:
+            pauses.add((int(state[compiled.S_STEPS]) == 0, int(state[compiled.S_PHASE])))
+        return code
+
+    def runs():
+        make_engine = partial(build, "bingo", "fractional")
+        return node2vec_runs(make_engine, fused_starts(), 15, 0.5, 2.0)
+
+    monkeypatch.setattr(kernel, "walk", recorded)
+    fast = runs()
+    assert (True, 1) in pauses  # a plain first step paused (PHASE_DRAWN)
+    assert (False, compiled.PHASE_ROUND) in pauses
+    force_numpy(monkeypatch)
+    assert_same_runs(fast, runs())
+
+
+@requires_kernel
+@pytest.mark.parametrize("engine_name", FUSED_ENGINES)
+def test_exhausted_rejection_rounds_fail_like_the_python_driver(engine_name, monkeypatch):
+    """A walker that cannot backtrack, with p tiny: no proposal is ever accepted."""
+
+    def make_engine():
+        graph = DynamicGraph(6)
+        for vertex in range(5):
+            graph.add_edge(vertex, vertex + 1, 1.5)
+        engine = create_engine(engine_name, rng=ENGINE_SEED)
+        engine.build(graph)
+        return engine
+
+    def runs():
+        return node2vec_runs(make_engine, [0, 3, 3], 4, 1e-12, 1.0, churn=None)
+
+    fast = runs()
+    assert all(isinstance(run[0], str) for run in fast)
+    force_numpy(monkeypatch)
+    assert_same_runs(fast, runs())
 
 
 @requires_kernel
@@ -164,7 +302,7 @@ def test_compiled_step_equals_numpy_step(engine_name, graph_name, monkeypatch):
 
 
 @requires_kernel
-@pytest.mark.parametrize("application", ("deepwalk", "ppr"))
+@pytest.mark.parametrize("application", APPLICATIONS)
 def test_compiled_walk_pauses_for_the_decimal_group(application, monkeypatch):
     engine = build("bingo", "fractional")
     assert engine.frontier_kernel == "compiled"
@@ -180,6 +318,7 @@ def test_compiled_walk_pauses_for_the_decimal_group(application, monkeypatch):
 
     monkeypatch.setattr(engine, "_decimal_sampler", counted)
     monkeypatch.setattr(engine, "sample_frontier", no_step)
+    monkeypatch.setattr(engine, "has_arcs", no_step)
     walk(application, engine, np.random.default_rng(7))
     assert resolved
 

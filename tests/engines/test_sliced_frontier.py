@@ -5,7 +5,9 @@ from the incrementally repaired per-vertex slices must be bitwise
 identical to walks served from a cold full rebuild of the concatenated
 tables — including delete-then-reinsert of the same vertex, slice-width
 growth (the capacity-doubling tail-append fallback), and the amortized
-compaction re-pack.  Alongside, unit tests for
+compaction re-pack.  Through all of it, and on a replica fed states and
+patches, every vertex's adjacency slice (the node2vec distance-1 store)
+must stay its sorted graph row.  Alongside, unit tests for
 :class:`~repro.engines.sliced_tables.SlicedTableStore` itself and the
 regression for the zero-edge slice leak.
 """
@@ -90,6 +92,9 @@ class TestSlicedTableStore:
         assert store.seg_length[3] == 4
         assert list(store.column("ids")[offset : offset + 4]) == [10, 11, 12, 13]
         assert store.waste == 1  # the shrunk tail entry went dead
+        # An equal-length patch stays in place too.
+        assert store.set_slice(3, {"ids": np.arange(4), "val": np.ones(4)}) == offset
+        assert store.waste == 1
 
     def test_growth_appends_and_orphans(self):
         store = self._store()
@@ -122,6 +127,44 @@ class TestSlicedTableStore:
             store.set_slice(0, {"ids": np.arange(2)})
         with pytest.raises(ReproError):
             store.set_slice(0, {"ids": np.arange(2), "val": np.ones(3)})
+
+    def test_bulk_write_matches_successive_set_slice(self):
+        rng = np.random.default_rng(9)
+        one, bulk = self._store(), self._store()
+        for _round in range(12):
+            vertices = rng.permutation(8)[: int(rng.integers(1, 8))]
+            slices = []
+            for _vertex in vertices:
+                length = int(rng.integers(0, 7))
+                cleared = length == 0 and rng.random() < 0.5
+                slices.append(
+                    None
+                    if cleared
+                    else {"ids": rng.integers(0, 99, length), "val": rng.random(length)}
+                )
+            for vertex, parts in zip(vertices.tolist(), slices):
+                if parts is None:
+                    one.clear_slice(vertex)
+                else:
+                    one.set_slice(vertex, parts)
+            bulk.set_slices(vertices, slices)
+            assert (one.used, one.live) == (bulk.used, bulk.live)
+            assert np.array_equal(one.seg_offset, bulk.seg_offset)
+            assert np.array_equal(one.seg_length, bulk.seg_length)
+            for name in ("ids", "val"):
+                assert np.array_equal(
+                    one.column(name)[: one.used], bulk.column(name)[: bulk.used]
+                )
+
+    def test_bulk_write_rejects_bad_input(self):
+        store = self._store()
+        parts = {"ids": np.arange(2), "val": np.ones(2)}
+        with pytest.raises(ReproError, match="twice"):
+            store.set_slices(np.array([3, 3]), [parts, parts])
+        with pytest.raises(ReproError, match="expected 3"):
+            store.place(
+                np.array([1]), np.array([3]), {"ids": np.arange(2), "val": np.ones(3)}
+            )
 
     def test_ensure_vertices_grows_directory(self):
         store = self._store()
@@ -176,9 +219,11 @@ def test_incremental_tables_bitwise_match_cold_rebuild(engine_cls, application):
     engine.build(stream.initial_graph)
     starts = list(range(40))
     engine.warm_frontier_tables()  # cold build once; batches repair from here on
+    engine.check_consistency()
     for position, batch in enumerate(stream.batches):
         engine.apply_batch(batch)
         incremental = _run_app(engine, application, starts, seed=100 + position)
+        engine.check_consistency()
         # Each cold rebuild below bumps the counter by one; the repairs the
         # incremental runs perform must not.
         assert engine.frontier_tables.full_builds == 1 + position
@@ -204,6 +249,7 @@ def test_delete_then_reinsert_same_vertex_matches_cold(engine_cls):
     )
     incremental = _run_app(engine, "deepwalk", starts, seed=3)
     assert _payload_store(engine).seg_length[victim] == 0
+    engine.check_consistency()
     _reset_frontier_state(engine)
     cold = _run_app(engine, "deepwalk", starts, seed=3)
     assert np.array_equal(incremental, cold)
@@ -214,6 +260,7 @@ def test_delete_then_reinsert_same_vertex_matches_cold(engine_cls):
         [_insert(victim, dst, 2.0 + i, ts=i) for i, dst in enumerate(neighbors)]
     )
     incremental = _run_app(engine, "deepwalk", starts, seed=4)
+    engine.check_consistency()
     # Payload widths are engine-specific (bingo pads group member tables),
     # but the reinserted vertex must own a live slice again.
     assert _payload_store(engine).seg_length[victim] > 0
@@ -268,6 +315,9 @@ def test_compaction_fallback_stays_equivalent(engine_cls):
     )
     assert engine.frontier_tables.full_builds == builds
     assert store.used == store.live < 1500
+    adjacency = engine.frontier_tables.stores["adjacency"]
+    assert adjacency.used == adjacency.live < 1500
+    engine.check_consistency()
     incremental = _run_app(engine, "deepwalk", list(range(base)), seed=21)
     assert store.waste <= max(store.live, 1024)
     _reset_frontier_state(engine)
@@ -284,6 +334,7 @@ def test_replica_fed_patches_tracks_a_compacting_writer(engine_cls):
     replica = engine_cls(rng=8)
     replica.build(graph.copy())
     replica.adopt_frontier_state(writer.export_frontier_state())
+    replica.check_adjacency_store()
     base = graph.num_vertices
     dsts = list(range(base, base + 1500))
     grow = [_insert(0, d, 1.0, ts=i) for i, d in enumerate(dsts)]
@@ -298,6 +349,7 @@ def test_replica_fed_patches_tracks_a_compacting_writer(engine_cls):
         got = replica.export_frontier_state()
         assert sorted(got) == sorted(want)
         assert all(np.array_equal(got[key], want[key]) for key in want)
+        replica.check_adjacency_store()
         starts = list(range(base))
         assert np.array_equal(
             _run_app(replica, "deepwalk", starts, seed),
@@ -352,3 +404,34 @@ def test_zero_degree_vertices_evict_cached_slices(engine_cls):
     if engine_cls is BingoEngine:
         inter = engine.frontier_tables.stores["inter"]
         assert all(inter.seg_length[victim] == 0 for victim in victims)
+
+
+# --------------------------------------------------------------------- #
+# the adjacency store (the compiled node2vec distance-1 test)
+# --------------------------------------------------------------------- #
+@pytest.mark.parametrize("engine_cls", FUSED_ENGINE_CLASSES)
+def test_adjacency_store_holds_each_sorted_graph_row(engine_cls):
+    graph = erdos_renyi_graph(50, 300, rng=13)
+    engine = engine_cls(rng=6)
+    engine.build(graph)
+    assert engine.warm_frontier_tables().full_rebuild
+    engine.check_consistency()
+    views = engine.frontier_tables.views()
+    for vertex in range(graph.num_vertices):
+        start = views["adjacency_offset"][vertex]
+        row = views["neighbors"][start : start + views["adjacency_length"][vertex]]
+        assert np.array_equal(row, np.sort(graph.neighbor_array(vertex)))
+
+
+@pytest.mark.parametrize("engine_cls", FUSED_ENGINE_CLASSES)
+def test_adjacency_check_catches_a_stale_slice(engine_cls):
+    graph = power_law_graph(30, 2, rng=3)
+    engine = engine_cls(rng=4)
+    engine.build(graph)
+    engine.check_consistency()
+    vertex = next(v for v in range(graph.num_vertices) if graph.degree(v) > 1)
+    views = engine.frontier_tables.views()
+    start = views["adjacency_offset"][vertex]
+    views["neighbors"][start] = graph.num_vertices  # no such neighbour
+    with pytest.raises(ReproError, match=f"vertex {vertex} adjacency"):
+        engine.check_adjacency_store()

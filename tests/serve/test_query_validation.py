@@ -6,14 +6,20 @@ Before this sweep, ``query("deepwalk", [9999], 4)`` happily returned
 same negative-index wrap class the fused kernels had), floats were
 silently truncated, and empty start sets produced a ``(0, 1)`` matrix
 instead of the declared ``(0, walk_length + 1)`` width.
+
+Hyper-parameters are checked at the same boundary: a NaN node2vec ``p``
+used to run every rejection round on the serving thread before failing,
+and a string one failed inside the dispatcher as a wrapped ``TypeError``.
 """
+
+import time
 
 import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
 from repro.errors import QueryValidationError, ServeError
-from repro.serve import GraphService, validate_starts
+from repro.serve import GraphService, RouterService, WalkQuery, validate_starts
 from repro.walks.frontier import (
     run_frontier_deepwalk,
     run_frontier_node2vec,
@@ -121,3 +127,55 @@ class TestEmptyFrontierShape:
         full = service.query("deepwalk", [0, 1], 4, rng=3, timeout=30.0).walks.matrix
         stacked = np.vstack([empty, full])
         assert stacked.shape == full.shape
+
+
+#: Hyper-parameters ``WalkQuery`` rejects at submit, per application.
+BAD_PARAMS = [
+    ("node2vec", {"p": float("nan")}),
+    ("node2vec", {"q": float("inf")}),
+    ("node2vec", {"p": "2"}),
+    ("node2vec", {"p": 0.0}),
+    ("node2vec", {"q": -1}),
+    ("node2vec", {"p": True}),
+    ("ppr", {"termination_probability": 0.0}),
+    ("ppr", {"termination_probability": 1.5}),
+    ("ppr", {"termination_probability": float("nan")}),
+    ("ppr", {"termination_probability": "0.2"}),
+    ("ppr", {"max_steps": 0}),
+    ("ppr", {"max_steps": 2.5}),
+    ("ppr", {"max_steps": "8"}),
+]
+
+
+class TestHyperParameterValidation:
+    @pytest.mark.parametrize("application, params", BAD_PARAMS)
+    def test_walk_query_rejects_bad_params(self, application, params):
+        with pytest.raises(QueryValidationError):
+            WalkQuery(application, [0], 4, params=params)
+
+    @pytest.mark.parametrize("application, params", BAD_PARAMS)
+    def test_submit_rejects_before_any_walk(self, service, application, params):
+        start = time.process_time()
+        with pytest.raises(QueryValidationError):
+            service.submit(application, [0, 1] * 64, 8, **params)
+        assert time.process_time() - start < 0.1
+        assert service.stats.queries_served == 0
+
+    def test_valid_boundaries_are_served(self, service):
+        ppr = service.query(
+            "ppr", [0, 1], 4, timeout=30.0, termination_probability=1.0, max_steps=8.0
+        )
+        assert ppr.walks.matrix.shape[0] == 2
+        node2vec = service.query("node2vec", [0, 1], 4, timeout=30.0, p=3, q=0.25)
+        assert node2vec.walks.matrix.shape == (2, 5)
+
+    def test_the_router_rejects_at_submit(self, graph):
+        router = RouterService("bingo", graph, shards=1, rng=13)
+        try:
+            for application, params in BAD_PARAMS[:1] + BAD_PARAMS[-1:]:
+                with pytest.raises(QueryValidationError):
+                    router.submit(application, [0, 1], 8, **params)
+            result = router.query("node2vec", [0, 1], 4, timeout=30.0, p=2.0, q=0.5)
+            assert result.walks.matrix.shape == (2, 5)
+        finally:
+            router.close()

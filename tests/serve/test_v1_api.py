@@ -144,6 +144,29 @@ class TestErrorEnvelope:
             assert set(body["error"]) == {"code", "message", "retry_after"}, name
             assert body["error"]["code"] == "query_validation", name
 
+    @pytest.mark.parametrize(
+        "application, params",
+        [
+            ("node2vec", {"p": float("nan"), "q": 1.0}),
+            ("node2vec", {"p": "2"}),
+            ("ppr", {"termination_probability": 0.0}),
+            ("ppr", {"max_steps": -4}),
+        ],
+    )
+    def test_bad_hyper_parameters_are_validation_envelopes(
+        self, front_ends, application, params
+    ):
+        payload = {
+            "application": application,
+            "starts": [0, 1],
+            "walk_length": 5,
+            "params": params,
+        }
+        for name, server in front_ends.items():
+            status, body, _ = _call(server, "/v1/query", payload)
+            assert status == 400, name
+            assert body["error"]["code"] == "query_validation", name
+
     def test_unknown_route_is_a_not_found_envelope(self, front_ends):
         for name, server in front_ends.items():
             status, body, _ = _call(server, "/v1/nope")

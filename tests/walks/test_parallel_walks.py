@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.engines.registry import create_engine
-from repro.engines.sliced_tables import pack_arrays
+from repro.engines.sliced_tables import pack_arrays, unpack_arrays
 from repro.errors import ParallelExecutionError, ServeError
 from repro.gpu.multi_device import MultiDeviceTracker
 from repro.graph.dynamic_graph import DynamicGraph
@@ -12,7 +12,8 @@ from repro.graph.generators import power_law_graph
 from repro.graph.partition import SharedGraphShards, partition_graph
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
-from repro.serve.router import ShardServePool, flip_payload
+from repro.serve.router import ShardServePool, _boot_blob, flip_payload
+from repro.serve.shard_worker import _install_frontier_state, batch_from_payload
 from repro.walks.frontier import (
     BatchedWalks,
     run_frontier_deepwalk,
@@ -192,6 +193,42 @@ class TestFlip:
         # The walker starting on the now-isolated vertex retires at once.
         assert after[0, 0] == 0
         assert (after[0, 1:] == -1).all()
+
+    @pytest.mark.parametrize("engine_name", ENGINES[:3])
+    def test_replica_adjacency_store_follows_boot_and_flips(self, graph, engine_name):
+        """The shard worker's boot and flip steps, in process, over the real blobs.
+
+        The replica owns half the vertices; its node2vec walks read the
+        writer's adjacency store and must equal the writer's.
+        """
+        writer = create_engine(engine_name, rng=99)
+        writer.build(graph.copy())
+        owned = np.arange(0, graph.num_vertices, 2)
+        replica = type(writer).for_shard(graph.copy(), owned, rng=99)
+        boot = unpack_arrays(_boot_blob(writer, 0))
+        _install_frontier_state(replica, boot, full=True)
+        replica.check_adjacency_store()
+        starts = np.arange(graph.num_vertices)
+        hub = max(range(graph.num_vertices), key=graph.degree)
+        fresh = [v for v in range(2, graph.num_vertices) if not graph.has_edge(1, v)]
+        batches = [
+            [GraphUpdate(UpdateKind.DELETE, hub, dst) for dst in graph.neighbors(hub)[:3]],
+            [GraphUpdate(UpdateKind.INSERT, 1, dst, 2.5) for dst in fresh[:3]],
+        ]
+        for seed, updates in enumerate(batches):
+            batch = UpdateBatch.from_updates(updates)
+            writer.apply_batch(batch)
+            payload, full = flip_payload(writer, batch, writer.warm_frontier_tables())
+            assert not full
+            payload = unpack_arrays(pack_arrays(payload))
+            replica._apply_batch_to_graph(batch_from_payload(payload))
+            _install_frontier_state(replica, payload, full=False)
+            replica.check_adjacency_store()
+            writer.check_adjacency_store()
+            assert np.array_equal(
+                run_frontier_node2vec(replica, starts, 8, rng=seed, **NODE2VEC).matrix,
+                run_frontier_node2vec(writer, starts, 8, rng=seed, **NODE2VEC).matrix,
+            )
 
     def test_closed_pool_rejects_runs(self, graph):
         pool = _pool("flowwalker", graph, 1)
