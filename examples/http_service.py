@@ -51,9 +51,8 @@ def main() -> None:
     starts = [v for v in range(stream.initial_graph.num_vertices)
               if stream.initial_graph.degree(v) > 0]
 
-    # With tenants configured the default admission lane *rejects* when
-    # full (429 + Retry-After) — exactly what the event loop requires: a
-    # blocking lane would park the loop's only thread.
+    # Every admission lane rejects when full (429 + Retry-After), so the
+    # event loop's only thread never waits on a submission.
     service = GraphService(
         "bingo",
         stream.initial_graph,

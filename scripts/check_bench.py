@@ -1,16 +1,12 @@
 #!/usr/bin/env python3
 """Schema gate for the committed BENCH_PR*.json perf-trajectory artifacts.
 
-Each PR that lands a measured win commits its numbers (BENCH_PR2: columnar
-ingest, BENCH_PR3: shard-parallel walks, BENCH_PR4: streaming serve,
-BENCH_PR5: multi-tenant fairness + back-buffer warming, BENCH_PR6:
-epoch-delta publication flatness, BENCH_PR7: chaos suite resilience,
-BENCH_PR8: event-loop connection scaling + binary wire format,
-BENCH_PR9: sharded multi-process serve scale-out).  CI
-runs this script so a refactor cannot silently drop an engine, rename a
-field, or regress the streaming-serve headline below its acceptance bar —
-the JSON in the repo must keep telling the same story the CHANGES.md entry
-claims.
+Two paper-evaluation artifacts are committed: BENCH_PR2 (columnar
+ingest, ``run ingest``) and BENCH_PR3 (shard-parallel walks, ``run
+scale``).  CI runs this script so a refactor cannot silently drop an
+engine or rename a field — the JSON in the repo must keep telling the
+same story the CHANGES.md entry claims.  The serve layer is benchmarked
+by ``perfbench/`` over ``/v1``; its invariants are tier-1 tests.
 
 Usage::
 
@@ -30,55 +26,6 @@ from typing import Callable, Dict, List
 #: Every engine the Table 3 comparison covers; all benchmark artifacts
 #: must report each of them.
 ENGINES = ("bingo", "knightking", "gsampler", "flowwalker")
-
-#: The PR 4 acceptance bar: concurrent serve throughput vs strict
-#: alternation for the bingo engine on the LJ stand-in.
-PR4_MIN_BINGO_SPEEDUP = 1.5
-
-#: The PR 5 fairness bar: under a flooding co-tenant the light tenant's
-#: p99 must stay within this factor of its solo-run p99.
-PR5_MAX_FAIR_P99_RATIO = 3.0
-
-#: The PR 6 flatness bar: at a fixed batch size the per-flip delta warm
-#: median at the largest vertex count must stay within this factor of the
-#: smallest one (O(touched) publication, not O(V)).
-PR6_MAX_FLAT_RATIO = 1.3
-
-#: The PR 6 speedup bar: at the largest vertex count the delta warm must
-#: beat the wholesale table re-concatenation by at least this factor.
-PR6_MIN_DELTA_VS_FULL = 5.0
-
-#: The flip sweep must grow the vertex set by at least this factor for
-#: the flatness assertion to mean anything.
-PR6_MIN_VERTEX_GROWTH = 4.0
-
-#: The PR 7 resilience bar: fraction of chaos-run queries that must
-#: resolve successfully despite injected faults.
-PR7_MIN_SUCCESS_RATE = 0.99
-
-#: The PR 8 scaling bar: keep-alive clients the event loop must hold per
-#: server OS thread at the high-concurrency point.
-PR8_MIN_CLIENTS_PER_THREAD = 10.0
-
-#: The PR 8 latency bar: the event loop's high-concurrency p99 must stay
-#: within this factor of its 64-client p99 (same query load).
-PR8_MAX_HIGH_VS_LOW_P99 = 2.0
-
-#: The sweep must grow the client count by at least this factor for the
-#: flatness assertion to mean anything.
-PR8_MIN_CLIENT_GROWTH = 10.0
-
-#: The PR 9 scale-out bar: accumulated slowest-shard CPU busy seconds of
-#: the 1-shard arm divided by the widest arm's.  Deliberately not
-#: wall-clock — CI runners may expose one core, where time-sliced shard
-#: processes can never win on the wall; ``cpu_cores`` is recorded in the
-#: artifact so the measurement is honest about its hardware.
-PR9_MIN_SHARD_SPEEDUP = 2.0
-
-#: The PR 9 O(touched) bar: a healthy epoch flip must ship a sliced-table
-#: patch whose mean payload stays below this fraction of one full
-#: ``export_frontier_state`` serialization.
-PR9_MAX_PATCH_TO_FULL_RATIO = 0.5
 
 
 def _require_positive(row: dict, fields: List[str], where: str, errors: List[str]) -> None:
@@ -137,405 +84,9 @@ def check_bench_pr3(report: dict) -> List[str]:
     return errors
 
 
-def check_bench_pr4(report: dict) -> List[str]:
-    """BENCH_PR4.json — streaming serve throughput, latency and speedup."""
-    errors: List[str] = []
-    engines = report.get("engines", {})
-    for engine in ENGINES:
-        if engine not in engines:
-            errors.append(f"BENCH_PR4: engine {engine!r} missing")
-            continue
-        row = engines[engine]
-        where = f"BENCH_PR4.engines.{engine}"
-        _require_positive(
-            row,
-            [
-                "alternation_seconds",
-                "concurrent_modelled_seconds",
-                "updates_per_second",
-                "steps_per_second",
-                "concurrent_vs_alternation",
-                "query_latency_p50_seconds",
-                "query_latency_p99_seconds",
-            ],
-            where,
-            errors,
-        )
-        p50 = row.get("query_latency_p50_seconds", 0)
-        p99 = row.get("query_latency_p99_seconds", 0)
-        if isinstance(p50, (int, float)) and isinstance(p99, (int, float)) and p50 > p99:
-            errors.append(f"{where}: latency p50 ({p50}) exceeds p99 ({p99})")
-    bingo = engines.get("bingo", {})
-    speedup = bingo.get("concurrent_vs_alternation", 0)
-    if not isinstance(speedup, (int, float)) or speedup < PR4_MIN_BINGO_SPEEDUP:
-        errors.append(
-            "BENCH_PR4: bingo concurrent_vs_alternation "
-            f"({speedup!r}) is below the {PR4_MIN_BINGO_SPEEDUP}x acceptance bar"
-        )
-    return errors
-
-
-def check_bench_pr5(report: dict) -> List[str]:
-    """BENCH_PR5.json — multi-tenant fairness + back-buffer warming."""
-    errors: List[str] = []
-    fairness = report.get("fairness")
-    if not isinstance(fairness, dict):
-        errors.append("BENCH_PR5: fairness section missing")
-    else:
-        for mode in ("solo", "fair_share", "shared_queue"):
-            row = fairness.get(mode)
-            if not isinstance(row, dict):
-                errors.append(f"BENCH_PR5.fairness: mode {mode!r} missing")
-                continue
-            _require_positive(row, ["p50", "p99"], f"BENCH_PR5.fairness.{mode}", errors)
-        ratio = fairness.get("fair_vs_solo_p99")
-        if not isinstance(ratio, (int, float)) or ratio <= 0:
-            errors.append(
-                f"BENCH_PR5: fair_vs_solo_p99 missing or not positive ({ratio!r})"
-            )
-        elif ratio > PR5_MAX_FAIR_P99_RATIO:
-            errors.append(
-                f"BENCH_PR5: light tenant's fair-share p99 is {ratio}x its solo "
-                f"p99, above the {PR5_MAX_FAIR_P99_RATIO}x fairness bar"
-            )
-    warming = report.get("warming")
-    if not isinstance(warming, dict):
-        errors.append("BENCH_PR5: warming section missing")
-    else:
-        for mode in ("cold", "warm"):
-            row = warming.get(mode)
-            if not isinstance(row, dict):
-                errors.append(f"BENCH_PR5.warming: mode {mode!r} missing")
-                continue
-            _require_positive(row, ["p50", "p99"], f"BENCH_PR5.warming.{mode}", errors)
-        cold = (warming.get("cold") or {}).get("p99")
-        warm = (warming.get("warm") or {}).get("p99")
-        if isinstance(cold, (int, float)) and isinstance(warm, (int, float)):
-            if warm >= cold:
-                errors.append(
-                    f"BENCH_PR5: warm-flip p99 ({warm}) does not beat the "
-                    f"cold-flip p99 ({cold}) — back-buffer warming regressed"
-                )
-    return errors
-
-
-def check_bench_pr6(report: dict) -> List[str]:
-    """BENCH_PR6.json — epoch-delta publication cost vs graph size."""
-    errors: List[str] = []
-    rows = report.get("scales")
-    if not isinstance(rows, list) or len(rows) < 2:
-        errors.append("BENCH_PR6: scales sweep missing or shorter than 2 points")
-        return errors
-    for row in rows:
-        if not isinstance(row, dict):
-            errors.append("BENCH_PR6: scales entry is not an object")
-            continue
-        where = f"BENCH_PR6.scales[{row.get('scale')!r}]"
-        _require_positive(
-            row,
-            [
-                "num_vertices",
-                "delta_warm_seconds_per_flip",
-                "full_rebuild_seconds_per_flip",
-                "full_vs_delta",
-            ],
-            where,
-            errors,
-        )
-    if errors:
-        return errors
-    growth = report.get("vertex_growth")
-    if not isinstance(growth, (int, float)) or growth < PR6_MIN_VERTEX_GROWTH:
-        errors.append(
-            f"BENCH_PR6: vertex_growth ({growth!r}) is below the "
-            f"{PR6_MIN_VERTEX_GROWTH}x sweep the flatness bar assumes"
-        )
-    flatness = report.get("delta_flatness")
-    if not isinstance(flatness, (int, float)) or flatness <= 0:
-        errors.append(
-            f"BENCH_PR6: delta_flatness missing or not positive ({flatness!r})"
-        )
-    elif flatness > PR6_MAX_FLAT_RATIO:
-        errors.append(
-            f"BENCH_PR6: delta warm per flip grew {flatness}x across the "
-            f"vertex sweep, above the {PR6_MAX_FLAT_RATIO}x flatness bar — "
-            "publication is no longer O(touched)"
-        )
-    speedup = report.get("full_vs_delta_at_largest")
-    if not isinstance(speedup, (int, float)) or speedup <= 0:
-        errors.append(
-            "BENCH_PR6: full_vs_delta_at_largest missing or not positive "
-            f"({speedup!r})"
-        )
-    elif speedup < PR6_MIN_DELTA_VS_FULL:
-        errors.append(
-            f"BENCH_PR6: delta warm is only {speedup}x faster than the full "
-            f"rebuild at the largest graph, below the {PR6_MIN_DELTA_VS_FULL}x "
-            "acceptance bar"
-        )
-    return errors
-
-
-def check_bench_pr7(report: dict) -> List[str]:
-    """BENCH_PR7.json — chaos suite: self-healing under injected faults."""
-    errors: List[str] = []
-    tickets = report.get("tickets")
-    if not isinstance(tickets, dict):
-        errors.append("BENCH_PR7: tickets section missing")
-    else:
-        _require_positive(
-            tickets, ["submitted", "resolved"], "BENCH_PR7.tickets", errors
-        )
-        rate = tickets.get("success_rate")
-        if not isinstance(rate, (int, float)) or rate <= 0:
-            errors.append(
-                f"BENCH_PR7: tickets.success_rate missing or not positive ({rate!r})"
-            )
-        elif rate < PR7_MIN_SUCCESS_RATE:
-            errors.append(
-                f"BENCH_PR7: chaos-run success rate {rate} is below the "
-                f"{PR7_MIN_SUCCESS_RATE} resilience bar"
-            )
-        hung = tickets.get("hung")
-        if not isinstance(hung, int) or hung != 0:
-            errors.append(
-                f"BENCH_PR7: tickets.hung is {hung!r} — every ticket must "
-                "resolve (walks or clean error), never hang"
-            )
-    writer = report.get("writer")
-    if not isinstance(writer, dict):
-        errors.append("BENCH_PR7: writer section missing")
-    else:
-        _require_positive(
-            writer,
-            ["recoveries", "batches_quarantined", "mttr_seconds"],
-            "BENCH_PR7.writer",
-            errors,
-        )
-        published = writer.get("epochs_published")
-        if not isinstance(published, (int, float)) or published <= 0:
-            errors.append(
-                "BENCH_PR7: writer.epochs_published missing or not positive "
-                f"({published!r}) — quarantine must not stop healthy batches "
-                "from publishing"
-            )
-    worker = report.get("worker")
-    if not isinstance(worker, dict):
-        errors.append("BENCH_PR7: worker section missing")
-    else:
-        _require_positive(
-            worker, ["respawns", "wave_retries"], "BENCH_PR7.worker", errors
-        )
-    http = report.get("http")
-    if not isinstance(http, dict):
-        errors.append("BENCH_PR7: http section missing")
-    else:
-        _require_positive(
-            http,
-            ["queries", "resolved", "client_retries", "injected_faults"],
-            "BENCH_PR7.http",
-            errors,
-        )
-    if report.get("replay_identical") is not True:
-        errors.append(
-            "BENCH_PR7: replay_identical is not true — the same seed must "
-            "reproduce the identical fault sequence"
-        )
-    return errors
-
-
-def check_bench_pr8(report: dict) -> List[str]:
-    """BENCH_PR8.json — event-loop connection scaling + binary wire format."""
-    errors: List[str] = []
-    low = report.get("low_clients")
-    high = report.get("high_clients")
-    _require_positive(report, ["low_clients", "high_clients"], "BENCH_PR8", errors)
-    if isinstance(low, (int, float)) and isinstance(high, (int, float)) and low > 0:
-        if high / low < PR8_MIN_CLIENT_GROWTH:
-            errors.append(
-                f"BENCH_PR8: high_clients ({high}) is less than "
-                f"{PR8_MIN_CLIENT_GROWTH}x low_clients ({low}) — the sweep "
-                "no longer exercises a 10x connection-count growth"
-            )
-    servers = report.get("servers")
-    if not isinstance(servers, dict):
-        errors.append("BENCH_PR8: servers section missing")
-        return errors
-    for kind in ("threaded", "eventloop"):
-        row = servers.get(kind)
-        if not isinstance(row, dict):
-            errors.append(f"BENCH_PR8.servers: front-end {kind!r} missing")
-            continue
-        where = f"BENCH_PR8.servers.{kind}"
-        for phase in ("low", "high"):
-            phase_row = row.get(phase)
-            if not isinstance(phase_row, dict):
-                errors.append(f"{where}: phase {phase!r} missing")
-                continue
-            _require_positive(
-                phase_row,
-                ["clients", "queries", "p50", "p99", "server_threads"],
-                f"{where}.{phase}",
-                errors,
-            )
-        wire = row.get("wire")
-        if not isinstance(wire, dict):
-            errors.append(f"{where}: wire section missing")
-        else:
-            _require_positive(
-                wire,
-                [
-                    "json_seconds_per_query",
-                    "binary_seconds_per_query",
-                    "json_bytes",
-                    "binary_bytes",
-                ],
-                f"{where}.wire",
-                errors,
-            )
-            if wire.get("shapes_match") is not True:
-                errors.append(
-                    f"{where}.wire: shapes_match is not true — the binary "
-                    "format no longer decodes to the JSON path's matrix shape"
-                )
-    eventloop = servers.get("eventloop")
-    if isinstance(eventloop, dict):
-        per_thread = eventloop.get("clients_per_server_thread")
-        if not isinstance(per_thread, (int, float)) or per_thread <= 0:
-            errors.append(
-                "BENCH_PR8: eventloop.clients_per_server_thread missing or "
-                f"not positive ({per_thread!r})"
-            )
-        elif per_thread < PR8_MIN_CLIENTS_PER_THREAD:
-            errors.append(
-                f"BENCH_PR8: the event loop holds only {per_thread} keep-alive "
-                f"clients per server thread, below the "
-                f"{PR8_MIN_CLIENTS_PER_THREAD}x scaling bar"
-            )
-        ratio = eventloop.get("high_vs_low_p99")
-        if not isinstance(ratio, (int, float)) or ratio <= 0:
-            errors.append(
-                "BENCH_PR8: eventloop.high_vs_low_p99 missing or not positive "
-                f"({ratio!r})"
-            )
-        elif ratio > PR8_MAX_HIGH_VS_LOW_P99:
-            errors.append(
-                f"BENCH_PR8: the event loop's high-concurrency p99 is {ratio}x "
-                f"its low-concurrency p99, above the "
-                f"{PR8_MAX_HIGH_VS_LOW_P99}x flatness bar"
-            )
-    return errors
-
-
-def check_bench_pr9(report: dict) -> List[str]:
-    """BENCH_PR9.json — sharded multi-process serve scale-out."""
-    errors: List[str] = []
-    arms = report.get("arms")
-    counts = report.get("shard_counts")
-    if not isinstance(arms, dict) or not isinstance(counts, list) or len(counts) < 2:
-        errors.append("BENCH_PR9: arms/shard_counts missing or fewer than 2 arms")
-        return errors
-    for count in counts:
-        arm = arms.get(str(count))
-        if not isinstance(arm, dict):
-            errors.append(f"BENCH_PR9.arms: shard count {count} missing")
-            continue
-        where = f"BENCH_PR9.arms[{count}]"
-        _require_positive(
-            arm,
-            [
-                "queries",
-                "wall_seconds",
-                "walk_critical_path_seconds",
-                "shard_busy_seconds_total",
-                "epochs_published",
-                "shard_flips",
-                "full_state_bytes",
-            ],
-            where,
-            errors,
-        )
-        if arm.get("deterministic") is not True:
-            errors.append(
-                f"{where}: deterministic is not true — the same stream key "
-                "must reproduce the identical walk matrix"
-            )
-    if errors:
-        return errors
-    cores = report.get("cpu_cores")
-    if not isinstance(cores, int) or cores < 1:
-        errors.append(f"BENCH_PR9: cpu_cores missing or not positive ({cores!r})")
-    speedup = report.get("critical_path_speedup")
-    if not isinstance(speedup, (int, float)) or speedup <= 0:
-        errors.append(
-            f"BENCH_PR9: critical_path_speedup missing or not positive ({speedup!r})"
-        )
-    elif speedup < PR9_MIN_SHARD_SPEEDUP:
-        errors.append(
-            f"BENCH_PR9: the widest arm's critical path is only {speedup}x "
-            f"faster than the 1-shard arm's, below the "
-            f"{PR9_MIN_SHARD_SPEEDUP}x scale-out bar"
-        )
-    flip = report.get("flip")
-    if not isinstance(flip, dict):
-        errors.append("BENCH_PR9: flip section missing")
-    else:
-        _require_positive(
-            flip,
-            ["flips", "payload_bytes_total", "patch_bytes_per_flip", "full_state_bytes"],
-            "BENCH_PR9.flip",
-            errors,
-        )
-        snapshots = flip.get("full_snapshots")
-        if not isinstance(snapshots, int) or snapshots != 0:
-            errors.append(
-                f"BENCH_PR9: flip.full_snapshots is {snapshots!r} — healthy "
-                "flips must ship O(touched) patches, never whole snapshots"
-            )
-        ratio = flip.get("patch_to_full_ratio")
-        if not isinstance(ratio, (int, float)) or ratio <= 0:
-            errors.append(
-                f"BENCH_PR9: flip.patch_to_full_ratio missing or not positive ({ratio!r})"
-            )
-        elif ratio > PR9_MAX_PATCH_TO_FULL_RATIO:
-            errors.append(
-                f"BENCH_PR9: mean flip payload is {ratio}x the full-state "
-                f"serialization, above the {PR9_MAX_PATCH_TO_FULL_RATIO} "
-                "O(touched) bar"
-            )
-    chaos = report.get("chaos")
-    if not isinstance(chaos, dict):
-        errors.append("BENCH_PR9: chaos section missing")
-    else:
-        _require_positive(
-            chaos,
-            ["queries", "respawns", "wave_retries", "shards_alive_after"],
-            "BENCH_PR9.chaos",
-            errors,
-        )
-        hung = chaos.get("hung")
-        if not isinstance(hung, int) or hung != 0:
-            errors.append(
-                f"BENCH_PR9: chaos.hung is {hung!r} — a SIGKILLed shard must "
-                "cost a retry, never a hung ticket"
-            )
-        if chaos.get("bitwise_identical_to_clean_run") is not True:
-            errors.append(
-                "BENCH_PR9: chaos.bitwise_identical_to_clean_run is not true "
-                "— the respawn + retry must reproduce the unfaulted bytes"
-            )
-    return errors
-
-
 CHECKS: Dict[str, Callable[[dict], List[str]]] = {
     "BENCH_PR2.json": check_bench_pr2,
     "BENCH_PR3.json": check_bench_pr3,
-    "BENCH_PR4.json": check_bench_pr4,
-    "BENCH_PR5.json": check_bench_pr5,
-    "BENCH_PR6.json": check_bench_pr6,
-    "BENCH_PR7.json": check_bench_pr7,
-    "BENCH_PR8.json": check_bench_pr8,
-    "BENCH_PR9.json": check_bench_pr9,
 }
 
 

@@ -42,10 +42,6 @@ class EvaluationSettings:
     frontier_walks: bool = False   # run walks through the batched frontier
     workers: int = 1               # >1: shard-parallel walk execution
     partition_strategy: str = "degree_balanced"  # shard layout for workers > 1
-    serve: bool = False            # route the loop through the GraphService
-    serve_queue_size: int = 64     # bounded query-queue capacity
-    serve_fuse_limit: int = 8      # max walk queries fused into one frontier
-    serve_fuse_window: float = 0.002  # dispatcher linger before fusing (s)
     engine_kwargs: dict[str, object] = field(default_factory=dict)
 
 
@@ -129,33 +125,6 @@ def run_evaluation(
             "settings.workers > 1 runs walks shard-parallel, which is a "
             "frontier execution mode; set frontier_walks=True as well"
         )
-    if settings.serve:
-        if not settings.frontier_walks:
-            raise ValueError(
-                "settings.serve executes walks through the batched frontier; "
-                "set frontier_walks=True as well"
-            )
-        if settings.workers > 1:
-            raise ValueError(
-                "settings.serve executes walks in-process; shard-parallel "
-                "workers > 1 runs only on the direct path (serve scale-out "
-                "is the shard router)"
-            )
-        if settings.streaming:
-            raise ValueError(
-                "settings.serve ingests whole batches; it is incompatible "
-                "with streaming=True"
-            )
-        return _run_serve_evaluation(
-            engine_name,
-            dataset_label,
-            application,
-            workload,
-            settings,
-            update_stream,
-            generator,
-        )
-
     engine = create_engine(engine_name, rng=generator, **settings.engine_kwargs)
     engine.build(update_stream.initial_graph.copy())
 
@@ -246,75 +215,6 @@ def run_evaluation(
         memory_gigabytes=memory.total_gigabytes(),
         memory_bytes=memory.total_bytes(),
         phase_breakdown=engine.breakdown.as_dict(),
-        total_updates=update_stream.num_updates,
-        total_walk_steps=total_walk_steps,
-    )
-
-
-def _run_serve_evaluation(
-    engine_name: str,
-    dataset_label: str,
-    application: str,
-    workload: UpdateWorkload,
-    settings: EvaluationSettings,
-    update_stream: UpdateStream,
-    generator,
-) -> EvaluationResult:
-    """The update-then-walk loop routed through the sync serve layer.
-
-    Single-threaded by construction (``sync=True``), so the walk matrices
-    are bitwise-identical to the serial frontier path — the serve layer's
-    equivalence tests pin this down — while still exercising the exact
-    ingest/query code the concurrent streaming experiment measures.
-    """
-    from repro.serve import GraphService
-
-    service = GraphService(
-        engine_name,
-        update_stream.initial_graph,
-        rng=generator,
-        engine_kwargs=dict(settings.engine_kwargs),
-        sync=True,
-        max_pending_queries=settings.serve_queue_size,
-        fuse_limit=settings.serve_fuse_limit,
-        fuse_window_seconds=settings.serve_fuse_window,
-    )
-    starts = sample_start_vertices(
-        update_stream.initial_graph, settings.num_walkers, rng=generator
-    )
-    total_walk_steps = 0
-    update_seconds = 0.0
-    walk_seconds = 0.0
-    run_start = time.perf_counter()
-    try:
-        for batch in update_stream.batches:
-            update_start = time.perf_counter()
-            service.ingest(batch)
-            update_seconds += time.perf_counter() - update_start
-
-            walk_start = time.perf_counter()
-            result = service.query(
-                application, starts, settings.walk_length, rng=generator
-            )
-            walk_seconds += time.perf_counter() - walk_start
-            total_walk_steps += result.walks.total_steps
-        runtime = time.perf_counter() - run_start
-        engine = service.engine
-        memory = engine.memory_report()
-        breakdown = engine.breakdown.as_dict()
-    finally:
-        service.close()
-    return EvaluationResult(
-        engine=engine_name,
-        dataset=dataset_label,
-        application=application,
-        workload=str(workload),
-        runtime_seconds=runtime,
-        update_seconds=update_seconds,
-        walk_seconds=walk_seconds,
-        memory_gigabytes=memory.total_gigabytes(),
-        memory_bytes=memory.total_bytes(),
-        phase_breakdown=breakdown,
         total_updates=update_stream.num_updates,
         total_walk_steps=total_walk_steps,
     )

@@ -50,28 +50,15 @@ EXPERIMENT_RUNNERS: dict[str, Callable[..., Any]] = {
     "fig15b": experiments.fig15_walk_length_sweep,
     "fig15c": experiments.fig15_bias_distribution,
     "fig16": experiments.fig16_piecewise,
-    "flip": experiments.scale_flip,
     "frontier": experiments.frontier_throughput,
     "ingest": experiments.ingest_throughput,
     "scale": experiments.scale_workers,
-    "serve": experiments.multi_tenant_serve,
-    "streaming": experiments.streaming_serve,
-    "chaos": experiments.chaos_serve,
-    "http": experiments.concurrency_sweep,
-    "shard": experiments.shard_scaleout,
 }
 
 #: Experiments whose JSON output lands in a file by default (perf trajectory).
-#: ``http`` has none: its committed BENCH_PR8.json also records the removed
-#: threaded front-end, so a fresh sweep is saved only with ``--output``.
 DEFAULT_OUTPUT_FILES = {
     "ingest": "BENCH_PR2.json",
     "scale": "BENCH_PR3.json",
-    "streaming": "BENCH_PR4.json",
-    "serve": "BENCH_PR5.json",
-    "flip": "BENCH_PR6.json",
-    "chaos": "BENCH_PR7.json",
-    "shard": "BENCH_PR9.json",
 }
 
 
@@ -119,13 +106,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "--batch-size",
         type=int,
         default=None,
-        help="updates per batch (ingest/streaming/serve/flip)",
+        help="updates per batch (ingest only)",
     )
     run_parser.add_argument(
         "--num-batches",
         type=int,
         default=None,
-        help="number of batches (ingest/streaming/serve/flip)",
+        help="number of batches (ingest only)",
     )
     run_parser.add_argument(
         "--workers",
@@ -135,7 +122,7 @@ def _build_parser() -> argparse.ArgumentParser:
         help="worker counts to sweep (scale)",
     )
     run_parser.add_argument(
-        "--walk-length", type=int, default=None, help="walk length (scale/streaming)"
+        "--walk-length", type=int, default=None, help="walk length (scale only)"
     )
     run_parser.add_argument(
         "--rounds", type=int, default=None, help="walk rounds per cell (scale only)"
@@ -144,70 +131,15 @@ def _build_parser() -> argparse.ArgumentParser:
         "--num-walkers",
         type=int,
         default=None,
-        help="walkers per round (scale) or per query (streaming)",
-    )
-    run_parser.add_argument(
-        "--queries-per-round",
-        type=int,
-        default=None,
-        help="walk queries submitted after each batch (streaming/shard)",
-    )
-    run_parser.add_argument(
-        "--shards",
-        nargs="+",
-        type=int,
-        default=None,
-        help="shard serve process counts to sweep (shard only)",
-    )
-    run_parser.add_argument(
-        "--engines",
-        nargs="+",
-        default=None,
-        help="engine subset to benchmark (streaming), or one engine (serve/flip)",
-    )
-    run_parser.add_argument(
-        "--scales",
-        nargs="+",
-        type=int,
-        default=None,
-        help="R-MAT scales (2**scale vertices) to sweep (flip only)",
-    )
-    run_parser.add_argument(
-        "--flood-queries",
-        type=int,
-        default=None,
-        help="queries the flooding co-tenant dumps up front (serve only)",
-    )
-    run_parser.add_argument(
-        "--light-queries",
-        type=int,
-        default=None,
-        help="closed-loop queries the light tenant runs (serve only)",
-    )
-    run_parser.add_argument(
-        "--low-clients",
-        type=int,
-        default=None,
-        help="baseline keep-alive client count (http only)",
-    )
-    run_parser.add_argument(
-        "--high-clients",
-        type=int,
-        default=None,
-        help="high-concurrency keep-alive client count (http only)",
-    )
-    run_parser.add_argument(
-        "--queries-per-phase",
-        type=int,
-        default=None,
-        help="walk queries issued per concurrency phase (http only)",
+        help="walkers per round (scale only)",
     )
     run_parser.add_argument(
         "--output",
         default=None,
         help=(
             "write the experiment's JSON to this file as well as stdout; "
-            "`run ingest` defaults to BENCH_PR2.json in the working directory "
+            "`run ingest` and `run scale` default to BENCH_PR2.json and "
+            "BENCH_PR3.json in the working directory "
             "(pass --output '' to disable)"
         ),
     )
@@ -302,41 +234,17 @@ def _run_experiment(args: argparse.Namespace) -> int:
             f"unknown experiment {args.experiment!r}; available: "
             + ", ".join(sorted(EXPERIMENT_RUNNERS))
         )
-    if args.workers is not None:
-        if args.experiment != "scale":
-            return _fail("--workers only applies to `run scale`")
-        if any(count < 1 for count in args.workers):
-            return _fail("--workers counts must be positive integers")
-    for flag, value, experiments_allowed in (
-        (
-            "--walk-length",
-            args.walk_length,
-            {"scale", "streaming", "serve", "chaos", "http", "shard"},
-        ),
-        ("--rounds", args.rounds, {"scale"}),
-        (
-            "--num-walkers",
-            args.num_walkers,
-            {"scale", "streaming", "serve", "chaos", "http", "shard"},
-        ),
-        ("--queries-per-round", args.queries_per_round, {"streaming", "shard"}),
-        (
-            "--engines",
-            args.engines,
-            {"streaming", "serve", "flip", "chaos", "http", "shard"},
-        ),
-        ("--shards", args.shards, {"shard"}),
-        ("--flood-queries", args.flood_queries, {"serve"}),
-        ("--light-queries", args.light_queries, {"serve"}),
-        ("--scales", args.scales, {"flip"}),
-        ("--low-clients", args.low_clients, {"http"}),
-        ("--high-clients", args.high_clients, {"http"}),
-        ("--queries-per-phase", args.queries_per_phase, {"http"}),
+    for flag, value in (
+        ("--workers", args.workers),
+        ("--walk-length", args.walk_length),
+        ("--rounds", args.rounds),
+        ("--num-walkers", args.num_walkers),
     ):
-        if value is not None and args.experiment not in experiments_allowed:
+        if value is not None and args.experiment != "scale":
             # Fail fast instead of silently benchmarking the defaults.
-            allowed = " / ".join(f"`run {name}`" for name in sorted(experiments_allowed))
-            return _fail(f"{flag} only applies to {allowed}")
+            return _fail(f"{flag} only applies to `run scale`")
+    if args.workers is not None and any(count < 1 for count in args.workers):
+        return _fail("--workers counts must be positive integers")
     kwargs: dict[str, Any] = {}
     if args.datasets is not None and args.experiment in {
         "table3", "fig11", "fig12", "fig13", "fig14", "fig16",
@@ -349,144 +257,6 @@ def _run_experiment(args: argparse.Namespace) -> int:
     if args.experiment == "ingest":
         if args.datasets is not None:
             kwargs["dataset"] = args.datasets[0]
-        if args.batch_size is not None:
-            kwargs["batch_size"] = args.batch_size
-        if args.num_batches is not None:
-            kwargs["num_batches"] = args.num_batches
-    if args.experiment == "streaming":
-        if args.datasets is not None:
-            if len(args.datasets) > 1:
-                return _fail(
-                    "`run streaming` serves a single dataset; "
-                    f"got {len(args.datasets)} datasets"
-                )
-            kwargs["dataset"] = args.datasets[0]
-        if args.engines is not None:
-            kwargs["engines"] = args.engines
-        if args.batch_size is not None:
-            kwargs["batch_size"] = args.batch_size
-        if args.num_batches is not None:
-            kwargs["num_batches"] = args.num_batches
-        if args.walk_length is not None:
-            kwargs["walk_length"] = args.walk_length
-        if args.num_walkers is not None:
-            kwargs["walkers_per_query"] = args.num_walkers
-        if args.queries_per_round is not None:
-            kwargs["queries_per_round"] = args.queries_per_round
-    if args.experiment == "serve":
-        if args.datasets is not None:
-            if len(args.datasets) > 1:
-                return _fail(
-                    "`run serve` benchmarks a single dataset; "
-                    f"got {len(args.datasets)} datasets"
-                )
-            kwargs["dataset"] = args.datasets[0]
-        if args.engines is not None:
-            if len(args.engines) > 1:
-                return _fail(
-                    "`run serve` benchmarks a single engine; "
-                    f"got {len(args.engines)} engines"
-                )
-            kwargs["engine"] = args.engines[0]
-        if args.batch_size is not None:
-            kwargs["batch_size"] = args.batch_size
-        if args.num_batches is not None:
-            kwargs["num_batches"] = args.num_batches
-        if args.walk_length is not None:
-            kwargs["walk_length"] = args.walk_length
-        if args.num_walkers is not None:
-            kwargs["light_walkers"] = args.num_walkers
-        if args.flood_queries is not None:
-            kwargs["flood_queries"] = args.flood_queries
-        if args.light_queries is not None:
-            kwargs["light_queries"] = args.light_queries
-    if args.experiment == "http":
-        if args.datasets is not None:
-            if len(args.datasets) > 1:
-                return _fail(
-                    "`run http` benchmarks a single dataset; "
-                    f"got {len(args.datasets)} datasets"
-                )
-            kwargs["dataset"] = args.datasets[0]
-        if args.engines is not None:
-            if len(args.engines) > 1:
-                return _fail(
-                    "`run http` benchmarks a single engine; "
-                    f"got {len(args.engines)} engines"
-                )
-            kwargs["engine"] = args.engines[0]
-        if args.walk_length is not None:
-            kwargs["walk_length"] = args.walk_length
-        if args.num_walkers is not None:
-            kwargs["num_walkers"] = args.num_walkers
-        if args.low_clients is not None:
-            kwargs["low_clients"] = args.low_clients
-        if args.high_clients is not None:
-            kwargs["high_clients"] = args.high_clients
-        if args.queries_per_phase is not None:
-            kwargs["queries_per_phase"] = args.queries_per_phase
-    if args.experiment == "chaos":
-        if args.datasets is not None:
-            if len(args.datasets) > 1:
-                return _fail(
-                    "`run chaos` drives a single dataset; "
-                    f"got {len(args.datasets)} datasets"
-                )
-            kwargs["dataset"] = args.datasets[0]
-        if args.engines is not None:
-            if len(args.engines) > 1:
-                return _fail(
-                    "`run chaos` drives a single engine; "
-                    f"got {len(args.engines)} engines"
-                )
-            kwargs["engine"] = args.engines[0]
-        if args.batch_size is not None:
-            kwargs["batch_size"] = args.batch_size
-        if args.num_batches is not None:
-            kwargs["num_batches"] = args.num_batches
-        if args.walk_length is not None:
-            kwargs["walk_length"] = args.walk_length
-        if args.num_walkers is not None:
-            kwargs["num_walkers"] = args.num_walkers
-    if args.experiment == "shard":
-        if args.datasets is not None:
-            if len(args.datasets) > 1:
-                return _fail(
-                    "`run shard` benchmarks a single dataset; "
-                    f"got {len(args.datasets)} datasets"
-                )
-            kwargs["dataset"] = args.datasets[0]
-        if args.engines is not None:
-            if len(args.engines) > 1:
-                return _fail(
-                    "`run shard` benchmarks a single engine; "
-                    f"got {len(args.engines)} engines"
-                )
-            kwargs["engine"] = args.engines[0]
-        if args.shards is not None:
-            if any(count < 1 for count in args.shards):
-                return _fail("--shards counts must be positive integers")
-            kwargs["shard_counts"] = args.shards
-        if args.batch_size is not None:
-            kwargs["batch_size"] = args.batch_size
-        if args.num_batches is not None:
-            kwargs["num_batches"] = args.num_batches
-        if args.walk_length is not None:
-            kwargs["walk_length"] = args.walk_length
-        if args.num_walkers is not None:
-            kwargs["num_walkers"] = args.num_walkers
-        if args.queries_per_round is not None:
-            kwargs["queries_per_round"] = args.queries_per_round
-    if args.experiment == "flip":
-        if args.engines is not None:
-            if len(args.engines) > 1:
-                return _fail(
-                    "`run flip` benchmarks a single engine; "
-                    f"got {len(args.engines)} engines"
-                )
-            kwargs["engine"] = args.engines[0]
-        if args.scales is not None:
-            kwargs["scales"] = args.scales
         if args.batch_size is not None:
             kwargs["batch_size"] = args.batch_size
         if args.num_batches is not None:
@@ -540,22 +310,11 @@ def _run_serve(args: argparse.Namespace) -> int:
     import threading
 
     from repro.bench.datasets import build_dataset
-    from repro.serve import (
-        ServiceConfig,
-        TenantQuota,
-        serve_event_loop,
-        service_from_config,
-    )
+    from repro.serve import ServiceConfig, serve_event_loop, service_from_config
 
     config = ServiceConfig.from_cli_args(args)
     graph = build_dataset(args.dataset, rng=config.seed)
-    # The event loop submits queries from its only thread, so the default
-    # admission lane must reject (429 + Retry-After), never block it.
-    service = service_from_config(
-        config,
-        graph,
-        default_quota=TenantQuota(max_pending=config.max_pending_queries),
-    )
+    service = service_from_config(config, graph)
     server, _thread = serve_event_loop(service, config=config)
     stop = threading.Event()
 

@@ -158,18 +158,28 @@ class RandomWalkEngine(abc.ABC):
     # updates
     # ------------------------------------------------------------------ #
     def apply_streaming_update(self, update: GraphUpdate) -> None:
-        """Apply one update immediately (the low-latency path)."""
+        """Apply one update immediately (the low-latency path).
+
+        On an undirected graph the mutation also changes the mirrored arc,
+        so both endpoints' sampling state is refreshed.
+        """
         graph = self._require_graph()
-        graph.ensure_vertex(update.src)
-        graph.ensure_vertex(update.dst)
+        src, dst = update.src, update.dst
+        graph.ensure_vertex(src)
+        graph.ensure_vertex(dst)
+        mirrored = graph.undirected and src != dst
         phase = PHASE_INSERT if update.kind is UpdateKind.INSERT else PHASE_DELETE
         start = time.perf_counter()
         if update.kind is UpdateKind.INSERT:
-            graph.add_edge(update.src, update.dst, update.bias)
-            self._on_insert(update.src, update.dst, update.bias)
+            graph.add_edge(src, dst, update.bias)
+            self._on_insert(src, dst, update.bias)
+            if mirrored:
+                self._on_insert(dst, src, update.bias)
         else:
-            graph.remove_edge(update.src, update.dst)
-            self._on_delete(update.src, update.dst)
+            graph.remove_edge(src, dst)
+            self._on_delete(src, dst)
+            if mirrored:
+                self._on_delete(dst, src)
         self.breakdown.add(phase, time.perf_counter() - start)
         self.updates_applied += 1
 
@@ -195,7 +205,8 @@ class RandomWalkEngine(abc.ABC):
         including neighbour-array order — is identical to applying the
         updates one edge at a time in timestamp order.  Returns the touched
         source vertices in first-appearance order.  Undirected graphs fall
-        back to the scalar path (mirrored arcs interleave vertices).
+        back to the scalar path (mirrored arcs interleave vertices) and
+        return both endpoints of every update, since each arc is mirrored.
         """
         graph = self._require_graph()
         if graph.undirected:
@@ -208,9 +219,10 @@ class RandomWalkEngine(abc.ABC):
                     graph.add_edge(update.src, update.dst, update.bias)
                 else:
                     graph.remove_edge(update.src, update.dst)
-                if update.src not in seen:
-                    seen.add(update.src)
-                    touched.append(update.src)
+                for vertex in (update.src, update.dst):
+                    if vertex not in seen:
+                        seen.add(vertex)
+                        touched.append(vertex)
             return touched
         highest = batch.max_vertex()
         if highest >= 0:

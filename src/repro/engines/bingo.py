@@ -225,6 +225,11 @@ class BingoEngine(FusedFrontierEngine):
         """
         graph = self._require_graph()
         batch = UpdateBatch.coerce(updates)
+        if graph.undirected:
+            # Mirrored arcs interleave vertices, so no per-source plan
+            # holds: apply edge by edge, refreshing both endpoints.
+            self.apply_streaming(batch)
+            return
         stats = BatchStatistics()
         groups = batch.group_by_source()
         self.frontier_tables.mark_dirty(group.vertex for group in groups)
@@ -326,6 +331,11 @@ class BingoEngine(FusedFrontierEngine):
         kept as the ground truth the columnar pipeline is measured against.
         """
         graph = self._require_graph()
+        if graph.undirected:
+            # Same fallback as :meth:`apply_batch`: mirrored arcs touch
+            # both endpoints, so apply edge by edge.
+            self.apply_streaming(updates)
+            return
         stats = BatchStatistics()
         grouped = group_updates_by_vertex(updates)
         self.frontier_tables.mark_dirty(grouped)

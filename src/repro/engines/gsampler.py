@@ -112,6 +112,7 @@ class GSamplerEngine(FusedFrontierEngine):
         """The legacy per-edge batch path (reference for equivalence tests)."""
         graph = self._require_graph()
         touched = set()
+        mirrored = graph.undirected
         for update in updates:
             graph.ensure_vertex(update.src)
             graph.ensure_vertex(update.dst)
@@ -120,6 +121,8 @@ class GSamplerEngine(FusedFrontierEngine):
             else:
                 graph.remove_edge(update.src, update.dst)
             touched.add(update.src)
+            if mirrored:
+                touched.add(update.dst)
         self.frontier_tables.mark_dirty(touched)
         start = time.perf_counter()
         self._rebuild_samplers()

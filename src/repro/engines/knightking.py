@@ -111,6 +111,7 @@ class KnightKingEngine(FusedFrontierEngine):
         """The legacy per-edge batch path (reference for equivalence tests)."""
         graph = self._require_graph()
         touched = set()
+        mirrored = graph.undirected
         for update in updates:
             graph.ensure_vertex(update.src)
             graph.ensure_vertex(update.dst)
@@ -119,6 +120,8 @@ class KnightKingEngine(FusedFrontierEngine):
             else:
                 graph.remove_edge(update.src, update.dst)
             touched.add(update.src)
+            if mirrored:
+                touched.add(update.dst)
         self.frontier_tables.mark_dirty(touched)
         start = time.perf_counter()
         self._rebuild_samplers()

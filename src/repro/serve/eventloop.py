@@ -30,12 +30,8 @@ Routing, validation and error mapping are the shared
 :mod:`repro.serve.protocol` module.  Every transport setting comes from
 one :class:`~repro.serve.config.ServiceConfig`.
 
-Admission control must *reject*, not block: a
-:class:`~repro.serve.tenancy.TenantQuota` with ``block_when_full=True``
-(the default lane of a service built without ``tenants`` or
-``default_quota``) would park the submitting thread — which here is the
-loop itself, stalling every connection.  :class:`EventLoopHTTPServer`
-therefore refuses such a service with :class:`~repro.errors.ServeError`.
+Admission control rejects, never blocks: a full tenant lane answers 429
+with ``Retry-After`` instead of parking the loop's only thread.
 """
 
 from __future__ import annotations
@@ -46,7 +42,6 @@ import threading
 import time
 from collections import deque
 
-from repro.errors import ServeError
 from repro.serve import protocol
 from repro.serve.config import ServiceConfig
 from repro.serve.faults import FaultInjector
@@ -150,13 +145,6 @@ class EventLoopHTTPServer:
         *,
         fault_injector: FaultInjector | None = None,
     ) -> None:
-        if service.admission_blocks():
-            raise ServeError(
-                "the service has a blocking admission lane, which would park "
-                "the event loop's only thread when full; build it with a "
-                "rejecting default_quota=TenantQuota(max_pending=...) or with "
-                "tenants=..."
-            )
         config = config if config is not None else ServiceConfig()
         self.service = service
         self.query_timeout = config.query_timeout
@@ -619,9 +607,7 @@ def serve_event_loop(
 
     Returns the bound server (``server.url`` has the resolved port;
     ``config.port=0`` lets the OS pick) and the loop thread;
-    ``server.shutdown()`` stops it without closing the service.  Raises
-    :class:`~repro.errors.ServeError` for a service whose admission lane
-    blocks (see :class:`EventLoopHTTPServer`).
+    ``server.shutdown()`` stops it without closing the service.
     """
     server = EventLoopHTTPServer(service, config, fault_injector=fault_injector)
     thread = threading.Thread(

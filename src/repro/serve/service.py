@@ -142,11 +142,9 @@ class GraphService:
         Run single-threaded: ingest applies immediately, queries execute
         inline and unfused.  Bitwise-identical to the serial frontier.
     max_pending_queries:
-        Bound of the implicit default tenant's query lane; :meth:`submit`
-        blocks when it is full (back-pressure instead of unbounded memory
-        growth).  Tenants configured through ``tenants`` /
-        ``default_quota`` get *rejection* semantics instead — a full lane
-        raises :class:`~repro.errors.QuotaExceededError`.
+        Bound of the implicit default tenant's query lane; a submission
+        that does not fit raises :class:`~repro.errors.QuotaExceededError`
+        (every lane rejects, none blocks its submitter).
     fuse_limit:
         Maximum queries fused into one frontier run.
     fuse_window_seconds:
@@ -159,8 +157,8 @@ class GraphService:
         waves.
     default_quota:
         Quota for tenants not named in ``tenants`` (lanes are created on
-        first submission).  Defaults to the legacy blocking lane when no
-        tenancy is configured, and to a rejecting 64-query lane otherwise.
+        first submission).  Defaults to
+        ``TenantQuota(max_pending=max_pending_queries)``.
     strict_tenants:
         Reject submissions from tenants not named in ``tenants`` instead
         of creating a lane with ``default_quota``.
@@ -226,13 +224,7 @@ class GraphService:
         self._writer_failures = 0
         self.stats = ServeStats()
         if default_quota is None:
-            # No tenancy configured: the implicit default lane keeps the
-            # legacy single-queue back-pressure contract.  Configured
-            # services get quota *rejection* for unknown tenants instead.
-            default_quota = TenantQuota(
-                max_pending=max_pending_queries,
-                block_when_full=not tenants,
-            )
+            default_quota = TenantQuota(max_pending=max_pending_queries)
         self._tenancy = FairShareQueue(
             tenants, default_quota=default_quota, strict=strict_tenants
         )
@@ -301,8 +293,8 @@ class GraphService:
         and is kept as a deprecation shim for existing callers.  ``rng``
         overrides ``config.seed`` when a live generator must be threaded
         through (sync-mode benchmarking); ``default_quota`` overrides the
-        implicit unknown-tenant lane (the event-loop front-end needs a
-        rejecting one when ``config.tenants`` is empty).
+        unknown-tenant lane (``TenantQuota(max_pending=
+        config.max_pending_queries)`` by default).
         """
         return cls(
             config.engine,
@@ -350,14 +342,6 @@ class GraphService:
         if not self.sync:
             self._update_queue.join()
         self._raise_failure()
-
-    def admission_blocks(self) -> bool:
-        """Whether a full admission lane blocks its submitter (no 429).
-
-        The event-loop front-end refuses such a service: the submitter
-        there is the loop's only thread.
-        """
-        return self._tenancy.blocks_when_full()
 
     def pending_updates(self) -> int:
         """Queued update batches not yet published (0 in sync mode).

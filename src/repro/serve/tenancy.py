@@ -7,8 +7,7 @@ the serving-system answer:
 
 * **Per-tenant bounded queues.**  Every tenant owns a lane with its own
   :class:`TenantQuota`; a full lane rejects further submissions with a
-  clean :class:`~repro.errors.QuotaExceededError` (the legacy single-tenant
-  default lane keeps the PR 4 blocking back-pressure instead).
+  clean :class:`~repro.errors.QuotaExceededError`.
 
 * **Deficit-round-robin fair-share fusing.**  The dispatcher asks
   :meth:`FairShareQueue.get_wave` for the next fused wave; the wave is
@@ -43,10 +42,8 @@ class TenantQuota:
     ----------
     max_pending:
         Bound of the tenant's query lane, in queries.  Submissions beyond
-        it raise :class:`~repro.errors.QuotaExceededError` — unless
-        ``block_when_full`` is set, in which case the submitter blocks
-        (the single-tenant back-pressure mode the PR 4 service shipped
-        with, kept for the implicit default lane).
+        it raise :class:`~repro.errors.QuotaExceededError` (429 +
+        ``Retry-After`` over HTTP); admission never blocks the submitter.
     weight:
         Relative fair-share weight.  Each scheduling turn refills the
         lane's deficit counter by ``weight`` queries, so a weight-2 tenant
@@ -56,7 +53,6 @@ class TenantQuota:
 
     max_pending: int = 64
     weight: float = 1.0
-    block_when_full: bool = False
 
     def __post_init__(self) -> None:
         if self.max_pending < 1:
@@ -191,13 +187,6 @@ class FairShareQueue:
                 }
             return summaries
 
-    def blocks_when_full(self) -> bool:
-        """Whether a full lane (declared or default) parks its submitter."""
-        with self._cond:
-            quotas = [lane.quota for lane in self._lanes.values()]
-        quotas.append(self._default_quota)
-        return any(quota.block_when_full for quota in quotas)
-
     def pending_count(self, tenant: str | None = None) -> int:
         with self._cond:
             if tenant is not None:
@@ -211,36 +200,25 @@ class FairShareQueue:
     def put(self, tenant: str, tickets: list[QueryTicket]) -> None:
         """Admit ``tickets`` into the tenant's lane (all-or-nothing).
 
-        Rejecting lanes raise :class:`~repro.errors.QuotaExceededError`
-        when the lane cannot hold the whole submission.  Back-pressure
-        lanes (``block_when_full``) instead block while the lane is at
-        capacity and then admit the wave whole — waves are never split,
-        so a wave larger than ``max_pending`` is admitted once the lane
-        has drained below capacity (the PR 4 wave-queue contract, whose
-        bound counted waves rather than queries).
+        Raises :class:`~repro.errors.QuotaExceededError` when the lane
+        cannot hold the whole submission; waves are never split.
         """
         if not tickets:
             return
         with self._cond:
             lane = self._lane(tenant)
-            if lane.quota.block_when_full:
-                while len(lane.queue) >= lane.quota.max_pending:
-                    if self._closed:
-                        raise ServiceClosedError("the graph service is closed")
-                    self._cond.wait(_POLL_SECONDS)
-            else:
-                if len(tickets) > lane.quota.max_pending:
-                    lane.stats.rejected += len(tickets)
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} submitted {len(tickets)} queries at "
-                        f"once; its quota admits at most {lane.quota.max_pending}"
-                    )
-                if len(lane.queue) + len(tickets) > lane.quota.max_pending:
-                    lane.stats.rejected += len(tickets)
-                    raise QuotaExceededError(
-                        f"tenant {tenant!r} has {len(lane.queue)} queries "
-                        f"pending (quota {lane.quota.max_pending}); retry later"
-                    )
+            if len(tickets) > lane.quota.max_pending:
+                lane.stats.rejected += len(tickets)
+                raise QuotaExceededError(
+                    f"tenant {tenant!r} submitted {len(tickets)} queries at "
+                    f"once; its quota admits at most {lane.quota.max_pending}"
+                )
+            if len(lane.queue) + len(tickets) > lane.quota.max_pending:
+                lane.stats.rejected += len(tickets)
+                raise QuotaExceededError(
+                    f"tenant {tenant!r} has {len(lane.queue)} queries "
+                    f"pending (quota {lane.quota.max_pending}); retry later"
+                )
             if self._closed:
                 raise ServiceClosedError("the graph service is closed")
             if not lane.queue:

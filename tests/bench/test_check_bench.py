@@ -5,8 +5,6 @@ import importlib.util
 import json
 from pathlib import Path
 
-import pytest
-
 REPO_ROOT = Path(__file__).resolve().parents[2]
 
 
@@ -37,32 +35,6 @@ def test_missing_artifact_is_reported(tmp_path):
     assert all("missing" in error for error in errors)
 
 
-@pytest.fixture()
-def pr4_report():
-    return json.loads((REPO_ROOT / "BENCH_PR4.json").read_text())
-
-
-def test_pr4_gate_catches_dropped_engine(pr4_report):
-    broken = copy.deepcopy(pr4_report)
-    del broken["engines"]["gsampler"]
-    errors = check_bench.check_bench_pr4(broken)
-    assert any("gsampler" in error for error in errors)
-
-
-def test_pr4_gate_catches_speedup_regression(pr4_report):
-    broken = copy.deepcopy(pr4_report)
-    broken["engines"]["bingo"]["concurrent_vs_alternation"] = 1.1
-    errors = check_bench.check_bench_pr4(broken)
-    assert any("acceptance bar" in error for error in errors)
-
-
-def test_pr4_gate_catches_missing_latency_field(pr4_report):
-    broken = copy.deepcopy(pr4_report)
-    del broken["engines"]["bingo"]["query_latency_p99_seconds"]
-    errors = check_bench.check_bench_pr4(broken)
-    assert any("query_latency_p99_seconds" in error for error in errors)
-
-
 def test_pr2_gate_catches_nonpositive_throughput():
     report = json.loads((REPO_ROOT / "BENCH_PR2.json").read_text())
     broken = copy.deepcopy(report)
@@ -71,185 +43,11 @@ def test_pr2_gate_catches_nonpositive_throughput():
     assert any("columnar_updates_per_second" in error for error in errors)
 
 
-@pytest.fixture()
-def pr5_report():
-    return json.loads((REPO_ROOT / "BENCH_PR5.json").read_text())
-
-
-def test_pr5_gate_catches_fairness_regression(pr5_report):
-    broken = copy.deepcopy(pr5_report)
-    broken["fairness"]["fair_vs_solo_p99"] = 4.2
-    errors = check_bench.check_bench_pr5(broken)
-    assert any("fairness bar" in error for error in errors)
-
-
-def test_pr5_gate_catches_warming_regression(pr5_report):
-    broken = copy.deepcopy(pr5_report)
-    broken["warming"]["warm"]["p99"] = broken["warming"]["cold"]["p99"] * 2
-    errors = check_bench.check_bench_pr5(broken)
-    assert any("warming regressed" in error for error in errors)
-
-
-def test_pr5_gate_catches_missing_sections(pr5_report):
-    broken = copy.deepcopy(pr5_report)
-    del broken["warming"]
-    del broken["fairness"]["shared_queue"]
-    errors = check_bench.check_bench_pr5(broken)
-    assert any("warming section missing" in error for error in errors)
-    assert any("shared_queue" in error for error in errors)
-
-
-@pytest.fixture()
-def pr6_report():
-    return json.loads((REPO_ROOT / "BENCH_PR6.json").read_text())
-
-
-def test_pr6_gate_catches_flatness_regression(pr6_report):
-    broken = copy.deepcopy(pr6_report)
-    broken["delta_flatness"] = check_bench.PR6_MAX_FLAT_RATIO * 2
-    errors = check_bench.check_bench_pr6(broken)
-    assert any("flatness bar" in error for error in errors)
-
-
-def test_pr6_gate_catches_speedup_regression(pr6_report):
-    broken = copy.deepcopy(pr6_report)
-    broken["full_vs_delta_at_largest"] = check_bench.PR6_MIN_DELTA_VS_FULL / 2
-    errors = check_bench.check_bench_pr6(broken)
-    assert any("acceptance bar" in error for error in errors)
-
-
-def test_pr6_gate_catches_short_sweep(pr6_report):
-    broken = copy.deepcopy(pr6_report)
-    broken["scales"] = broken["scales"][:1]
-    errors = check_bench.check_bench_pr6(broken)
-    assert any("shorter than 2" in error for error in errors)
-
-    shallow = copy.deepcopy(pr6_report)
-    shallow["vertex_growth"] = 2.0
-    errors = check_bench.check_bench_pr6(shallow)
-    assert any("vertex_growth" in error for error in errors)
-
-
-def test_pr6_gate_catches_nonpositive_timings(pr6_report):
-    broken = copy.deepcopy(pr6_report)
-    broken["scales"][0]["delta_warm_seconds_per_flip"] = 0
-    errors = check_bench.check_bench_pr6(broken)
-    assert any("delta_warm_seconds_per_flip" in error for error in errors)
-
-
-@pytest.fixture()
-def pr7_report():
-    return json.loads((REPO_ROOT / "BENCH_PR7.json").read_text())
-
-
-def test_pr7_gate_catches_low_success_rate(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    broken["tickets"]["success_rate"] = check_bench.PR7_MIN_SUCCESS_RATE - 0.01
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("resilience bar" in error for error in errors)
-
-
-def test_pr7_gate_catches_hung_tickets(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    broken["tickets"]["hung"] = 1
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("never hang" in error for error in errors)
-
-    missing = copy.deepcopy(pr7_report)
-    del missing["tickets"]["hung"]
-    errors = check_bench.check_bench_pr7(missing)
-    assert any("hung" in error for error in errors)
-
-
-def test_pr7_gate_catches_missing_recovery_evidence(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    broken["writer"]["recoveries"] = 0
-    broken["worker"]["respawns"] = 0
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("recoveries" in error for error in errors)
-    assert any("respawns" in error for error in errors)
-
-
-def test_pr7_gate_catches_publication_stall(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    broken["writer"]["epochs_published"] = 0
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("healthy batches" in error for error in errors)
-
-
-def test_pr7_gate_catches_replay_divergence(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    broken["replay_identical"] = False
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("identical fault sequence" in error for error in errors)
-
-
-def test_pr7_gate_catches_missing_sections(pr7_report):
-    broken = copy.deepcopy(pr7_report)
-    del broken["http"]
-    del broken["worker"]
-    errors = check_bench.check_bench_pr7(broken)
-    assert any("http section missing" in error for error in errors)
-    assert any("worker section missing" in error for error in errors)
-
-
-@pytest.fixture()
-def pr8_report():
-    return json.loads((REPO_ROOT / "BENCH_PR8.json").read_text())
-
-
-def test_pr8_committed_report_passes(pr8_report):
-    assert check_bench.check_bench_pr8(pr8_report) == []
-
-
-def test_pr8_gate_catches_connection_scaling_regression(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    broken["servers"]["eventloop"]["clients_per_server_thread"] = (
-        check_bench.PR8_MIN_CLIENTS_PER_THREAD - 1
-    )
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("scaling bar" in error for error in errors)
-
-
-def test_pr8_gate_catches_latency_flatness_regression(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    broken["servers"]["eventloop"]["high_vs_low_p99"] = (
-        check_bench.PR8_MAX_HIGH_VS_LOW_P99 * 2
-    )
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("flatness bar" in error for error in errors)
-
-
-def test_pr8_gate_catches_wire_shape_mismatch(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    broken["servers"]["eventloop"]["wire"]["shapes_match"] = False
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("shapes_match" in error for error in errors)
-
-
-def test_pr8_gate_catches_a_shrunken_sweep(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    broken["high_clients"] = broken["low_clients"] * 2
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("10" in error and "growth" in error for error in errors)
-
-
-def test_pr8_gate_catches_missing_front_end(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    del broken["servers"]["threaded"]
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("'threaded' missing" in error for error in errors)
-
-    missing_phase = copy.deepcopy(pr8_report)
-    del missing_phase["servers"]["eventloop"]["high"]
-    errors = check_bench.check_bench_pr8(missing_phase)
-    assert any("'high' missing" in error for error in errors)
-
-
-def test_pr8_gate_catches_nonpositive_timings(pr8_report):
-    broken = copy.deepcopy(pr8_report)
-    broken["servers"]["eventloop"]["high"]["p99"] = 0
-    broken["servers"]["threaded"]["wire"]["binary_seconds_per_query"] = -1
-    errors = check_bench.check_bench_pr8(broken)
-    assert any("'p99'" in error for error in errors)
-    assert any("binary_seconds_per_query" in error for error in errors)
+def test_pr3_gate_catches_dropped_engine_and_worker_count():
+    report = json.loads((REPO_ROOT / "BENCH_PR3.json").read_text())
+    broken = copy.deepcopy(report)
+    del broken["engines"]["gsampler"]
+    del broken["engines"]["bingo"][str(report["worker_counts"][-1])]
+    errors = check_bench.check_bench_pr3(broken)
+    assert any("gsampler" in error for error in errors)
+    assert any("worker count" in error for error in errors)

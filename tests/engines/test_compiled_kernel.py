@@ -229,13 +229,15 @@ def test_compiled_node2vec_on_an_undirected_graph(engine_name, monkeypatch):
         return engine
 
     def runs():
-        # No churn: batch updates do not mirror undirected arcs into the
-        # engines' sampling state yet (ROADMAP), on either path.
-        return node2vec_runs(make_engine, fused_starts(), 15, 0.5, 2.0, churn=None)
+        return node2vec_runs(make_engine, fused_starts(), 15, 0.5, 2.0)
 
     fast = runs()
     force_numpy(monkeypatch)
     assert_same_runs(fast, runs())
+    # The churn refreshed both endpoints of every mirrored arc.
+    engine = make_engine()
+    engine.apply_batch(churn_batch(engine.graph))
+    engine.check_consistency()
 
 
 @requires_kernel

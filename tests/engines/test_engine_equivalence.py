@@ -12,7 +12,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.engines.registry import ENGINE_REGISTRY
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
+from repro.graph.update_batch import GraphUpdate, UpdateKind
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from tests.conftest import total_variation
 
@@ -83,3 +85,34 @@ def test_engines_reproduce_identical_distribution_on_skewed_vertex(engine_name, 
     empirical = {k: v / draws for k, v in counts.items()}
     expected = {1: 5 / 12, 4: 4 / 12, 5: 3 / 12}
     assert total_variation(empirical, expected) < 0.02, engine_name
+
+
+def _undirected_cycle(num_vertices: int = 6) -> DynamicGraph:
+    graph = DynamicGraph(num_vertices, undirected=True)
+    for vertex in range(num_vertices):
+        graph.add_edge(vertex, (vertex + 1) % num_vertices, 1.0 + vertex)
+    return graph
+
+
+@pytest.mark.parametrize(
+    "update",
+    [GraphUpdate(UpdateKind.INSERT, 0, 3, 2.5), GraphUpdate(UpdateKind.DELETE, 0, 1)],
+    ids=["insert", "delete"],
+)
+@pytest.mark.parametrize("path", ["batch", "streaming", "scalar"])
+@pytest.mark.parametrize("engine_name", ["bingo", "knightking", "gsampler"])
+def test_undirected_update_refreshes_both_endpoints(engine_name, path, update):
+    """A mirrored insert or delete reaches the other endpoint's samplers and
+    fused slices, not only the source's — on every ingest path, the per-edge
+    reference (``apply_batch_scalar``) included."""
+    engine = ENGINE_REGISTRY[engine_name](rng=17)
+    engine.build(_undirected_cycle())
+    engine.frontier_tables.views()  # materialise, so the update must repair
+    apply = {
+        "batch": engine.apply_batch,
+        "streaming": engine.apply_streaming,
+        "scalar": engine.apply_batch_scalar,
+    }[path]
+    apply([update])
+    engine.check_consistency()
+    assert engine.has_edge(update.dst, update.src) == (update.kind is UpdateKind.INSERT)

@@ -13,7 +13,7 @@ import threading
 
 import pytest
 
-from repro.graph.generators import power_law_graph
+from repro.graph.generators import power_law_graph, rmat_graph
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.serve import GraphService, ServiceConfig, TenantQuota, serve_event_loop
 from repro.serve.protocol import MAX_BODY_BYTES
@@ -202,5 +202,29 @@ def test_delta_warm_stats_count_touched_vertices():
         # Each flip warms the touched vertex, plus at most one catch-up
         # replay per lagging buffer — never the whole vertex set.
         assert 0 < snapshot["warm_vertices"] <= 3 * flips
+    finally:
+        service.close()
+
+
+@pytest.mark.parametrize("scale", [7, 10])
+@pytest.mark.parametrize("engine", ["bingo", "knightking", "gsampler"])
+def test_flip_rewarms_only_the_touched_vertices_at_any_graph_size(engine, scale):
+    """O(touched) publication: the same 32-vertex batch re-warms exactly 32
+    vertices whether the graph has 128 or 1,024 of them."""
+    graph = rmat_graph(scale, 8, rng=scale)
+    service = GraphService(engine, graph, rng=7, warm_on_publish=True)
+    try:
+        sink = 1 << 10  # a vertex neither graph has: never a duplicate edge
+        service.ingest(
+            [
+                GraphUpdate(UpdateKind.INSERT, source, sink, 1.0, source)
+                for source in range(32)
+            ]
+        )
+        service.flush()
+        snapshot = service.stats_snapshot()
+        assert snapshot["epochs_warmed"] == 1
+        assert snapshot["warm_full_rebuilds"] == 0
+        assert snapshot["warm_vertices"] == 32
     finally:
         service.close()

@@ -5,6 +5,7 @@ import http.client
 import json
 import socket
 import struct
+import threading
 import time
 import urllib.error
 import urllib.request
@@ -13,7 +14,6 @@ import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
-from repro.errors import ServeError
 from repro.serve import (
     GraphService,
     ServiceClient,
@@ -30,8 +30,7 @@ def graph():
 
 @pytest.fixture(scope="module")
 def server(graph):
-    # The event loop needs *rejecting* admission (a blocking lane would
-    # park the loop thread itself) — same wiring the CLI and bench use.
+    # Same tenant wiring the CLI and bench use.
     service = GraphService(
         "bingo",
         graph,
@@ -367,6 +366,23 @@ class TestBinaryWire:
 
 
 class TestConnectionHandling:
+    def test_one_loop_thread_holds_forty_keep_alive_clients(self, graph):
+        service = GraphService("bingo", graph, rng=43)
+        baseline = threading.active_count()
+        server, _thread = serve_event_loop(service)
+        clients = [ServiceClient(server.url) for _ in range(40)]
+        try:
+            for client in clients:
+                assert client.health()["status"] == "ok"
+            assert server.connection_count() == 40
+            # The loop thread is the only thread the front-end adds.
+            assert threading.active_count() - baseline <= 1
+        finally:
+            for client in clients:
+                client.close()
+            server.shutdown()
+            service.close()
+
     def test_keep_alive_serves_many_requests_on_one_connection(self, server):
         host, port = server.server_address[:2]
         connection = http.client.HTTPConnection(host, port, timeout=10)
@@ -474,27 +490,6 @@ def _slowed(service, seconds):
 class TestAdmissionWiring:
     """The loop submits from its only thread: a full lane must reject."""
 
-    @pytest.mark.parametrize(
-        "kwargs",
-        [
-            {},  # no tenancy: the implicit back-pressure lane
-            {"default_quota": TenantQuota(max_pending=2, block_when_full=True)},
-            {
-                "default_quota": TenantQuota(max_pending=2),
-                "tenants": {"bulk": TenantQuota(block_when_full=True)},
-            },
-        ],
-    )
-    def test_blocking_lane_is_refused_with_the_fix_named(self, graph, kwargs):
-        service = GraphService(
-            "bingo", graph, rng=67, max_pending_queries=2, fuse_limit=1, **kwargs
-        )
-        try:
-            with pytest.raises(ServeError, match="default_quota=.*tenants="):
-                serve_event_loop(service)
-        finally:
-            service.close()
-
     def test_full_rejecting_lane_answers_429_and_never_stalls_the_loop(
         self, graph
     ):
@@ -504,7 +499,7 @@ class TestAdmissionWiring:
             rng=67,
             fuse_limit=1,
             fuse_window_seconds=0.0,
-            default_quota=TenantQuota(max_pending=2),
+            max_pending_queries=2,  # the implicit default lane rejects
         )
         _slowed(service, 0.8)
         server, _thread = serve_event_loop(service)

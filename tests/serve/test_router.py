@@ -7,6 +7,7 @@ import pytest
 
 from repro.engines import compiled
 from repro.engines.registry import create_engine
+from repro.engines.sliced_tables import pack_arrays
 from repro.errors import ServeError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_stream import GraphUpdate, UpdateKind
@@ -357,6 +358,25 @@ def test_router_stats_report_shard_telemetry():
         assert snapshot["flip_critical_path_seconds"] > 0
         assert snapshot["shard_flips"] == 1
         assert snapshot["stale_shard_replies"] == 0
+    finally:
+        router.close()
+
+
+@pytest.mark.parametrize("engine", FRONTIER_ENGINES)
+def test_one_vertex_flip_ships_a_patch_not_the_full_state(engine):
+    """A healthy flip that touches one vertex sends its slices only: the
+    payload stays under half of one full ``export_frontier_state``."""
+    router = RouterService(engine, make_graph(), shards=2, rng=3)
+    try:
+        graph = router.engine.graph
+        dst = next(v for v in range(graph.num_vertices) if not graph.has_edge(5, v))
+        router.ingest([GraphUpdate(UpdateKind.INSERT, 5, dst, 1.5)])
+        router.flush()
+        snapshot = router.stats_snapshot()
+        full_bytes = len(pack_arrays(router.engine.export_frontier_state()))
+        assert snapshot["shard_flips"] == 1
+        assert snapshot["flip_full_snapshots"] == 0
+        assert 0 < snapshot["flip_payload_bytes"] < 0.5 * full_bytes
     finally:
         router.close()
 

@@ -70,16 +70,6 @@ class TestFairShareQueue:
         wave = fuser.get_wave(4, timeout=0.1)
         assert ("light", 0) in _tags(wave)
 
-    def test_blocking_lane_admits_waves_larger_than_capacity(self):
-        """PR 4 contract: the legacy lane bounded *waves*, not queries —
-        an oversize wave back-pressures until the lane drains, then lands
-        whole instead of being rejected."""
-        fuser = FairShareQueue(
-            default_quota=TenantQuota(max_pending=4, block_when_full=True)
-        )
-        fuser.put("default", [_ticket(i, "default") for i in range(10)])
-        assert fuser.pending_count("default") == 10
-
     def test_quota_rejection_counts_and_raises(self):
         fuser = FairShareQueue({"a": TenantQuota(max_pending=2)})
         fuser.put("a", [_ticket(0, "a"), _ticket(1, "a")])
@@ -169,16 +159,23 @@ class TestServiceTenancy:
         for ticket in flood_tickets:
             assert ticket.result(timeout=1.0).walks.num_walks == 1
 
-    def test_legacy_service_accepts_waves_beyond_max_pending(self, graph):
-        """A default-configured service keeps the PR 4 submit_many contract:
-        a wave larger than max_pending_queries back-pressures, never
-        rejects."""
+    def test_default_lane_rejects_waves_beyond_max_pending(self, graph):
+        """Without tenancy the implicit lane is
+        ``TenantQuota(max_pending=max_pending_queries)``: an oversize wave
+        is rejected whole, never parked."""
         service = GraphService("bingo", graph, rng=17, max_pending_queries=8)
         try:
+            with pytest.raises(QuotaExceededError):
+                service.submit_many(
+                    [
+                        WalkQuery(application="deepwalk", starts=[v % 32], walk_length=4)
+                        for v in range(40)
+                    ]
+                )
             tickets = service.submit_many(
                 [
-                    WalkQuery(application="deepwalk", starts=[v % 32], walk_length=4)
-                    for v in range(40)
+                    WalkQuery(application="deepwalk", starts=[v], walk_length=4)
+                    for v in range(8)
                 ]
             )
             for ticket in tickets:
@@ -191,7 +188,9 @@ class TestServiceTenancy:
         appends under — polling them mid-serve must never fault."""
         import threading
 
-        service = GraphService("bingo", graph, rng=17, fuse_limit=2)
+        service = GraphService(
+            "bingo", graph, rng=17, fuse_limit=2, max_pending_queries=128
+        )
         failures = []
 
         def poll():

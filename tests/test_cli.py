@@ -1,10 +1,11 @@
 """Tests for the command-line interface."""
 
+import argparse
 import json
 
 import pytest
 
-from repro.cli import EXPERIMENT_RUNNERS, main
+from repro.cli import EXPERIMENT_RUNNERS, _build_parser, main
 
 
 class TestList:
@@ -13,6 +14,12 @@ class TestList:
         output = capsys.readouterr().out
         for name in EXPERIMENT_RUNNERS:
             assert name in output
+
+    def test_list_shows_no_retired_serve_experiment(self, capsys):
+        assert main(["list"]) == 0
+        listed = capsys.readouterr().out.split()
+        for name in ("streaming", "serve", "flip", "chaos", "http", "shard"):
+            assert name not in listed
 
 
 class TestRun:
@@ -37,7 +44,7 @@ class TestRun:
     def test_workers_flag_rejected_outside_scale(self, capsys):
         assert main(["run", "ingest", "--workers", "2"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert main(["run", "streaming", "--workers", "1"]) == 2
+        assert main(["run", "frontier", "--workers", "1"]) == 2
         assert "only applies to `run scale`" in capsys.readouterr().err
 
     def test_scale_rejects_nonpositive_workers(self, capsys):
@@ -68,47 +75,52 @@ class TestRun:
             assert entry["streaming_updates_per_second"] > 0
             assert entry["walk_steps_per_second"] > 0
 
-    def test_run_streaming_writes_bench_pr4(self, capsys, tmp_path):
-        output = tmp_path / "BENCH_PR4.json"
-        code = main(
-            [
-                "run", "streaming",
-                "--datasets", "AM",
-                "--engines", "bingo",
-                "--batch-size", "100",
-                "--num-batches", "2",
-                "--walk-length", "5",
-                "--num-walkers", "24",
-                "--queries-per-round", "2",
-                "--output", str(output),
-                "--json",
-            ]
+    def test_walk_flags_rejected_outside_scale(self, capsys):
+        for flag in ("--walk-length", "--rounds", "--num-walkers"):
+            assert main(["run", "ingest", flag, "2"]) == 2
+            assert f"{flag} only applies to `run scale`" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "name", ["streaming", "serve", "flip", "chaos", "http", "shard"]
+    )
+    def test_retired_serve_experiments_are_unknown(self, capsys, name):
+        # The serve layer is benchmarked by perfbench over /v1 only.
+        assert name not in EXPERIMENT_RUNNERS
+        assert main(["run", name]) == 2
+        assert "unknown experiment" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            "--queries-per-round", "--shards", "--engines", "--scales",
+            "--flood-queries", "--light-queries", "--low-clients",
+            "--high-clients", "--queries-per-phase",
+        ],
+    )
+    def test_retired_serve_flags_are_unrecognised(self, capsys, flag):
+        # Only the retired serve experiments read these; argparse now
+        # refuses them for every remaining experiment.
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "frontier", flag, "2"])
+        assert excinfo.value.code == 2
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+    def test_run_flags_are_the_paper_experiment_knobs(self):
+        subparsers = next(
+            action
+            for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction)
         )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert json.loads(output.read_text()) == payload
-        assert payload["dataset"] == "AM"
-        assert set(payload["engines"]) == {"bingo"}
-        row = payload["engines"]["bingo"]
-        assert row["updates_per_second"] > 0
-        assert row["steps_per_second"] > 0
-        assert row["query_latency_p50_seconds"] <= row["query_latency_p99_seconds"]
-
-    def test_streaming_rejects_multiple_datasets(self, capsys):
-        assert main(["run", "streaming", "--datasets", "AM", "GO"]) == 2
-        assert "single dataset" in capsys.readouterr().err
-
-    def test_streaming_rejects_multiple_worker_counts(self, capsys):
-        assert main(["run", "streaming", "--workers", "1", "2"]) == 2
-        assert "--workers" in capsys.readouterr().err
-
-    def test_queries_per_round_rejected_outside_streaming(self, capsys):
-        assert main(["run", "scale", "--queries-per-round", "2"]) == 2
-        assert "--queries-per-round" in capsys.readouterr().err
-
-    def test_engines_flag_rejected_outside_streaming(self, capsys):
-        assert main(["run", "ingest", "--engines", "bingo"]) == 2
-        assert "--engines" in capsys.readouterr().err
+        flags = {
+            option
+            for action in subparsers.choices["run"]._actions
+            for option in action.option_strings
+        }
+        assert flags == {
+            "-h", "--help", "--json", "--datasets", "--applications",
+            "--workloads", "--batch-size", "--num-batches", "--workers",
+            "--walk-length", "--rounds", "--num-walkers", "--output",
+        }
 
     def test_run_ingest_output_disabled_with_empty_flag(self, capsys, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
@@ -169,51 +181,6 @@ class TestCompare:
         output = capsys.readouterr().out
         for engine in ("bingo", "knightking", "gsampler", "flowwalker"):
             assert engine in output
-
-
-class TestServeExperiment:
-    def test_run_serve_writes_bench_pr5(self, capsys, tmp_path):
-        output = tmp_path / "BENCH_PR5.json"
-        code = main(
-            [
-                "run", "serve",
-                "--datasets", "AM",
-                "--engines", "bingo",
-                "--batch-size", "60",
-                "--num-batches", "2",
-                "--walk-length", "4",
-                "--num-walkers", "32",
-                "--flood-queries", "24",
-                "--light-queries", "6",
-                "--output", str(output),
-                "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert json.loads(output.read_text()) == payload
-        fairness = payload["fairness"]
-        for mode in ("solo", "fair_share", "shared_queue"):
-            assert fairness[mode]["p50"] > 0
-            assert fairness[mode]["p50"] <= fairness[mode]["p99"]
-        assert fairness["fair_share"]["tenants"]["flood"]["served"] == 24
-        warming = payload["warming"]
-        assert warming["flips"] == 2
-        assert len(warming["cold"]["probe_latencies_seconds"]) == 2
-        assert warming["warm"]["epochs_warmed"] == 2
-        assert warming["cold"]["epochs_warmed"] == 0
-
-    def test_serve_experiment_rejects_multiple_engines(self, capsys):
-        assert main(["run", "serve", "--engines", "bingo", "gsampler"]) == 2
-        assert "single engine" in capsys.readouterr().err
-
-    def test_serve_experiment_rejects_multiple_datasets(self, capsys):
-        assert main(["run", "serve", "--datasets", "AM", "GO"]) == 2
-        assert "single dataset" in capsys.readouterr().err
-
-    def test_flood_queries_rejected_outside_serve(self, capsys):
-        assert main(["run", "streaming", "--flood-queries", "5"]) == 2
-        assert "--flood-queries" in capsys.readouterr().err
 
 
 class TestServeCommand:
@@ -295,37 +262,6 @@ class TestServeCommand:
                 break
             time.sleep(0.1)
         assert not leaked
-
-
-class TestShard:
-    def test_run_shard_writes_bench_pr9(self, capsys, tmp_path):
-        output = tmp_path / "BENCH_PR9.json"
-        code = main(
-            [
-                "run", "shard",
-                "--datasets", "AM",
-                "--shards", "1", "2",
-                "--num-walkers", "256",
-                "--walk-length", "4",
-                "--num-batches", "1",
-                "--batch-size", "20",
-                "--queries-per-round", "1",
-                "--output", str(output),
-                "--json",
-            ]
-        )
-        assert code == 0
-        payload = json.loads(capsys.readouterr().out)
-        assert payload == json.loads(output.read_text())
-        assert payload["shard_counts"] == [1, 2]
-        assert [arm["shards"] for arm in payload["arms"].values()] == [1, 2]
-        assert payload["chaos"]["hung"] == 0
-        assert payload["chaos"]["bitwise_identical_to_clean_run"] is True
-        assert payload["deterministic"] is True
-
-    def test_run_shard_rejects_nonpositive_counts(self, capsys):
-        assert main(["run", "shard", "--shards", "0"]) == 2
-        assert "--shards" in capsys.readouterr().err
 
 
 class TestScale:
