@@ -486,15 +486,16 @@ def fig14_float_bias(
                 rng=ensure_rng(seed + 2),
             )
             engine = BingoEngine(rng=seed + 3)
-            start = time.perf_counter()
-            engine.build(stream.initial_graph.copy())
-            for batch in stream.batches:
-                engine.apply_batch(batch)
-            starts = sample_start_vertices(stream.initial_graph, 64, rng=seed + 4)
-            sample_rng = ensure_rng(seed + 5)
-            for _ in range(num_samples):
-                engine.sample_neighbor(starts[sample_rng.randrange(len(starts))])
-            elapsed = time.perf_counter() - start
+            with gc_paused():
+                start = time.perf_counter()
+                engine.build(stream.initial_graph.copy())
+                for batch in stream.batches:
+                    engine.apply_batch(batch)
+                starts = sample_start_vertices(stream.initial_graph, 64, rng=seed + 4)
+                sample_rng = ensure_rng(seed + 5)
+                for _ in range(num_samples):
+                    engine.sample_neighbor(starts[sample_rng.randrange(len(starts))])
+                elapsed = time.perf_counter() - start
             output[dataset][label] = {
                 "time_seconds": elapsed,
                 "memory_bytes": engine.memory_report().total_bytes(),

@@ -52,6 +52,29 @@ def batch_vose(
     for row_index, row in enumerate(weight_rows):
         if len(row):
             weights[row_index, : len(row)] = row
+    prob, alias = vose_padded(weights, lengths)
+    results: list[tuple[list[float], list[int]]] = []
+    for row_index, row in enumerate(weight_rows):
+        count = len(row)
+        results.append(
+            (prob[row_index, :count].tolist(), alias[row_index, :count].tolist())
+        )
+    return results
+
+
+def vose_padded(
+    weights: np.ndarray, lengths: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`batch_vose` on a zero-padded ``(rows, width)`` weight matrix.
+
+    Row ``r`` holds its ``lengths[r]`` weights first; the padding must be
+    zero.  Returns the ``(prob, alias)`` matrices, row ``r``'s table in its
+    first ``lengths[r]`` columns.  Bingo's cold build calls this directly
+    with every vertex's inter-group weights.
+    """
+    num_rows, width = weights.shape
+    if width == 0:
+        return np.ones((num_rows, 0)), np.zeros((num_rows, 0), dtype=np.int64)
     columns = np.arange(width, dtype=np.int64)
     valid = columns[None, :] < lengths[:, None]
 
@@ -116,10 +139,4 @@ def batch_vose(
 
     # Entries still on either stack keep prob = 1.0 and their initial alias,
     # matching the scalar tail loop.
-    results: list[tuple[list[float], list[int]]] = []
-    for row_index, row in enumerate(weight_rows):
-        count = len(row)
-        results.append(
-            (prob[row_index, :count].tolist(), alias[row_index, :count].tolist())
-        )
-    return results
+    return prob, alias

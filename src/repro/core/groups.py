@@ -36,19 +36,65 @@ from repro.sampling.cost_model import OperationCounter
 class RadixGroup:
     """Members of one radix group, under a switchable representation."""
 
-    __slots__ = ("position", "kind", "members", "slots", "_count", "_np_members")
+    __slots__ = ("position", "kind", "members", "_slots", "_count", "_np_members")
 
     def __init__(self, position: int, kind: GroupKind = GroupKind.REGULAR) -> None:
         self.position = int(position)
         self.kind = kind
         #: compact member list (neighbour indices); unused in dense mode
         self.members: list[int] = []
-        #: inverted index: neighbour index -> slot in ``members``; unused in dense mode
-        self.slots: dict[int, int] = {}
+        #: inverted index behind :attr:`slots` (``None`` until first use)
+        self._slots: dict[int, int] | None = {}
         #: member count (the only state kept in dense mode)
         self._count = 0
         #: NumPy mirror of ``members``, built lazily for sample_batch
         self._np_members: np.ndarray | None = None
+
+    @classmethod
+    def built(
+        cls, position: int, kind: GroupKind, members: list[int], count: int
+    ) -> RadixGroup:
+        """A group holding ``count`` members, listed in ``members``.
+
+        ``members`` is adopted by reference; it must be empty for the dense
+        kind, which keeps only the count.  The inverted index is built on
+        first use.
+        """
+        group = cls.__new__(cls)
+        group.position = position
+        group.kind = kind
+        group.members = members
+        group._slots = None
+        group._count = count
+        group._np_members = None
+        return group
+
+    def clone(self) -> RadixGroup:
+        """An independent copy (the member list and index are copied)."""
+        group = RadixGroup.__new__(RadixGroup)
+        group.position = self.position
+        group.kind = self.kind
+        group.members = self.members.copy()
+        group._slots = None if self._slots is None else self._slots.copy()
+        group._count = self._count
+        group._np_members = None
+        return group
+
+    @property
+    def slots(self) -> dict[int, int]:
+        """Inverted index: neighbour index -> slot in ``members`` (list kinds).
+
+        A cold build leaves it unbuilt; the first update or query builds it
+        from ``members`` in one pass.
+        """
+        slots = self._slots
+        if slots is None:
+            slots = self._slots = dict(zip(self.members, range(len(self.members))))
+        return slots
+
+    @slots.setter
+    def slots(self, value: dict[int, int]) -> None:
+        self._slots = value
 
     # ------------------------------------------------------------------ #
     # size / weight
@@ -309,6 +355,14 @@ class DecimalGroup:
 
     def __len__(self) -> int:
         return len(self.fractions)
+
+    def clone(self) -> DecimalGroup:
+        """An independent copy (same entries, order and running total)."""
+        group = DecimalGroup.__new__(DecimalGroup)
+        group.fractions = self.fractions.copy()
+        group._total = self._total
+        group._np_arrays = None
+        return group
 
     def weight(self) -> float:
         """W_D: total fractional weight held by the group."""

@@ -107,15 +107,16 @@ def split_scaled_bias(bias: float, lam: float) -> tuple[int, float]:
     return integer_part, fraction
 
 
-def split_scaled_biases(biases, lam: float):
-    """Vectorized :func:`split_scaled_bias` over a whole bias slice.
+def split_scaled_arrays(biases, lam: float):
+    """Vectorized :func:`split_scaled_bias` returning NumPy columns.
 
-    Returns ``(integer_parts, fractions)`` as Python lists, elementwise
-    identical to calling the scalar function on each bias — including the
-    branch precedence of the tolerance snapping (snap-down to an integer is
-    checked *before* snap-up, which matters once the scaled bias is large
-    enough that the two tolerance windows overlap).  Invalid biases
-    (non-positive / non-finite) raise :class:`InvalidBiasError`.
+    Returns ``(integer_parts, fractions)``: an ``int64`` and a ``float64``
+    array, elementwise identical to calling the scalar function on each
+    bias — including the branch precedence of the tolerance snapping
+    (snap-down to an integer is checked *before* snap-up, which matters
+    once the scaled bias is large enough that the two tolerance windows
+    overlap).  Invalid biases (non-positive / non-finite) raise
+    :class:`InvalidBiasError`.
     """
     import numpy as np
 
@@ -133,7 +134,13 @@ def split_scaled_biases(biases, lam: float):
     snap_up = ~snap_down & (fractions >= 1.0 - tolerance)
     integer_parts[snap_up] += 1.0
     fractions[snap_down | snap_up] = 0.0
-    return integer_parts.astype(np.int64).tolist(), fractions.tolist()
+    return integer_parts.astype(np.int64), fractions
+
+
+def split_scaled_biases(biases, lam: float):
+    """:func:`split_scaled_arrays` as Python lists (the per-vertex insert form)."""
+    integer_parts, fractions = split_scaled_arrays(biases, lam)
+    return integer_parts.tolist(), fractions.tolist()
 
 
 def choose_amortization_factor(
@@ -149,19 +156,26 @@ def choose_amortization_factor(
     the first power of ten satisfying the criterion, or ``10^max_exponent``
     if none does (the benchmarks then still run, just with a slightly larger
     decimal share).
+
+    ``biases`` may be any sequence or a ``float64`` array (the engines pass
+    the graph's bias column).  Each candidate λ splits the whole column in
+    one vectorized pass; both weight totals accumulate left to right
+    (``np.cumsum`` is sequential), so λ is the one a per-bias loop picks.
     """
-    cleaned = [check_bias(b) for b in biases]
-    if not cleaned:
+    import numpy as np
+
+    if not isinstance(biases, np.ndarray):
+        for bias in biases:
+            check_bias(bias)
+    column = np.ascontiguousarray(biases, dtype=np.float64)
+    degree = len(column)
+    if degree == 0:
         return 1.0
-    degree = len(cleaned)
     for exponent in range(max_exponent + 1):
         lam = 10.0 ** exponent
-        integer_weight = 0.0
-        decimal_weight = 0.0
-        for bias in cleaned:
-            integer_part, fraction = split_scaled_bias(bias, lam)
-            integer_weight += integer_part
-            decimal_weight += fraction
+        integer_parts, fractions = split_scaled_arrays(column, lam)
+        integer_weight = float(np.cumsum(integer_parts, dtype=np.float64)[-1])
+        decimal_weight = float(np.cumsum(fractions)[-1])
         total = integer_weight + decimal_weight
         if total <= 0:
             continue

@@ -25,18 +25,28 @@ alias rebuild, giving the O(K) update cost of Table 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
+from dataclasses import replace
+from functools import reduce
+from operator import add
 
 import numpy as np
 
 from repro.core.adaptive import ConversionTracker, GroupClassifier, GroupKind
+from repro.core.batch_rebuild import batch_vose, vose_padded
 from repro.core.groups import DecimalGroup, RadixGroup
 from repro.core.memory_model import MemoryReport, vertex_memory_bytes
-from repro.core.radix import decompose_bias, split_scaled_bias, split_scaled_biases
+from repro.core.radix import (
+    decompose_bias,
+    split_scaled_arrays,
+    split_scaled_bias,
+    split_scaled_biases,
+)
 from repro.errors import EmptySamplerError, SamplerStateError
 from repro.sampling.alias import AliasTable
 from repro.sampling.base import DynamicSampler, SamplerKind
 from repro.sampling.cost_model import OperationCounter
-from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng
+from repro.utils.rng import NumpySource, RandomSource, clone_rng, ensure_np_rng
+from repro.utils.segments import segment_positions
 from repro.utils.validation import check_bias
 
 #: Sentinel group key used for the decimal group in the inter-group table.
@@ -122,6 +132,34 @@ class BingoVertexSampler(DynamicSampler):
         sampler.auto_rebuild = previous_mode
         sampler.rebuild()
         return sampler
+
+    def clone(self, conversion_tracker: ConversionTracker | None = None) -> BingoVertexSampler:
+        """An independent copy in the same state, generator state included.
+
+        Groups are copied field by field; the inter-group table shares the
+        copy's generator and counter, as the original shares this
+        sampler's.  ``conversion_tracker`` is the copy's tracker (an
+        engine's samplers share one).
+        """
+        twin = BingoVertexSampler.__new__(BingoVertexSampler)
+        twin._rng = clone_rng(self._rng)
+        twin.counter = replace(self.counter)
+        twin.lam = self.lam
+        twin.classifier = self.classifier
+        twin.conversion_tracker = conversion_tracker
+        twin.auto_rebuild = self.auto_rebuild
+        twin._ids = self._ids.copy()
+        twin._biases = self._biases.copy()
+        twin._integer_parts = self._integer_parts.copy()
+        twin._fractions = self._fractions.copy()
+        twin._index_of = self._index_of.copy()
+        twin._groups = {position: group.clone() for position, group in self._groups.items()}
+        twin._decimal = self._decimal.clone()
+        twin._inter_group = self._inter_group.clone(rng=twin._rng, counter=twin.counter)
+        twin._inter_dirty = self._inter_dirty
+        twin.rebuild_count = self.rebuild_count
+        twin._np_cache = None
+        return twin
 
     # ------------------------------------------------------------------ #
     # mutation (Table 1: O(K))
@@ -730,8 +768,6 @@ def rebuild_samplers_batch(samplers: Iterable[BingoVertexSampler]) -> None:
     Per-operation cost-model accounting is skipped (the batched pipeline
     accounts whole phases instead).
     """
-    from repro.core.batch_rebuild import batch_vose
-
     batch = samplers if isinstance(samplers, list) else list(samplers)
     if not batch:
         return
@@ -818,3 +854,228 @@ def rebuild_samplers_batch(samplers: Iterable[BingoVertexSampler]) -> None:
         )
         sampler._inter_dirty = False
         sampler._np_cache = None
+
+
+#: Group representations by code in :class:`RadixLayout` (0 is the kind a
+#: group is created with).
+_KIND_BY_CODE = (
+    GroupKind.REGULAR,
+    GroupKind.ONE_ELEMENT,
+    GroupKind.SPARSE,
+    GroupKind.DENSE,
+)
+
+
+class RadixLayout:
+    """Many vertices' radix factorization, computed in whole-array passes.
+
+    The cold-build form of :meth:`BingoVertexSampler.insert_many` followed
+    by :func:`rebuild_samplers_batch`, for every vertex at once.  Row ``r``
+    is one vertex: ``lengths[r]`` neighbours, back to back in ``biases``.
+    The result is the state those per-vertex calls leave — group member
+    order, group creation order, classification, decimal running totals,
+    inter-group alias — so :meth:`samplers` assembles samplers
+    indistinguishable from per-vertex ones.
+
+    Arrays, in group *creation order* (row-major; within a row, by first
+    member, then bit): ``group_row``, ``group_bit``, ``group_size``,
+    ``group_rank`` (position among the row's groups) and ``group_kind``
+    (codes into :data:`_KIND_BY_CODE`).  ``members`` holds each group's
+    neighbour indices (local to the row, ascending) back to back in the
+    same order, ``member_edges`` their positions in the input.
+    ``decimal_edges`` lists the input positions with a fractional part.
+    Per row: ``starts`` (first input position), ``group_count``,
+    ``decimal_count``, ``decimal_total`` and the inter-group table
+    ``prob`` / ``alias`` / ``weights`` (zero-padded; ``inter_length``
+    entries per row, the groups first and then the decimal group when the
+    row has one).
+    """
+
+    def __init__(self, lengths, biases, lam: float, classifier: GroupClassifier) -> None:
+        lengths = np.ascontiguousarray(lengths, dtype=np.int64)
+        rows = len(lengths)
+        integer_parts, fractions = split_scaled_arrays(biases, lam)
+        if ((integer_parts == 0) & (fractions == 0.0)).any():
+            raise SamplerStateError(f"bias scaled by lam={lam} vanishes; increase lam")
+        self.lengths = lengths
+        self.starts = np.cumsum(lengths) - lengths
+        self.integer_parts = integer_parts
+        self.fractions = fractions
+        edge_row = np.repeat(np.arange(rows, dtype=np.int64), lengths)
+        local = np.arange(len(edge_row), dtype=np.int64) - self.starts[edge_row]
+
+        # Every (edge, set bit) pair, one bit position at a time.
+        top = int(integer_parts.max()).bit_length() if len(integer_parts) else 0
+        per_bit = [np.flatnonzero((integer_parts >> bit) & 1) for bit in range(top)]
+        entry_edge = np.concatenate(per_bit) if per_bit else np.empty(0, dtype=np.int64)
+        entry_bit = np.repeat(
+            np.arange(top, dtype=np.int64), [len(edges) for edges in per_bit]
+        )
+        entry_row = edge_row[entry_edge]
+        # Group by (row, bit): one stable sort keeps each group's members in
+        # edge order, i.e. ascending neighbour index.
+        key = entry_row * 64 + entry_bit
+        by_group = np.argsort(key, kind="stable")
+        key = key[by_group]
+        heads = np.flatnonzero(np.r_[True, key[1:] != key[:-1]]) if len(key) else key
+        sizes = np.diff(np.r_[heads, len(key)])
+        rows_of = entry_row[by_group][heads]
+        bits_of = entry_bit[by_group][heads]
+        first_local = local[entry_edge[by_group][heads]]
+        # Creation order: a row's groups by first member, then bit.
+        creation = np.lexsort((bits_of, first_local, rows_of))
+        self.group_row = rows_of[creation]
+        self.group_bit = bits_of[creation]
+        self.group_size = sizes[creation]
+        gather = segment_positions(heads[creation], self.group_size)
+        self.member_edges = entry_edge[by_group][gather]
+        self.members = local[self.member_edges]
+
+        self.group_count = np.bincount(self.group_row, minlength=rows)
+        degree = lengths[self.group_row]
+        size = self.group_size
+        if classifier.adaptive:
+            ratio = 100.0 * size / degree
+            kind = np.where(
+                ratio > classifier.alpha_percent,
+                3,
+                np.where(ratio < classifier.beta_percent, 2, 0),
+            )
+            self.group_kind = np.where(size == 1, 1, kind)
+        else:
+            self.group_kind = np.zeros(len(size), dtype=np.int64)
+
+        # Decimal groups: running totals accumulate left to right, as
+        # DecimalGroup.add_many does.
+        self.decimal_edges = np.flatnonzero(fractions > 0.0)
+        self.decimal_count = np.bincount(edge_row[self.decimal_edges], minlength=rows)
+        bounds = np.r_[0, np.cumsum(self.decimal_count)].tolist()
+        values = fractions[self.decimal_edges].tolist()
+        self.decimal_total = np.array(
+            [reduce(add, values[lo:hi], 0.0) for lo, hi in zip(bounds, bounds[1:])],
+            dtype=np.float64,
+        )
+
+        # Inter-group weights: W(p_k) = |G_k| * 2^k per group, then W_D.
+        has_decimal = self.decimal_total > 0.0
+        self.inter_length = self.group_count + has_decimal
+        width = int(self.inter_length.max()) if rows else 0
+        self.weights = np.zeros((rows, width), dtype=np.float64)
+        first_group = np.cumsum(self.group_count) - self.group_count
+        self.group_rank = np.arange(len(size)) - first_group[self.group_row]
+        self.weights[self.group_row, self.group_rank] = np.ldexp(
+            size.astype(np.float64), self.group_bit
+        )
+        decimal_rows = np.flatnonzero(has_decimal)
+        self.weights[decimal_rows, self.group_count[decimal_rows]] = self.decimal_total[
+            decimal_rows
+        ]
+        self.prob, self.alias = vose_padded(self.weights, self.inter_length)
+
+    def record_conversions(self, tracker: ConversionTracker) -> None:
+        """Count this build's classifications in ``tracker``.
+
+        Every group is created regular and classified once; transitions are
+        added in first-occurrence order, as the per-vertex rebuilds would.
+        """
+        tracker.observations += len(self.group_kind)
+        converted = self.group_kind[self.group_kind != 0]
+        codes, first, counts = np.unique(converted, return_index=True, return_counts=True)
+        transitions = tracker.transitions
+        for position in np.argsort(first):
+            pair = (GroupKind.REGULAR, _KIND_BY_CODE[int(codes[position])])
+            transitions[pair] = transitions.get(pair, 0) + int(counts[position])
+
+    def samplers(
+        self,
+        ids,
+        biases,
+        rngs: Sequence,
+        *,
+        lam: float,
+        classifier: GroupClassifier,
+        conversion_tracker: ConversionTracker | None,
+    ) -> list[BingoVertexSampler]:
+        """One sampler per row, holding the row's neighbours ``ids`` / ``biases``.
+
+        ``rngs[r]`` becomes row ``r``'s generator.  Samplers are built with
+        ``auto_rebuild=False`` and a clean inter-group table.
+        """
+        id_list = np.asarray(ids).tolist()
+        bias_list = np.asarray(biases, dtype=np.float64).tolist()
+        integer_list = self.integer_parts.tolist()
+        fraction_list = self.fractions.tolist()
+        bit_list = self.group_bit.tolist()
+        prob_rows = self.prob.tolist()
+        alias_rows = self.alias.tolist()
+        weight_rows = self.weights.tolist()
+        lam = float(lam)
+
+        # Every group first, in creation order (row-major).
+        groups = []
+        dense = GroupKind.DENSE
+        member_list = self.members.tolist()
+        member = 0
+        for position, size, code in zip(
+            bit_list, self.group_size.tolist(), self.group_kind.tolist()
+        ):
+            kind = _KIND_BY_CODE[code]
+            members = [] if kind is dense else member_list[member : member + size]
+            groups.append(RadixGroup.built(position, kind, members, size))
+            member += size
+
+        decimal_list = self.decimal_edges.tolist()
+        decimal_totals = self.decimal_total.tolist()
+        samplers: list[BingoVertexSampler] = []
+        new_sampler = BingoVertexSampler.__new__
+        group = 0
+        decimal = 0
+        for row, (start, length, group_count, decimal_count, inter_length) in enumerate(
+            zip(
+                self.starts.tolist(),
+                self.lengths.tolist(),
+                self.group_count.tolist(),
+                self.decimal_count.tolist(),
+                self.inter_length.tolist(),
+            )
+        ):
+            stop = start + length
+            next_group = group + group_count
+            sampler = new_sampler(BingoVertexSampler)
+            sampler._rng = rng = rngs[row]
+            sampler.counter = counter = OperationCounter(4 * length + decimal_count)
+            sampler.lam = lam
+            sampler.classifier = classifier
+            sampler.conversion_tracker = conversion_tracker
+            sampler.auto_rebuild = False
+            sampler._ids = row_ids = id_list[start:stop]
+            sampler._biases = bias_list[start:stop]
+            sampler._integer_parts = integer_list[start:stop]
+            sampler._fractions = fraction_list[start:stop]
+            sampler._index_of = dict(zip(row_ids, range(length)))
+            keys = bit_list[group:next_group]
+            sampler._groups = dict(zip(keys, groups[group:next_group]))
+            group = next_group
+            sampler._decimal = decimal_group = DecimalGroup()
+            if decimal_count:
+                decimal_group.fractions = {
+                    edge - start: fraction_list[edge]
+                    for edge in decimal_list[decimal : decimal + decimal_count]
+                }
+                decimal_group._total = decimal_totals[row]
+                decimal += decimal_count
+                keys.append(DECIMAL_GROUP_KEY)
+            sampler._inter_group = AliasTable.from_built(
+                keys,
+                weight_rows[row][:inter_length],
+                prob_rows[row][:inter_length],
+                alias_rows[row][:inter_length],
+                rng=rng,
+                counter=counter,
+            )
+            sampler._inter_dirty = False
+            sampler.rebuild_count = 1
+            sampler._np_cache = None
+            samplers.append(sampler)
+        return samplers
+

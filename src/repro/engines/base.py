@@ -15,6 +15,7 @@ whatever per-vertex sampling state its design requires, and exposes:
 from __future__ import annotations
 
 import abc
+import copy
 import time
 from collections.abc import Iterable, Sequence
 
@@ -27,7 +28,7 @@ from repro.errors import SamplerStateError, UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
-from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng, ensure_rng
+from repro.utils.rng import NumpySource, RandomSource, clone_rng, ensure_np_rng, ensure_rng
 from repro.utils.timing import TimeBreakdown
 
 #: The store every fused engine carries beside its draw tables: each
@@ -148,6 +149,27 @@ class RandomWalkEngine(abc.ABC):
     @abc.abstractmethod
     def _build_state(self) -> None:
         """Construct per-vertex sampling structures for the adopted graph."""
+
+    def clone(self) -> RandomWalkEngine:
+        """An independent engine in exactly this engine's state.
+
+        Field by field: the graph, every generator (in its current
+        state), the samplers and the fused tables are copied, and settings
+        that never change after construction are shared.  A clone and its source draw the same walks from the same
+        generator and stay equal under the same updates — the serve
+        layer's back buffer is a clone of its front.
+        """
+        twin = copy.copy(self)
+        twin._rng = clone_rng(self._rng)
+        twin.graph = None if self.graph is None else self.graph.copy()
+        twin.breakdown = TimeBreakdown(dict(self.breakdown.phases))
+        if self._shard_owned is not None:
+            twin._shard_owned = self._shard_owned.copy()
+        self._clone_state(twin)
+        return twin
+
+    def _clone_state(self, twin: RandomWalkEngine) -> None:
+        """Give ``twin`` (a shallow copy) its own copy of subclass state."""
 
     def _require_graph(self) -> DynamicGraph:
         if self.graph is None:
@@ -482,6 +504,20 @@ class FusedFrontierEngine(RandomWalkEngine):
         #: rebuilt after every repair, so packing once per views dict keeps
         #: the addresses valid.
         self._packed: tuple[dict, np.ndarray, np.ndarray] | None = None
+
+    def _clone_state(self, twin: RandomWalkEngine) -> None:
+        twin._samplers = {
+            vertex: self._clone_sampler(sampler, twin)
+            for vertex, sampler in self._samplers.items()
+        }
+        twin.frontier_tables = self.frontier_tables.clone(
+            twin._frontier_parts, twin.num_vertices, rows={"adjacency": twin._adjacency_rows}
+        )
+        twin._packed = None
+
+    def _clone_sampler(self, sampler, twin: RandomWalkEngine):
+        """``sampler``'s copy for ``twin``."""
+        return sampler.clone()
 
     @abc.abstractmethod
     def _frontier_parts(self, vertex: int) -> SliceParts | None:

@@ -5,14 +5,17 @@ This is the system the paper contributes.  Each vertex with out-edges owns a
 one sampler in O(K); batched updates follow the Section 5.2 workflow — group
 requests by vertex, collapse them to net insertions/deletions, apply them with
 the sampler's rebuild deferred, then rebuild each touched vertex exactly once.
-Kernel launches are accounted on an optional
-:class:`~repro.gpu.device.SimulatedDevice` so throughput experiments can report
-device-model parallel steps alongside wall-clock time.
+Each batch's device-model parallel steps are counted in ``batch_stats``
+through an optional :class:`~repro.gpu.device.SimulatedDevice`'s lane count,
+so throughput experiments can report them alongside wall-clock time.  A cold
+build runs in whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`)
+and leaves the state the per-vertex path would.
 """
 
 from __future__ import annotations
 
 import time
+from dataclasses import replace
 from functools import partial
 from collections.abc import Sequence
 
@@ -24,6 +27,7 @@ from repro.core.radix import choose_amortization_factor, split_scaled_biases
 from repro.core.vertex_sampler import (
     DECIMAL_GROUP_KEY,
     BingoVertexSampler,
+    RadixLayout,
     rebuild_samplers_batch,
 )
 from repro.engines import compiled
@@ -35,7 +39,7 @@ from repro.engines.base import (
     live_frontier,
     scatter_live,
 )
-from repro.engines.sliced_tables import SliceParts
+from repro.engines.sliced_tables import SliceParts, StagedRows
 from repro.errors import UpdateError
 from repro.gpu.device import SimulatedDevice
 from repro.gpu.kernels import (
@@ -46,6 +50,7 @@ from repro.gpu.kernels import (
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate
 from repro.utils.rng import RandomSource, spawn_rng
+from repro.utils.segments import segment_positions
 
 
 class BingoEngine(FusedFrontierEngine):
@@ -64,7 +69,8 @@ class BingoEngine(FusedFrontierEngine):
     alpha_percent / beta_percent:
         The Equation (9) thresholds (paper defaults 40 / 10).
     device:
-        Optional simulated device used to account batched-update kernels.
+        Optional simulated device whose lane count models the parallel
+        steps of each batched update (``batch_stats.parallel_steps``).
     """
 
     name = "bingo"
@@ -121,28 +127,47 @@ class BingoEngine(FusedFrontierEngine):
     # construction
     # ------------------------------------------------------------------ #
     def _build_state(self) -> None:
+        """Cold-build every sampler and the fused stores in whole-array passes.
+
+        λ comes from the whole bias column; one :class:`RadixLayout` splits
+        every bias, groups and classifies every (vertex, bit) and builds
+        every inter-group alias; samplers are assembled from its arrays and
+        the fused stores are staged from them, so the first warm writes
+        them without a per-vertex gather.  The state is the one per-vertex
+        ``insert_many`` calls plus one batched rebuild leave, down to group
+        member order and the engine generator's state.
+        """
         graph = self._require_graph()
+        indptr, targets, biases = graph.csr_columns()
         if self._requested_lam is None:
-            # Shard views expose the whole bias column flat; use it instead
-            # of iterating edges so every worker derives λ cheaply (and
-            # identically — same multiset of biases as the full graph).
-            column = getattr(graph, "biases", None)
-            if isinstance(column, np.ndarray):
-                biases = column.tolist()
-            else:
-                biases = [edge.bias for edge in graph.edges()]
-            self.lam = choose_amortization_factor(biases) if biases else 1.0
-        self._samplers = {}
-        self.frontier_tables.invalidate()
-        for vertex in self._build_vertex_ids():
-            if graph.degree(vertex) == 0:
-                continue
-            sampler = self._new_sampler(vertex)
-            sampler.insert_many(
-                graph.neighbor_array(vertex), graph.bias_array(vertex)
-            )
-            self._samplers[vertex] = sampler
-        rebuild_samplers_batch(list(self._samplers.values()))
+            # Edge order, as a per-edge loop over graph.edges() sums it.
+            self.lam = choose_amortization_factor(biases) if len(biases) else 1.0
+        degrees = np.diff(indptr)
+        if self._shard_owned is None:
+            vertices = np.flatnonzero(degrees)
+            row_targets, row_biases = targets, biases
+        else:
+            vertices = self._shard_owned[degrees[self._shard_owned] > 0]
+            edges = segment_positions(indptr[vertices], degrees[vertices])
+            row_targets, row_biases = targets[edges], biases[edges]
+        layout = RadixLayout(degrees[vertices], row_biases, self.lam, self.classifier)
+        layout.record_conversions(self.conversion_tracker)
+        vertex_list = vertices.tolist()
+        samplers = layout.samplers(
+            row_targets,
+            row_biases,
+            [spawn_rng(self._rng, vertex) for vertex in vertex_list],
+            lam=self.lam,
+            classifier=self.classifier,
+            conversion_tracker=self.conversion_tracker,
+        )
+        self._samplers = dict(zip(vertex_list, samplers))
+        self.frontier_tables.stage(
+            {
+                **_cold_draw_rows(vertices, row_targets, layout),
+                "adjacency": _cold_adjacency_rows(indptr, targets),
+            }
+        )
 
     def _new_sampler(self, vertex: int) -> BingoVertexSampler:
         return BingoVertexSampler(
@@ -156,6 +181,19 @@ class BingoEngine(FusedFrontierEngine):
     def sampler_for(self, vertex: int) -> BingoVertexSampler | None:
         """The per-vertex sampler (None for vertices without out-edges)."""
         return self._samplers.get(vertex)
+
+    def _clone_state(self, twin: BingoEngine) -> None:
+        tracker = self.conversion_tracker
+        twin.conversion_tracker = ConversionTracker(
+            dict(tracker.transitions), tracker.observations
+        )
+        twin.batch_stats = replace(self.batch_stats)
+        super()._clone_state(twin)
+
+    def _clone_sampler(
+        self, sampler: BingoVertexSampler, twin: BingoEngine
+    ) -> BingoVertexSampler:
+        return sampler.clone(twin.conversion_tracker)
 
     def _decimal_sampler(self, vertex: int) -> BingoVertexSampler:
         """The vertex's sampler, rebuilt from the graph when missing.
@@ -237,7 +275,6 @@ class BingoEngine(FusedFrontierEngine):
         highest = batch.max_vertex()
         if highest >= 0:
             graph.ensure_vertices(highest)
-        wall_start = time.perf_counter()
 
         # Request reordering + net-effect normalization (host-side prepass).
         plans = []
@@ -311,14 +348,10 @@ class BingoEngine(FusedFrontierEngine):
                 to_rebuild.append(sampler)
             stats.rebuilds += 1
         rebuild_samplers_batch(to_rebuild)
-        done = time.perf_counter()
-        self.breakdown.add(PHASE_REBUILD, done - rebuild_start)
+        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
 
-        launch = self.device.record(
-            "batched_update", len(groups), wall_seconds=done - wall_start
-        )
         stats.kernel_launches += 1
-        stats.parallel_steps += launch.parallel_steps
+        stats.parallel_steps += self.device.parallel_steps(len(groups))
         self.batch_stats.merge(stats)
         self.updates_applied += len(batch)
 
@@ -387,9 +420,10 @@ class BingoEngine(FusedFrontierEngine):
                 stats.rebuilds += 1
             self.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
 
-        self.device.launch("batched_update", list(grouped.items()), process_vertex)
+        for item in grouped.items():
+            process_vertex(item)
         stats.kernel_launches += 1
-        stats.parallel_steps += self.device.launches[-1].parallel_steps
+        stats.parallel_steps += self.device.parallel_steps(len(grouped))
         self.batch_stats.merge(stats)
         self.updates_applied += len(updates)
 
@@ -547,3 +581,70 @@ class BingoEngine(FusedFrontierEngine):
                     raise UpdateError(f"vertex {vertex} bias mismatch on edge to {dst}")
             sampler.check_invariants()
         super().check_consistency()
+
+
+def _cold_draw_rows(
+    vertices: np.ndarray, targets: np.ndarray, layout: RadixLayout
+) -> dict[str, StagedRows]:
+    """The ``inter`` and ``flat`` slices of a cold build, every vertex at once.
+
+    Each row's inter slice lists its radix groups in creation order, then
+    the decimal group; its flat slice holds each group's member ids, then
+    the decimal sentinel (the row's first neighbour, which the rejection
+    kernel redraws) — what :meth:`BingoEngine._frontier_parts` derives
+    from a freshly built sampler.
+    """
+    rows, width = layout.prob.shape
+    valid = np.arange(width) < layout.inter_length[:, None]
+    has_decimal = layout.inter_length > layout.group_count
+    decimal_rows = np.flatnonzero(has_decimal)
+    sizes = np.zeros((rows, width), dtype=np.int64)
+    sizes[layout.group_row, layout.group_rank] = layout.group_size
+    sizes[decimal_rows, layout.group_count[decimal_rows]] = 1
+    decimal = np.zeros((rows, width), dtype=np.bool_)
+    decimal[decimal_rows, layout.group_count[decimal_rows]] = True
+    inter = {
+        "prob": layout.prob[valid],
+        "alias": layout.alias[valid],
+        "entry_offset": (np.cumsum(sizes, axis=1) - sizes)[valid],
+        "entry_size": sizes[valid],
+        "entry_decimal": decimal[valid],
+    }
+    flat_lengths = sizes.sum(axis=1)
+    members = np.empty(int(flat_lengths.sum()), dtype=np.int64)
+    # A member's position: its rank among all members, shifted past the
+    # sentinels of the rows before its own.
+    member_rows = np.repeat(layout.group_row, layout.group_size)
+    sentinels_before = np.cumsum(has_decimal) - has_decimal
+    members[np.arange(len(member_rows)) + sentinels_before[member_rows]] = targets[
+        layout.member_edges
+    ]
+    members[(np.cumsum(flat_lengths) - 1)[decimal_rows]] = targets[
+        layout.starts[decimal_rows]
+    ]
+    stores = {
+        "inter": (layout.inter_length, inter),
+        "flat": (flat_lengths, {"members": members}),
+    }
+    if (np.diff(vertices) > 0).all():
+        return {name: (vertices, lengths, columns) for name, (lengths, columns) in stores.items()}
+    # A shard's owned vertices in another order: stage them ascending.
+    order = np.argsort(vertices, kind="stable")
+    staged = {}
+    for name, (lengths, columns) in stores.items():
+        gather = segment_positions((np.cumsum(lengths) - lengths)[order], lengths[order])
+        staged[name] = (
+            vertices[order],
+            lengths[order],
+            {column: values[gather] for column, values in columns.items()},
+        )
+    return staged
+
+
+def _cold_adjacency_rows(indptr: np.ndarray, targets: np.ndarray) -> StagedRows:
+    """Every vertex's sorted out-neighbours (the ``adjacency`` store), one lexsort."""
+    degrees = np.diff(indptr)
+    owners = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
+    vertices = np.flatnonzero(degrees)
+    neighbors = targets[np.lexsort((targets, owners))]
+    return vertices, degrees[vertices], {"neighbors": neighbors}

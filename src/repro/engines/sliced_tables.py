@@ -39,6 +39,7 @@ from collections.abc import Callable, Iterable, Mapping, Sequence
 import numpy as np
 
 from repro.errors import ReproError
+from repro.utils.segments import segment_positions
 
 #: Waste below this many segment entries never triggers compaction (tiny
 #: stores churn freely without paying repacks that save nothing).
@@ -56,6 +57,10 @@ SliceParts = Mapping[str, Mapping[str, np.ndarray]]
 #: Many vertices' slices of one store: per-vertex lengths, and each column's
 #: slices back to back.
 SliceRows = tuple[np.ndarray, Mapping[str, np.ndarray]]
+
+#: A staged cold build's slices of one store: ``(vertices, lengths,
+#: columns)``, as :meth:`SlicedTableStore.place` takes them.
+StagedRows = tuple[np.ndarray, np.ndarray, Mapping[str, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -79,13 +84,6 @@ class FrontierDelta:
     #: "touched set" is the world).  The shard router serializes exactly
     #: these slices into the cross-process flip payload.
     vertex_ids: tuple[int, ...] | None = None
-
-
-def _segment_positions(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
-    """Positions of the segments ``[start, start + length)``, back to back."""
-    ends = np.cumsum(lengths)
-    total = int(ends[-1]) if len(ends) else 0
-    return np.repeat(starts - (ends - lengths), lengths) + np.arange(total, dtype=np.int64)
 
 
 class SlicedTableStore:
@@ -155,6 +153,21 @@ class SlicedTableStore:
         grown_length[:current] = self.seg_length
         self.seg_offset = grown_offset
         self.seg_length = grown_length
+
+    def clone(self) -> SlicedTableStore:
+        """An independent copy with the same layout and capacity."""
+        twin = SlicedTableStore.__new__(SlicedTableStore)
+        twin.schema = self.schema
+        twin._columns = {}
+        for name, column in self._columns.items():
+            copy = np.empty_like(column)
+            copy[: self.used] = column[: self.used]
+            twin._columns[name] = copy
+        twin.seg_offset = self.seg_offset.copy()
+        twin.seg_length = self.seg_length.copy()
+        twin.used = self.used
+        twin.live = self.live
+        return twin
 
     # ------------------------------------------------------------------ #
     # slice mutation
@@ -236,7 +249,7 @@ class SlicedTableStore:
         offsets[lengths == 0] = 0
         added = int(appended.sum())
         self._ensure_capacity(self.used + added)
-        destination = _segment_positions(offsets, lengths)
+        destination = segment_positions(offsets, lengths)
         for name, values in columns.items():
             self._columns[name][destination] = values
         self.used += added
@@ -278,7 +291,7 @@ class SlicedTableStore:
         lengths = self.seg_length[live_vertices]
         # Fancy indexing gathers into a fresh array first, so overlapping
         # moves are safe.
-        gather = _segment_positions(self.seg_offset[live_vertices], lengths)
+        gather = segment_positions(self.seg_offset[live_vertices], lengths)
         total = len(gather)
         for column in self._columns.values():
             column[:total] = column[gather]
@@ -324,7 +337,7 @@ class SlicedTableStore:
         applying side.
         """
         lengths = self.seg_length[vertices]
-        gather = _segment_positions(self.seg_offset[vertices], lengths)
+        gather = segment_positions(self.seg_offset[vertices], lengths)
         payload = {prefix + "lengths": lengths}
         for name, column in self._columns.items():
             payload[prefix + name] = column[gather]
@@ -377,21 +390,40 @@ class FusedTables:
         self._num_vertices = num_vertices
         self._dirty: set[int] = set()
         self._views: dict[str, np.ndarray] | None = None
+        #: Every store's slices for the next cold build (see :meth:`stage`).
+        self._staged: dict[str, StagedRows] | None = None
         #: Cold builds performed (the only ``full_rebuild`` repairs).
         self.full_builds = 0
 
     def invalidate(self) -> None:
         """Drop the tables; the next access performs a cold build."""
         self._views = None
+        self._staged = None
         self._dirty.clear()
+
+    def stage(self, rows: Mapping[str, StagedRows]) -> None:
+        """Drop the tables and give the next cold build every slice at once.
+
+        ``rows[store]`` is ``(vertices, lengths, columns)`` as
+        :meth:`SlicedTableStore.place` takes them, vertices ascending (the
+        layout a per-vertex cold build leaves).  The arrays are kept by
+        reference and never written.  Vertices marked dirty before that
+        build are re-derived after the staged slices are placed.
+        """
+        if rows.keys() != self.stores.keys():
+            raise ReproError(
+                f"a staged build must cover exactly the stores {sorted(self.stores)}"
+            )
+        self.invalidate()
+        self._staged = dict(rows)
 
     def mark_dirty(self, vertices: Iterable[int]) -> None:
         """Record ``vertices`` as needing slice repair on the next access.
 
-        Before the first build there is nothing to repair incrementally:
-        the next access performs the cold build anyway.
+        Before the first build there is nothing to repair incrementally
+        unless a build is staged: the next access performs the cold build.
         """
-        if self._views is not None:
+        if self._views is not None or self._staged is not None:
             self._dirty.update(int(vertex) for vertex in vertices)
 
     def views(self) -> dict[str, np.ndarray]:
@@ -408,21 +440,63 @@ class FusedTables:
         compact the stores whose waste outweighs their live payload.
         """
         num_vertices = self._num_vertices()
+        dirty = tuple(sorted(self._dirty))
+        # The dirty set and the stage are cleared only once the repair is
+        # done, stage first: :meth:`clone` relies on that order.
         if self._views is None:
             self.full_builds += 1
             for store in self.stores.values():
                 store.reset(num_vertices)
-            self._write(range(num_vertices))
+            if self._staged is None:
+                self._write(range(num_vertices))
+            else:
+                for name, (vertices, lengths, columns) in self._staged.items():
+                    self.stores[name].place(vertices, lengths, columns)
+                self._write(dirty)
             self._refresh_views()
+            self._staged = None
+            self._dirty.clear()
             return FrontierDelta(vertices=num_vertices, full_rebuild=True)
-        dirty = tuple(sorted(self._dirty))
-        self._dirty.clear()
         for store in self.stores.values():
             store.ensure_vertices(num_vertices)
         self._write(dirty)
         self.compact()
         self._refresh_views()
+        self._dirty.clear()
         return FrontierDelta(vertices=len(dirty), full_rebuild=False, vertex_ids=dirty)
+
+    def clone(
+        self,
+        parts: Callable[[int], SliceParts | None],
+        num_vertices: Callable[[], int],
+        rows: Mapping[str, Callable[[np.ndarray], SliceRows]] | None = None,
+    ) -> FusedTables:
+        """A copy of these tables for another engine in the same state.
+
+        ``parts`` / ``num_vertices`` / ``rows`` are the new owner's (see
+        the constructor).  Built, clean tables are copied store by store,
+        layout included; a staged build is shared with its dirty set.
+        Tables caught mid-repair — a published engine repairs lazily on
+        its reader's thread — are not read at all: the copy starts empty
+        and cold-builds from its own engine on first access.
+        """
+        twin = FusedTables(
+            {name: store.schema for name, store in self.stores.items()},
+            parts,
+            num_vertices,
+            rows,
+        )
+        twin.full_builds = self.full_builds
+        views = self._views
+        dirty = set(self._dirty)
+        staged = self._staged
+        if views is not None and not dirty:
+            twin.stores = {name: store.clone() for name, store in self.stores.items()}
+            twin._refresh_views()
+        elif views is None and staged is not None:
+            twin._staged = staged
+            twin._dirty = dirty
+        return twin
 
     def compact(self) -> None:
         """Compact, in place, each store whose waste outweighs its payload."""
@@ -471,6 +545,7 @@ class FusedTables:
         """Replace the tables with an :meth:`export_state` snapshot."""
         for name, store in self.stores.items():
             store.adopt_state(state, name + "_")
+        self._staged = None
         self._dirty.clear()
         self._refresh_views()
 

@@ -93,25 +93,6 @@ class SimulatedDevice:
         )
         return results
 
-    def record(
-        self, name: str, work_items: int, wall_seconds: float = 0.0
-    ) -> KernelLaunch:
-        """Account a kernel whose body already ran as one vectorized pass.
-
-        The batched ingestion pipeline executes a whole launch's work with
-        array operations instead of a per-item Python callable; this method
-        records the launch (same parallel-step model as :meth:`launch`)
-        without re-executing anything.
-        """
-        launch = KernelLaunch(
-            name=name,
-            work_items=work_items,
-            parallel_steps=self.parallel_steps(work_items),
-            wall_seconds=wall_seconds,
-        )
-        self.launches.append(launch)
-        return launch
-
     def parallel_steps(self, work_items: int) -> int:
         """``ceil(work_items / parallel_lanes)`` — the modelled kernel duration."""
         if work_items <= 0:

@@ -53,15 +53,7 @@ class CSRGraph:
     @classmethod
     def from_dynamic(cls, graph: DynamicGraph) -> CSRGraph:
         """Snapshot a :class:`DynamicGraph` into CSR form."""
-        offsets: list[int] = [0]
-        targets: list[int] = []
-        biases: list[float] = []
-        for vertex in range(graph.num_vertices):
-            for edge in graph.out_edges(vertex):
-                targets.append(edge.dst)
-                biases.append(float(edge.bias))
-            offsets.append(len(targets))
-        return cls(offsets, targets, biases)
+        return cls(*graph.csr_columns())
 
     # ------------------------------------------------------------------ #
     @property

@@ -591,6 +591,25 @@ class DynamicGraph:
             raise EdgeNotFoundError(src, dst)
         return adjacency.position[dst]
 
+    def csr_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The whole adjacency as CSR columns ``(indptr, targets, biases)``.
+
+        Row ``v`` is ``[indptr[v], indptr[v + 1])`` in neighbour-array
+        order, the order :meth:`edges` yields; the columns are copies.
+        """
+        adjacency = self._adjacency
+        sizes = np.fromiter(
+            (adj.size for adj in adjacency), dtype=np.int64, count=len(adjacency)
+        )
+        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+        np.cumsum(sizes, out=indptr[1:])
+        live = [adj for adj in adjacency if adj.size]
+        if not live:
+            return indptr, _EMPTY_DSTS.copy(), _EMPTY_BIASES.copy()
+        targets = np.concatenate([adj.dsts[: adj.size] for adj in live])
+        biases = np.concatenate([adj.biases[: adj.size] for adj in live])
+        return indptr, targets, biases
+
     def out_edges(self, vertex: int) -> Iterator[Edge]:
         """Iterate the out-edges of ``vertex``."""
         self._check_vertex(vertex)

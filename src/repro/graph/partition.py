@@ -274,19 +274,8 @@ class SharedGraphShards:
     ) -> SharedGraphShards:
         """Export ``graph`` + ``partition`` into fresh shared-memory blocks."""
         n = graph.num_vertices
-        degrees = np.fromiter(
-            (graph.degree(v) for v in range(n)), dtype=np.int64, count=n
-        )
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(degrees, out=indptr[1:])
-        arcs = int(indptr[-1])
-        targets = np.empty(arcs, dtype=np.int64)
-        biases = np.empty(arcs, dtype=np.float64)
-        for vertex in range(n):
-            start, stop = int(indptr[vertex]), int(indptr[vertex + 1])
-            if stop > start:
-                targets[start:stop] = graph.neighbor_array(vertex)
-                biases[start:stop] = graph.bias_array(vertex)
+        indptr, targets, biases = graph.csr_columns()
+        arcs = len(targets)
         owner = partition.owner_for(n)
 
         blocks = [
@@ -447,6 +436,10 @@ class ShardSubgraph:
 
     def bias_array(self, vertex: int) -> np.ndarray:
         return self.biases[self.indptr[vertex] : self.indptr[vertex + 1]]
+
+    def csr_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The whole topology as ``(indptr, targets, biases)`` (shared views)."""
+        return self.indptr, self.targets, self.biases
 
     def neighbors(self, vertex: int) -> Sequence[int]:
         return self.neighbor_array(vertex).tolist()

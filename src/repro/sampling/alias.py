@@ -8,13 +8,15 @@ this structure per vertex and rebuilds it on every update.
 
 from __future__ import annotations
 
+import random
+from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import EmptySamplerError, SamplerStateError
 from repro.sampling.base import DynamicSampler, SamplerKind
 from repro.sampling.cost_model import OperationCounter
-from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng, ensure_rng
+from repro.utils.rng import NumpySource, RandomSource, clone_rng, ensure_np_rng, ensure_rng
 from repro.utils.validation import check_bias
 
 _FLOAT_BYTES = 8
@@ -74,6 +76,28 @@ class AliasTable(DynamicSampler):
         table._alias = alias
         table._dirty = not ids
         table.rebuild_count = 1 if ids else 0
+        table._np_arrays = None
+        return table
+
+    def clone(
+        self, *, rng: random.Random | None = None, counter: OperationCounter | None = None
+    ) -> AliasTable:
+        """An independent copy in the same state.
+
+        ``rng`` / ``counter`` replace the generator and the counter (a
+        Bingo sampler hands its inter-group table its own); by default
+        they are copied.
+        """
+        table = AliasTable.__new__(AliasTable)
+        table._rng = rng if rng is not None else clone_rng(self._rng)
+        table.counter = counter if counter is not None else replace(self.counter)
+        table._ids = self._ids.copy()
+        table._biases = self._biases.copy()
+        table._index = self._index.copy()
+        table._prob = self._prob.copy()
+        table._alias = self._alias.copy()
+        table._dirty = self._dirty
+        table.rebuild_count = self.rebuild_count
         table._np_arrays = None
         return table
 

@@ -11,13 +11,14 @@ baseline engine.
 from __future__ import annotations
 
 import bisect
+from dataclasses import replace
 
 import numpy as np
 
 from repro.errors import EmptySamplerError, SamplerStateError
 from repro.sampling.base import DynamicSampler, SamplerKind
 from repro.sampling.cost_model import OperationCounter
-from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng
+from repro.utils.rng import NumpySource, RandomSource, clone_rng, ensure_np_rng
 from repro.utils.validation import check_bias
 
 _FLOAT_BYTES = 8
@@ -38,6 +39,19 @@ class InverseTransformSampler(DynamicSampler):
         self._dirty = False
         # NumPy mirrors of (ids, cumulative), built lazily for sample_batch.
         self._np_arrays: tuple[np.ndarray, np.ndarray] | None = None
+
+    def clone(self) -> InverseTransformSampler:
+        """An independent copy in the same state (generator state included)."""
+        sampler = InverseTransformSampler.__new__(InverseTransformSampler)
+        sampler._rng = clone_rng(self._rng)
+        sampler.counter = replace(self.counter)
+        sampler._ids = self._ids.copy()
+        sampler._biases = self._biases.copy()
+        sampler._index = self._index.copy()
+        sampler._cumulative = self._cumulative.copy()
+        sampler._dirty = self._dirty
+        sampler._np_arrays = None
+        return sampler
 
     # ------------------------------------------------------------------ #
     # mutation

@@ -693,7 +693,7 @@ class RouterService(GraphService):
             )
         self.shards = int(shards)
         # Attributes the overridden hooks touch must exist before the
-        # base constructor runs (it warms both buffers through
+        # base constructor runs (it warms the front buffer through
         # _warm_engine and could in principle publish).
         self._pool: ShardServePool | None = None
         self._pool_lock = threading.Lock()
@@ -723,7 +723,7 @@ class RouterService(GraphService):
             dead_letter_limit=dead_letter_limit,
             writer_recovery_limit=writer_recovery_limit,
         )
-        # The construction warms were cold full builds, not flip deltas.
+        # The construction warm was a cold full build, not a flip delta.
         self._pending_delta = None
         try:
             self._pool = ShardServePool(

@@ -5,7 +5,7 @@ then walk, then ingest again.  :class:`GraphService` overlaps the two the
 way the paper's serving scenario demands:
 
 * **Epoch-based snapshots.**  The concurrent service keeps *two*
-  engines built from the same seed over copies of the same graph.  Queries
+  engines in the same state: it builds one and clones it.  Queries
   always run against the published *front* engine, which is never mutated
   while it is published; the writer thread applies each
   :class:`~repro.graph.update_batch.UpdateBatch` to the *back* engine
@@ -134,10 +134,10 @@ class GraphService:
         service copies it per buffer; the caller's object is not adopted.
     rng:
         Engine-construction randomness.  The async double-buffered mode
-        needs a deterministic seed (``int``) so both buffers build
-        identical sampler state; sync mode also accepts a live
-        ``random.Random`` (the benchmark harness hands its shared
-        generator through).
+        needs a deterministic seed (``int``): a run must be reproducible
+        from its configuration, and the shard router re-seeds its worker
+        engines from it.  Sync mode also accepts a live ``random.Random``
+        (the benchmark harness hands its shared generator through).
     sync:
         Run single-threaded: ingest applies immediately, queries execute
         inline and unfused.  Bitwise-identical to the serial frontier.
@@ -181,7 +181,7 @@ class GraphService:
         :meth:`stats_snapshot`.
     writer_recovery_limit:
         How many *consecutive* writer failures the self-healing path
-        absorbs by quarantine + back-buffer rebuild before latching the
+        absorbs by quarantine + back-buffer replacement before latching the
         fatal failure (a healthy apply resets the streak).  Recovery only
         exists in the double-buffered async mode: sync mode raises inline.
     """
@@ -242,30 +242,21 @@ class GraphService:
                 "the concurrent service double-buffers engine state and needs "
                 "an integer engine seed; pass rng=<int> (or sync=True)"
             )
-        # Writer self-healing rebuilds the back engine from this seed over
-        # the front snapshot's graph (async mode guarantees an int above).
-        self._engine_rng = rng
 
-        def build_engine():
-            source = rng if isinstance(rng, (int, np.integer)) else ensure_rng(rng)
-            engine = create_engine(engine_name, rng=source, **self._engine_kwargs)
-            engine.build(graph.copy())
-            return engine
-
-        # Sync mode keeps a single engine; the concurrent mode
-        # double-buffers two identically seeded engines.
-        double_buffered = not self.sync
-        buffers = [_EngineBuffer(engine=build_engine())]
-        if double_buffered:
-            buffers.append(_EngineBuffer(engine=build_engine()))
+        source = rng if isinstance(rng, (int, np.integer)) else ensure_rng(rng)
+        engine = create_engine(engine_name, rng=source, **self._engine_kwargs)
+        engine.build(graph.copy())
+        buffers = [_EngineBuffer(engine=engine)]
+        if not self.sync:
+            if self.warm_on_publish:
+                # Serve the very first query warm too, not just post-flip
+                # ones.  Sync mode builds its fused tables lazily inline.
+                self._warm_engine(engine)
+            # The back buffer is a clone of the built (and warmed) front:
+            # one cold build per boot.
+            buffers.append(_EngineBuffer(engine=engine.clone()))
         self._buffers = buffers
         self._front = 0
-
-        if self.warm_on_publish and double_buffered:
-            # Serve the very first query warm too, not just post-flip ones.
-            # Sync mode builds its fused tables lazily inline.
-            for buffer in self._buffers:
-                self._warm_engine(buffer.engine)
         self._update_queue: queue.Queue = queue.Queue()
         self._writer: threading.Thread | None = None
         self._dispatcher: threading.Thread | None = None
@@ -658,10 +649,10 @@ class GraphService:
                 self._update_queue.task_done()
 
     def _handle_writer_failure(self, batch: UpdateBatch, exc: BaseException) -> None:
-        """Quarantine + rebuild if the failure is survivable, else latch.
+        """Quarantine + clone if the failure is survivable, else latch.
 
         Self-healing exists only in the double-buffered mode, where the
-        published front buffer is a pristine snapshot to rebuild from.
+        published front buffer is a pristine snapshot to clone.
         Sync mode raises inline and never reaches here.  Repeated back-to-back failures (more than
         ``writer_recovery_limit`` without a healthy apply in between)
         latch too — a poisoned *service* should fail loudly, not thrash.
@@ -690,16 +681,17 @@ class GraphService:
             self.stats.recovery_seconds += time.perf_counter() - started
 
     def _recover_back_buffer(self, batch: UpdateBatch, exc: BaseException) -> None:
-        """Drop the poisoned batch and rebuild the back engine from front.
+        """Drop the poisoned batch and replace the back engine with a clone of front.
 
         The failed apply (or warm) may have left the back engine
         half-applied; the front buffer is untouched — it is published and
-        only the writer mutates engines.  Re-seeding a fresh engine over a
-        copy of the front graph therefore restores the exact double-buffer
-        invariant (back == front state, nothing pending), regardless of
+        only the writer mutates engines.  A clone of the front engine,
+        taken while holding a reader slot on it like any query, therefore
+        restores the exact double-buffer invariant (back == front state,
+        sampler member order included, nothing pending), regardless of
         whether the failure hit the new batch or a catch-up replay.  The
-        follow-up warm ships a full-rebuild FrontierDelta — the PR 6 delta
-        machinery has no incremental dirty-set for a from-scratch engine.
+        clone copies the front's warm tables, so the follow-up warm has
+        nothing to repair.
         """
         back = self._buffers[1 - self._front]
         with self._cond:
@@ -712,20 +704,20 @@ class GraphService:
             )
             self.stats.batches_quarantined += 1
             # The apply path waited for readers before mutating, but wait
-            # again: recovery must never rebuild under an in-flight read.
+            # again: recovery must never replace a buffer under a read.
             while back.readers > 0:
                 self._cond.wait(_POLL_SECONDS)
-            front_engine = self._buffers[self._front].engine
-        fresh = create_engine(
-            self.engine_name, rng=self._engine_rng, **self._engine_kwargs
-        )
-        fresh.build(front_engine.graph.copy())
+        front = self._acquire_front()
+        try:
+            twin = front.engine.clone()
+        finally:
+            self._release(front)
         if self.warm_on_publish:
             if self._faults is not None:
                 self._faults.fire("writer.warm")
-            self._warm_engine(fresh)
+            self._warm_engine(twin)
         with self._cond:
-            back.engine = fresh
+            back.engine = twin
             back.pending.clear()
 
     def _apply_sync(self, batch: UpdateBatch) -> None:

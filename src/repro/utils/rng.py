@@ -44,14 +44,78 @@ def ensure_rng(source: RandomSource = None) -> random.Random:
     raise TypeError(f"rng source must be an int, random.Random, or None, got {type(source)!r}")
 
 
+class LazySeededRandom(random.Random):
+    """``random.Random(seed)``, seeded when first used.
+
+    Engines give every vertex sampler its own generator, and the fused
+    walk kernels never draw from them (they take NumPy generators).
+    Seeding a Mersenne Twister costs about 9 µs and copying a seeded one
+    (``getstate``) about 25 µs, which made generators the largest single
+    cost of building or cloning an engine.  This one keeps its seed until
+    a draw, a state query or a reseed, then seeds itself exactly as
+    ``random.Random(seed)`` and turns into a plain ``random.Random``: every
+    draw it makes is the one that generator would make.
+    """
+
+    def __init__(self, seed: int) -> None:
+        self._pending_seed = seed
+        self.gauss_next = None
+
+    def _seed_now(self) -> None:
+        # Called through the class: a bound method taken before seeding
+        # (``random._randbelow`` keeps one) must still find it after.
+        if type(self) is LazySeededRandom:
+            self.__class__ = random.Random
+            random.Random.seed(self, self.__dict__.pop("_pending_seed"))
+
+    def random(self) -> float:
+        LazySeededRandom._seed_now(self)
+        return random.Random.random(self)
+
+    def getrandbits(self, k: int) -> int:
+        LazySeededRandom._seed_now(self)
+        return random.Random.getrandbits(self, k)
+
+    def getstate(self):
+        LazySeededRandom._seed_now(self)
+        return random.Random.getstate(self)
+
+    def setstate(self, state) -> None:
+        LazySeededRandom._seed_now(self)
+        random.Random.setstate(self, state)
+
+    def seed(self, *args, **kwargs) -> None:
+        LazySeededRandom._seed_now(self)
+        random.Random.seed(self, *args, **kwargs)
+
+    def __reduce__(self):
+        return LazySeededRandom, (self._pending_seed,)
+
+
 def spawn_rng(rng: random.Random, stream: int) -> random.Random:
     """Derive an independent child generator from ``rng``.
 
     Used to give each walker or each simulated thread block its own stream so
-    that parallel-order differences do not change results.
+    that parallel-order differences do not change results.  The child is
+    seeded on first use (:class:`LazySeededRandom`).
     """
     seed = (rng.getrandbits(48) << 16) ^ (stream & 0xFFFF)
-    return random.Random(seed)
+    return LazySeededRandom(seed)
+
+
+def clone_rng(rng: random.Random) -> random.Random:
+    """An independent generator in ``rng``'s exact state.
+
+    An unused :class:`LazySeededRandom` is copied as its seed.  Otherwise
+    the state moves through ``getstate``/``setstate`` into a generator that
+    is never seeded itself (``copy.copy`` would seed it from
+    ``os.urandom`` first).
+    """
+    if type(rng) is LazySeededRandom:
+        return LazySeededRandom(rng._pending_seed)
+    twin = random.Random.__new__(random.Random)
+    twin.setstate(rng.getstate())
+    return twin
 
 
 def ensure_np_rng(source: NumpySource = None) -> np.random.Generator:

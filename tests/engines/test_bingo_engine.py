@@ -164,7 +164,10 @@ class TestBatchedUpdates:
         assert engine.batch_stats.touched_vertices == 3
         assert engine.batch_stats.insertions == 2
         assert engine.batch_stats.deletions == 1
-        assert len(engine.device.launches) == 1
+        # One modelled step for three work items; the device keeps no
+        # per-batch record.
+        assert engine.batch_stats.parallel_steps == 1
+        assert engine.device.launches == []
 
     def test_rebuild_happens_once_per_touched_vertex(self, example_graph):
         engine = BingoEngine(rng=3)
@@ -196,3 +199,37 @@ class TestAdaptiveConfiguration:
         engine = BingoEngine(rng=1)
         engine.build(example_graph)
         assert engine.memory_report().get("graph") > 0
+
+
+def test_steady_state_batches_grow_nothing_in_the_device_model():
+    """Long runs of 1-edge batches keep no per-batch device record."""
+    import tracemalloc
+
+    graph = power_law_graph(20, 2, rng=41)
+    engine = BingoEngine(rng=42)
+    engine.build(graph)
+    src = 0
+    dst = next(d for d in range(1, graph.num_vertices) if not graph.has_edge(src, d))
+
+    def churn(count):
+        # Insert then delete the same edge: the edge count stays constant.
+        for step in range(count):
+            if step % 2 == 0:
+                engine.apply_batch([_insert(src, dst, 2.0, ts=step)])
+            else:
+                engine.apply_batch([_delete(src, dst, ts=step)])
+
+    tracemalloc.start()
+    try:
+        churn(200)
+        before = tracemalloc.take_snapshot()
+        churn(4000)
+        after = tracemalloc.take_snapshot()
+    finally:
+        tracemalloc.stop()
+    device = [tracemalloc.Filter(True, "*/repro/gpu/device.py")]
+    growth = after.filter_traces(device).compare_to(
+        before.filter_traces(device), "lineno"
+    )
+    assert [stat for stat in growth if stat.size_diff > 0] == []
+    assert engine.batch_stats.kernel_launches == 4200

@@ -1,5 +1,6 @@
 """Writer self-healing: quarantine, dead-letter, health, and close races."""
 
+import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
@@ -286,3 +287,73 @@ class TestCloseDuringFaultRaces:
             assert result.walks.num_walks == 2
         finally:
             service.close()
+
+
+class TestRecoveryKeepsBackEqualToFront:
+    """A recovered back buffer serves what an unfaulted one would.
+
+    Swap-deletes leave group member order unlike a cold build's, so the
+    replacement back buffer must copy the front's state, not rebuild it.
+    """
+
+    @pytest.fixture(scope="class")
+    def churn(self):
+        graph = build_dataset("LJ", rng=5)
+        return generate_update_stream(
+            graph,
+            batch_size=64,
+            num_batches=5,
+            workload=UpdateWorkload.MIXED,
+            rng=6,
+        )
+
+    @staticmethod
+    def _served_walks(churn, batches, plan, warm_on_publish):
+        service = GraphService(
+            "bingo",
+            churn.initial_graph,
+            rng=19,
+            service_seed=21,
+            fault_injector=FaultInjector(plan),
+            warm_on_publish=warm_on_publish,
+        )
+        starts = list(range(0, churn.initial_graph.num_vertices, 3))
+        walks = {}
+        try:
+            for batch in batches:
+                service.ingest(batch)
+                service.flush()
+                for seed in (1, 2):
+                    for application, params in (
+                        ("deepwalk", {}),
+                        ("node2vec", {"p": 0.5, "q": 2.0}),
+                    ):
+                        result = service.query(
+                            application, starts, 20, rng=seed, timeout=120.0, **params
+                        )
+                        walks[(result.epoch, seed, application)] = result.walks.matrix
+            recoveries = service.stats_snapshot()["writer_recoveries"]
+        finally:
+            service.close()
+        return walks, recoveries
+
+    @pytest.mark.parametrize("warm_on_publish", [True, False])
+    def test_walks_per_epoch_match_a_fault_free_run(self, churn, warm_on_publish):
+        batches = list(churn.batches)
+        clean, clean_recoveries = self._served_walks(
+            churn, batches, FaultPlan(), warm_on_publish
+        )
+        # The third queued batch is poisoned before it applies; the same
+        # batch is queued again right after, so both runs publish the
+        # same five epochs.
+        faulted, recoveries = self._served_walks(
+            churn,
+            batches[:3] + batches[2:],
+            FaultPlan().fail("writer.apply", 2),
+            warm_on_publish,
+        )
+        assert (clean_recoveries, recoveries) == (0, 1)
+        assert sorted(faulted) == sorted(clean)
+        assert {epoch for epoch, _, _ in clean} == {1, 2, 3, 4, 5}
+        for key, matrix in clean.items():
+            assert np.array_equal(faulted[key], matrix), key

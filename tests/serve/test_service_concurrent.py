@@ -178,7 +178,7 @@ class TestMutationEdgeCases:
     def test_duplicate_batch_is_quarantined_and_service_keeps_serving(self, stream):
         """Re-ingesting the same insert batch is a real workload bug: the
         writer quarantines the poisoned batch into the dead-letter list,
-        rebuilds the back buffer and keeps serving — flush() stays clean."""
+        replaces the back buffer and keeps serving — flush() stays clean."""
         graph = build_dataset("AM", rng=5)
         assert not graph.has_edge(0, graph.num_vertices - 1)
         inserts = UpdateBatch.from_updates(
