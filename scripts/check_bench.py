@@ -47,7 +47,6 @@ def check_bench_pr2(report: dict) -> List[str]:
             engines[engine],
             [
                 "columnar_updates_per_second",
-                "legacy_batch_updates_per_second",
                 "streaming_updates_per_second",
                 "walk_steps_per_second",
             ],

@@ -9,8 +9,6 @@ The package is organised as the paper's system is:
 * :mod:`repro.core` — the contribution: radix-based bias factorization,
   hierarchical O(1) sampling, O(K) updates, adaptive group representation,
   floating-point bias handling, arbitrary radix bases.
-* :mod:`repro.gpu` — simulated GPU runtime (memory pool, dynamic arrays,
-  batched-update kernels, multi-device walking).
 * :mod:`repro.walks` — DeepWalk, node2vec, PPR and simple sampling.
 * :mod:`repro.engines` — the Bingo engine and baseline engines
   (KnightKing, gSampler, FlowWalker) behind one interface.

@@ -14,6 +14,8 @@ import time
 from dataclasses import dataclass
 from collections.abc import Sequence
 
+import numpy as np
+
 from repro.bench.datasets import DATASETS, build_dataset, dataset_statistics
 from repro.bench.harness import (
     EvaluationResult,
@@ -749,15 +751,12 @@ def ingest_throughput(
     workload: str = "mixed",
     seed: int = 67,
 ) -> dict[str, object]:
-    """Update-ingestion throughput of the three ingestion paths per engine.
+    """Update-ingestion throughput of the two ingestion paths per engine.
 
-    For every engine, the identical update stream is ingested three ways:
+    For every engine, the identical update stream is ingested two ways:
 
     * ``columnar`` — the batched columnar pipeline (``apply_batch`` on
       :class:`~repro.graph.update_batch.UpdateBatch` columns);
-    * ``legacy_batch`` — the pre-columnar batched path
-      (``apply_batch_scalar``: per-edge Python loops, one scalar rebuild per
-      touched vertex);
     * ``streaming`` — the per-edge path (``apply_streaming``: one update at
       a time, sampler refreshed after every edge).
 
@@ -800,7 +799,6 @@ def ingest_throughput(
     per_engine: dict[str, dict[str, float]] = {}
     for engine_name in engines:
         columnar = timed_ingest(engine_name, "apply_batch", stream.batches)
-        legacy = timed_ingest(engine_name, "apply_batch_scalar", scalar_batches)
         streaming = timed_ingest(engine_name, "apply_streaming", scalar_batches)
 
         # Ingest-while-walking: the paper's update-then-walk loop.
@@ -826,9 +824,7 @@ def ingest_throughput(
 
         per_engine[engine_name] = {
             "columnar_updates_per_second": columnar,
-            "legacy_batch_updates_per_second": legacy,
             "streaming_updates_per_second": streaming,
-            "columnar_vs_legacy_batch": columnar / legacy if legacy > 0 else float("inf"),
             "columnar_vs_streaming": columnar / streaming if streaming > 0 else float("inf"),
             "ingest_while_walking_updates_per_second": (
                 total_updates / update_seconds if update_seconds > 0 else float("inf")
@@ -918,6 +914,25 @@ def fig16_piecewise(
 # --------------------------------------------------------------------------- #
 # Scaling curve — shard-parallel walk execution (Section 9.1)
 # --------------------------------------------------------------------------- #
+def cross_owner_steps(matrix: np.ndarray, owner: np.ndarray, num_parts: int) -> int:
+    """Steps of a ``-1``-padded walk matrix whose endpoints have different owners.
+
+    ``owner[v]`` is vertex ``v``'s part; vertices past the owner column are
+    assigned round-robin (``v % num_parts``).  Column ``j`` to ``j + 1`` is
+    one step, and padding after a walk ends is none.
+    """
+    moving = matrix[:, 1:] >= 0
+
+    def owners(vertices: np.ndarray) -> np.ndarray:
+        parts = vertices % num_parts
+        known = vertices < len(owner)
+        parts[known] = owner[vertices[known]]
+        return parts
+
+    sources = owners(matrix[:, :-1][moving])
+    return int(np.count_nonzero(sources != owners(matrix[:, 1:][moving])))
+
+
 def scale_workers(
     *,
     dataset: str = "LJ",
@@ -957,9 +972,6 @@ def scale_workers(
     """
     import os
 
-    import numpy as np
-
-    from repro.gpu.multi_device import MultiDeviceTracker
     from repro.graph.partition import partition_graph
     from repro.serve.router import ShardServePool
     from repro.utils.timing import PhaseTimer
@@ -1012,7 +1024,7 @@ def scale_workers(
                 epoch=0,
             )
             try:
-                tracker = MultiDeviceTracker(pool.owner, workers)
+                transfers = 0
                 round_walk_seconds = []
                 for round_index in range(rounds):
                     with timer.measure("walk"):
@@ -1026,7 +1038,7 @@ def scale_workers(
                         )
                     total_steps += BatchedWalks(matrix=matrix).total_steps
                     critical_seconds += max(busy)
-                    tracker.record_walk_matrix(matrix)
+                    transfers += cross_owner_steps(matrix, pool.owner, workers)
                     # One reused timer, one summary per round (PhaseTimer's
                     # round-reset semantics keep later rounds honest).
                     round_walk_seconds.append(timer.finish_round()["walk"])
@@ -1046,7 +1058,7 @@ def scale_workers(
                     if critical_seconds > 0
                     else float("inf")
                 ),
-                "transfer_rate": tracker.stats.transfer_rate(),
+                "transfer_rate": transfers / total_steps if total_steps else 0.0,
                 **layouts[workers],
             }
         baseline = rows[counts[0]]["steps_per_second"]

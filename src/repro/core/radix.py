@@ -35,6 +35,10 @@ MAX_GROUPS = 64
 #: Default amortization factor search cap (λ = 10^6 resolves micro-biases).
 MAX_AMORTIZATION_EXPONENT = 6
 
+#: Exclusive bound on a λ-scaled bias's integer part: the radix groups and
+#: the whole-array build hold integer parts as int64.
+SCALED_INTEGER_LIMIT = 2**63
+
 
 def popcount(value: int) -> int:
     """Number of set bits in ``value`` — the number of groups a bias joins."""
@@ -90,7 +94,8 @@ def split_scaled_bias(bias: float, lam: float) -> tuple[int, float]:
     The integer part feeds the radix groups; the fractional part goes to the
     decimal group.  Values whose fraction is negligibly small (absolute
     tolerance 1e-9 relative to the scaled bias) are snapped to integers so
-    integer workloads never populate the decimal group.
+    integer workloads never populate the decimal group.  An integer part of
+    :data:`SCALED_INTEGER_LIMIT` or more raises :class:`InvalidBiasError`.
     """
     check_bias(bias)
     if lam <= 0:
@@ -104,7 +109,15 @@ def split_scaled_bias(bias: float, lam: float) -> tuple[int, float]:
     elif fraction >= 1.0 - tolerance:
         integer_part += 1
         fraction = 0.0
+    if integer_part >= SCALED_INTEGER_LIMIT:
+        raise _unscalable(bias, lam)
     return integer_part, fraction
+
+
+def _unscalable(bias: float, lam: float) -> InvalidBiasError:
+    return InvalidBiasError(
+        bias, f"bias scaled by lam={lam:g} must stay below 2**63"
+    )
 
 
 def split_scaled_arrays(biases, lam: float):
@@ -115,8 +128,8 @@ def split_scaled_arrays(biases, lam: float):
     bias — including the branch precedence of the tolerance snapping
     (snap-down to an integer is checked *before* snap-up, which matters
     once the scaled bias is large enough that the two tolerance windows
-    overlap).  Invalid biases (non-positive / non-finite) raise
-    :class:`InvalidBiasError`.
+    overlap).  Invalid biases (non-positive / non-finite) and integer parts
+    of :data:`SCALED_INTEGER_LIMIT` or more raise :class:`InvalidBiasError`.
     """
     import numpy as np
 
@@ -134,6 +147,9 @@ def split_scaled_arrays(biases, lam: float):
     snap_up = ~snap_down & (fractions >= 1.0 - tolerance)
     integer_parts[snap_up] += 1.0
     fractions[snap_down | snap_up] = 0.0
+    over = integer_parts >= SCALED_INTEGER_LIMIT
+    if over.any():
+        raise _unscalable(float(bias_array[over][0]), lam)
     return integer_parts.astype(np.int64), fractions
 
 
@@ -161,6 +177,12 @@ def choose_amortization_factor(
     the graph's bias column).  Each candidate λ splits the whole column in
     one vectorized pass; both weight totals accumulate left to right
     (``np.cumsum`` is sequential), so λ is the one a per-bias loop picks.
+
+    No λ pushes a bias past :data:`SCALED_INTEGER_LIMIT`: a λ is tried only
+    after the one below it failed the criterion, which bounds every scaled
+    bias under that λ by ``degree ** 2`` (the decimal weight is below
+    ``degree`` and at least ``total / degree``).  A bias that overflows at
+    λ = 1 raises :class:`InvalidBiasError`.
     """
     import numpy as np
 

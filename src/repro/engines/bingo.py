@@ -5,17 +5,17 @@ This is the system the paper contributes.  Each vertex with out-edges owns a
 one sampler in O(K); batched updates follow the Section 5.2 workflow — group
 requests by vertex, collapse them to net insertions/deletions, apply them with
 the sampler's rebuild deferred, then rebuild each touched vertex exactly once.
-Each batch's device-model parallel steps are counted in ``batch_stats``
-through an optional :class:`~repro.gpu.device.SimulatedDevice`'s lane count,
-so throughput experiments can report them alongside wall-clock time.  A cold
-build runs in whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`)
-and leaves the state the per-vertex path would.
+Each batch's device-model parallel steps, ``ceil(touched vertices /
+DEVICE_LANES)``, are counted in ``batch_stats``, so throughput experiments
+can report them alongside wall-clock time.  A cold build runs in
+whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`) and
+leaves the state the per-vertex path would.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import replace
+from dataclasses import dataclass, fields, replace
 from functools import partial
 from collections.abc import Sequence
 
@@ -23,7 +23,11 @@ import numpy as np
 
 from repro.core.adaptive import ConversionTracker, GroupClassifier
 from repro.core.memory_model import MemoryReport
-from repro.core.radix import choose_amortization_factor, split_scaled_biases
+from repro.core.radix import (
+    choose_amortization_factor,
+    split_scaled_bias,
+    split_scaled_biases,
+)
 from repro.core.vertex_sampler import (
     DECIMAL_GROUP_KEY,
     BingoVertexSampler,
@@ -41,16 +45,34 @@ from repro.engines.base import (
 )
 from repro.engines.sliced_tables import SliceParts, StagedRows
 from repro.errors import UpdateError
-from repro.gpu.device import SimulatedDevice
-from repro.gpu.kernels import (
-    BatchStatistics,
-    group_updates_by_vertex,
-    normalize_vertex_updates,
-)
 from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate
+from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.utils.rng import RandomSource, spawn_rng
 from repro.utils.segments import segment_positions
+
+#: Parallel lanes of the modelled device: one A100's 108 SMs × 2048
+#: resident threads.  A batch's per-vertex work runs ``DEVICE_LANES`` at a
+#: time, so it costs ``ceil(touched vertices / DEVICE_LANES)`` steps.
+DEVICE_LANES = 108 * 2048
+
+
+@dataclass
+class BatchStatistics:
+    """Counters of the batched-update rounds (Section 5.2)."""
+
+    insertions: int = 0
+    deletions: int = 0
+    cancelled_pairs: int = 0
+    touched_vertices: int = 0
+    rebuilds: int = 0
+    kernel_launches: int = 0
+    parallel_steps: int = 0
+
+    def merge(self, other: BatchStatistics) -> None:
+        """Fold another round's counters into this one."""
+        for field in fields(self):
+            name = field.name
+            setattr(self, name, getattr(self, name) + getattr(other, name))
 
 
 class BingoEngine(FusedFrontierEngine):
@@ -68,9 +90,6 @@ class BingoEngine(FusedFrontierEngine):
         reproduces the BS baseline of Figures 11 and 13.
     alpha_percent / beta_percent:
         The Equation (9) thresholds (paper defaults 40 / 10).
-    device:
-        Optional simulated device whose lane count models the parallel
-        steps of each batched update (``batch_stats.parallel_steps``).
     """
 
     name = "bingo"
@@ -109,7 +128,6 @@ class BingoEngine(FusedFrontierEngine):
         adaptive_groups: bool = True,
         alpha_percent: float = 40.0,
         beta_percent: float = 10.0,
-        device: SimulatedDevice | None = None,
     ) -> None:
         super().__init__(rng=rng)
         self._requested_lam = lam
@@ -120,7 +138,6 @@ class BingoEngine(FusedFrontierEngine):
             adaptive=adaptive_groups,
         )
         self.conversion_tracker = ConversionTracker()
-        self.device = device if device is not None else SimulatedDevice()
         self.batch_stats = BatchStatistics()
 
     # ------------------------------------------------------------------ #
@@ -217,6 +234,12 @@ class BingoEngine(FusedFrontierEngine):
     # ------------------------------------------------------------------ #
     # streaming updates: O(K) per event plus one inter-group rebuild
     # ------------------------------------------------------------------ #
+    def apply_streaming_update(self, update: GraphUpdate) -> None:
+        """Refuse a bias λ cannot scale before the graph takes the edge."""
+        if update.kind is UpdateKind.INSERT:
+            split_scaled_bias(update.bias, self.lam)
+        super().apply_streaming_update(update)
+
     def _on_insert(self, src: int, dst: int, bias: float) -> None:
         self.frontier_tables.mark_dirty((src,))
         sampler = self._samplers.get(src)
@@ -254,8 +277,11 @@ class BingoEngine(FusedFrontierEngine):
         samplers absorb whole slices via ``insert_many`` / ``delete_many``,
         and every touched vertex's inter-group table is rebuilt in one
         batched Vose pass.  The post-batch engine state is identical to the
-        per-edge reference path (:meth:`apply_batch_scalar`) — including
-        seeded sampling draws.
+        per-edge oracle in ``tests/engines/scalar_batch_oracle.py`` —
+        including seeded sampling draws.  Every net insertion's bias is
+        split before the first edge changes, so a batch carrying a bias λ
+        cannot scale (:class:`~repro.errors.InvalidBiasError`) changes no
+        edge and no sampler.
 
         Phase timings are aggregated once per batch (one timer pair per
         phase) instead of per touched vertex, so the fig13 breakdown no
@@ -270,7 +296,6 @@ class BingoEngine(FusedFrontierEngine):
             return
         stats = BatchStatistics()
         groups = batch.group_by_source()
-        self.frontier_tables.mark_dirty(group.vertex for group in groups)
         stats.touched_vertices = len(groups)
         highest = batch.max_vertex()
         if highest >= 0:
@@ -285,6 +310,19 @@ class BingoEngine(FusedFrontierEngine):
             )
             stats.cancelled_pairs += cancelled
             plans.append((vertex, deletions, insert_dsts, insert_biases))
+
+        # One vectorized bias split for every net insertion in the batch;
+        # each vertex's sampler then absorbs its pre-split slice without
+        # touching NumPy again.
+        bias_parts = [plan[3] for plan in plans if len(plan[3])]
+        integer_list: list[int] = []
+        fraction_list: list[float] = []
+        if bias_parts:
+            merged = (
+                np.concatenate(bias_parts) if len(bias_parts) > 1 else bias_parts[0]
+            )
+            integer_list, fraction_list = split_scaled_biases(merged, self.lam)
+        self.frontier_tables.mark_dirty(group.vertex for group in groups)
 
         delete_start = time.perf_counter()
         samplers = self._samplers
@@ -301,18 +339,6 @@ class BingoEngine(FusedFrontierEngine):
             stats.deletions += len(deletions)
         insert_start = time.perf_counter()
         self.breakdown.add(PHASE_DELETE, insert_start - delete_start)
-
-        # One vectorized bias split for every net insertion in the batch;
-        # each vertex's sampler then absorbs its pre-split slice without
-        # touching NumPy again.
-        bias_parts = [plan[3] for plan in plans if len(plan[3])]
-        integer_list: list[int] = []
-        fraction_list: list[float] = []
-        if bias_parts:
-            merged = (
-                np.concatenate(bias_parts) if len(bias_parts) > 1 else bias_parts[0]
-            )
-            integer_list, fraction_list = split_scaled_biases(merged, self.lam)
 
         cursor = 0
         for vertex, _, insert_dsts, insert_biases in plans:
@@ -351,81 +377,9 @@ class BingoEngine(FusedFrontierEngine):
         self.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
 
         stats.kernel_launches += 1
-        stats.parallel_steps += self.device.parallel_steps(len(groups))
+        stats.parallel_steps += -(-len(groups) // DEVICE_LANES)
         self.batch_stats.merge(stats)
         self.updates_applied += len(batch)
-
-    def apply_batch_scalar(self, updates: Sequence[GraphUpdate]) -> None:
-        """The legacy per-edge batch path (reference for equivalence/benchmarks).
-
-        Same Section 5.2 semantics as :meth:`apply_batch`, executed one edge
-        at a time through the scalar graph and sampler mutators with one
-        scalar rebuild per touched vertex — the pre-columnar implementation,
-        kept as the ground truth the columnar pipeline is measured against.
-        """
-        graph = self._require_graph()
-        if graph.undirected:
-            # Same fallback as :meth:`apply_batch`: mirrored arcs touch
-            # both endpoints, so apply edge by edge.
-            self.apply_streaming(updates)
-            return
-        stats = BatchStatistics()
-        grouped = group_updates_by_vertex(updates)
-        self.frontier_tables.mark_dirty(grouped)
-        stats.touched_vertices = len(grouped)
-
-        def process_vertex(item) -> None:
-            vertex, vertex_updates = item
-            graph.ensure_vertex(vertex)
-            for update in vertex_updates:
-                graph.ensure_vertex(update.dst)
-            # Only the destinations mentioned in this batch matter for the
-            # delete-then-reinsert case; checking them individually keeps the
-            # normalisation O(#updates) instead of O(degree).
-            existing = {
-                update.dst
-                for update in vertex_updates
-                if graph.has_edge(vertex, update.dst)
-            }
-            insertions, deletions, cancelled = normalize_vertex_updates(
-                vertex_updates, existing
-            )
-            stats.cancelled_pairs += cancelled
-
-            sampler = self._samplers.get(vertex)
-            delete_start = time.perf_counter()
-            for dst in deletions:
-                graph.remove_edge(vertex, dst)
-                if sampler is not None and sampler.contains(dst):
-                    sampler.delete(dst)
-                stats.deletions += 1
-            self.breakdown.add(PHASE_DELETE, time.perf_counter() - delete_start)
-
-            insert_start = time.perf_counter()
-            for dst, bias in insertions:
-                graph.add_edge(vertex, dst, bias)
-                if sampler is None:
-                    sampler = self._new_sampler(vertex)
-                    self._samplers[vertex] = sampler
-                sampler.insert(dst, bias)
-                stats.insertions += 1
-            self.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
-
-            rebuild_start = time.perf_counter()
-            if sampler is not None:
-                if len(sampler) == 0:
-                    self._samplers.pop(vertex, None)
-                else:
-                    sampler.rebuild()
-                stats.rebuilds += 1
-            self.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
-
-        for item in grouped.items():
-            process_vertex(item)
-        stats.kernel_launches += 1
-        stats.parallel_steps += self.device.parallel_steps(len(grouped))
-        self.batch_stats.merge(stats)
-        self.updates_applied += len(updates)
 
     # ------------------------------------------------------------------ #
     # sampling

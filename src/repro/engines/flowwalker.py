@@ -19,7 +19,7 @@ import numpy as np
 from repro.core.memory_model import MemoryReport
 from repro.engines.base import PHASE_REBUILD, RandomWalkEngine
 from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate, UpdateKind
+from repro.graph.update_stream import GraphUpdate
 from repro.utils.rng import RandomSource
 
 
@@ -55,21 +55,6 @@ class FlowWalkerEngine(RandomWalkEngine):
         self._build_state()
         self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
         self.updates_applied += len(batch)
-
-    def apply_batch_scalar(self, updates: Sequence[GraphUpdate]) -> None:
-        """The legacy per-edge batch path (reference for equivalence tests)."""
-        graph = self._require_graph()
-        for update in updates:
-            graph.ensure_vertex(update.src)
-            graph.ensure_vertex(update.dst)
-            if update.kind is UpdateKind.INSERT:
-                graph.add_edge(update.src, update.dst, update.bias)
-            else:
-                graph.remove_edge(update.src, update.dst)
-        start = time.perf_counter()
-        self._build_state()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-        self.updates_applied += len(updates)
 
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:

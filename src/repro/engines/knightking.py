@@ -31,7 +31,7 @@ from repro.engines.base import (
 )
 from repro.engines.sliced_tables import SliceParts
 from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate, UpdateKind
+from repro.graph.update_stream import GraphUpdate
 from repro.sampling.alias import AliasTable
 from repro.utils.rng import spawn_rng
 
@@ -106,27 +106,6 @@ class KnightKingEngine(FusedFrontierEngine):
         self._rebuild_samplers()
         self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
         self.updates_applied += len(batch)
-
-    def apply_batch_scalar(self, updates: Sequence[GraphUpdate]) -> None:
-        """The legacy per-edge batch path (reference for equivalence tests)."""
-        graph = self._require_graph()
-        touched = set()
-        mirrored = graph.undirected
-        for update in updates:
-            graph.ensure_vertex(update.src)
-            graph.ensure_vertex(update.dst)
-            if update.kind is UpdateKind.INSERT:
-                graph.add_edge(update.src, update.dst, update.bias)
-            else:
-                graph.remove_edge(update.src, update.dst)
-            touched.add(update.src)
-            if mirrored:
-                touched.add(update.dst)
-        self.frontier_tables.mark_dirty(touched)
-        start = time.perf_counter()
-        self._rebuild_samplers()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-        self.updates_applied += len(updates)
 
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:

@@ -45,8 +45,10 @@ class DuplicateEdgeError(GraphError):
 class InvalidBiasError(ReproError):
     """Raised when an edge bias is not a positive, finite number."""
 
-    def __init__(self, bias: object) -> None:
-        super().__init__(f"bias must be a positive finite number, got {bias!r}")
+    def __init__(
+        self, bias: object, reason: str = "bias must be a positive finite number"
+    ) -> None:
+        super().__init__(f"{reason}, got {bias!r}")
         self.bias = bias
 
 
@@ -77,22 +79,6 @@ class UnsupportedApplicationError(EngineError):
 
 class UpdateError(EngineError):
     """Raised when a graph update cannot be applied."""
-
-
-class DeviceError(ReproError):
-    """Base class for errors raised by the simulated GPU runtime."""
-
-
-class OutOfDeviceMemoryError(DeviceError):
-    """Raised when the simulated device cannot satisfy an allocation request."""
-
-    def __init__(self, requested: int, available: int) -> None:
-        super().__init__(
-            f"simulated device out of memory: requested {requested} bytes, "
-            f"only {available} available"
-        )
-        self.requested = requested
-        self.available = available
 
 
 class BenchmarkError(ReproError):

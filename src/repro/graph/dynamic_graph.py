@@ -6,9 +6,7 @@ list stays compact, and a per-vertex index maps destination → position for
 O(1) lookup.  This module reproduces those semantics on the host with a
 *columnar* NumPy layout — per-vertex capacity-doubling ``int64`` destination
 and ``float64`` bias arrays — so bulk ingestion and the vectorized walk
-kernels operate on contiguous memory instead of Python lists.  The
-simulated-GPU dynamic arrays in :mod:`repro.gpu.dynamic_array` model the
-device-side counterpart used for memory accounting.
+kernels operate on contiguous memory instead of Python lists.
 
 Two access tiers are exposed:
 

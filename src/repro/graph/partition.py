@@ -17,8 +17,9 @@ that design:
   (a shard runs whole walks, which reach any vertex) plus the set of
   vertices the shard *owns* and therefore builds sampling state for.
 
-The shard pool in :mod:`repro.serve.router` consumes these; the transfer
-accounting lives in :mod:`repro.gpu.multi_device`.
+The shard pool in :mod:`repro.serve.router` consumes these; the Figure 12
+scaling experiment (:func:`repro.bench.experiments.scale_workers`) counts
+the walker hand-offs a partition would incur.
 """
 
 from __future__ import annotations

@@ -120,10 +120,11 @@ class VertexUpdateSlice:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
         """Collapse the slice into net deletions and insertions.
 
-        Reproduces :func:`repro.gpu.kernels.normalize_vertex_updates`
-        exactly — same net effect, same emission order (first-occurrence
-        order of the surviving destinations), same cancellation count — so
-        the columnar and per-edge ingestion paths build identical state.
+        Reproduces the per-edge replay ``normalize_vertex_updates`` of the
+        test tree's ``scalar_batch_oracle`` exactly — same net effect, same
+        emission order (first-occurrence order of the surviving
+        destinations), same cancellation count — so the columnar and
+        per-edge ingestion paths build identical state.
 
         ``membership`` maps an ``int64`` destination array to a boolean
         array saying which destinations are currently out-neighbours; it is

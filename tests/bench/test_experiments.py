@@ -6,6 +6,7 @@ faster / smaller).  The full-scale numbers live in EXPERIMENTS.md and the
 pytest-benchmark targets.
 """
 
+import numpy as np
 import pytest
 
 from repro.bench import experiments
@@ -106,6 +107,14 @@ class TestFigure12:
         # not be dramatically slower than streaming either.
         assert entry["wall_clock_speedup"] > 0.5
 
+    def test_each_batch_is_one_modelled_step_below_the_lane_count(self):
+        report = experiments.fig12_batched_updates(
+            datasets=("AM",), workloads=("insertion",), batch_size=120, num_batches=2
+        )
+        # 120 updates touch far fewer than DEVICE_LANES vertices, so each
+        # batch is one modelled step: 240 updates over 2 steps.
+        assert report["insertion"]["AM"]["modelled_parallel_speedup"] == 120.0
+
 
 class TestFigure13:
     def test_breakdown_phases_present(self):
@@ -119,7 +128,7 @@ class TestFigure13:
 
 
 class TestIngestThroughput:
-    def test_reports_all_three_paths_per_engine(self):
+    def test_reports_both_paths_per_engine(self):
         report = experiments.ingest_throughput(
             dataset="AM", batch_size=60, num_batches=1, num_walkers=16,
             walk_length=4, repeats=1,
@@ -130,7 +139,6 @@ class TestIngestThroughput:
         assert set(engines) == set(experiments.SOTA_ENGINES)
         for entry in engines.values():
             assert entry["columnar_updates_per_second"] > 0
-            assert entry["legacy_batch_updates_per_second"] > 0
             assert entry["streaming_updates_per_second"] > 0
             assert entry["ingest_while_walking_updates_per_second"] > 0
             assert entry["walk_steps_per_second"] > 0
@@ -222,6 +230,8 @@ class TestScaleWorkers:
                 assert row["balance"] >= 1.0
             assert rows[1]["speedup_vs_1"] == pytest.approx(1.0)
             assert rows[2]["edge_cut"] > 0
+            assert rows[1]["transfer_rate"] == 0.0
+            assert 0.0 < rows[2]["transfer_rate"] < 1.0
 
     def test_rejects_bad_configuration(self):
         from repro.errors import BenchmarkError
@@ -232,6 +242,48 @@ class TestScaleWorkers:
             experiments.scale_workers(worker_counts=(0, 2))
         with pytest.raises(BenchmarkError):
             experiments.scale_workers(rounds=0)
+
+
+class TestCrossOwnerSteps:
+    """Walker hand-offs counted from a -1-padded walk matrix."""
+
+    @staticmethod
+    def _per_step(matrix, owner, num_parts):
+        def part(vertex):
+            return owner[vertex] if vertex < len(owner) else vertex % num_parts
+
+        return sum(
+            part(row[j]) != part(row[j + 1])
+            for row in matrix.tolist()
+            for j in range(len(row) - 1)
+            if row[j + 1] >= 0
+        )
+
+    def test_counts_only_steps_that_change_owner(self):
+        matrix = np.array([[0, 1, 2, 3], [2, 3, -1, -1], [3, -1, -1, -1]])
+        owner = np.array([0, 0, 1, 1])
+        assert experiments.cross_owner_steps(matrix, owner, 2) == 1
+
+    def test_vertices_past_the_owner_column_are_round_robin(self):
+        matrix = np.array([[1, 3, 4, 6]])
+        # 1 -> part 0 (owner column); 3 -> 1; 4 -> 0; 6 -> 0.
+        assert experiments.cross_owner_steps(matrix, np.array([0, 0]), 2) == 2
+        # No owner column: 1 -> 1; 3 -> 1; 4 -> 0; 6 -> 0.
+        no_owner = np.array([], dtype=np.int64)
+        assert experiments.cross_owner_steps(matrix, no_owner, 2) == 1
+
+    def test_matches_a_per_step_count(self):
+        rng = np.random.default_rng(5)
+        matrix = rng.integers(0, 30, size=(40, 9))
+        lengths = rng.integers(1, 10, size=40)
+        matrix[np.arange(9) >= lengths[:, None]] = -1
+        owner = rng.integers(0, 3, size=24)
+        expected = self._per_step(matrix, owner.tolist(), 3)
+        assert experiments.cross_owner_steps(matrix, owner, 3) == expected
+
+    def test_one_part_has_no_transfers(self):
+        matrix = np.array([[0, 5, 2], [1, -1, -1]])
+        assert experiments.cross_owner_steps(matrix, np.zeros(3, dtype=np.int64), 1) == 0
 
 
 class TestHarnessWorkers:

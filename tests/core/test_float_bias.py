@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.radix import choose_amortization_factor
 from repro.core.vertex_sampler import BingoVertexSampler
+from repro.errors import InvalidBiasError
 from tests.conftest import total_variation
 
 #: The Figure 7 example: vertex 2 with floating-point biases.
@@ -79,3 +80,30 @@ class TestFloatUpdates:
         remaining_total = 2.25 + 4.5
         assert sampler.structure_probability(1) == pytest.approx(2.25 / remaining_total)
         assert sampler.structure_probability(3) == pytest.approx(4.5 / remaining_total)
+
+
+class TestUnscalableBias:
+    """Every sampler insert path refuses a bias whose λ-scaled integer part
+    reaches 2**63, and leaves the sampler as it was."""
+
+    @staticmethod
+    def _sampler():
+        return BingoVertexSampler.from_neighbors([(1, 0.5), (2, 3.0)], rng=1, lam=1e6)
+
+    def test_insert_refuses_and_keeps_state(self):
+        sampler = self._sampler()
+        with pytest.raises(InvalidBiasError):
+            sampler.insert(9, 2e13)
+        assert dict(sampler.candidates()) == {1: 0.5, 2: 3.0}
+        sampler.check_invariants()
+
+    @pytest.mark.parametrize("count", [1, 15, 16, 40])
+    def test_insert_many_refuses_and_keeps_state(self, count):
+        # Slices below 16 take the scalar split, the others the vector one.
+        sampler = self._sampler()
+        candidates = list(range(10, 10 + count))
+        biases = [1.0] * (count - 1) + [2e13]
+        with pytest.raises(InvalidBiasError):
+            sampler.insert_many(candidates, biases)
+        assert dict(sampler.candidates()) == {1: 0.5, 2: 3.0}
+        sampler.check_invariants()

@@ -1,5 +1,8 @@
 """Tests for radix decomposition (Equations 3-4) and the floating-point helpers."""
 
+import warnings
+
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -12,7 +15,9 @@ from repro.core.radix import (
     group_weights,
     num_groups_for_bias,
     popcount,
+    split_scaled_arrays,
     split_scaled_bias,
+    split_scaled_biases,
 )
 
 
@@ -128,3 +133,53 @@ class TestFloatingPoint:
 
     def test_choose_amortization_empty(self):
         assert choose_amortization_factor([]) == 1.0
+
+
+class TestScaledIntegerBound:
+    """A λ-scaled integer part must stay below 2**63 on every split path."""
+
+    def test_scalar_split_refuses_integer_part_of_2_63_or_more(self):
+        with pytest.raises(InvalidBiasError, match="2\\*\\*63"):
+            split_scaled_bias(2e13, 1e6)
+        with pytest.raises(InvalidBiasError):
+            split_scaled_bias(2.0**63, 1.0)
+        assert split_scaled_bias(9.2e18, 1.0) == (9_200_000_000_000_000_000, 0.0)
+
+    def test_vector_split_refuses_instead_of_wrapping(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(InvalidBiasError):
+                split_scaled_arrays([1.0] * 15 + [2e13], 1e6)
+            with pytest.raises(InvalidBiasError):
+                split_scaled_biases([2e13] * 16, 1e6)
+            integer_parts, fractions = split_scaled_arrays([0.5, 9.2e18], 1.0)
+        assert integer_parts.tolist() == [0, 9_200_000_000_000_000_000]
+        assert fractions.tolist() == [0.5, 0.0]
+
+    def test_choose_amortization_refuses_a_bias_past_the_bound(self):
+        with pytest.raises(InvalidBiasError):
+            choose_amortization_factor([1.0, 1e19])
+
+    @pytest.mark.parametrize(
+        "bias, lam",
+        [
+            (float(np.nextafter(2.0**63, 0.0)), 1.0),
+            (2.0**63, 1.0),
+            (1e19, 1.0),
+            (9.2e12, 1e6),
+            (9.3e12, 1e6),
+            (0.5, 1e6),
+        ],
+        ids=["just-below", "at-bound", "1e19", "9.2e12-at-1e6", "9.3e12-at-1e6", "small"],
+    )
+    def test_scalar_and_vector_splits_share_one_bound(self, bias, lam):
+        try:
+            expected = split_scaled_bias(bias, lam)
+        except InvalidBiasError:
+            with pytest.raises(InvalidBiasError):
+                split_scaled_arrays([1.0, bias], lam)
+            assert bias * lam >= 2.0**63
+            return
+        integer_parts, fractions = split_scaled_arrays([1.0, bias], lam)
+        assert (integer_parts.tolist()[1], fractions.tolist()[1]) == expected
+        assert expected[0] < 2**63

@@ -1,9 +1,9 @@
-"""Columnar vs legacy per-edge ingestion: strict equivalence on all engines.
+"""Columnar vs per-edge ingestion: strict equivalence on all engines.
 
 The batched columnar pipeline (``apply_batch``) must be indistinguishable
-from the legacy per-edge implementation (``apply_batch_scalar``): identical
-post-batch graph (including neighbour-array order), identical sampling
-state, and identical seeded walk output — plus matching behaviour on every
+from the per-edge oracle (``apply_batch_scalar`` in
+``tests/engines/scalar_batch_oracle.py``): identical post-batch graph
+(including neighbour-array order), identical sampling state, and identical seeded walk output — plus matching behaviour on every
 batch-update edge case (same-edge insert+delete in both orders, duplicate
 inserts, deletes of batch-inserted edges, brand-new vertices).
 """
@@ -24,6 +24,7 @@ from repro.graph.update_stream import (
     generate_update_stream,
 )
 from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
+from tests.engines.scalar_batch_oracle import apply_batch_scalar
 
 ALL_ENGINE_CLASSES = [BingoEngine, KnightKingEngine, GSamplerEngine, FlowWalkerEngine]
 
@@ -102,7 +103,7 @@ def test_random_streams_identical_state_and_walks(engine_cls, workload):
     )
     legacy, columnar = _engine_pair(engine_cls, stream.initial_graph)
     for batch in stream.batches:
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
     _assert_same_graph(legacy, columnar)
     if engine_cls is BingoEngine:
@@ -119,7 +120,7 @@ class TestBatchEdgeCases:
     def test_insert_then_delete_same_edge(self, engine_cls, example_graph):
         legacy, columnar = _engine_pair(engine_cls, example_graph)
         batch = [_insert(2, 3, 3.0, ts=0), _delete(2, 3, ts=1)]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert not columnar.graph.has_edge(2, 3)
         _assert_same_graph(legacy, columnar)
@@ -129,7 +130,7 @@ class TestBatchEdgeCases:
     def test_delete_then_reinsert_same_edge(self, engine_cls, example_graph):
         legacy, columnar = _engine_pair(engine_cls, example_graph)
         batch = [_delete(2, 1, ts=0), _insert(2, 1, 9.0, ts=1)]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert columnar.graph.edge_bias(2, 1) == 9.0
         _assert_same_graph(legacy, columnar)
@@ -140,7 +141,7 @@ class TestBatchEdgeCases:
         # write wins — identically on both paths.
         legacy, columnar = _engine_pair(BingoEngine, example_graph)
         batch = [_insert(2, 3, 3.0, ts=0), _insert(2, 3, 8.0, ts=1)]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert columnar.graph.edge_bias(2, 3) == 8.0
         _assert_same_graph(legacy, columnar)
@@ -158,7 +159,7 @@ class TestBatchEdgeCases:
         batch = [_insert(2, 3, 3.0, ts=0), _insert(2, 3, 8.0, ts=1)]
         legacy, columnar = _engine_pair(engine_cls, example_graph)
         with pytest.raises(DuplicateEdgeError):
-            legacy.apply_batch_scalar(list(batch))
+            apply_batch_scalar(legacy, list(batch))
         with pytest.raises(DuplicateEdgeError):
             columnar.apply_batch(batch)
 
@@ -170,7 +171,7 @@ class TestBatchEdgeCases:
             _insert(2, 0, 1.0, ts=1),
             _delete(2, 3, ts=2),
         ]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert not columnar.graph.has_edge(2, 3)
         assert columnar.graph.has_edge(2, 0)
@@ -186,7 +187,7 @@ class TestBatchEdgeCases:
             _insert(1, highest + 4, 1.5, ts=1),
             _insert(highest + 2, highest + 4, 3.0, ts=2),
         ]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert columnar.graph.num_vertices == highest + 5
         assert columnar.graph.has_edge(highest + 2, 0)
@@ -208,7 +209,7 @@ class TestBatchEdgeCases:
             _delete(5, 2, ts=6),            # delete of batch-inserted edge
             _insert(5, 2, 5.0, ts=7),       # reinsert after cancellation
         ]
-        legacy.apply_batch_scalar(list(batch))
+        apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         legacy.check_consistency()
         columnar.check_consistency()

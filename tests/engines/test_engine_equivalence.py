@@ -8,6 +8,8 @@ sampleable neighbours, and the sampling distributions agree.
 
 from __future__ import annotations
 
+from functools import partial
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -17,6 +19,7 @@ from repro.graph.generators import erdos_renyi_graph
 from repro.graph.update_batch import GraphUpdate, UpdateKind
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from tests.conftest import total_variation
+from tests.engines.scalar_batch_oracle import apply_batch_scalar
 
 ALL_ENGINES = tuple(ENGINE_REGISTRY)
 
@@ -104,14 +107,14 @@ def _undirected_cycle(num_vertices: int = 6) -> DynamicGraph:
 def test_undirected_update_refreshes_both_endpoints(engine_name, path, update):
     """A mirrored insert or delete reaches the other endpoint's samplers and
     fused slices, not only the source's — on every ingest path, the per-edge
-    reference (``apply_batch_scalar``) included."""
+    oracle (``apply_batch_scalar``) included."""
     engine = ENGINE_REGISTRY[engine_name](rng=17)
     engine.build(_undirected_cycle())
     engine.frontier_tables.views()  # materialise, so the update must repair
     apply = {
         "batch": engine.apply_batch,
         "streaming": engine.apply_streaming,
-        "scalar": engine.apply_batch_scalar,
+        "scalar": partial(apply_batch_scalar, engine),
     }[path]
     apply([update])
     engine.check_consistency()

@@ -5,8 +5,8 @@ import random
 import numpy as np
 import pytest
 
-from repro.gpu.kernels import normalize_vertex_updates
 from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
+from tests.engines.scalar_batch_oracle import normalize_vertex_updates
 
 
 def _insert(src, dst, bias=1.0, ts=0):
@@ -120,6 +120,36 @@ class TestNormalization:
             [bias for _, bias in ref_insertions]
         )
         assert cancelled == ref_cancelled
+
+    @pytest.mark.parametrize(
+        "updates, existing, expected",
+        [
+            ([_insert(0, 1, 2.0), _delete(0, 5)], {5}, ([(1, 2.0)], [5], 0)),
+            ([_insert(0, 1, 2.0, 0), _delete(0, 1, 1)], set(), ([], [], 1)),
+            ([_delete(0, 1, 0), _insert(0, 1, 9.0, 1)], {1}, ([(1, 9.0)], [1], 0)),
+            ([_delete(0, 1, 0), _insert(0, 1, 9.0, 1)], set(), ([(1, 9.0)], [], 0)),
+            (
+                [_delete(0, 1, 0), _insert(0, 1, 9.0, 1), _delete(0, 1, 2)],
+                {1},
+                ([], [1], 0),
+            ),
+        ],
+        ids=[
+            "plain-insert-and-delete",
+            "insert-then-delete-cancels",
+            "delete-then-insert-updates-bias",
+            "delete-then-insert-of-missing-edge",
+            "delete-insert-delete",
+        ],
+    )
+    def test_named_cases_match_oracle_and_expectation(self, updates, existing, expected):
+        assert self._reference(updates, existing) == expected
+        (group,) = UpdateBatch.from_updates(updates).group_by_source()
+        deletions, insert_dsts, insert_biases, cancelled = group.normalize(
+            lambda dsts: np.array([d in existing for d in dsts.tolist()])
+        )
+        insertions = list(zip(insert_dsts.tolist(), insert_biases.tolist()))
+        assert (insertions, deletions.tolist(), cancelled) == expected
 
     def test_fast_path_single_kind_returns_views(self):
         updates = [_insert(1, 2, 1.0, 0), _insert(1, 4, 2.0, 1)]

@@ -1,11 +1,18 @@
 """Writer self-healing: quarantine, dead-letter, health, and close races."""
 
+import json
+
 import numpy as np
 import pytest
 
 from repro.bench.datasets import build_dataset
 from repro.errors import DuplicateEdgeError, InjectedFault, ServeError
-from repro.graph.update_stream import UpdateWorkload, generate_update_stream
+from repro.graph.update_stream import (
+    GraphUpdate,
+    UpdateKind,
+    UpdateWorkload,
+    generate_update_stream,
+)
 from repro.serve import (
     FaultInjector,
     FaultPlan,
@@ -14,6 +21,7 @@ from repro.serve import (
     WalkQuery,
     serve_event_loop,
 )
+from repro.serve.protocol import handle_request
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +112,47 @@ class TestQuarantine:
                 assert ticket.result(timeout=120.0).walks.num_walks == 3
             result = service.query("deepwalk", [1, 2, 3], 5, timeout=120.0)
             assert result.epoch == 1
+        finally:
+            service.close()
+
+    def test_unscalable_bias_is_quarantined_and_the_next_publishes(self, stream):
+        service = GraphService("bingo", stream.initial_graph, rng=19, service_seed=21)
+        try:
+            src = int(stream.batches[0].src[0])
+            dst = next(
+                d
+                for d in range(stream.initial_graph.num_vertices)
+                if d != src and not stream.initial_graph.has_edge(src, d)
+            )
+            service.ingest([GraphUpdate(UpdateKind.INSERT, src, dst, 1e19)])
+            service.flush()
+            stats = service.stats_snapshot()
+            assert stats["batches_quarantined"] == 1
+            assert "InvalidBiasError" in service.dead_letter()[0]["error"]
+            assert service.epoch == 0
+
+            service.ingest(stream.batches[1])
+            service.flush()
+            assert service.epoch == 1
+            assert not service.engine.has_edge(src, dst)
+            service.engine.check_consistency()
+        finally:
+            service.close()
+
+    def test_unscalable_bias_over_v1_ingest_is_quarantined(self, stream):
+        graph = stream.initial_graph
+        dst = next(d for d in range(1, graph.num_vertices) if not graph.has_edge(0, d))
+        service = GraphService("bingo", graph, rng=19, service_seed=21)
+        try:
+            update = {"kind": "insert", "src": 0, "dst": dst, "bias": 1e19}
+            body = json.dumps({"updates": [update]}).encode()
+            response = handle_request(service, "POST", "/v1/ingest", {}, body)
+            assert response.status == 202
+            service.flush()
+            assert service.stats_snapshot()["batches_quarantined"] == 1
+            assert "InvalidBiasError" in service.dead_letter()[0]["error"]
+            assert service.epoch == 0
+            assert service.health()["healthy"]
         finally:
             service.close()
 

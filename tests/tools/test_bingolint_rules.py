@@ -24,10 +24,8 @@ SERVE_PATH = "src/repro/serve/example.py"
 
 
 class TestRegistry:
-    def test_all_nine_rules_registered(self):
-        assert list(all_rules()) == [
-            f"BGL00{digit}" for digit in range(1, 10)
-        ]
+    def test_all_ten_rules_registered(self):
+        assert list(all_rules()) == [f"BGL{number:03d}" for number in range(1, 11)]
 
     def test_every_rule_has_name_and_rationale(self):
         for rule_id, cls in all_rules().items():
@@ -595,3 +593,47 @@ class TestBGL009WallClockTiming:
                 return time.time() + seconds
         """
         assert lint("BGL009", source, "src/repro/serve/queries.py") == []
+
+
+class TestBGL010TestTreeImports:
+    def test_true_positive_src_imports_test_oracle(self):
+        source = """
+            import perfbench.server
+            from tests.engines.scalar_batch_oracle import apply_batch_scalar
+
+            def ingest(engine, batch):
+                apply_batch_scalar(engine, batch)
+        """
+        findings = lint("BGL010", source, "src/repro/bench/experiments.py")
+        assert len(findings) == 2
+        assert "tests.engines.scalar_batch_oracle" in findings[1].message
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import tests\n",
+            "import perfbench.run as run\n",
+            "from benchmarks.conftest import fixture\n",
+            "def load():\n    from tests.engines import bingo_oracle\n",
+        ],
+        ids=["bare", "aliased", "from", "function-local"],
+    )
+    def test_true_positive_every_import_form(self, source):
+        assert len(lint("BGL010", source, "src/repro/engines/bingo.py")) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "import testing\n",
+            "from repro.tests_util import helper\n",
+            "from . import tests\n",
+            "from .perfbench import workload\n",
+        ],
+        ids=["prefix-name", "nested-name", "relative", "relative-submodule"],
+    )
+    def test_false_positive_every_import_form(self, source):
+        assert lint("BGL010", source, "examples/quickstart.py") == []
+
+    def test_out_of_scope_test_tree_imports_itself(self):
+        source = "from tests.engines.bingo_oracle import per_vertex_build\n"
+        assert lint("BGL010", source, "tests/engines/test_bingo_cold_build.py") == []

@@ -2,7 +2,7 @@
 
 A rule is a class with:
 
-* ``rule_id`` — ``"BGL00X"``, unique;
+* ``rule_id`` — ``"BGL0XX"``, unique;
 * ``name`` — short kebab-case label for reports;
 * ``rationale`` — one line tying the rule to the postmortem it encodes;
 * ``applies_to(path)`` — whether a (posix, repo-relative) path is in

@@ -10,4 +10,5 @@ from bingolint.rules import (  # noqa: F401 - imported for registration side eff
     bgl007_threads,
     bgl008_envelope,
     bgl009_wall_clock,
+    bgl010_test_tree_imports,
 )
