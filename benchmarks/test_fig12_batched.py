@@ -1,14 +1,7 @@
-"""Figure 12 — streaming vs batched update ingestion throughput.
-
-Also exercises the batched walk-frontier sampling path: the second target
-compares scalar per-walker sampling against the fused frontier kernels on
-every engine.
-"""
-
-import math
+"""Figure 12 — streaming vs batched update ingestion throughput."""
 
 from benchmarks.conftest import emit, run_once
-from repro.bench.experiments import fig12_batched_updates, frontier_throughput
+from repro.bench.experiments import fig12_batched_updates
 
 
 def test_fig12_streaming_vs_batched(benchmark):
@@ -32,18 +25,3 @@ def test_fig12_streaming_vs_batched(benchmark):
             # three-orders-of-magnitude batched speedup.
             assert entry["modelled_parallel_speedup"] > 50.0, (workload, dataset)
 
-
-def test_fig12_frontier_sampling_throughput(benchmark):
-    report = run_once(benchmark, lambda: frontier_throughput(dataset="LJ"))
-    emit("Figure 12 companion: scalar vs batched frontier sampling", report)
-
-    for engine, entry in report.items():
-        assert entry["scalar_steps_per_second"] > 0, engine
-        assert entry["frontier_steps_per_second"] > 0, engine
-        # No engine is slower through the frontier beyond timing noise.
-        assert entry["frontier_speedup"] > 0.8, (engine, entry)
-    # The batched path wins clearly in aggregate (geometric mean across
-    # engines; per-engine ratios fluctuate under a loaded benchmark run).
-    speedups = [entry["frontier_speedup"] for entry in report.values()]
-    geomean = math.prod(speedups) ** (1.0 / len(speedups))
-    assert geomean > 1.5, report

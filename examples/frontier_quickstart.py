@@ -1,8 +1,8 @@
 """Quickstart for the batched walk-frontier engine.
 
-Builds a small power-law graph, runs DeepWalk both ways (scalar loop vs
-batched frontier), shows they agree, then demonstrates the dense walk
-matrix, a PPR frontier, and the update-then-walk loop.
+Builds a small power-law graph, runs DeepWalk through the application API,
+then demonstrates the dense walk matrix, a PPR frontier, and the
+update-then-walk loop.
 
 Run with:
 
@@ -10,8 +10,6 @@ Run with:
 """
 
 from __future__ import annotations
-
-import time
 
 from repro.engines.bingo import BingoEngine
 from repro.graph.generators import power_law_graph
@@ -27,27 +25,14 @@ def main() -> None:
     starts = [v for v in range(graph.num_vertices) if graph.degree(v) > 0]
     config = DeepWalkConfig(walk_length=10)
 
-    # --- the one-liner: run_deepwalk(..., frontier=True) -------------------
-    result = run_deepwalk(engine, config, starts=starts, frontier=True, rng=1)
+    # --- the application API: every walker advances as one frontier ---------
+    result = run_deepwalk(engine, config, starts=starts, rng=1)
     print(f"frontier DeepWalk: {result.num_walks} walks, {result.total_steps} steps")
 
     # --- the dense matrix API ----------------------------------------------
     walks = run_frontier_deepwalk(engine, starts, config.walk_length, rng=2)
     print(f"walk matrix shape: {walks.matrix.shape} (-1 padded)")
     print(f"first walk: {walks.paths()[0]}")
-
-    # --- scalar vs batched wall time (tables are warm after the runs above) -
-    tick = time.perf_counter()
-    scalar = run_deepwalk(engine, config, starts=starts)
-    scalar_seconds = time.perf_counter() - tick
-    tick = time.perf_counter()
-    batched = run_deepwalk(engine, config, starts=starts, frontier=True, rng=3)
-    frontier_seconds = time.perf_counter() - tick
-    print(
-        f"scalar {scalar_seconds * 1e3:.0f}ms vs frontier {frontier_seconds * 1e3:.0f}ms "
-        f"({scalar_seconds / frontier_seconds:.1f}x, {batched.total_steps} steps each)"
-    )
-    assert scalar.total_steps == batched.total_steps
 
     # --- PPR as a terminating frontier -------------------------------------
     ppr = run_frontier_ppr(

@@ -10,6 +10,7 @@ are).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from collections.abc import Sequence
@@ -23,7 +24,7 @@ from repro.bench.harness import (
     compare_engines,
     run_update_only,
 )
-from repro.bench.workloads import run_application, sample_start_vertices
+from repro.bench.workloads import sample_start_vertices
 from repro.core.adaptive import GroupKind
 from repro.core.vertex_sampler import BingoVertexSampler
 from repro.engines.bingo import BingoEngine
@@ -537,153 +538,38 @@ def fig15_batch_size_sweep(
     return output
 
 
-def fig15_frontier_sweep(
-    *,
-    dataset: str = "LJ",
-    batch_sizes: Sequence[int] = (50, 125, 250, 500),
-    total_updates: int = 1500,
-    walk_length: int = 10,
-    num_walkers: int | None = None,
-    engines: Sequence[str] = ("gsampler", "bingo"),
-    seed: int = 43,
-) -> dict[int, dict[str, float]]:
-    """Figure 15a executed through the batched walk frontier.
-
-    Same sweep shape as :func:`fig15_batch_size_sweep`, but each ingested
-    batch is followed by a DeepWalk round, run twice per engine: once with
-    the scalar per-walker loop and once with the batched frontier.  The
-    ``*_frontier_seconds`` vs ``*_scalar_seconds`` columns are the measured
-    win of the vectorized sampling kernels on identical workloads.
-    ``num_walkers=None`` uses the paper's placement: one walker per vertex.
-    """
-    output: dict[int, dict[str, float]] = {}
-    for batch_size in batch_sizes:
-        num_batches = max(1, total_updates // batch_size)
-        rng = ensure_rng(seed)
-        graph = build_dataset(dataset, rng=rng)
-        stream = generate_update_stream(
-            graph,
-            batch_size=batch_size,
-            num_batches=num_batches,
-            workload=UpdateWorkload.MIXED,
-            rng=rng,
-        )
-        starts = sample_start_vertices(
-            stream.initial_graph,
-            num_walkers if num_walkers is not None else stream.initial_graph.num_vertices,
-            rng=seed + 2,
-        )
-        row: dict[str, float] = {}
-        for engine_name in engines:
-            for mode, use_frontier in (("scalar", False), ("frontier", True)):
-                engine = create_engine(engine_name, rng=seed + 1)
-                engine.build(stream.initial_graph.copy())
-                walk_rng = ensure_rng(seed + 3)
-                start_time = time.perf_counter()
-                for batch in stream.batches:
-                    engine.apply_batch(batch)
-                    run_application(
-                        "deepwalk",
-                        engine,
-                        walk_length=walk_length,
-                        starts=starts,
-                        rng=walk_rng,
-                        frontier=use_frontier,
-                    )
-                row[f"{engine_name}_{mode}_seconds"] = (
-                    time.perf_counter() - start_time
-                )
-        output[batch_size] = row
-    return output
-
-
-def frontier_throughput(
-    *,
-    dataset: str = "LJ",
-    engines: Sequence[str] = SOTA_ENGINES,
-    num_walkers: int | None = None,
-    walk_length: int = 10,
-    rounds: int = 3,
-    seed: int = 61,
-) -> dict[str, dict[str, float]]:
-    """Scalar per-walker loop vs batched frontier walk throughput per engine.
-
-    Runs ``rounds`` DeepWalk rounds per mode (the paper's workflow runs the
-    application after every update batch, so the fused frontier tables are
-    warm for all but the first round).  ``num_walkers=None`` uses the
-    paper's placement: one walker per vertex.
-    """
-    from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
-
-    rng = ensure_rng(seed)
-    graph = build_dataset(dataset, rng=rng)
-    starts = sample_start_vertices(
-        graph,
-        num_walkers if num_walkers is not None else graph.num_vertices,
-        rng=seed + 1,
-    )
-    config = DeepWalkConfig(walk_length=walk_length)
-    output: dict[str, dict[str, float]] = {}
-    for engine_name in engines:
-        engine = create_engine(engine_name, rng=seed + 2)
-        engine.build(graph.copy())
-
-        # The two modes alternate round by round, so a burst of host load
-        # lands on both sides of the ratio instead of on one mode alone.
-        # Rounds run with the collector paused: a full collection in a
-        # long-lived process outlasts a whole few-millisecond frontier round.
-        scalar_steps = frontier_steps = 0
-        scalar_seconds = frontier_seconds = 0.0
-        for round_index in range(rounds):
-            with gc_paused():
-                round_start = time.perf_counter()
-                scalar_steps += run_deepwalk(engine, config, starts=starts).total_steps
-                scalar_seconds += time.perf_counter() - round_start
-
-            with gc_paused():
-                round_start = time.perf_counter()
-                frontier_steps += run_deepwalk(
-                    engine, config, starts=starts, frontier=True, rng=seed + 3 + round_index
-                ).total_steps
-                frontier_seconds += time.perf_counter() - round_start
-
-        output[engine_name] = {
-            "scalar_steps_per_second": (
-                scalar_steps / scalar_seconds if scalar_seconds > 0 else float("inf")
-            ),
-            "frontier_steps_per_second": (
-                frontier_steps / frontier_seconds
-                if frontier_seconds > 0
-                else float("inf")
-            ),
-            "frontier_speedup": (
-                scalar_seconds / frontier_seconds if frontier_seconds > 0 else float("inf")
-            ),
-        }
-    return output
-
-
 def fig15_walk_length_sweep(
     *,
     dataset: str = "LJ",
     walk_lengths: Sequence[int] = (5, 10, 20, 40),
     seed: int = 47,
 ) -> dict[int, dict[str, float]]:
-    """gSampler vs Bingo runtime as walk length grows (Figure 15b)."""
+    """gSampler vs Bingo runtime as walk length grows (Figure 15b).
+
+    Each cell is the best of five runs, the lengths taking turns: a
+    frontier round of 32 walkers costs well under a millisecond, so a
+    cell is mostly update ingestion and table warming (a few tens of
+    milliseconds), and one burst of host load on a lone run would set
+    the curve's shape.
+    """
     output: dict[int, dict[str, float]] = {}
-    for walk_length in walk_lengths:
-        settings = EvaluationSettings(
-            batch_size=100, num_batches=2, walk_length=walk_length, num_walkers=32
-        )
-        results = compare_engines(
-            ("gsampler", "bingo"),
-            dataset,
-            "deepwalk",
-            workload="mixed",
-            settings=settings,
-            seed=seed,
-        )
-        output[walk_length] = {r.engine: r.runtime_seconds for r in results}
+    for _ in range(5):
+        for walk_length in walk_lengths:
+            settings = EvaluationSettings(
+                batch_size=100, num_batches=2, walk_length=walk_length, num_walkers=32
+            )
+            with gc_paused():
+                results = compare_engines(
+                    ("gsampler", "bingo"),
+                    dataset,
+                    "deepwalk",
+                    workload="mixed",
+                    settings=settings,
+                    seed=seed,
+                )
+            row = output.setdefault(walk_length, {})
+            for r in results:
+                row[r.engine] = min(row.get(r.engine, math.inf), r.runtime_seconds)
     return output
 
 
@@ -813,11 +699,7 @@ def ingest_throughput(
             update_seconds += time.perf_counter() - start
             start = time.perf_counter()
             result = run_deepwalk(
-                engine,
-                config,
-                starts=starts,
-                frontier=True,
-                rng=seed + 3 + round_index,
+                engine, config, starts=starts, rng=seed + 3 + round_index
             )
             walk_seconds += time.perf_counter() - start
             walk_steps += result.total_steps

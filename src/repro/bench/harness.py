@@ -39,7 +39,6 @@ class EvaluationSettings:
     walk_length: int = 10          # paper: 80
     num_walkers: int = 64          # paper: one per vertex
     streaming: bool = False        # paper evaluates both streaming and batched
-    frontier_walks: bool = False   # run walks through the batched frontier
     workers: int = 1               # >1: shard-parallel walk execution
     partition_strategy: str = "degree_balanced"  # shard layout for workers > 1
     engine_kwargs: dict[str, object] = field(default_factory=dict)
@@ -118,13 +117,6 @@ def run_evaluation(
 
     if settings.workers < 1:
         raise ValueError("settings.workers must be at least 1")
-    if settings.workers > 1 and not settings.frontier_walks:
-        # Mirror the CLI: shard-parallel execution IS a frontier mode, and
-        # silently switching modes would make scalar-vs-frontier rows lie.
-        raise ValueError(
-            "settings.workers > 1 runs walks shard-parallel, which is a "
-            "frontier execution mode; set frontier_walks=True as well"
-        )
     engine = create_engine(engine_name, rng=generator, **settings.engine_kwargs)
     engine.build(update_stream.initial_graph.copy())
 
@@ -181,7 +173,6 @@ def run_evaluation(
                     walk_length=settings.walk_length,
                     starts=starts,
                     rng=generator,
-                    frontier=settings.frontier_walks,
                 )
                 steps = result.total_steps
             else:

@@ -28,7 +28,7 @@ from repro.graph.update_stream import (
     UpdateWorkload,
     generate_update_stream,
 )
-from repro.utils.rng import RandomSource, ensure_rng
+from repro.utils.rng import AnyRngSource, RandomSource, ensure_rng
 from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
 from repro.walks.node2vec import Node2VecConfig, run_node2vec
 from repro.walks.ppr import PPRConfig, run_ppr
@@ -48,39 +48,28 @@ class ApplicationSpec:
         *,
         walk_length: int,
         starts: Sequence[int] | None = None,
-        rng: RandomSource = None,
-        frontier: bool = False,
+        rng: AnyRngSource = None,
     ) -> WalkResult:
         """Execute the application on ``engine`` with a scaled walk length."""
-        return self.runner(
-            engine,
-            walk_length=walk_length,
-            starts=starts,
-            rng=rng,
-            frontier=frontier,
-        )
+        return self.runner(engine, walk_length=walk_length, starts=starts, rng=rng)
 
 
-def _run_deepwalk(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
+def _run_deepwalk(engine, *, walk_length, starts, rng) -> WalkResult:
     return run_deepwalk(
-        engine,
-        DeepWalkConfig(walk_length=walk_length),
-        starts=starts,
-        frontier=frontier,
-        rng=rng if frontier else None,
+        engine, DeepWalkConfig(walk_length=walk_length), starts=starts, rng=rng
     )
 
 
-def _run_node2vec(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
+def _run_node2vec(engine, *, walk_length, starts, rng) -> WalkResult:
     config = Node2VecConfig(
         walk_length=walk_length, **application_params("node2vec", walk_length)
     )
-    return run_node2vec(engine, config, starts=starts, rng=rng, frontier=frontier)
+    return run_node2vec(engine, config, starts=starts, rng=rng)
 
 
-def _run_ppr(engine, *, walk_length, starts, rng, frontier=False) -> WalkResult:
+def _run_ppr(engine, *, walk_length, starts, rng) -> WalkResult:
     config = PPRConfig(**application_params("ppr", walk_length))
-    return run_ppr(engine, config, starts=starts, rng=rng, frontier=frontier)
+    return run_ppr(engine, config, starts=starts, rng=rng)
 
 
 #: Applications evaluated in Table 3, keyed by the names used in the paper.
@@ -131,20 +120,11 @@ def run_application(
     *,
     walk_length: int = 80,
     starts: Sequence[int] | None = None,
-    rng: RandomSource = None,
-    frontier: bool = False,
+    rng: AnyRngSource = None,
 ) -> WalkResult:
-    """Run one named application on an engine.
-
-    ``frontier=True`` executes the walks through the batched walk-frontier
-    engine instead of the scalar per-walker loop.
-    """
+    """Run one named application on an engine through the walk frontier."""
     return _application_spec(name).run(
-        engine,
-        walk_length=walk_length,
-        starts=starts,
-        rng=rng,
-        frontier=frontier,
+        engine, walk_length=walk_length, starts=starts, rng=rng
     )
 
 

@@ -46,11 +46,9 @@ EXPERIMENT_RUNNERS: dict[str, Callable[..., Any]] = {
     "fig13": experiments.fig13_breakdown,
     "fig14": experiments.fig14_float_bias,
     "fig15a": experiments.fig15_batch_size_sweep,
-    "fig15a-frontier": experiments.fig15_frontier_sweep,
     "fig15b": experiments.fig15_walk_length_sweep,
     "fig15c": experiments.fig15_bias_distribution,
     "fig16": experiments.fig16_piecewise,
-    "frontier": experiments.frontier_throughput,
     "ingest": experiments.ingest_throughput,
     "scale": experiments.scale_workers,
 }
@@ -207,15 +205,10 @@ def _build_parser() -> argparse.ArgumentParser:
     compare_parser.add_argument("--num-walkers", type=int, default=32)
     compare_parser.add_argument("--seed", type=int, default=2025)
     compare_parser.add_argument(
-        "--frontier",
-        action="store_true",
-        help="run the walks through the batched walk-frontier engine",
-    )
-    compare_parser.add_argument(
         "--workers",
         type=int,
         default=1,
-        help="shard-parallel walk workers (> 1 requires --frontier)",
+        help="shard-parallel walk workers",
     )
 
     return parser
@@ -350,17 +343,11 @@ def _run_serve(args: argparse.Namespace) -> int:
 def _run_compare(args: argparse.Namespace) -> int:
     if args.workers < 1:
         return _fail("--workers must be at least 1")
-    if args.workers > 1 and not args.frontier:
-        return _fail(
-            "--workers > 1 runs the walks shard-parallel, which is a frontier "
-            "execution mode; pass --frontier as well"
-        )
     settings = EvaluationSettings(
         batch_size=args.batch_size,
         num_batches=args.num_batches,
         walk_length=args.walk_length,
         num_walkers=args.num_walkers,
-        frontier_walks=args.frontier,
         workers=args.workers,
     )
     results = compare_engines(

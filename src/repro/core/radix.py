@@ -120,6 +120,17 @@ def _unscalable(bias: float, lam: float) -> InvalidBiasError:
     )
 
 
+def vanishing_bias(bias: float, lam: float) -> InvalidBiasError:
+    """The error for a bias whose λ-scaled split is zero in both parts.
+
+    Such a bias would enter the graph with no weight in any radix or
+    decimal group; an engine refuses it before the edge changes.
+    """
+    return InvalidBiasError(
+        bias, f"bias scaled by lam={lam:g} vanishes (integer and fraction both 0)"
+    )
+
+
 def split_scaled_arrays(biases, lam: float):
     """Vectorized :func:`split_scaled_bias` returning NumPy columns.
 

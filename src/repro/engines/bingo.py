@@ -25,8 +25,9 @@ from repro.core.adaptive import ConversionTracker, GroupClassifier
 from repro.core.memory_model import MemoryReport
 from repro.core.radix import (
     choose_amortization_factor,
+    split_scaled_arrays,
     split_scaled_bias,
-    split_scaled_biases,
+    vanishing_bias,
 )
 from repro.core.vertex_sampler import (
     DECIMAL_GROUP_KEY,
@@ -235,9 +236,11 @@ class BingoEngine(FusedFrontierEngine):
     # streaming updates: O(K) per event plus one inter-group rebuild
     # ------------------------------------------------------------------ #
     def apply_streaming_update(self, update: GraphUpdate) -> None:
-        """Refuse a bias λ cannot scale before the graph takes the edge."""
+        """Refuse a bias λ cannot scale, or that vanishes under λ, before
+        the graph takes the edge."""
         if update.kind is UpdateKind.INSERT:
-            split_scaled_bias(update.bias, self.lam)
+            if split_scaled_bias(update.bias, self.lam) == (0, 0.0):
+                raise vanishing_bias(update.bias, self.lam)
         super().apply_streaming_update(update)
 
     def _on_insert(self, src: int, dst: int, bias: float) -> None:
@@ -280,8 +283,9 @@ class BingoEngine(FusedFrontierEngine):
         per-edge oracle in ``tests/engines/scalar_batch_oracle.py`` —
         including seeded sampling draws.  Every net insertion's bias is
         split before the first edge changes, so a batch carrying a bias λ
-        cannot scale (:class:`~repro.errors.InvalidBiasError`) changes no
-        edge and no sampler.
+        cannot scale, or one that vanishes under λ
+        (:class:`~repro.errors.InvalidBiasError`), changes no edge and no
+        sampler.
 
         Phase timings are aggregated once per batch (one timer pair per
         phase) instead of per touched vertex, so the fig13 breakdown no
@@ -321,7 +325,11 @@ class BingoEngine(FusedFrontierEngine):
             merged = (
                 np.concatenate(bias_parts) if len(bias_parts) > 1 else bias_parts[0]
             )
-            integer_list, fraction_list = split_scaled_biases(merged, self.lam)
+            integer_parts, fractions = split_scaled_arrays(merged, self.lam)
+            vanished = (integer_parts == 0) & (fractions == 0.0)
+            if vanished.any():
+                raise vanishing_bias(float(merged[vanished][0]), self.lam)
+            integer_list, fraction_list = integer_parts.tolist(), fractions.tolist()
         self.frontier_tables.mark_dirty(group.vertex for group in groups)
 
         delete_start = time.perf_counter()

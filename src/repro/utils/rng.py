@@ -151,8 +151,8 @@ def coerce_np_rng(source: RandomSource | NumpySource) -> np.random.Generator:
 
     Accepts everything :func:`ensure_np_rng` does, plus a
     :class:`random.Random`, from which a NumPy generator is derived
-    deterministically (so callers holding a Python generator — the harness,
-    the scalar walk paths — can seed the batched frontier reproducibly).
+    deterministically (so callers holding a Python generator, such as the
+    evaluation harness, can seed the batched frontier reproducibly).
     """
     if isinstance(source, random.Random):
         return np.random.default_rng(source.getrandbits(64))

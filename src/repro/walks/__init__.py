@@ -19,9 +19,9 @@ from repro.walks.frontier import (
     run_frontier_node2vec,
     run_frontier_ppr,
 )
-from repro.walks.deepwalk import DeepWalkConfig, deepwalk_walk, run_deepwalk
-from repro.walks.node2vec import Node2VecConfig, node2vec_walk, run_node2vec
-from repro.walks.ppr import PPRConfig, ppr_walk, run_ppr, ppr_scores
+from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
+from repro.walks.node2vec import Node2VecConfig, run_node2vec
+from repro.walks.ppr import PPRConfig, run_ppr, ppr_scores
 from repro.walks.simple import run_simple_sampling
 
 __all__ = [
@@ -35,13 +35,10 @@ __all__ = [
     "run_frontier_node2vec",
     "run_frontier_ppr",
     "DeepWalkConfig",
-    "deepwalk_walk",
     "run_deepwalk",
     "Node2VecConfig",
-    "node2vec_walk",
     "run_node2vec",
     "PPRConfig",
-    "ppr_walk",
     "run_ppr",
     "ppr_scores",
     "run_simple_sampling",

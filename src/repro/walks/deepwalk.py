@@ -29,51 +29,25 @@ class DeepWalkConfig:
         check_positive_int(self.walkers_per_vertex, "walkers_per_vertex")
 
 
-def deepwalk_walk(
-    engine: NeighborSampler,
-    start: int,
-    walk_length: int,
-) -> list[int]:
-    """One DeepWalk path of at most ``walk_length`` steps from ``start``.
-
-    The walk stops early if it reaches a vertex with no out-edges.
-    """
-    path = [start]
-    current = start
-    for _ in range(walk_length):
-        next_vertex = engine.sample_neighbor(current)
-        if next_vertex is None:
-            break
-        path.append(next_vertex)
-        current = next_vertex
-    return path
-
-
 def run_deepwalk(
     engine: NeighborSampler,
     config: DeepWalkConfig | None = None,
     *,
     starts: Sequence[int] | None = None,
-    frontier: bool = False,
     rng: AnyRngSource = None,
 ) -> WalkResult:
     """Run DeepWalk for every start vertex and return the collected paths.
 
     When ``starts`` is omitted the paper's default placement is used: one
-    walker per vertex of the current snapshot.  With ``frontier=True`` all
-    walkers advance together through the batched walk-frontier engine;
-    ``rng`` (an int seed, NumPy generator, or Python generator) seeds its
-    stream deterministically.  The scalar loop is the default.
+    walker per vertex of the current snapshot.  All walkers advance
+    together through the batched walk frontier; ``rng`` (an int seed,
+    NumPy generator, or Python generator) seeds its stream
+    deterministically.  A walk stops early at a vertex with no out-edges.
     """
     if config is None:
         config = DeepWalkConfig()
     if starts is None:
         starts = default_start_vertices(engine.num_vertices(), config.walkers_per_vertex)
-    if frontier:
-        return run_frontier_deepwalk(
-            engine, starts, config.walk_length, rng=rng
-        ).to_walk_result()
-    result = WalkResult()
-    for start in starts:
-        result.add(deepwalk_walk(engine, start, config.walk_length))
-    return result
+    return run_frontier_deepwalk(
+        engine, starts, config.walk_length, rng=rng
+    ).to_walk_result()

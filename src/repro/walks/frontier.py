@@ -15,9 +15,10 @@ the Python step loop altogether when the compiled kernel loads:
 :meth:`~repro.engines.base.RandomWalkEngine.compiled_walk` runs the whole
 walk in one foreign call, with the same generator calls in the same order.
 
-The result is a dense walk matrix (walkers × steps, ``-1`` padded) that
-converts back to the scalar :class:`~repro.walks.walker.WalkResult` when the
-application wants paths.
+This is the only walk driver: ``run_deepwalk``, ``run_ppr`` and
+``run_node2vec`` run on it.  The result is a dense walk matrix
+(walkers × steps, ``-1`` padded) that converts to a
+:class:`~repro.walks.walker.WalkResult` when the application wants paths.
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ class BatchedWalks:
         ]
 
     def to_walk_result(self) -> WalkResult:
-        """Convert to the scalar-path result type used by the applications."""
+        """Convert to the path-list result type the applications return."""
         result = WalkResult()
         for path in self.paths():
             result.add(path)
@@ -103,7 +104,8 @@ class WalkFrontier:
             raise ValueError("walk_length must be positive")
         self.engine = engine
         # Accepts ints, NumPy generators, and (deterministically derived)
-        # Python generators, so scalar-path callers can seed the frontier.
+        # Python generators, so a harness holding a random.Random can seed
+        # the frontier reproducibly.
         self.rng = coerce_np_rng(rng)
         self.walk_length = int(walk_length)
         if not isinstance(starts, np.ndarray):

@@ -11,8 +11,9 @@ Bingo adopts KnightKing's strategy for second-order applications (Section
 7.3): draw ``v`` from the *static* biased distribution (which Bingo samples in
 O(1)) and accept it with probability ``f(w, v) / max_f``, retrying on
 rejection.  That keeps the dynamic part structure-free while producing the
-exact second-order distribution, and it is what this module implements — so
-every engine that can do first-order sampling can run node2vec.
+exact second-order distribution, and it is what :func:`run_node2vec` runs,
+batched over the walk frontier — so every engine that can do first-order
+sampling can run node2vec.
 """
 
 from __future__ import annotations
@@ -20,14 +21,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.errors import SamplerStateError
-from repro.utils.rng import NumpySource, RandomSource, ensure_rng
+from repro.utils.rng import AnyRngSource
 from repro.utils.validation import check_positive_int
 from repro.walks.frontier import run_frontier_node2vec
 from repro.walks.walker import NeighborSampler, WalkResult, default_start_vertices
-
-#: Safety valve for the acceptance loop (the expected trial count is tiny).
-_MAX_REJECTION_TRIALS = 10_000
 
 
 @dataclass(frozen=True)
@@ -59,85 +56,33 @@ class Node2VecConfig:
         return 1.0 / self.q
 
 
-def _second_order_step(
-    engine: NeighborSampler,
-    config: Node2VecConfig,
-    current: int,
-    previous: int | None,
-    rng,
-) -> int | None:
-    """One node2vec transition using static-sample + rejection."""
-    if previous is None:
-        return engine.sample_neighbor(current)
-    envelope = config.max_factor
-    for _ in range(_MAX_REJECTION_TRIALS):
-        candidate = engine.sample_neighbor(current)
-        if candidate is None:
-            return None
-        acceptance = config.factor(engine, previous, candidate) / envelope
-        if rng.random() < acceptance:
-            return candidate
-    raise SamplerStateError(
-        "node2vec rejection loop failed to accept a candidate; check p/q values"
-    )
-
-
-def node2vec_walk(
-    engine: NeighborSampler,
-    start: int,
-    config: Node2VecConfig,
-    *,
-    rng: RandomSource = None,
-) -> list[int]:
-    """One node2vec path of at most ``config.walk_length`` steps from ``start``."""
-    generator = ensure_rng(rng)
-    path = [start]
-    previous: int | None = None
-    current = start
-    for _ in range(config.walk_length):
-        next_vertex = _second_order_step(engine, config, current, previous, generator)
-        if next_vertex is None:
-            break
-        path.append(next_vertex)
-        previous = current
-        current = next_vertex
-    return path
-
-
 def run_node2vec(
     engine: NeighborSampler,
     config: Node2VecConfig | None = None,
     *,
     starts: Sequence[int] | None = None,
-    rng: RandomSource = None,
-    frontier: bool = False,
-    frontier_rng: NumpySource = None,
+    rng: AnyRngSource = None,
 ) -> WalkResult:
     """Run node2vec from every start vertex and return the collected paths.
 
-    With ``frontier=True`` every walker advances together through the
-    batched walk-frontier engine, drawing from ``frontier_rng`` when given
-    and otherwise from a stream derived deterministically from ``rng`` — so
-    the same seed reproduces the same walks on either path's rng argument.
+    Every walker advances together through the batched walk frontier: the
+    first step is a plain first-order draw, later steps draw from the
+    static distribution and accept with probability ``f(w, v) / max_f``.
+    ``rng`` (an int seed, NumPy generator, or Python generator) seeds its
+    stream deterministically.
     """
     if config is None:
         config = Node2VecConfig()
     if starts is None:
         starts = default_start_vertices(engine.num_vertices(), config.walkers_per_vertex)
-    if frontier:
-        return run_frontier_node2vec(
-            engine,
-            starts,
-            config.walk_length,
-            p=config.p,
-            q=config.q,
-            rng=frontier_rng if frontier_rng is not None else rng,
-        ).to_walk_result()
-    generator = ensure_rng(rng)
-    result = WalkResult()
-    for start in starts:
-        result.add(node2vec_walk(engine, start, config, rng=generator))
-    return result
+    return run_frontier_node2vec(
+        engine,
+        starts,
+        config.walk_length,
+        p=config.p,
+        q=config.q,
+        rng=rng,
+    ).to_walk_result()
 
 
 def exact_second_order_distribution(

@@ -10,15 +10,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from collections.abc import Sequence
 
-from repro.utils.rng import NumpySource, RandomSource, ensure_rng
+from repro.utils.rng import AnyRngSource
 from repro.utils.validation import check_positive_int, check_probability
 from repro.walks.frontier import run_frontier_ppr
-from repro.walks.walker import (
-    NeighborSampler,
-    VisitCounter,
-    WalkResult,
-    default_start_vertices,
-)
+from repro.walks.walker import NeighborSampler, WalkResult, default_start_vertices
 
 
 @dataclass(frozen=True)
@@ -42,62 +37,32 @@ class PPRConfig:
         return 1.0 / self.termination_probability
 
 
-def ppr_walk(
-    engine: NeighborSampler,
-    start: int,
-    config: PPRConfig,
-    *,
-    rng: RandomSource = None,
-) -> list[int]:
-    """One terminating random walk from ``start``."""
-    generator = ensure_rng(rng)
-    path = [start]
-    current = start
-    for _ in range(config.max_steps):
-        if generator.random() < config.termination_probability:
-            break
-        next_vertex = engine.sample_neighbor(current)
-        if next_vertex is None:
-            break
-        path.append(next_vertex)
-        current = next_vertex
-    return path
-
-
 def run_ppr(
     engine: NeighborSampler,
     config: PPRConfig | None = None,
     *,
     starts: Sequence[int] | None = None,
-    rng: RandomSource = None,
-    frontier: bool = False,
-    frontier_rng: NumpySource = None,
+    rng: AnyRngSource = None,
 ) -> WalkResult:
     """Run PPR walks from every start vertex and return the collected paths.
 
-    With ``frontier=True`` the termination coins and neighbour draws are
-    vectorized over the whole frontier, drawing from ``frontier_rng`` when
-    given and otherwise from a stream derived deterministically from
-    ``rng`` — so the same seed reproduces the same walks on either path's
-    rng argument.
+    Before every step each alive walker flips the termination coin, and
+    the survivors advance together through the batched walk frontier;
+    ``rng`` (an int seed, NumPy generator, or Python generator) seeds its
+    stream deterministically.  A walk also ends at a vertex with no
+    out-edges or after ``config.max_steps`` steps.
     """
     if config is None:
         config = PPRConfig()
     if starts is None:
         starts = default_start_vertices(engine.num_vertices(), config.walkers_per_vertex)
-    if frontier:
-        return run_frontier_ppr(
-            engine,
-            starts,
-            termination_probability=config.termination_probability,
-            max_steps=config.max_steps,
-            rng=frontier_rng if frontier_rng is not None else rng,
-        ).to_walk_result()
-    generator = ensure_rng(rng)
-    result = WalkResult()
-    for start in starts:
-        result.add(ppr_walk(engine, start, config, rng=generator))
-    return result
+    return run_frontier_ppr(
+        engine,
+        starts,
+        termination_probability=config.termination_probability,
+        max_steps=config.max_steps,
+        rng=rng,
+    ).to_walk_result()
 
 
 def ppr_scores(
@@ -106,18 +71,15 @@ def ppr_scores(
     *,
     num_walks: int = 1000,
     config: PPRConfig | None = None,
-    rng: RandomSource = None,
+    rng: AnyRngSource = None,
 ) -> dict[int, float]:
     """Monte Carlo PPR scores for a single source vertex.
 
-    Launches ``num_walks`` terminating walks from ``source`` and returns the
-    normalized visit frequencies, the estimator the paper's motivating
-    applications (recommendation, fraud detection) consume.
+    Launches ``num_walks`` terminating walks from ``source`` as one
+    frontier run and returns the normalized visit frequencies, the
+    estimator the paper's motivating applications (recommendation, fraud
+    detection) consume.
     """
-    if config is None:
-        config = PPRConfig()
-    generator = ensure_rng(rng)
-    counter = VisitCounter()
-    for _ in range(num_walks):
-        counter.add_path(ppr_walk(engine, source, config, rng=generator))
+    result = run_ppr(engine, config, starts=[source] * num_walks, rng=rng)
+    counter = result.visit_counter()
     return {vertex: counter.frequency(vertex) for vertex in counter.counts}

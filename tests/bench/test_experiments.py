@@ -295,7 +295,6 @@ class TestHarnessWorkers:
             num_batches=2,
             walk_length=4,
             num_walkers=16,
-            frontier_walks=True,
             workers=2,
         )
         result = run_evaluation("bingo", "AM", "deepwalk", settings=settings, rng=3)
@@ -306,12 +305,5 @@ class TestHarnessWorkers:
         from repro.bench.harness import run_evaluation
 
         settings = EvaluationSettings(workers=0)
-        with pytest.raises(ValueError):
-            run_evaluation("bingo", "AM", "deepwalk", settings=settings, rng=3)
-
-    def test_run_evaluation_rejects_workers_without_frontier(self):
-        from repro.bench.harness import run_evaluation
-
-        settings = EvaluationSettings(workers=2, frontier_walks=False)
         with pytest.raises(ValueError):
             run_evaluation("bingo", "AM", "deepwalk", settings=settings, rng=3)

@@ -344,6 +344,38 @@ class TestUnscalableBias:
         assert self._edges(engine) == before
         engine.check_consistency()
 
+    @staticmethod
+    def _two_vertex_engine():
+        graph = DynamicGraph(2)
+        graph.add_edge(0, 1, 1.0)
+        graph.add_edge(1, 0, 2.0)
+        engine = BingoEngine(rng=5)
+        engine.build(graph)
+        assert engine.lam == 1.0
+        return engine
+
+    @pytest.mark.parametrize("path", ["apply_streaming", "apply_batch"])
+    def test_vanishing_bias_is_refused_before_the_graph_changes(self, path):
+        # 1e-12 * λ snaps to (0, 0.0): no radix group and no decimal group
+        # would hold the edge.
+        engine = self._two_vertex_engine()
+        before = self._edges(engine)
+        with pytest.raises(InvalidBiasError, match="vanishes"):
+            getattr(engine, path)([_insert(0, 0, 1e-12)])
+        assert self._edges(engine) == before
+        engine.check_consistency()
+        engine.apply_batch([_insert(0, 0, 3.0, ts=1)])
+        assert engine.sampler_for(0).bias_of(0) == 3.0
+        engine.check_consistency()
+
+    def test_vanishing_bias_anywhere_in_a_batch_changes_nothing(self):
+        engine = self._two_vertex_engine()
+        before = self._edges(engine)
+        with pytest.raises(InvalidBiasError):
+            engine.apply_batch([_insert(1, 1, 4.0), _insert(0, 0, 1e-12, ts=1)])
+        assert self._edges(engine) == before
+        engine.check_consistency()
+
     def test_fractional_graph_with_one_large_bias_builds(self):
         graph = DynamicGraph(6)
         for dst, bias in enumerate([0.25, 0.5, 0.125, 0.3, 1e13], start=1):

@@ -58,10 +58,10 @@ def _assert_same_graph(legacy, columnar):
 def _assert_same_walks(legacy, columnar, *, rng=123):
     starts = [v for v in range(min(40, legacy.graph.num_vertices))]
     frontier_a = run_deepwalk(
-        legacy, DeepWalkConfig(walk_length=8), starts=starts, frontier=True, rng=rng
+        legacy, DeepWalkConfig(walk_length=8), starts=starts, rng=rng
     )
     frontier_b = run_deepwalk(
-        columnar, DeepWalkConfig(walk_length=8), starts=starts, frontier=True, rng=rng
+        columnar, DeepWalkConfig(walk_length=8), starts=starts, rng=rng
     )
     assert frontier_a.paths == frontier_b.paths
     scalar_a = [legacy.sample_neighbor(v) for v in starts for _ in range(4)]

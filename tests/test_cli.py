@@ -44,7 +44,7 @@ class TestRun:
     def test_workers_flag_rejected_outside_scale(self, capsys):
         assert main(["run", "ingest", "--workers", "2"]) == 2
         assert "--workers" in capsys.readouterr().err
-        assert main(["run", "frontier", "--workers", "1"]) == 2
+        assert main(["run", "fig9", "--workers", "1"]) == 2
         assert "only applies to `run scale`" in capsys.readouterr().err
 
     def test_scale_rejects_nonpositive_workers(self, capsys):
@@ -81,10 +81,15 @@ class TestRun:
             assert f"{flag} only applies to `run scale`" in capsys.readouterr().err
 
     @pytest.mark.parametrize(
-        "name", ["streaming", "serve", "flip", "chaos", "http", "shard"]
+        "name",
+        [
+            "streaming", "serve", "flip", "chaos", "http", "shard",
+            "frontier", "fig15a-frontier",
+        ],
     )
     def test_retired_serve_experiments_are_unknown(self, capsys, name):
-        # The serve layer is benchmarked by perfbench over /v1 only.
+        # The serve layer is benchmarked by perfbench over /v1 only, and
+        # the scalar-vs-frontier walk sweeps went with the scalar driver.
         assert name not in EXPERIMENT_RUNNERS
         assert main(["run", name]) == 2
         assert "unknown experiment" in capsys.readouterr().err
@@ -94,16 +99,18 @@ class TestRun:
         [
             "--queries-per-round", "--shards", "--engines", "--scales",
             "--flood-queries", "--light-queries", "--low-clients",
-            "--high-clients", "--queries-per-phase",
+            "--high-clients", "--queries-per-phase", "--frontier",
         ],
     )
     def test_retired_serve_flags_are_unrecognised(self, capsys, flag):
-        # Only the retired serve experiments read these; argparse now
-        # refuses them for every remaining experiment.
-        with pytest.raises(SystemExit) as excinfo:
-            main(["run", "frontier", flag, "2"])
-        assert excinfo.value.code == 2
-        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+        # Only the retired serve experiments (and, for --frontier, the
+        # retired scalar walk driver) read these; argparse now refuses
+        # them for every remaining experiment and for compare.
+        for command in (["run", "fig9"], ["compare"]):
+            with pytest.raises(SystemExit) as excinfo:
+                main([*command, flag, "2"])
+            assert excinfo.value.code == 2
+            assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
     def test_run_flags_are_the_paper_experiment_knobs(self):
         subparsers = next(
@@ -159,10 +166,6 @@ class TestCompare:
         assert main(["compare", "--workers", "0"]) == 2
         assert "--workers" in capsys.readouterr().err
 
-    def test_compare_rejects_workers_without_frontier(self, capsys):
-        assert main(["compare", "--workers", "2"]) == 2
-        assert "--frontier" in capsys.readouterr().err
-
     def test_compare_shard_parallel(self, capsys):
         code = main(
             [
@@ -173,7 +176,6 @@ class TestCompare:
                 "--num-batches", "1",
                 "--walk-length", "3",
                 "--num-walkers", "8",
-                "--frontier",
                 "--workers", "2",
             ]
         )

@@ -4,7 +4,7 @@ import pytest
 
 from repro.engines.bingo import BingoEngine
 from repro.graph.generators import path_graph
-from repro.walks.deepwalk import DeepWalkConfig, deepwalk_walk, run_deepwalk
+from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
 from repro.walks.walker import default_start_vertices
 
 
@@ -27,22 +27,27 @@ class TestConfig:
 
 
 class TestSingleWalk:
+    """Each case walks one start vertex with many walkers."""
+
     def test_walk_length_respected(self, engine):
-        path = deepwalk_walk(engine, 0, walk_length=15)
-        assert path[0] == 0
-        assert len(path) <= 16
+        result = run_deepwalk(engine, DeepWalkConfig(walk_length=15), starts=[0] * 200, rng=1)
+        assert result.num_walks == 200
+        for path in result.paths:
+            assert path[0] == 0
+            assert len(path) <= 16
 
     def test_walk_follows_existing_edges(self, engine, example_graph):
-        path = deepwalk_walk(engine, 2, walk_length=30)
-        for src, dst in zip(path, path[1:]):
-            assert example_graph.has_edge(src, dst)
+        result = run_deepwalk(engine, DeepWalkConfig(walk_length=30), starts=[2] * 200, rng=2)
+        for path in result.paths:
+            for src, dst in zip(path, path[1:]):
+                assert example_graph.has_edge(src, dst)
 
     def test_walk_stops_at_sink(self):
         graph = path_graph(4)
         engine = BingoEngine(rng=1)
         engine.build(graph)
-        path = deepwalk_walk(engine, 0, walk_length=50)
-        assert path == [0, 1, 2, 3]
+        result = run_deepwalk(engine, DeepWalkConfig(walk_length=50), starts=[0] * 50, rng=3)
+        assert result.paths == [[0, 1, 2, 3]] * 50
 
 
 class TestRunDeepWalk:
@@ -68,6 +73,7 @@ class TestRunDeepWalk:
         """From vertex 2, neighbour 1 (bias 5) should be visited most often."""
         engine = BingoEngine(rng=29)
         engine.build(example_graph)
-        first_steps = [deepwalk_walk(engine, 2, 1)[1] for _ in range(6000)]
+        result = run_deepwalk(engine, DeepWalkConfig(walk_length=1), starts=[2] * 6000, rng=4)
+        first_steps = [path[1] for path in result.paths]
         counts = {v: first_steps.count(v) for v in (1, 4, 5)}
         assert counts[1] > counts[4] > counts[5]

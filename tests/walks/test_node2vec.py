@@ -1,15 +1,13 @@
 """Tests for node2vec second-order walks."""
 
-import random
-
 import pytest
 
+from repro.engines import compiled
 from repro.engines.bingo import BingoEngine
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.walks.node2vec import (
     Node2VecConfig,
     exact_second_order_distribution,
-    node2vec_walk,
     run_node2vec,
 )
 from tests.conftest import total_variation
@@ -53,10 +51,13 @@ class TestSecondOrderFactor:
 
 class TestWalks:
     def test_walk_structure(self, engine, example_graph):
-        path = node2vec_walk(engine, 2, Node2VecConfig(walk_length=25), rng=1)
-        assert path[0] == 2
-        for src, dst in zip(path, path[1:]):
-            assert example_graph.has_edge(src, dst)
+        result = run_node2vec(
+            engine, Node2VecConfig(walk_length=25), starts=[2] * 100, rng=1
+        )
+        for path in result.paths:
+            assert path[0] == 2
+            for src, dst in zip(path, path[1:]):
+                assert example_graph.has_edge(src, dst)
 
     def test_run_one_walker_per_vertex(self, engine, example_graph):
         result = run_node2vec(engine, Node2VecConfig(walk_length=5), rng=2)
@@ -72,19 +73,25 @@ class TestWalks:
         backtracks = {"low_p": 0, "high_p": 0}
         for label, p in (("low_p", 0.05), ("high_p", 20.0)):
             config = Node2VecConfig(p=p, q=1.0, walk_length=20)
-            rng = random.Random(11)
-            for _ in range(150):
-                path = node2vec_walk(engine, 0, config, rng=rng)
+            result = run_node2vec(engine, config, starts=[0] * 150, rng=11)
+            for path in result.paths:
                 backtracks[label] += sum(
                     1 for i in range(2, len(path)) if path[i] == path[i - 2]
                 )
         assert backtracks["low_p"] > backtracks["high_p"]
 
-    def test_rejection_reproduces_exact_second_order_distribution(self, example_graph):
+    @pytest.mark.parametrize("driver", ["compiled", "numpy"])
+    def test_rejection_reproduces_exact_second_order_distribution(
+        self, example_graph, driver, monkeypatch
+    ):
         """The static-sample + rejection step must match P(v) ∝ bias * f(w, v)."""
+        if driver == "numpy":
+            monkeypatch.setattr(compiled, "load", lambda: None)
+        elif compiled.load() is None:
+            pytest.skip("no C compiler: the NumPy driver runs")
         engine = BingoEngine(rng=13)
         engine.build(example_graph)
-        config = Node2VecConfig(p=0.5, q=2.0, walk_length=1)
+        config = Node2VecConfig(p=0.5, q=2.0, walk_length=2)
         previous = 1  # walker moved 1 -> 2; now at 2 choosing among {1, 4, 5}
         neighbors = [1, 4, 5]
         biases = [5.0, 4.0, 3.0]
@@ -93,14 +100,12 @@ class TestWalks:
         )
         expected = dict(zip(neighbors, expected_list))
 
-        from repro.walks.node2vec import _second_order_step
-
-        rng = random.Random(3)
-        counts = {v: 0 for v in neighbors}
-        draws = 20_000
-        for _ in range(draws):
-            counts[_second_order_step(engine, config, 2, previous, rng)] += 1
-        empirical = {v: c / draws for v, c in counts.items()}
+        result = run_node2vec(engine, config, starts=[previous] * 20_000, rng=3)
+        second_steps = [path[2] for path in result.paths if path[1] == 2]
+        assert len(second_steps) > 10_000
+        counts = {v: second_steps.count(v) for v in neighbors}
+        assert sum(counts.values()) == len(second_steps)
+        empirical = {v: c / len(second_steps) for v, c in counts.items()}
         assert total_variation(empirical, expected) < 0.02
 
     def test_exact_distribution_normalizes(self, engine):

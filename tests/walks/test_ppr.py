@@ -3,7 +3,7 @@
 import pytest
 
 from repro.engines.bingo import BingoEngine
-from repro.walks.ppr import PPRConfig, ppr_scores, ppr_walk, run_ppr
+from repro.walks.ppr import PPRConfig, ppr_scores, run_ppr
 
 
 @pytest.fixture
@@ -30,20 +30,19 @@ class TestConfig:
 
 class TestWalks:
     def test_walk_starts_at_source(self, engine):
-        path = ppr_walk(engine, 2, PPRConfig(), rng=1)
-        assert path[0] == 2
+        result = run_ppr(engine, PPRConfig(), starts=[2] * 100, rng=1)
+        assert all(path[0] == 2 for path in result.paths)
 
     def test_walk_respects_max_steps(self, engine):
         config = PPRConfig(termination_probability=0.001, max_steps=10)
-        path = ppr_walk(engine, 0, config, rng=2)
-        assert len(path) <= 11
+        result = run_ppr(engine, config, starts=[0] * 100, rng=2)
+        assert all(len(path) <= 11 for path in result.paths)
 
     def test_expected_length_roughly_matches_termination(self, engine):
         config = PPRConfig(termination_probability=0.2, max_steps=1000)
-        lengths = [len(ppr_walk(engine, 0, config, rng=seed)) for seed in range(400)]
-        average = sum(lengths) / len(lengths)
+        result = run_ppr(engine, config, starts=[0] * 400, rng=3)
         # Expected number of steps is 1/0.2 = 5, so about 6 vertices per path.
-        assert 4.0 < average < 8.0
+        assert 4.0 < result.average_length() < 8.0
 
     def test_run_ppr_one_walker_per_vertex(self, engine, example_graph):
         result = run_ppr(engine, PPRConfig(termination_probability=0.25), rng=3)
