@@ -23,7 +23,13 @@ import numpy as np
 
 from repro.core.memory_model import MemoryReport
 from repro.engines import compiled
-from repro.engines.sliced_tables import FrontierDelta, FusedTables, SliceParts, SliceRows
+from repro.engines.sliced_tables import (
+    FrontierDelta,
+    FusedTables,
+    SliceParts,
+    SliceRows,
+    stack_slices,
+)
 from repro.errors import SamplerStateError, UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_batch import UpdateBatch
@@ -41,6 +47,13 @@ PHASE_INSERT = "insert"
 PHASE_DELETE = "delete"
 PHASE_REBUILD = "rebuild"
 PHASE_SAMPLING = "sampling"
+
+
+def adjacency_rows(lengths: np.ndarray, targets: np.ndarray) -> SliceRows:
+    """Graph rows given back to back, each sorted: one sort of row-major keys."""
+    stride = int(targets.max()) + 1 if len(targets) else 1
+    shift = np.repeat(np.arange(len(lengths), dtype=np.int64) * stride, lengths)
+    return lengths, {"neighbors": np.sort(shift + targets) - shift}
 
 
 def live_frontier(
@@ -459,7 +472,9 @@ class FusedFrontierEngine(RandomWalkEngine):
     """An engine whose fused frontier kernel reads sliced per-vertex tables.
 
     A subclass declares :attr:`frontier_schemas` and implements
-    :meth:`_frontier_parts`; :attr:`frontier_tables` (a
+    :meth:`_frontier_parts` (one vertex's slices), or overrides
+    :meth:`_frontier_rows` to derive many vertices' slices of every store
+    at once, as Bingo does; :attr:`frontier_tables` (a
     :class:`~repro.engines.sliced_tables.FusedTables`) owns the rest of
     the table lifecycle.  Updates mark their touched vertices with
     ``frontier_tables.mark_dirty``, and kernels read
@@ -469,8 +484,8 @@ class FusedFrontierEngine(RandomWalkEngine):
     Beside the subclass's stores the tables hold one more, declared here:
     :data:`ADJACENCY_SCHEMA`, each vertex's out-neighbour ids sorted
     ascending, which the compiled node2vec walk binary-searches for the
-    distance-1 test.  It is derived from the graph for all repaired
-    vertices at once (:meth:`_adjacency_rows`) and rides the same cold
+    distance-1 test.  It is derived from the graph rows of all repaired
+    vertices at once (:func:`adjacency_rows`) and rides the same cold
     build, dirty repair, compaction and state/patch codec as the draw
     tables.
 
@@ -496,9 +511,8 @@ class FusedFrontierEngine(RandomWalkEngine):
         self._samplers: dict = {}
         self.frontier_tables = FusedTables(
             {**self.frontier_schemas, **ADJACENCY_SCHEMA},
-            self._frontier_parts,
+            self._frontier_rows,
             self.num_vertices,
-            rows={"adjacency": self._adjacency_rows},
         )
         #: ``(views, packed draw tables, packed adjacency)``: views are
         #: rebuilt after every repair, so packing once per views dict keeps
@@ -511,7 +525,7 @@ class FusedFrontierEngine(RandomWalkEngine):
             for vertex, sampler in self._samplers.items()
         }
         twin.frontier_tables = self.frontier_tables.clone(
-            twin._frontier_parts, twin.num_vertices, rows={"adjacency": twin._adjacency_rows}
+            twin._frontier_rows, twin.num_vertices
         )
         twin._packed = None
 
@@ -519,22 +533,26 @@ class FusedFrontierEngine(RandomWalkEngine):
         """``sampler``'s copy for ``twin``."""
         return sampler.clone()
 
-    @abc.abstractmethod
+    def _frontier_rows(self, vertices: np.ndarray) -> dict[str, SliceRows]:
+        """``vertices``' slices of every store, back to back.
+
+        Each :attr:`frontier_schemas` store comes from
+        :meth:`_frontier_parts`, one vertex at a time; the adjacency store
+        from one gather of the graph rows.
+        """
+        parts = [self._frontier_parts(vertex) for vertex in vertices.tolist()]
+        rows = {
+            name: stack_slices(schema, [None if p is None else p[name] for p in parts])
+            for name, schema in self.frontier_schemas.items()
+        }
+        lengths, targets, _ = self._require_graph().gather_rows(vertices)
+        rows["adjacency"] = adjacency_rows(lengths, targets)
+        return rows
+
     def _frontier_parts(self, vertex: int) -> SliceParts | None:
         """``vertex``'s slice of each :attr:`frontier_schemas` store (``None``
-        without out-edges)."""
-
-    def _adjacency_rows(self, vertices: np.ndarray) -> SliceRows:
-        """``vertices``' adjacency slices: each graph row, sorted, back to back.
-
-        One ``lexsort`` sorts every row at once.
-        """
-        graph = self._require_graph()
-        rows = [graph.neighbor_array(vertex) for vertex in vertices.tolist()]
-        lengths = np.fromiter(map(len, rows), dtype=np.int64, count=len(rows))
-        neighbors = np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)
-        owners = np.repeat(np.arange(len(rows)), lengths)
-        return lengths, {"neighbors": neighbors[np.lexsort((neighbors, owners))]}
+        without out-edges); unused when :meth:`_frontier_rows` is overridden."""
+        raise NotImplementedError(f"{self.name} derives its slices in _frontier_rows")
 
     def check_adjacency_store(self) -> None:
         """Verify every adjacency slice is the vertex's sorted graph row.

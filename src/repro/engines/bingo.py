@@ -9,7 +9,9 @@ Each batch's device-model parallel steps, ``ceil(touched vertices /
 DEVICE_LANES)``, are counted in ``batch_stats``, so throughput experiments
 can report them alongside wall-clock time.  A cold build runs in
 whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`) and
-leaves the state the per-vertex path would.
+leaves the state the per-vertex path would.  The fused frontier slices of
+any vertex set — cold, after a batch, in a clone — come from the same
+passes over those vertices' graph rows.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from repro.core.radix import (
     vanishing_bias,
 )
 from repro.core.vertex_sampler import (
-    DECIMAL_GROUP_KEY,
     BingoVertexSampler,
     RadixLayout,
     rebuild_samplers_batch,
@@ -41,10 +42,11 @@ from repro.engines.base import (
     PHASE_INSERT,
     PHASE_REBUILD,
     FusedFrontierEngine,
+    adjacency_rows,
     live_frontier,
     scatter_live,
 )
-from repro.engines.sliced_tables import SliceParts, StagedRows
+from repro.engines.sliced_tables import SliceRows, StagedRows
 from repro.errors import UpdateError
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
@@ -180,12 +182,18 @@ class BingoEngine(FusedFrontierEngine):
             conversion_tracker=self.conversion_tracker,
         )
         self._samplers = dict(zip(vertex_list, samplers))
-        self.frontier_tables.stage(
-            {
-                **_cold_draw_rows(vertices, row_targets, layout),
-                "adjacency": _cold_adjacency_rows(indptr, targets),
-            }
+        # A shard's owned vertices may come in another order: stage them
+        # ascending.
+        order = np.argsort(vertices, kind="stable")
+        staged = {
+            name: _staged_rows(vertices, order, *rows)
+            for name, rows in _draw_rows(row_targets, layout).items()
+        }
+        sources = np.flatnonzero(degrees)
+        staged["adjacency"] = (
+            sources, degrees[sources], adjacency_rows(degrees, targets)[1]
         )
+        self.frontier_tables.stage(staged)
 
     def _new_sampler(self, vertex: int) -> BingoVertexSampler:
         return BingoVertexSampler(
@@ -411,35 +419,27 @@ class BingoEngine(FusedFrontierEngine):
     # ------------------------------------------------------------------ #
     # fused frontier kernel
     # ------------------------------------------------------------------ #
-    def _frontier_parts(self, vertex: int) -> SliceParts | None:
-        """One vertex's slices of both stores, every offset segment-local.
+    def _frontier_rows(self, vertices: np.ndarray) -> dict[str, SliceRows]:
+        """``vertices``' slices of every store, from one gather of their graph rows.
 
-        The inter slice is the vertex's inter-group alias table; each of
-        its entries points at a group's members inside the vertex's own
-        flat slice (``entry_offset`` / ``entry_size``).  Entries landing
-        in a decimal group are flagged and re-resolved by the per-vertex
-        rejection kernel (they are rare by the choice of λ).
+        The rows feed the adjacency sort and one :class:`RadixLayout`,
+        whose groups and inter-group alias tables become the ``inter`` and
+        ``flat`` slices (:func:`_draw_rows`) — the derivation of the cold
+        build, for any vertex set.  Group members follow the graph row, so
+        after deletions the member order may differ from the samplers';
+        each edge's probability is the sampler's.  A shard replica derives
+        draw slices only for the vertices it owns.
         """
-        sampler = self._samplers.get(vertex)
-        if sampler is None or len(sampler) == 0:
-            return None
-        if sampler._inter_dirty:
-            sampler.rebuild()
-        ids, lut, flat, offsets, sizes = sampler._batch_cache()
-        group_ids, prob, alias = sampler._inter_group.numpy_tables()
-        slots = lut[group_ids + 1]
-        return {
-            "inter": {
-                "prob": prob,
-                "alias": alias,
-                "entry_offset": offsets[slots],
-                "entry_size": sizes[slots],
-                "entry_decimal": group_ids == DECIMAL_GROUP_KEY,
-            },
-            # Translate neighbour indices to neighbour ids once, here, so
-            # the query path gathers final vertex ids directly.
-            "flat": {"members": ids[flat]},
-        }
+        lengths, targets, biases = self._require_graph().gather_rows(vertices)
+        rows = {"adjacency": adjacency_rows(lengths, targets)}
+        if self._shard_owned is not None:
+            owned = np.isin(vertices, self._shard_owned)
+            edges = np.repeat(owned, lengths)
+            lengths = np.where(owned, lengths, 0)
+            targets, biases = targets[edges], biases[edges]
+        layout = RadixLayout(lengths, biases, self.lam, self.classifier)
+        rows.update(_draw_rows(targets, layout))
+        return rows
 
     def _sample_frontier_numpy(
         self, vertices: np.ndarray, rng: np.random.Generator
@@ -493,11 +493,11 @@ class BingoEngine(FusedFrontierEngine):
         for vertex in np.unique(picked):
             members = picks[picked == vertex]
             sampler = self._decimal_sampler(int(vertex))
-            ids = sampler._batch_cache()[0]
             indices = sampler._decimal.sample_batch(
                 len(members), rng, counter=sampler.counter
             )
-            draws[members] = ids[indices]
+            ids = sampler._ids
+            draws[members] = [ids[index] for index in indices.tolist()]
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -545,16 +545,14 @@ class BingoEngine(FusedFrontierEngine):
         super().check_consistency()
 
 
-def _cold_draw_rows(
-    vertices: np.ndarray, targets: np.ndarray, layout: RadixLayout
-) -> dict[str, StagedRows]:
-    """The ``inter`` and ``flat`` slices of a cold build, every vertex at once.
+def _draw_rows(targets: np.ndarray, layout: RadixLayout) -> dict[str, SliceRows]:
+    """The ``inter`` and ``flat`` slices of every row of ``layout``, back to back.
 
-    Each row's inter slice lists its radix groups in creation order, then
-    the decimal group; its flat slice holds each group's member ids, then
-    the decimal sentinel (the row's first neighbour, which the rejection
-    kernel redraws) — what :meth:`BingoEngine._frontier_parts` derives
-    from a freshly built sampler.
+    ``targets`` are the rows' neighbour ids.  Each row's inter slice lists
+    its radix groups in creation order, then the decimal group; its flat
+    slice holds each group's member ids, then the decimal sentinel (the
+    row's first neighbour, which the rejection kernel redraws).  A row
+    without neighbours has empty slices.
     """
     rows, width = layout.prob.shape
     valid = np.arange(width) < layout.inter_length[:, None]
@@ -584,29 +582,21 @@ def _cold_draw_rows(
     members[(np.cumsum(flat_lengths) - 1)[decimal_rows]] = targets[
         layout.starts[decimal_rows]
     ]
-    stores = {
+    return {
         "inter": (layout.inter_length, inter),
         "flat": (flat_lengths, {"members": members}),
     }
-    if (np.diff(vertices) > 0).all():
-        return {name: (vertices, lengths, columns) for name, (lengths, columns) in stores.items()}
-    # A shard's owned vertices in another order: stage them ascending.
-    order = np.argsort(vertices, kind="stable")
-    staged = {}
-    for name, (lengths, columns) in stores.items():
-        gather = segment_positions((np.cumsum(lengths) - lengths)[order], lengths[order])
-        staged[name] = (
-            vertices[order],
-            lengths[order],
-            {column: values[gather] for column, values in columns.items()},
-        )
-    return staged
 
 
-def _cold_adjacency_rows(indptr: np.ndarray, targets: np.ndarray) -> StagedRows:
-    """Every vertex's sorted out-neighbours (the ``adjacency`` store), one lexsort."""
-    degrees = np.diff(indptr)
-    owners = np.repeat(np.arange(len(degrees), dtype=np.int64), degrees)
-    vertices = np.flatnonzero(degrees)
-    neighbors = targets[np.lexsort((targets, owners))]
-    return vertices, degrees[vertices], {"neighbors": neighbors}
+def _staged_rows(
+    vertices: np.ndarray, order: np.ndarray, lengths: np.ndarray, columns: dict
+) -> StagedRows:
+    """Rows of ``vertices`` (back to back) restaged in ``vertices[order]`` order."""
+    if (np.diff(order) == 1).all():
+        return vertices, lengths, columns
+    gather = segment_positions((np.cumsum(lengths) - lengths)[order], lengths[order])
+    return (
+        vertices[order],
+        lengths[order],
+        {column: values[gather] for column, values in columns.items()},
+    )

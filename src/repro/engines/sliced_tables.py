@@ -18,9 +18,8 @@ columns:
   never to the graph.
 
 :class:`FusedTables` is the one owner of an engine's stores.  An engine
-supplies its store schemas and one function, vertex → that vertex's
-slices (plus, for a store it derives for many vertices at once, vertex
-ids → their slices back to back); the owner does the cold build, the
+supplies its store schemas and one function, vertex ids → their slices
+of every store back to back; the owner does the cold build, the
 dirty-set repair, compaction, and the cross-process state and patch
 codec.  A repair writes each store's slices in one vectorized pass.
 Every value inside a slice is local to the vertex's own segments, so
@@ -49,7 +48,7 @@ _COMPACTION_SLACK = 1024
 _MIN_CAPACITY = 16
 
 #: Vertices whose slices one repair pass derives and writes together.
-_WRITE_CHUNK = 256
+_WRITE_CHUNK = 4096
 
 #: One vertex's slices: store name -> column name -> values.
 SliceParts = Mapping[str, Mapping[str, np.ndarray]]
@@ -84,6 +83,43 @@ class FrontierDelta:
     #: "touched set" is the world).  The shard router serializes exactly
     #: these slices into the cross-process flip payload.
     vertex_ids: tuple[int, ...] | None = None
+
+
+def stack_slices(
+    schema: Mapping[str, np.dtype], slices: Sequence[Mapping[str, np.ndarray] | None]
+) -> SliceRows:
+    """Per-vertex slices of one store as ``(lengths, columns back to back)``.
+
+    ``slices[i]`` holds the ``i``-th vertex's columns, or ``None`` for an
+    empty slice.
+    """
+    lengths = []
+    chunks: dict[str, list[np.ndarray]] = {name: [] for name in schema}
+    for parts in slices:
+        if parts is None:
+            lengths.append(0)
+            continue
+        if parts.keys() != schema.keys():
+            raise ReproError(
+                "slice parts must cover exactly the store schema: expected "
+                f"{sorted(schema)}, got {sorted(parts)}"
+            )
+        length = -1
+        for name, values in parts.items():
+            if length < 0:
+                length = len(values)
+            elif len(values) != length:
+                raise ReproError(
+                    f"slice column {name!r} has {len(values)} entries, "
+                    f"expected {length}"
+                )
+            chunks[name].append(values)
+        lengths.append(length)
+    columns = {
+        name: np.concatenate(chunk) if chunk else np.empty(0, dtype=schema[name])
+        for name, chunk in chunks.items()
+    }
+    return np.array(lengths, dtype=np.int64), columns
 
 
 class SlicedTableStore:
@@ -191,33 +227,7 @@ class SlicedTableStore:
         ``slices[i]`` holds ``vertices[i]``'s columns, or ``None`` to clear
         its slice.
         """
-        lengths = []
-        chunks: dict[str, list[np.ndarray]] = {name: [] for name in self.schema}
-        for parts in slices:
-            if parts is None:
-                lengths.append(0)
-                continue
-            if parts.keys() != self.schema.keys():
-                raise ReproError(
-                    "slice parts must cover exactly the store schema: expected "
-                    f"{sorted(self.schema)}, got {sorted(parts)}"
-                )
-            length = -1
-            for name, values in parts.items():
-                if length < 0:
-                    length = len(values)
-                elif len(values) != length:
-                    raise ReproError(
-                        f"slice column {name!r} has {len(values)} entries, "
-                        f"expected {length}"
-                    )
-                chunks[name].append(values)
-            lengths.append(length)
-        columns = {
-            name: np.concatenate(chunk) if chunk else np.empty(0, dtype=self.schema[name])
-            for name, chunk in chunks.items()
-        }
-        self.place(vertices, np.array(lengths, dtype=np.int64), columns)
+        self.place(vertices, *stack_slices(self.schema, slices))
 
     def place(
         self, vertices: np.ndarray, lengths: np.ndarray, columns: Mapping[str, np.ndarray]
@@ -233,7 +243,8 @@ class SlicedTableStore:
                 f"slice columns must be exactly {sorted(self.schema)}, "
                 f"got {sorted(columns)}"
             )
-        if len(np.unique(vertices)) != len(vertices):
+        ascending = (np.diff(vertices) > 0).all()  # skips the sort of a dirty write
+        if not ascending and len(np.unique(vertices)) != len(vertices):
             raise ReproError("a slice write names a vertex twice")
         total = int(lengths.sum())
         for name, values in columns.items():
@@ -362,16 +373,16 @@ class FusedTables:
     schemas:
         Store name -> that store's column schema.  Column names must be
         unique across stores: :meth:`views` keys them by name.
-    parts:
-        Vertex -> its slice of every store not in ``rows``, or ``None``
-        when the vertex has no out-edges.  Values must be local to the
-        vertex's segments.
+    rows:
+        Vertex ids -> their slices of every store, as store name ->
+        ``(lengths, columns)`` with the slices back to back
+        (:meth:`SlicedTableStore.place`); a length of zero means the
+        vertex has no slice.  Values must be local to the vertex's
+        segments.  One call derives every store, so a store that shares
+        its inputs with another (Bingo's draw tables and adjacency read
+        the same graph rows) gathers them once.
     num_vertices:
         The current vertex count of the engine's graph.
-    rows:
-        Store name -> a function deriving many vertices' slices of that
-        store at once: vertex ids -> ``(lengths, columns)`` with the
-        slices back to back (:meth:`SlicedTableStore.place`).
 
     :meth:`views` is what the kernels read: every column by name, plus
     each store's directory as ``<store>_offset`` / ``<store>_length``.
@@ -380,13 +391,11 @@ class FusedTables:
     def __init__(
         self,
         schemas: Mapping[str, Mapping[str, np.dtype]],
-        parts: Callable[[int], SliceParts | None],
+        rows: Callable[[np.ndarray], Mapping[str, SliceRows]],
         num_vertices: Callable[[], int],
-        rows: Mapping[str, Callable[[np.ndarray], SliceRows]] | None = None,
     ) -> None:
         self.stores = {name: SlicedTableStore(schema) for name, schema in schemas.items()}
-        self._parts = parts
-        self._rows = dict(rows or {})
+        self._rows = rows
         self._num_vertices = num_vertices
         self._dirty: set[int] = set()
         self._views: dict[str, np.ndarray] | None = None
@@ -467,14 +476,13 @@ class FusedTables:
 
     def clone(
         self,
-        parts: Callable[[int], SliceParts | None],
+        rows: Callable[[np.ndarray], Mapping[str, SliceRows]],
         num_vertices: Callable[[], int],
-        rows: Mapping[str, Callable[[np.ndarray], SliceRows]] | None = None,
     ) -> FusedTables:
         """A copy of these tables for another engine in the same state.
 
-        ``parts`` / ``num_vertices`` / ``rows`` are the new owner's (see
-        the constructor).  Built, clean tables are copied store by store,
+        ``rows`` / ``num_vertices`` are the new owner's (see the
+        constructor).  Built, clean tables are copied store by store,
         layout included; a staged build is shared with its dirty set.
         Tables caught mid-repair — a published engine repairs lazily on
         its reader's thread — are not read at all: the copy starts empty
@@ -482,9 +490,8 @@ class FusedTables:
         """
         twin = FusedTables(
             {name: store.schema for name, store in self.stores.items()},
-            parts,
-            num_vertices,
             rows,
+            num_vertices,
         )
         twin.full_builds = self.full_builds
         views = self._views
@@ -512,12 +519,9 @@ class FusedTables:
         for start in range(0, len(vertices), _WRITE_CHUNK):
             chunk = vertices[start : start + _WRITE_CHUNK]
             ids = np.asarray(chunk, dtype=np.int64)
-            parts = [self._parts(vertex) for vertex in chunk]
+            rows = self._rows(ids)
             for name, store in self.stores.items():
-                if name in self._rows:
-                    store.place(ids, *self._rows[name](ids))
-                else:
-                    store.set_slices(ids, [None if p is None else p[name] for p in parts])
+                store.place(ids, *rows[name])
 
     def _refresh_views(self) -> None:
         # Re-derived after every repair: capacity growth replaces the
@@ -600,5 +604,6 @@ __all__ = [
     "FusedTables",
     "SlicedTableStore",
     "pack_arrays",
+    "stack_slices",
     "unpack_arrays",
 ]

@@ -595,18 +595,27 @@ class DynamicGraph:
         Row ``v`` is ``[indptr[v], indptr[v + 1])`` in neighbour-array
         order, the order :meth:`edges` yields; the columns are copies.
         """
-        adjacency = self._adjacency
-        sizes = np.fromiter(
-            (adj.size for adj in adjacency), dtype=np.int64, count=len(adjacency)
-        )
-        indptr = np.zeros(len(adjacency) + 1, dtype=np.int64)
+        sizes, targets, biases = self.gather_rows(range(len(self._adjacency)))
+        indptr = np.zeros(len(sizes) + 1, dtype=np.int64)
         np.cumsum(sizes, out=indptr[1:])
-        live = [adj for adj in adjacency if adj.size]
+        return indptr, targets, biases
+
+    def gather_rows(
+        self, vertices: Iterable[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``vertices``' rows back to back: ``(lengths, targets, biases)``.
+
+        Each row in neighbour-array order; the columns are copies.
+        """
+        adjacency = self._adjacency
+        rows = [adjacency[vertex] for vertex in np.asarray(vertices).tolist()]
+        lengths = np.fromiter((adj.size for adj in rows), dtype=np.int64, count=len(rows))
+        live = [adj for adj in rows if adj.size]
         if not live:
-            return indptr, _EMPTY_DSTS.copy(), _EMPTY_BIASES.copy()
+            return lengths, _EMPTY_DSTS.copy(), _EMPTY_BIASES.copy()
         targets = np.concatenate([adj.dsts[: adj.size] for adj in live])
         biases = np.concatenate([adj.biases[: adj.size] for adj in live])
-        return indptr, targets, biases
+        return lengths, targets, biases
 
     def out_edges(self, vertex: int) -> Iterator[Edge]:
         """Iterate the out-edges of ``vertex``."""

@@ -32,6 +32,7 @@ from collections.abc import Iterator, Sequence
 import numpy as np
 
 from repro.graph.dynamic_graph import DynamicGraph, Edge
+from repro.utils.segments import segment_positions
 from repro.utils.validation import check_positive_int
 
 _EMPTY_INT64 = np.empty(0, dtype=np.int64)
@@ -441,6 +442,16 @@ class ShardSubgraph:
     def csr_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The whole topology as ``(indptr, targets, biases)`` (shared views)."""
         return self.indptr, self.targets, self.biases
+
+    def gather_rows(
+        self, vertices: Sequence[int]
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """``vertices``' rows back to back: ``(lengths, targets, biases)``."""
+        vertices = np.asarray(vertices, dtype=np.int64)
+        starts = self.indptr[vertices]
+        lengths = self.indptr[vertices + 1] - starts
+        edges = segment_positions(starts, lengths)
+        return lengths, self.targets[edges], self.biases[edges]
 
     def neighbors(self, vertex: int) -> Sequence[int]:
         return self.neighbor_array(vertex).tolist()

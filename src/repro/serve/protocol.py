@@ -36,6 +36,8 @@ import json
 from dataclasses import dataclass, field
 from collections.abc import Callable, Mapping
 
+import numpy as np
+
 from repro.errors import (
     InjectedFault,
     QueryExpiredError,
@@ -44,7 +46,7 @@ from repro.errors import (
     ReproError,
     ServiceClosedError,
 )
-from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
+from repro.graph.update_batch import UpdateBatch, UpdateKind
 from repro.serve import wire
 from repro.serve.config import (
     DEFAULT_MAX_BODY_BYTES as MAX_BODY_BYTES,
@@ -260,25 +262,46 @@ def parse_json_body(body: bytes | bytearray | memoryview | None) -> dict:
     return payload
 
 
+#: ``kind`` (lowercased) -> whether the update inserts.
+_IS_INSERT = {UpdateKind.INSERT.value: True, UpdateKind.DELETE.value: False}
+
+
 def parse_updates(payload: dict) -> UpdateBatch:
-    """Build an :class:`UpdateBatch` from the /ingest JSON body."""
+    """Build an :class:`UpdateBatch` from the /ingest JSON body.
+
+    The columns are filled straight from the rows; an update's timestamp
+    is its position in the list.
+    """
     raw = payload.get("updates")
     if not isinstance(raw, list) or not raw:
         raise BadRequest('body must carry a non-empty "updates" list')
-    updates = []
+    srcs: list[int] = []
+    dsts: list[int] = []
+    biases: list[float] = []
+    inserts: list[bool] = []
     for position, entry in enumerate(raw):
         if not isinstance(entry, dict):
             raise BadRequest(f"updates[{position}] must be an object")
         try:
             kind_name = str(entry.get("kind", "insert")).lower()
-            kind = UpdateKind(kind_name)
+            is_insert = _IS_INSERT.get(kind_name)
+            if is_insert is None:
+                UpdateKind(kind_name)  # raises the enum's ValueError
             src = int(entry["src"])
             dst = int(entry["dst"])
             bias = float(entry.get("bias", 1.0))
         except (KeyError, ValueError, TypeError) as exc:
             raise BadRequest(f"updates[{position}] is malformed: {exc}") from exc
-        updates.append(GraphUpdate(kind, src, dst, bias, timestamp=position))
-    return UpdateBatch.from_updates(updates)
+        srcs.append(src)
+        dsts.append(dst)
+        biases.append(bias)
+        inserts.append(is_insert)
+    return UpdateBatch(
+        np.array(srcs, dtype=np.int64),
+        np.array(dsts, dtype=np.int64),
+        np.array(biases, dtype=np.float64),
+        np.array(inserts, dtype=np.bool_),
+    )
 
 
 # --------------------------------------------------------------------- #

@@ -1,9 +1,11 @@
-"""The per-vertex Bingo cold build: the oracle for the whole-array build.
+"""Per-vertex Bingo oracles for the whole-array build and the whole-array warm.
 
 ``per_vertex_build`` is the cold build as it ran before it became a set of
 whole-array passes: λ from a per-edge loop over ``graph.edges()``, then
-one sampler per vertex fed by ``insert_many`` and one batched rebuild.  It
-leaves the fused tables to the per-vertex gather of the first warm.
+one sampler per vertex fed by ``insert_many`` and one batched rebuild, then
+the fused slices gathered from the samplers one vertex at a time
+(``frontier_parts``, the derivation the whole-array warm replaced) and
+staged for the first warm.
 ``bingo_state`` flattens everything either build leaves into plain values,
 so the two compare with ``==``.
 """
@@ -13,8 +15,9 @@ from __future__ import annotations
 import numpy as np
 
 from repro.core.radix import MAX_AMORTIZATION_EXPONENT, split_scaled_bias
-from repro.core.vertex_sampler import rebuild_samplers_batch
+from repro.core.vertex_sampler import DECIMAL_GROUP_KEY, rebuild_samplers_batch
 from repro.engines.bingo import BingoEngine
+from repro.engines.sliced_tables import stack_slices
 from repro.utils.validation import check_bias
 
 
@@ -49,7 +52,6 @@ def per_vertex_build(graph, owned=None, **engine_kwargs) -> BingoEngine:
         biases = [edge.bias for edge in graph.edges()]
         engine.lam = per_edge_amortization_factor(biases) if biases else 1.0
     engine._samplers = {}
-    engine.frontier_tables.invalidate()
     for vertex in engine._build_vertex_ids():
         if graph.degree(vertex) == 0:
             continue
@@ -57,7 +59,57 @@ def per_vertex_build(graph, owned=None, **engine_kwargs) -> BingoEngine:
         sampler.insert_many(graph.neighbor_array(vertex), graph.bias_array(vertex))
         engine._samplers[vertex] = sampler
     rebuild_samplers_batch(list(engine._samplers.values()))
+    vertices = np.array(sorted(engine._samplers), dtype=np.int64)
+    staged = {
+        name: (vertices, lengths, columns)
+        for name, (lengths, columns) in frontier_rows(engine, vertices).items()
+    }
+    sources = [v for v in range(graph.num_vertices) if graph.degree(v)]
+    rows = [np.sort(graph.neighbor_array(v)) for v in sources]
+    staged["adjacency"] = (
+        np.array(sources, dtype=np.int64),
+        np.array([len(row) for row in rows], dtype=np.int64),
+        {"neighbors": np.concatenate(rows) if rows else np.empty(0, dtype=np.int64)},
+    )
+    engine.frontier_tables.stage(staged)
     return engine
+
+
+def frontier_parts(sampler) -> dict | None:
+    """One vertex's ``inter`` and ``flat`` slices, gathered from its sampler.
+
+    The inter slice is the sampler's inter-group alias table; each of its
+    entries points at a group's members inside the vertex's own flat
+    slice (``entry_offset`` / ``entry_size``), in the group's own member
+    order.  Entries landing in a decimal group are flagged.  ``None`` for
+    a vertex without a sampler or neighbours.
+    """
+    if sampler is None or len(sampler) == 0:
+        return None
+    if sampler._inter_dirty:
+        sampler.rebuild()
+    ids, lut, flat, offsets, sizes = sampler._batch_cache()
+    group_ids, prob, alias = sampler._inter_group.numpy_tables()
+    slots = lut[group_ids + 1]
+    return {
+        "inter": {
+            "prob": prob,
+            "alias": alias,
+            "entry_offset": offsets[slots],
+            "entry_size": sizes[slots],
+            "entry_decimal": group_ids == DECIMAL_GROUP_KEY,
+        },
+        "flat": {"members": ids[flat]},
+    }
+
+
+def frontier_rows(engine: BingoEngine, vertices: np.ndarray) -> dict:
+    """``vertices``' draw slices, one :func:`frontier_parts` per vertex."""
+    parts = [frontier_parts(engine._samplers.get(v)) for v in vertices.tolist()]
+    return {
+        name: stack_slices(schema, [None if p is None else p[name] for p in parts])
+        for name, schema in engine.frontier_schemas.items()
+    }
 
 
 def sampler_state(sampler) -> tuple:

@@ -2,6 +2,7 @@
 
 import json
 
+import numpy as np
 import pytest
 
 from repro.errors import (
@@ -11,6 +12,7 @@ from repro.errors import (
     ServiceClosedError,
     UpdateError,
 )
+from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
 from repro.serve.protocol import (
     MAX_BODY_BYTES,
     BadRequest,
@@ -20,6 +22,7 @@ from repro.serve.protocol import (
     Response,
     error_response,
     parse_json_body,
+    parse_updates,
     status_for_error,
     wants_binary,
 )
@@ -264,3 +267,71 @@ class TestResponseHelpers:
         assert response.content_length(parts) == len(parts[0])
         raw = Response(200, body_parts=[b"abc", memoryview(b"defg")])
         assert raw.content_length(raw.parts()) == 7
+
+
+# --------------------------------------------------------------------- #
+# /ingest body parsing
+# --------------------------------------------------------------------- #
+def _parse_updates_by_record(payload: dict) -> UpdateBatch:
+    """The record-at-a-time parse: one GraphUpdate per row, then columns."""
+    raw = payload.get("updates")
+    if not isinstance(raw, list) or not raw:
+        raise BadRequest('body must carry a non-empty "updates" list')
+    updates = []
+    for position, entry in enumerate(raw):
+        if not isinstance(entry, dict):
+            raise BadRequest(f"updates[{position}] must be an object")
+        try:
+            kind_name = str(entry.get("kind", "insert")).lower()
+            kind = UpdateKind(kind_name)
+            src = int(entry["src"])
+            dst = int(entry["dst"])
+            bias = float(entry.get("bias", 1.0))
+        except (KeyError, ValueError, TypeError) as exc:
+            raise BadRequest(f"updates[{position}] is malformed: {exc}") from exc
+        updates.append(GraphUpdate(kind, src, dst, bias, timestamp=position))
+    return UpdateBatch.from_updates(updates)
+
+
+VALID_ROWS = [
+    {"src": 0, "dst": 1},
+    {"src": "2", "dst": 3.0, "bias": "2.5", "kind": "DELETE"},
+    {"src": 4, "dst": 5, "bias": 0.125, "kind": "Insert", "extra": True},
+    {"src": 6, "dst": 7, "kind": "delete"},
+]
+
+MALFORMED_BODIES = [
+    {},
+    {"updates": []},
+    {"updates": {"src": 0, "dst": 1}},
+    {"updates": [{"src": 0, "dst": 1}, [0, 1]]},
+    {"updates": [{"src": 0, "dst": 1}, {"dst": 1}]},
+    {"updates": [{"src": 0}]},
+    {"updates": [{"src": 0, "dst": 1, "kind": "upsert"}]},
+    {"updates": [{"src": 0, "dst": 1, "kind": None}]},
+    {"updates": [{"src": "x", "dst": 1}]},
+    {"updates": [{"src": 0, "dst": [1]}]},
+    {"updates": [{"src": 0, "dst": 1, "bias": "heavy"}]},
+    {"updates": [{"src": 0, "dst": 1, "bias": None}]},
+    {"updates": [{"src": None, "dst": 1, "kind": "nope"}]},
+]
+
+
+class TestParseUpdates:
+    def test_columns_equal_the_record_at_a_time_parse(self):
+        body = {"updates": VALID_ROWS * 300}
+        got = parse_updates(body)
+        want = _parse_updates_by_record(body)
+        for column in ("src", "dst", "bias", "insert_mask", "timestamp"):
+            assert getattr(got, column).dtype == getattr(want, column).dtype, column
+            assert np.array_equal(getattr(got, column), getattr(want, column)), column
+        assert got[1] == GraphUpdate(UpdateKind.DELETE, 2, 3, 2.5, timestamp=1)
+        assert got[0].bias == 1.0 and got[0].kind is UpdateKind.INSERT
+
+    @pytest.mark.parametrize("body", MALFORMED_BODIES)
+    def test_malformed_rows_fail_with_the_record_at_a_time_text(self, body):
+        with pytest.raises(BadRequest) as want:
+            _parse_updates_by_record(body)
+        with pytest.raises(BadRequest) as got:
+            parse_updates(body)
+        assert str(got.value) == str(want.value)
