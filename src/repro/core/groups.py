@@ -471,21 +471,42 @@ class DecimalGroup:
                 ),
             )
         indices, fractions = self._np_arrays
-        envelope = float(fractions.max())
-        out = np.empty(count, dtype=np.int64)
-        pending = np.arange(count)
-        for _ in range(max_rounds):
-            proposals = rng.integers(0, len(indices), size=len(pending))
-            thresholds = rng.random(len(pending)) * envelope
-            if counter is not None:
-                counter.draw(2 * len(pending))
-                counter.compare(len(pending))
-                counter.touch(len(pending))
-            accepted = thresholds < fractions[proposals]
-            out[pending[accepted]] = indices[proposals[accepted]]
-            pending = pending[~accepted]
-            if len(pending) == 0:
-                return out
-        raise SamplerStateError(
-            f"decimal-group rejection sampling exceeded {max_rounds} rounds"
-        )
+        return indices[
+            sample_by_fraction(fractions, count, rng, counter=counter, max_rounds=max_rounds)
+        ]
+
+
+def sample_by_fraction(
+    fractions: np.ndarray,
+    count: int,
+    rng: np.random.Generator,
+    *,
+    counter: OperationCounter | None = None,
+    max_rounds: int = 10_000,
+) -> np.ndarray:
+    """Draw ``count`` positions of ``fractions``, each ∝ its fraction.
+
+    Rejection with the largest fraction as the envelope, vectorized: each
+    round draws ``rng.integers(0, len(fractions), pending)`` proposals,
+    then ``rng.random(pending)`` thresholds, and keeps the accepted ones.
+    The decimal group's draw, whether the fractions come from a
+    :class:`DecimalGroup` or from Bingo's fused ``decimal`` store.
+    """
+    envelope = float(fractions.max())
+    out = np.empty(count, dtype=np.int64)
+    pending = np.arange(count)
+    for _ in range(max_rounds):
+        proposals = rng.integers(0, len(fractions), size=len(pending))
+        thresholds = rng.random(len(pending)) * envelope
+        if counter is not None:
+            counter.draw(2 * len(pending))
+            counter.compare(len(pending))
+            counter.touch(len(pending))
+        accepted = thresholds < fractions[proposals]
+        out[pending[accepted]] = proposals[accepted]
+        pending = pending[~accepted]
+        if len(pending) == 0:
+            return out
+    raise SamplerStateError(
+        f"decimal-group rejection sampling exceeded {max_rounds} rounds"
+    )

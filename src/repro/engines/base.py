@@ -114,9 +114,6 @@ class RandomWalkEngine(abc.ABC):
         self.breakdown = TimeBreakdown()
         self.updates_applied = 0
         self.samples_drawn = 0
-        #: Vertices this engine builds sampling state for; ``None`` means all
-        #: (the single-device default).  Set by :meth:`build_shard`.
-        self._shard_owned: np.ndarray | None = None
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -127,37 +124,6 @@ class RandomWalkEngine(abc.ABC):
         start = time.perf_counter()
         self._build_state()
         self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-
-    @classmethod
-    def for_shard(cls, graph, owned_vertices, **kwargs) -> RandomWalkEngine:
-        """Build an engine whose sampling state covers only ``owned_vertices``.
-
-        Each shard serve worker (:mod:`repro.serve.shard_worker`) gets the
-        full topology — its whole walks reach any vertex, and node2vec
-        probes arbitrary edges — but only constructs the per-vertex
-        sampling structures of the vertices its shard owns.  ``graph`` is
-        a :class:`~repro.graph.dynamic_graph.DynamicGraph` or a
-        :class:`~repro.graph.partition.ShardSubgraph` view over the
-        shared-memory columns; any object with the ``DynamicGraph`` read
-        API works.  With ``owned_vertices`` spanning every vertex this is
-        exactly :meth:`build` (the single-shard case the equivalence tests
-        pin down).
-        """
-        engine = cls(**kwargs)
-        engine.build_shard(graph, owned_vertices)
-        return engine
-
-    def build_shard(self, graph, owned_vertices) -> None:
-        """Adopt ``graph`` but restrict sampling state to ``owned_vertices``."""
-        self._shard_owned = np.ascontiguousarray(owned_vertices, dtype=np.int64)
-        self.build(graph)
-
-    def _build_vertex_ids(self):
-        """Vertices :meth:`_build_state` constructs samplers for, in order."""
-        graph = self._require_graph()
-        if self._shard_owned is None:
-            return range(graph.num_vertices)
-        return self._shard_owned.tolist()
 
     @abc.abstractmethod
     def _build_state(self) -> None:
@@ -176,8 +142,6 @@ class RandomWalkEngine(abc.ABC):
         twin._rng = clone_rng(self._rng)
         twin.graph = None if self.graph is None else self.graph.copy()
         twin.breakdown = TimeBreakdown(dict(self.breakdown.phases))
-        if self._shard_owned is not None:
-            twin._shard_owned = self._shard_owned.copy()
         self._clone_state(twin)
         return twin
 
@@ -479,7 +443,10 @@ class FusedFrontierEngine(RandomWalkEngine):
     the table lifecycle.  Updates mark their touched vertices with
     ``frontier_tables.mark_dirty``, and kernels read
     ``frontier_tables.views()``.  Per-vertex scalar samplers live in
-    ``_samplers``.
+    ``_samplers``; they serve :meth:`sample_neighbor` and the update paths,
+    and no frontier draw or walk reads them.  A shard replica has none: it
+    adopts a writer's tables (:meth:`adopt_frontier_state`) over a graph
+    copied from the writer's columns, and never derives a slice itself.
 
     Beside the subclass's stores the tables hold one more, declared here:
     :data:`ADJACENCY_SCHEMA`, each vertex's out-neighbour ids sorted
@@ -731,8 +698,8 @@ class FusedFrontierEngine(RandomWalkEngine):
     def adopt_frontier_state(self, state: dict[str, np.ndarray]) -> None:
         """Replace the fused tables with a writer's exported snapshot.
 
-        A shard replica keeps its own (owned-only) samplers but walks the
-        *global* adopted tables; later flips arrive as
+        This is how a shard replica gets its tables: it builds no sampling
+        state and walks the adopted tables alone; later flips arrive as
         :meth:`apply_frontier_patch` slices.
         """
         self.frontier_tables.adopt_state(state)
@@ -742,11 +709,5 @@ class FusedFrontierEngine(RandomWalkEngine):
         return self.frontier_tables.export_patch(vertices)
 
     def apply_frontier_patch(self, payload: dict[str, np.ndarray]) -> None:
-        """Apply a writer's patch; untouched slices stay untouched.
-
-        The touched vertices' scalar samplers are stale afterwards and
-        are dropped.
-        """
-        for vertex in payload["vertices"].tolist():
-            self._samplers.pop(vertex, None)
+        """Apply a writer's patch; untouched slices stay untouched."""
         self.frontier_tables.apply_patch(payload)

@@ -11,7 +11,10 @@ can report them alongside wall-clock time.  A cold build runs in
 whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`) and
 leaves the state the per-vertex path would.  The fused frontier slices of
 any vertex set — cold, after a batch, in a clone — come from the same
-passes over those vertices' graph rows.
+passes over those vertices' graph rows, so the tables after any update
+sequence equal a cold build's of the same graph.  Walks read only those
+tables: the decimal group's rejection draw reads the fused ``decimal``
+store, never a sampler.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from collections.abc import Sequence
 import numpy as np
 
 from repro.core.adaptive import ConversionTracker, GroupClassifier
+from repro.core.groups import sample_by_fraction
 from repro.core.memory_model import MemoryReport
 from repro.core.radix import (
     choose_amortization_factor,
@@ -46,12 +50,11 @@ from repro.engines.base import (
     live_frontier,
     scatter_live,
 )
-from repro.engines.sliced_tables import SliceRows, StagedRows
+from repro.engines.sliced_tables import SliceRows
 from repro.errors import UpdateError
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.utils.rng import RandomSource, spawn_rng
-from repro.utils.segments import segment_positions
 
 #: Parallel lanes of the modelled device: one A100's 108 SMs × 2048
 #: resident threads.  A batch's per-vertex work runs ``DEVICE_LANES`` at a
@@ -97,9 +100,11 @@ class BingoEngine(FusedFrontierEngine):
 
     name = "bingo"
     supports_batch = True
-    # Two stores: each vertex's inter-group alias slice, and its flat
-    # member table.  ``entry_offset`` is local to the vertex's own flat
-    # segment, so the stores patch and compact independently.
+    # Three stores: each vertex's inter-group alias slice, its flat member
+    # table, and its decimal group (neighbour ids and fractions, in graph
+    # row order) for the rejection draw.  ``entry_offset`` is local to the
+    # vertex's own flat segment, so the stores patch and compact
+    # independently.
     frontier_schemas = {
         "inter": {
             "prob": np.float64,
@@ -109,6 +114,7 @@ class BingoEngine(FusedFrontierEngine):
             "entry_decimal": np.bool_,
         },
         "flat": {"members": np.int64},
+        "decimal": {"decimal_ids": np.int64, "decimal_fractions": np.float64},
     }
     kernel_kind = compiled.KIND_BINGO
     kernel_fields = (
@@ -163,35 +169,24 @@ class BingoEngine(FusedFrontierEngine):
             # Edge order, as a per-edge loop over graph.edges() sums it.
             self.lam = choose_amortization_factor(biases) if len(biases) else 1.0
         degrees = np.diff(indptr)
-        if self._shard_owned is None:
-            vertices = np.flatnonzero(degrees)
-            row_targets, row_biases = targets, biases
-        else:
-            vertices = self._shard_owned[degrees[self._shard_owned] > 0]
-            edges = segment_positions(indptr[vertices], degrees[vertices])
-            row_targets, row_biases = targets[edges], biases[edges]
-        layout = RadixLayout(degrees[vertices], row_biases, self.lam, self.classifier)
+        vertices = np.flatnonzero(degrees)
+        layout = RadixLayout(degrees[vertices], biases, self.lam, self.classifier)
         layout.record_conversions(self.conversion_tracker)
         vertex_list = vertices.tolist()
         samplers = layout.samplers(
-            row_targets,
-            row_biases,
+            targets,
+            biases,
             [spawn_rng(self._rng, vertex) for vertex in vertex_list],
             lam=self.lam,
             classifier=self.classifier,
             conversion_tracker=self.conversion_tracker,
         )
         self._samplers = dict(zip(vertex_list, samplers))
-        # A shard's owned vertices may come in another order: stage them
-        # ascending.
-        order = np.argsort(vertices, kind="stable")
         staged = {
-            name: _staged_rows(vertices, order, *rows)
-            for name, rows in _draw_rows(row_targets, layout).items()
+            name: (vertices, *rows) for name, rows in _draw_rows(targets, layout).items()
         }
-        sources = np.flatnonzero(degrees)
         staged["adjacency"] = (
-            sources, degrees[sources], adjacency_rows(degrees, targets)[1]
+            vertices, degrees[vertices], adjacency_rows(degrees, targets)[1]
         )
         self.frontier_tables.stage(staged)
 
@@ -220,25 +215,6 @@ class BingoEngine(FusedFrontierEngine):
         self, sampler: BingoVertexSampler, twin: BingoEngine
     ) -> BingoVertexSampler:
         return sampler.clone(twin.conversion_tracker)
-
-    def _decimal_sampler(self, vertex: int) -> BingoVertexSampler:
-        """The vertex's sampler, rebuilt from the graph when missing.
-
-        Shard replicas adopt their fused tables over the wire and only
-        keep samplers for owned vertices (patches evict touched ones), so
-        a decimal-group hit on an unowned or patched vertex rebuilds the
-        sampler lazily from the local (kept-fresh) adjacency.
-        """
-        sampler = self._samplers.get(vertex)
-        if sampler is None:
-            graph = self._require_graph()
-            sampler = self._new_sampler(vertex)
-            sampler.insert_many(
-                graph.neighbor_array(vertex), graph.bias_array(vertex)
-            )
-            sampler.rebuild()
-            self._samplers[vertex] = sampler
-        return sampler
 
     # ------------------------------------------------------------------ #
     # streaming updates: O(K) per event plus one inter-group rebuild
@@ -423,20 +399,15 @@ class BingoEngine(FusedFrontierEngine):
         """``vertices``' slices of every store, from one gather of their graph rows.
 
         The rows feed the adjacency sort and one :class:`RadixLayout`,
-        whose groups and inter-group alias tables become the ``inter`` and
-        ``flat`` slices (:func:`_draw_rows`) — the derivation of the cold
-        build, for any vertex set.  Group members follow the graph row, so
-        after deletions the member order may differ from the samplers';
-        each edge's probability is the sampler's.  A shard replica derives
-        draw slices only for the vertices it owns.
+        whose groups, decimal fractions and inter-group alias tables
+        become the ``inter``, ``flat`` and ``decimal`` slices
+        (:func:`_draw_rows`) — the derivation of the cold build, for any
+        vertex set.  Group and decimal members follow the graph row, so
+        after deletions their order may differ from the samplers'; each
+        edge's probability is the sampler's.
         """
         lengths, targets, biases = self._require_graph().gather_rows(vertices)
         rows = {"adjacency": adjacency_rows(lengths, targets)}
-        if self._shard_owned is not None:
-            owned = np.isin(vertices, self._shard_owned)
-            edges = np.repeat(owned, lengths)
-            lengths = np.where(owned, lengths, 0)
-            targets, biases = targets[edges], biases[edges]
         layout = RadixLayout(lengths, biases, self.lam, self.classifier)
         rows.update(_draw_rows(targets, layout))
         return rows
@@ -485,19 +456,22 @@ class BingoEngine(FusedFrontierEngine):
         picks: np.ndarray,
         rng: np.random.Generator,
     ) -> None:
-        """Re-draw the decimal-group picks with each vertex's rejection kernel.
+        """Re-draw the decimal-group picks from the fused ``decimal`` store.
 
-        One batched call per distinct vertex, in ascending vertex order.
+        One rejection draw (:func:`~repro.core.groups.sample_by_fraction`)
+        per distinct vertex, in ascending vertex order, over the vertex's
+        decimal ids and fractions in graph-row order.
         """
+        tables = self.frontier_tables.views()
+        offsets, lengths = tables["decimal_offset"], tables["decimal_length"]
+        ids, fractions = tables["decimal_ids"], tables["decimal_fractions"]
         picked = vertices[picks]
-        for vertex in np.unique(picked):
+        for vertex in np.unique(picked).tolist():
             members = picks[picked == vertex]
-            sampler = self._decimal_sampler(int(vertex))
-            indices = sampler._decimal.sample_batch(
-                len(members), rng, counter=sampler.counter
-            )
-            ids = sampler._ids
-            draws[members] = [ids[index] for index in indices.tolist()]
+            start = offsets[vertex]
+            stop = start + lengths[vertex]
+            positions = sample_by_fraction(fractions[start:stop], len(members), rng)
+            draws[members] = ids[start:stop][positions]
 
     # ------------------------------------------------------------------ #
     # reporting
@@ -546,13 +520,15 @@ class BingoEngine(FusedFrontierEngine):
 
 
 def _draw_rows(targets: np.ndarray, layout: RadixLayout) -> dict[str, SliceRows]:
-    """The ``inter`` and ``flat`` slices of every row of ``layout``, back to back.
+    """The ``inter``, ``flat`` and ``decimal`` slices of every row of
+    ``layout``, back to back.
 
     ``targets`` are the rows' neighbour ids.  Each row's inter slice lists
     its radix groups in creation order, then the decimal group; its flat
     slice holds each group's member ids, then the decimal sentinel (the
-    row's first neighbour, which the rejection kernel redraws).  A row
-    without neighbours has empty slices.
+    row's first neighbour, which the rejection draw replaces); its decimal
+    slice holds the neighbours with a fractional part and their fractions,
+    in row order.  A row without neighbours has empty slices.
     """
     rows, width = layout.prob.shape
     valid = np.arange(width) < layout.inter_length[:, None]
@@ -585,18 +561,12 @@ def _draw_rows(targets: np.ndarray, layout: RadixLayout) -> dict[str, SliceRows]
     return {
         "inter": (layout.inter_length, inter),
         "flat": (flat_lengths, {"members": members}),
+        "decimal": (
+            layout.decimal_count,
+            {
+                "decimal_ids": targets[layout.decimal_edges],
+                "decimal_fractions": layout.fractions[layout.decimal_edges],
+            },
+        ),
     }
 
-
-def _staged_rows(
-    vertices: np.ndarray, order: np.ndarray, lengths: np.ndarray, columns: dict
-) -> StagedRows:
-    """Rows of ``vertices`` (back to back) restaged in ``vertices[order]`` order."""
-    if (np.diff(order) == 1).all():
-        return vertices, lengths, columns
-    gather = segment_positions((np.cumsum(lengths) - lengths)[order], lengths[order])
-    return (
-        vertices[order],
-        lengths[order],
-        {column: values[gather] for column, values in columns.items()},
-    )

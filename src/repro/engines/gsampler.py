@@ -63,7 +63,7 @@ class GSamplerEngine(FusedFrontierEngine):
         """
         graph = self._require_graph()
         self._samplers = {}
-        for vertex in self._build_vertex_ids():
+        for vertex in range(graph.num_vertices):
             if graph.degree(vertex) == 0:
                 continue
             self._samplers[vertex] = self._build_vertex_sampler(vertex)

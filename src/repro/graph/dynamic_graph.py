@@ -239,6 +239,35 @@ class DynamicGraph:
             graph.add_edge(src, dst, bias)
         return graph
 
+    @classmethod
+    def from_csr(
+        cls,
+        indptr: np.ndarray,
+        targets: np.ndarray,
+        biases: np.ndarray,
+        *,
+        undirected: bool = False,
+    ) -> DynamicGraph:
+        """The graph whose :meth:`csr_columns` are ``(indptr, targets, biases)``.
+
+        The columns are taken as stored arcs, rows in neighbour-array
+        order: an undirected graph's columns already hold both arcs of
+        every edge, so nothing is mirrored.  No arc is validated.
+        """
+        graph = cls(len(indptr) - 1, undirected=undirected)
+        targets = np.asarray(targets, dtype=np.int64)
+        biases = np.asarray(biases, dtype=np.float64)
+        bounds = np.asarray(indptr).tolist()
+        for adjacency, start, stop in zip(graph._adjacency, bounds, bounds[1:]):
+            adjacency.add_many(targets[start:stop], biases[start:stop])
+        if undirected:
+            rows = np.repeat(np.arange(len(bounds) - 1), np.diff(indptr))
+            loops = int(np.count_nonzero(rows == targets))
+            graph._num_edges = (len(targets) + loops) // 2
+        else:
+            graph._num_edges = len(targets)
+        return graph
+
     # ------------------------------------------------------------------ #
     # basic properties
     # ------------------------------------------------------------------ #

@@ -1,41 +1,29 @@
-"""1-D graph partitioning and shared-memory shard stores (Section 9.1).
+"""1-D graph partitioning (Section 9.1).
 
 Bingo scales to multiple GPUs with KnightKing-style 1-D partitioning: vertices
 are assigned to devices, each device owns the out-edges (and the per-vertex
 sampling structures) of its vertices, and walkers migrate between devices when
-a step crosses a partition boundary.  This module provides three layers of
-that design:
+a step crosses a partition boundary.  :class:`OneDimPartition` /
+:func:`partition_graph` give the vertex→device assignment, with range-based
+(``contiguous``), degree-oblivious (``round_robin``) and load-greedy
+(``degree_balanced``) strategies.
 
-* :class:`OneDimPartition` / :func:`partition_graph` — the vertex→device
-  assignment, with range-based (``contiguous``), degree-oblivious
-  (``round_robin``) and load-greedy (``degree_balanced``) strategies;
-* :class:`SharedGraphShards` — the whole adjacency flattened into CSR
-  columns living in :mod:`multiprocessing.shared_memory`, so worker
-  processes attach zero-copy NumPy views instead of pickling neighbour
-  lists;
-* :class:`ShardSubgraph` — one worker's read-only view: the full topology
-  (a shard runs whole walks, which reach any vertex) plus the set of
-  vertices the shard *owns* and therefore builds sampling state for.
-
-The shard pool in :mod:`repro.serve.router` consumes these; the Figure 12
-scaling experiment (:func:`repro.bench.experiments.scale_workers`) counts
-the walker hand-offs a partition would incur.
+The shard pool in :mod:`repro.serve.router` routes each walk to the shard
+owning its start vertex (every shard replica holds the whole graph and the
+writer's whole fused tables); the Figure 12 scaling experiment
+(:func:`repro.bench.experiments.scale_workers`) counts the walker hand-offs
+a partition would incur.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from multiprocessing import shared_memory
-from collections.abc import Iterator, Sequence
 
 import numpy as np
 
-from repro.graph.dynamic_graph import DynamicGraph, Edge
-from repro.utils.segments import segment_positions
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.utils.validation import check_positive_int
-
-_EMPTY_INT64 = np.empty(0, dtype=np.int64)
 
 
 @dataclass
@@ -204,299 +192,3 @@ def partition_graph(
         vertices=vertices,
         _owner_array=owner,
     )
-
-
-# --------------------------------------------------------------------------- #
-# shared-memory shard store
-# --------------------------------------------------------------------------- #
-@dataclass(frozen=True)
-class SharedShardHandle:
-    """Picklable description of a shared columnar graph (names, not data).
-
-    This is what crosses the process boundary: four shared-memory block
-    names plus the array sizes.  The adjacency itself is never pickled.
-    """
-
-    indptr_name: str
-    targets_name: str
-    biases_name: str
-    owner_name: str
-    num_vertices: int
-    num_arcs: int
-    num_parts: int
-
-
-def _allocate_block(array: np.ndarray) -> shared_memory.SharedMemory:
-    block = shared_memory.SharedMemory(create=True, size=max(1, array.nbytes))
-    view = np.ndarray(array.shape, dtype=array.dtype, buffer=block.buf)
-    view[:] = array
-    return block
-
-
-def _attach_view(
-    block: shared_memory.SharedMemory, length: int, dtype
-) -> np.ndarray:
-    return np.ndarray((length,), dtype=dtype, buffer=block.buf)
-
-
-class SharedGraphShards:
-    """A partitioned graph flattened into shared-memory CSR columns.
-
-    The coordinator :meth:`create`\\ s the store (one copy of the adjacency
-    into shared memory); each worker :meth:`attach`\\ es by handle and wraps
-    the blocks in zero-copy NumPy views.  Per-shard
-    :class:`ShardSubgraph` views expose the read-only graph API the engines'
-    ``for_shard`` constructors consume.
-    """
-
-    def __init__(
-        self,
-        blocks: list[shared_memory.SharedMemory],
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        biases: np.ndarray,
-        owner: np.ndarray,
-        num_parts: int,
-        *,
-        owns_blocks: bool,
-    ) -> None:
-        self._blocks = blocks
-        self.indptr = indptr
-        self.targets = targets
-        self.biases = biases
-        self.owner = owner
-        self.num_parts = num_parts
-        self._owns_blocks = owns_blocks
-        self._closed = False
-
-    # ------------------------------------------------------------------ #
-    @classmethod
-    def create(
-        cls, graph: DynamicGraph, partition: OneDimPartition
-    ) -> SharedGraphShards:
-        """Export ``graph`` + ``partition`` into fresh shared-memory blocks."""
-        n = graph.num_vertices
-        indptr, targets, biases = graph.csr_columns()
-        arcs = len(targets)
-        owner = partition.owner_for(n)
-
-        blocks = [
-            _allocate_block(indptr),
-            _allocate_block(targets),
-            _allocate_block(biases),
-            _allocate_block(owner),
-        ]
-        return cls(
-            blocks,
-            _attach_view(blocks[0], n + 1, np.int64),
-            _attach_view(blocks[1], arcs, np.int64),
-            _attach_view(blocks[2], arcs, np.float64),
-            _attach_view(blocks[3], n, np.int64),
-            partition.num_parts,
-            owns_blocks=True,
-        )
-
-    def handle(self) -> SharedShardHandle:
-        """The picklable handle workers use to :meth:`attach`."""
-        return SharedShardHandle(
-            indptr_name=self._blocks[0].name,
-            targets_name=self._blocks[1].name,
-            biases_name=self._blocks[2].name,
-            owner_name=self._blocks[3].name,
-            num_vertices=int(len(self.indptr) - 1),
-            num_arcs=int(len(self.targets)),
-            num_parts=self.num_parts,
-        )
-
-    @classmethod
-    def attach(cls, handle: SharedShardHandle) -> SharedGraphShards:
-        """Map an existing store into this process (zero-copy views)."""
-        # Workers are spawned by multiprocessing and share the coordinator's
-        # resource tracker (the fd travels in the spawn preparation data), so
-        # attaching re-registers the same names as a no-op and only the
-        # owning store's unlink deregisters them.
-        blocks = [
-            shared_memory.SharedMemory(name=handle.indptr_name),
-            shared_memory.SharedMemory(name=handle.targets_name),
-            shared_memory.SharedMemory(name=handle.biases_name),
-            shared_memory.SharedMemory(name=handle.owner_name),
-        ]
-        return cls(
-            blocks,
-            _attach_view(blocks[0], handle.num_vertices + 1, np.int64),
-            _attach_view(blocks[1], handle.num_arcs, np.int64),
-            _attach_view(blocks[2], handle.num_arcs, np.float64),
-            _attach_view(blocks[3], handle.num_vertices, np.int64),
-            handle.num_parts,
-            owns_blocks=False,
-        )
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_vertices(self) -> int:
-        return int(len(self.indptr) - 1)
-
-    @property
-    def num_arcs(self) -> int:
-        return int(len(self.targets))
-
-    def shard_view(self, shard: int) -> ShardSubgraph:
-        """The read-only subgraph view for ``shard``."""
-        if not (0 <= shard < self.num_parts):
-            raise ValueError(f"shard {shard} out of range for {self.num_parts} parts")
-        return ShardSubgraph(self.indptr, self.targets, self.biases, self.owner, shard)
-
-    # ------------------------------------------------------------------ #
-    def close(self) -> None:
-        """Drop this process's mappings (and unlink when it owns the blocks)."""
-        if self._closed:
-            return
-        self._closed = True
-        # Release the array views before closing the underlying mmaps.
-        self.indptr = self.targets = self.biases = self.owner = _EMPTY_INT64
-        for block in self._blocks:
-            try:
-                block.close()
-            except OSError:  # pragma: no cover - double close on interpreter exit
-                pass
-            if self._owns_blocks:
-                try:
-                    block.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-
-    def __del__(self) -> None:  # pragma: no cover - GC safety net
-        try:
-            self.close()
-        except Exception:
-            pass
-
-
-class ShardSubgraph:
-    """One shard's read-only view of a shared columnar graph.
-
-    Exposes the :class:`~repro.graph.dynamic_graph.DynamicGraph` read API the
-    engines need (full topology, so whole walks can reach any vertex and
-    node2vec can test arbitrary edges) plus the ``owned`` vertex set the shard builds
-    sampling state for.
-    """
-
-    __slots__ = ("indptr", "targets", "biases", "owner", "shard", "_owned")
-
-    def __init__(
-        self,
-        indptr: np.ndarray,
-        targets: np.ndarray,
-        biases: np.ndarray,
-        owner: np.ndarray,
-        shard: int,
-    ) -> None:
-        self.indptr = indptr
-        self.targets = targets
-        self.biases = biases
-        self.owner = owner
-        self.shard = int(shard)
-        self._owned: np.ndarray | None = None
-
-    # ------------------------------------------------------------------ #
-    @property
-    def num_vertices(self) -> int:
-        return int(len(self.indptr) - 1)
-
-    @property
-    def num_arcs(self) -> int:
-        return int(len(self.targets))
-
-    @property
-    def num_edges(self) -> int:
-        return self.num_arcs
-
-    @property
-    def undirected(self) -> bool:
-        return False
-
-    def owned_vertices(self) -> np.ndarray:
-        """Vertices this shard owns (builds sampling state for), ascending."""
-        if self._owned is None:
-            self._owned = np.flatnonzero(self.owner == self.shard).astype(np.int64)
-        return self._owned
-
-    def owns(self, vertex: int) -> bool:
-        return 0 <= vertex < self.num_vertices and int(self.owner[vertex]) == self.shard
-
-    # ------------------------------------------------------------------ #
-    def _in_range(self, vertex: int) -> bool:
-        return 0 <= vertex < self.num_vertices
-
-    def degree(self, vertex: int) -> int:
-        if not self._in_range(vertex):
-            return 0
-        return int(self.indptr[vertex + 1] - self.indptr[vertex])
-
-    def neighbor_array(self, vertex: int) -> np.ndarray:
-        return self.targets[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    def bias_array(self, vertex: int) -> np.ndarray:
-        return self.biases[self.indptr[vertex] : self.indptr[vertex + 1]]
-
-    def csr_columns(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The whole topology as ``(indptr, targets, biases)`` (shared views)."""
-        return self.indptr, self.targets, self.biases
-
-    def gather_rows(
-        self, vertices: Sequence[int]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """``vertices``' rows back to back: ``(lengths, targets, biases)``."""
-        vertices = np.asarray(vertices, dtype=np.int64)
-        starts = self.indptr[vertices]
-        lengths = self.indptr[vertices + 1] - starts
-        edges = segment_positions(starts, lengths)
-        return lengths, self.targets[edges], self.biases[edges]
-
-    def neighbors(self, vertex: int) -> Sequence[int]:
-        return self.neighbor_array(vertex).tolist()
-
-    def neighbor_biases(self, vertex: int) -> Sequence[float]:
-        return self.bias_array(vertex).tolist()
-
-    def has_edge(self, src: int, dst: int) -> bool:
-        if not self._in_range(src) or not self._in_range(dst):
-            return False
-        return bool(np.any(self.neighbor_array(src) == dst))
-
-    def has_arcs(self, srcs: Sequence[int], dsts: Sequence[int]) -> np.ndarray:
-        """:meth:`has_edge` over aligned ``(src, dst)`` pairs, as a bool array.
-
-        Pairs with an id outside ``[0, num_vertices)`` are absent.
-        """
-        pairs = zip(np.asarray(srcs).tolist(), np.asarray(dsts).tolist())
-        return np.fromiter(
-            (self.has_edge(src, dst) for src, dst in pairs), dtype=bool, count=len(srcs)
-        )
-
-    def out_edges(self, vertex: int) -> Iterator[Edge]:
-        for dst, bias in zip(self.neighbors(vertex), self.neighbor_biases(vertex)):
-            yield Edge(vertex, dst, bias)
-
-    def edges(self) -> Iterator[Edge]:
-        for vertex in range(self.num_vertices):
-            yield from self.out_edges(vertex)
-
-    def total_bias(self, vertex: int) -> float:
-        return float(self.bias_array(vertex).sum())
-
-    def max_degree(self) -> int:
-        if self.num_vertices == 0:
-            return 0
-        return int(np.max(np.diff(self.indptr)))
-
-    def average_degree(self) -> float:
-        if self.num_vertices == 0:
-            return 0.0
-        return self.num_arcs / self.num_vertices
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ShardSubgraph(shard={self.shard}, vertices={self.num_vertices}, "
-            f"owned={len(self.owned_vertices())}, arcs={self.num_arcs})"
-        )

@@ -48,9 +48,10 @@ Modules
     (``BINGO_SERVE_*`` environment overrides included).
 ``router`` / ``shard_worker``
     Sharded multi-process serving: :class:`RouterService` fans each fused
-    query group out to ``shards`` shard serve processes (booted from the
-    shared-memory CSR export, flipped epoch-by-epoch with O(touched)
-    slice patches) and reassembles bitwise-stable responses;
+    query group out to ``shards`` shard serve processes (replicas booted
+    from one shared-memory blob of the writer's graph and fused tables,
+    flipped epoch-by-epoch with O(touched) slice patches) and reassembles
+    bitwise-stable responses;
     :func:`service_from_config` picks the sharded or single-process
     service from one config.
 """

@@ -4,17 +4,17 @@
 front process owns the HTTP event loop, validation, tenancy and the
 epoch writer exactly as :class:`~repro.serve.service.GraphService` does;
 what changes is execution: every fused query group fans out to ``N``
-shard serve processes (:mod:`repro.serve.shard_worker`), each running an
-engine built via ``for_shard`` over the PR 3 shared-memory CSR export,
-and the per-shard walk matrices are reassembled into one bitwise-stable
-response.
+shard serve processes (:mod:`repro.serve.shard_worker`), each a replica
+booted from one shared-memory blob (the writer's graph columns and fused
+tables; it builds no sampling state), and the per-shard walk matrices
+are reassembled into one bitwise-stable response.
 
 Three properties carry the design:
 
 * **Whole walks, not per-step hand-offs.**  Every worker adopts the
   writer's *global* fused frontier tables
   (:meth:`export_frontier_state`), so a walker never needs another
-  shard's sampler mid-walk — the router splits a group once by start
+  shard's state mid-walk — the router splits a group once by start
   vertex, each shard runs its subset's entire walks locally, and the
   replies paste back by position.  With one shard the worker draws from
   byte-for-byte the generator the in-process service would use, so the
@@ -52,11 +52,13 @@ import numpy as np
 from repro.engines.registry import ENGINE_REGISTRY
 from repro.engines.sliced_tables import pack_arrays
 from repro.errors import ParallelExecutionError, ServeError, WorkerCrashError
-from repro.graph.partition import SharedGraphShards, partition_graph
+from repro.graph.partition import partition_graph
 from repro.serve.service import GraphService, execute_walk
 from repro.serve.shard_worker import (
     EPOCH_KEY,
     FULL_STATE_KEY,
+    GRAPH_KEYS,
+    UNDIRECTED_KEY,
     shard_serve_main,
 )
 from repro.utils.validation import check_positive_int
@@ -217,7 +219,11 @@ def _export_state(engine) -> dict[str, np.ndarray]:
 
 
 def _boot_blob(engine, epoch: int) -> bytes:
+    """Everything a replica boots from: the engine's frontier state, its
+    graph's CSR columns and ``undirected`` flag, and the epoch."""
     state = _export_state(engine)
+    state.update(zip(GRAPH_KEYS, engine.graph.csr_columns()))
+    state[UNDIRECTED_KEY] = np.array([engine.graph.undirected], dtype=bool)
     state[EPOCH_KEY] = np.array([int(epoch)], dtype=np.int64)
     return pack_arrays(state)
 
@@ -279,22 +285,20 @@ class ShardServePool:
     drive :meth:`run` and :meth:`flip` directly.  A stateless engine
     (FlowWalker) boots and flips with an empty frontier state.
 
-    Boot exports the graph once into
-    :class:`~repro.graph.partition.SharedGraphShards` and the source
-    engine's full frontier state into one shared-memory blob; workers
-    copy both into private state, so **both exports are unlinked as soon
-    as every worker acked ready** — the pool holds no long-lived shared
-    memory, which is what makes SIGTERM cleanup (and chaos SIGKILLs)
-    leak-free.  Respawn repeats the boot export from the *current*
-    snapshot engine for the dead shards only — O(world) on a crash,
-    never on the serving path.
+    Boot exports the source engine's graph columns and full frontier
+    state into one shared-memory blob; workers copy it into private
+    state, so **the export is unlinked as soon as every worker acked
+    ready** — the pool holds no long-lived shared memory, which is what
+    makes SIGTERM cleanup (and chaos SIGKILLs) leak-free.  Respawn
+    repeats the boot export from the *current* snapshot engine for the
+    dead shards only — O(world) on a crash, never on the serving path.
 
-    Ownership is pinned at boot: the partition decided here keeps
-    routing deterministic for the pool's lifetime (vertices added later
-    route ``v % num_shards``).  Workers treat their owned set as
-    advisory — every worker holds the full topology and the full adopted
-    tables, so any worker *can* serve any walk; pinning is what makes
-    the seed-key scheme reproducible across respawns.
+    Ownership is pinned at boot: the partition of ``graph`` decided here
+    keeps routing deterministic for the pool's lifetime (vertices added
+    later route ``v % num_shards``), respawns included.  It only routes:
+    every worker holds the full topology and the full adopted tables, so
+    any worker *can* serve any walk; pinning is what makes the seed-key
+    scheme reproducible across respawns.
     """
 
     def __init__(
@@ -315,7 +319,6 @@ class ShardServePool:
         self.engine_kwargs = dict(engine_kwargs or {})
         self.engine_seed = int(engine_seed)
         self.num_shards = int(num_shards)
-        self.strategy = strategy
         self._closed = False
         self._run_counter = 0
         self._generation = 0
@@ -338,37 +341,32 @@ class ShardServePool:
         self._reply_readers: list = [None] * self.num_shards
         self._workers: list = [None] * self.num_shards
 
-        store = SharedGraphShards.create(graph, partition)
         block, nbytes = _publish_blob(_boot_blob(source_engine, epoch))
         try:
-            handle = store.handle()
             for shard in range(self.num_shards):
-                self._spawn(shard, handle, block.name, nbytes)
+                self._spawn(shard, block.name, nbytes)
             self._await_ready(self.num_shards)
         except BaseException:
             self.close()
             raise
         finally:
-            # Workers copied everything private; release both exports now.
-            store.close()
+            # Workers copied everything private; release the export now.
             block.close()
             block.unlink()
 
     # ------------------------------------------------------------------ #
     # pool management
     # ------------------------------------------------------------------ #
-    def _spawn(self, shard: int, handle, boot_name: str, boot_nbytes: int) -> None:
+    def _spawn(self, shard: int, boot_name: str, boot_nbytes: int) -> None:
         reader, writer = self._context.Pipe(duplex=False)
         self._reply_readers[shard] = reader
         process = self._context.Process(
             target=shard_serve_main,
             args=(
                 shard,
-                self.num_shards,
                 self.engine_name,
                 self.engine_kwargs,
                 self.engine_seed,
-                handle,
                 boot_name,
                 boot_nbytes,
                 self._generation,
@@ -404,8 +402,9 @@ class ShardServePool:
 
         The pool holds no long-lived export to re-attach, so respawn
         re-exports the *current* graph and frontier state; the fresh
-        worker boots already at ``epoch`` and needs no flip replay.
-        Returns the list of replaced shards (empty if all alive).
+        worker boots already at ``epoch`` and needs no flip replay.  The
+        owner column stays the one pinned at boot.  Returns the list of
+        replaced shards (empty if all alive).
         """
         self._require_open()
         dead = [
@@ -419,18 +418,13 @@ class ShardServePool:
         # already enqueued are discarded as stale.
         self._run_counter += 1
         self._generation += 1
-        partition = partition_graph(
-            source_engine.graph, self.num_shards, strategy=self.strategy
-        )
-        store = SharedGraphShards.create(source_engine.graph, partition)
         block, nbytes = _publish_blob(_boot_blob(source_engine, epoch))
         try:
-            handle = store.handle()
             for shard in dead:
                 old_inbox = self._inboxes[shard]
                 old_reader = self._reply_readers[shard]
                 self._inboxes[shard] = self._context.Queue()
-                self._spawn(shard, handle, block.name, nbytes)
+                self._spawn(shard, block.name, nbytes)
                 for stale in (old_inbox, old_reader):
                     try:
                         stale.close()
@@ -438,7 +432,6 @@ class ShardServePool:
                         pass
             self._await_ready(len(dead))
         finally:
-            store.close()
             block.close()
             block.unlink()
         self.respawns += len(dead)

@@ -1,20 +1,19 @@
-"""Shard serve worker: one process serving whole walks over a shard engine.
+"""Shard serve worker: one process serving whole walks over a shard replica.
 
 This is the execution half of the scale-out serve path
-(:mod:`repro.serve.router` owns the other half).  Each worker process:
-
-* attaches the PR 3 shared-memory CSR export once at boot, materializes a
-  *local mutable* :class:`~repro.graph.dynamic_graph.DynamicGraph` from
-  it, and builds its engine via ``for_shard`` (samplers for owned
-  vertices only — the per-shard memory story);
-* adopts the router writer's serialized *global* fused-table snapshot
-  (:meth:`export_frontier_state`), so the engine can execute **whole
-  walks** — every hop table-driven against the adopted slices, no
-  per-step hand-off chatter between processes;
-* flips epochs by applying the writer's O(touched) patch
-  (:meth:`apply_frontier_patch`) plus the update batch's columns to its
-  local graph — the batch and the touched slices travel in one
-  shared-memory block, so a flip never re-pickles the world.
+(:mod:`repro.serve.router` owns the other half).  Each worker process
+boots from one shared-memory blob (:func:`boot_replica`): the writer's
+graph as CSR columns plus its ``undirected`` flag, and its serialized
+*global* fused-table snapshot (:meth:`export_frontier_state`).  The
+replica builds nothing: its private mutable
+:class:`~repro.graph.dynamic_graph.DynamicGraph` takes the columns as
+stored arcs, and its engine adopts the tables without running
+``_build_state``, so it holds no per-vertex sampler and executes **whole
+walks** table-driven (a FlowWalker replica is the graph alone).  A flip
+applies the writer's O(touched) patch (:meth:`apply_frontier_patch`)
+plus the update batch's columns to the local graph — the batch and the
+touched slices travel in one shared-memory block, so a flip never
+re-pickles the world.
 
 The message protocol: a per-worker inbox queue, a private reply pipe
 (a crash corrupts at most the dead worker's own channel), run ids so
@@ -35,7 +34,6 @@ import numpy as np
 
 from repro.engines.sliced_tables import unpack_arrays
 from repro.graph.dynamic_graph import DynamicGraph
-from repro.graph.partition import SharedGraphShards, SharedShardHandle
 from repro.graph.update_batch import UpdateBatch
 from repro.serve.service import execute_walk
 
@@ -49,22 +47,10 @@ FULL_STATE_KEY = "__full_state"
 #: Keys carrying the flip's update-batch columns.
 BATCH_KEYS = ("batch_src", "batch_dst", "batch_bias", "batch_insert", "batch_timestamp")
 
-
-def materialize_local_graph(view) -> DynamicGraph:
-    """Copy a shared CSR view into a private mutable :class:`DynamicGraph`.
-
-    Workers pay this O(V + E) copy once at boot (and once per respawn) so
-    every later flip mutates private adjacency in place — the shared
-    export can be unlinked as soon as the pool is ready.
-    """
-    graph = DynamicGraph(view.num_vertices)
-    for vertex in range(view.num_vertices):
-        neighbors = view.neighbor_array(vertex)
-        if len(neighbors):
-            graph.add_edges_bulk(
-                vertex, np.array(neighbors), np.array(view.bias_array(vertex))
-            )
-    return graph
+#: Keys carrying the writer's graph inside a boot blob: its CSR columns
+#: (``DynamicGraph.csr_columns``) and its ``undirected`` flag.
+GRAPH_KEYS = ("__indptr", "__targets", "__biases")
+UNDIRECTED_KEY = "__undirected"
 
 
 def read_shared_blob(name: str, nbytes: int) -> bytes:
@@ -87,6 +73,33 @@ def batch_from_payload(payload) -> UpdateBatch:
     )
 
 
+def boot_replica(engine_name: str, engine_kwargs: dict, engine_seed: int, boot_state):
+    """A shard replica from a boot blob's arrays; it builds nothing.
+
+    The graph is the writer's, copied from its columns as stored arcs;
+    the engine is constructed without ``_build_state`` and adopts the
+    writer's fused tables.
+    """
+    # Imported here so "spawn" children resolve the registry cleanly.
+    from repro.engines.registry import ENGINE_REGISTRY
+
+    engine = ENGINE_REGISTRY[engine_name](rng=engine_seed, **engine_kwargs)
+    engine.graph = DynamicGraph.from_csr(
+        *(boot_state[key] for key in GRAPH_KEYS),
+        undirected=bool(boot_state[UNDIRECTED_KEY][0]),
+    )
+    _install_frontier_state(engine, boot_state, full=True)
+    return engine
+
+
+def apply_flip(engine, payload) -> None:
+    """One epoch flip on a replica: the batch's columns, then the tables."""
+    batch = batch_from_payload(payload)
+    if len(batch):
+        engine._apply_batch_to_graph(batch)
+    _install_frontier_state(engine, payload, full=bool(payload[FULL_STATE_KEY][0]))
+
+
 def _install_frontier_state(engine, payload, *, full: bool) -> None:
     """Adopt a full snapshot or apply an O(touched) patch to ``engine``.
 
@@ -103,41 +116,27 @@ def _install_frontier_state(engine, payload, *, full: bool) -> None:
 
 def shard_serve_main(
     shard: int,
-    num_shards: int,
     engine_name: str,
     engine_kwargs: dict,
     engine_seed: int,
-    handle: SharedShardHandle,
     boot_name: str,
     boot_nbytes: int,
     generation: int,
     inbox,
     replies,
 ) -> None:
-    """Worker loop: boot from shared memory, then serve walks and flips.
+    """Worker loop: boot from the shared-memory blob, then serve walks and flips.
 
     ``generation`` is the router's respawn counter at spawn time; the
     ``ready`` reply echoes it so the router can discard stale readies
     from a boot a crash aborted.
     """
-    # Imported here so "spawn" children resolve the registry cleanly.
-    from repro.engines.registry import ENGINE_REGISTRY
-
-    store: SharedGraphShards | None = None
     try:
         build_start = time.process_time()
-        store = SharedGraphShards.attach(handle)
-        view = store.shard_view(shard)
-        graph = materialize_local_graph(view)
-        owned = np.array(view.owned_vertices(), dtype=np.int64)
-        store.close()
-        store = None
-        engine = ENGINE_REGISTRY[engine_name].for_shard(
-            graph, owned, rng=engine_seed, **engine_kwargs
-        )
         boot_state = unpack_arrays(read_shared_blob(boot_name, boot_nbytes))
         epoch = int(boot_state[EPOCH_KEY][0])
-        _install_frontier_state(engine, boot_state, full=True)
+        engine = boot_replica(engine_name, engine_kwargs, engine_seed, boot_state)
+        del boot_state
         build_seconds = time.process_time() - build_start
         replies.send(("ready", shard, generation, build_seconds, engine.frontier_kernel))
 
@@ -163,12 +162,8 @@ def shard_serve_main(
                 elif command == "flip":
                     _, new_epoch, blob_name, blob_nbytes = message
                     busy_start = time.process_time()
-                    payload = unpack_arrays(read_shared_blob(blob_name, blob_nbytes))
-                    batch = batch_from_payload(payload)
-                    if len(batch):
-                        engine._apply_batch_to_graph(batch)
-                    _install_frontier_state(
-                        engine, payload, full=bool(payload[FULL_STATE_KEY][0])
+                    apply_flip(
+                        engine, unpack_arrays(read_shared_blob(blob_name, blob_nbytes))
                     )
                     epoch = int(new_epoch)
                     replies.send(
@@ -183,17 +178,17 @@ def shard_serve_main(
             replies.send(("error", shard, traceback.format_exc()))
         except Exception:
             pass
-    finally:
-        if store is not None:
-            store.close()
 
 
 __all__ = [
     "BATCH_KEYS",
     "EPOCH_KEY",
     "FULL_STATE_KEY",
+    "GRAPH_KEYS",
+    "UNDIRECTED_KEY",
+    "apply_flip",
     "batch_from_payload",
-    "materialize_local_graph",
+    "boot_replica",
     "read_shared_blob",
     "shard_serve_main",
 ]

@@ -43,16 +43,15 @@ def per_edge_amortization_factor(biases) -> float:
     return 10.0**MAX_AMORTIZATION_EXPONENT
 
 
-def per_vertex_build(graph, owned=None, **engine_kwargs) -> BingoEngine:
+def per_vertex_build(graph, **engine_kwargs) -> BingoEngine:
     """A Bingo engine over ``graph`` built one vertex at a time."""
     engine = BingoEngine(**engine_kwargs)
     engine.graph = graph
-    engine._shard_owned = None if owned is None else np.asarray(owned, dtype=np.int64)
     if engine._requested_lam is None:
         biases = [edge.bias for edge in graph.edges()]
         engine.lam = per_edge_amortization_factor(biases) if biases else 1.0
     engine._samplers = {}
-    for vertex in engine._build_vertex_ids():
+    for vertex in range(graph.num_vertices):
         if graph.degree(vertex) == 0:
             continue
         sampler = engine._new_sampler(vertex)
@@ -76,13 +75,15 @@ def per_vertex_build(graph, owned=None, **engine_kwargs) -> BingoEngine:
 
 
 def frontier_parts(sampler) -> dict | None:
-    """One vertex's ``inter`` and ``flat`` slices, gathered from its sampler.
+    """One vertex's ``inter``, ``flat`` and ``decimal`` slices, gathered
+    from its sampler.
 
     The inter slice is the sampler's inter-group alias table; each of its
     entries points at a group's members inside the vertex's own flat
     slice (``entry_offset`` / ``entry_size``), in the group's own member
-    order.  Entries landing in a decimal group are flagged.  ``None`` for
-    a vertex without a sampler or neighbours.
+    order.  Entries landing in a decimal group are flagged.  The decimal
+    slice lists the decimal group's neighbours by neighbour index.
+    ``None`` for a vertex without a sampler or neighbours.
     """
     if sampler is None or len(sampler) == 0:
         return None
@@ -91,6 +92,7 @@ def frontier_parts(sampler) -> dict | None:
     ids, lut, flat, offsets, sizes = sampler._batch_cache()
     group_ids, prob, alias = sampler._inter_group.numpy_tables()
     slots = lut[group_ids + 1]
+    decimal = sorted(sampler._decimal.fractions.items())
     return {
         "inter": {
             "prob": prob,
@@ -100,6 +102,14 @@ def frontier_parts(sampler) -> dict | None:
             "entry_decimal": group_ids == DECIMAL_GROUP_KEY,
         },
         "flat": {"members": ids[flat]},
+        "decimal": {
+            "decimal_ids": np.array(
+                [sampler._ids[index] for index, _ in decimal], dtype=np.int64
+            ),
+            "decimal_fractions": np.array(
+                [fraction for _, fraction in decimal], dtype=np.float64
+            ),
+        },
     }
 
 

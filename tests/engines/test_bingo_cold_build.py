@@ -56,13 +56,10 @@ def _fractional_graph():
     return graph
 
 
-def _assert_builds_match(graph, owned=None, **engine_kwargs):
-    oracle = per_vertex_build(graph.copy(), owned, **engine_kwargs)
+def _assert_builds_match(graph, **engine_kwargs):
+    oracle = per_vertex_build(graph.copy(), **engine_kwargs)
     engine = BingoEngine(**engine_kwargs)
-    if owned is None:
-        engine.build(graph.copy())
-    else:
-        engine.build_shard(graph.copy(), owned)
+    engine.build(graph.copy())
     assert bingo_state(engine) == bingo_state(oracle)
     assert_same_fused_state(fused_state(engine), fused_state(oracle))
     return engine
@@ -82,12 +79,6 @@ class TestWholeArrayBuildMatchesPerVertexOracle:
         graph = power_law_graph(300, 4, rng=2)
         engine = _assert_builds_match(graph, rng=6, adaptive_groups=False)
         assert engine.group_kind_ratios() == {"regular": 1.0}
-
-    @pytest.mark.parametrize("step", [3, -5], ids=["ascending", "descending"])
-    def test_shard_owned_subset(self, tw_graph, step):
-        owned = np.arange(0, 4096, 3) if step > 0 else np.arange(4095, 0, -5)
-        engine = _assert_builds_match(tw_graph, owned, rng=7)
-        assert set(engine._samplers) <= set(owned.tolist())
 
     def test_undirected_graph(self):
         graph = erdos_renyi_graph(200, 900, rng=5, undirected=True)

@@ -1,10 +1,9 @@
-"""Bingo's whole-array delta warm: its speed, and a shard replica's share.
+"""Bingo's whole-array delta warm against the per-vertex gather it replaced.
 
 A warm re-derives the dirty vertices' fused slices from one gather of
 their graph rows (one :class:`~repro.core.vertex_sampler.RadixLayout`
 pass), where the oracle (``tests/engines/bingo_oracle.py``) gathers each
-vertex's slices from its sampler, one vertex at a time.  A shard replica
-derives draw slices only for the vertices it owns.
+vertex's slices from its sampler, one vertex at a time.
 """
 
 from __future__ import annotations
@@ -15,7 +14,6 @@ import numpy as np
 
 from repro.bench.datasets import build_dataset
 from repro.engines.bingo import BingoEngine
-from repro.graph.generators import power_law_graph
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from repro.utils.timing import gc_paused
 from tests.engines.bingo_oracle import frontier_rows
@@ -70,22 +68,3 @@ def test_delta_warm_beats_the_per_vertex_oracle_gather():
     assert min(gathers) >= WARM_SPEEDUP_BOUND * min(warms), (min(gathers), min(warms))
     engine.check_consistency()
 
-
-def test_a_shard_replica_derives_draw_slices_only_for_owned_vertices():
-    graph = power_law_graph(120, 4, rng=3)
-    owned = np.arange(0, 120, 3)
-    whole = BingoEngine(rng=4)
-    whole.build(graph.copy())
-    replica = BingoEngine.for_shard(graph.copy(), owned, rng=4)
-    # Not staged: every slice goes through the whole-array derivation.
-    replica.frontier_tables.invalidate()
-    got, want = replica.frontier_tables.views(), whole.frontier_tables.views()
-    for vertex in range(graph.num_vertices):
-        for store, column in (("inter", "prob"), ("inter", "alias"), ("flat", "members")):
-            start = got[store + "_offset"][vertex]
-            length = got[store + "_length"][vertex]
-            expected = want[store + "_length"][vertex] if vertex in owned else 0
-            assert length == expected, (vertex, store)
-            theirs = want[column][want[store + "_offset"][vertex] :][:length]
-            assert np.array_equal(got[column][start : start + length], theirs)
-    replica.check_adjacency_store()

@@ -325,13 +325,6 @@ class TestUnscalableBias:
         assert not engine.graph.has_edge(0, 2)
         engine.check_consistency()
 
-    def test_shard_build_raises(self):
-        graph = DynamicGraph(4)
-        graph.add_edge(0, 1, 1.0)
-        graph.add_edge(2, 3, 1e19)
-        with pytest.raises(InvalidBiasError):
-            BingoEngine.for_shard(graph, [2, 3], rng=5)
-
     def test_undirected_batch_raises_and_changes_no_edge(self):
         graph = DynamicGraph(4, undirected=True)
         graph.add_edge(0, 1, 1.0)

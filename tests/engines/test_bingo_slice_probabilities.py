@@ -8,9 +8,11 @@ after mixed churn (fractional biases in decimal groups, dense groups,
 adaptive groups on and off, a vertex deleted down to zero edges and
 reinserted, batched and streaming ingest), the probability each vertex's
 slices give every neighbour — the alias ``prob`` / ``alias`` columns, then
-``1 / entry_size`` per member, then the sampler's decimal share for a
-decimal entry — equals ``sampler.structure_probability`` within 1e-12.
-The per-vertex oracle gather must imply the same probabilities.
+``1 / entry_size`` per member, then each neighbour's share of the
+``decimal`` store's fractions for a decimal entry — equals
+``sampler.structure_probability`` within 1e-12.  The per-vertex oracle
+gather, with the sampler's decimal group, must imply the same
+probabilities.
 """
 
 from __future__ import annotations
@@ -32,8 +34,11 @@ NUM_VERTICES = 8
 BIASES = st.sampled_from([1.0, 3.0, 7.0, 1.0, 5.0, 2.0, 12.0, 2.5, 0.25, 1.75, 9.125])
 
 
-def implied_probabilities(sampler, inter: dict, members: np.ndarray) -> dict[int, float]:
-    """Neighbour id -> probability of one vertex's inter and flat slices."""
+def implied_probabilities(
+    inter: dict, members: np.ndarray, decimal: dict[int, float]
+) -> dict[int, float]:
+    """Neighbour id -> probability of one vertex's inter and flat slices,
+    with ``decimal`` (neighbour id -> fraction) as its decimal group."""
     prob, alias = inter["prob"], inter["alias"]
     length = len(prob)
     entry = np.zeros(length)
@@ -42,9 +47,9 @@ def implied_probabilities(sampler, inter: dict, members: np.ndarray) -> dict[int
     implied: dict[int, float] = defaultdict(float)
     for slot in range(length):
         if inter["entry_decimal"][slot]:
-            decimal = sampler._decimal
-            for index, fraction in decimal.fractions.items():
-                implied[sampler._ids[index]] += entry[slot] * fraction / decimal.weight()
+            weight = sum(decimal.values())
+            for neighbour, fraction in decimal.items():
+                implied[neighbour] += entry[slot] * fraction / weight
             continue
         start = int(inter["entry_offset"][slot])
         size = int(inter["entry_size"][slot])
@@ -71,10 +76,24 @@ def assert_slices_imply_sampler_probabilities(engine: BingoEngine) -> None:
             for column in engine.frontier_schemas["inter"]
         }
         members = views["members"][flat : flat + int(views["flat_length"][vertex])]
+        start = int(views["decimal_offset"][vertex])
+        stop = start + int(views["decimal_length"][vertex])
+        decimal = dict(
+            zip(
+                views["decimal_ids"][start:stop].tolist(),
+                views["decimal_fractions"][start:stop].tolist(),
+            )
+        )
         oracle = frontier_parts(sampler)
+        sampler_decimal = {
+            sampler._ids[index]: fraction
+            for index, fraction in sampler._decimal.fractions.items()
+        }
         for implied in (
-            implied_probabilities(sampler, inter, members),
-            implied_probabilities(sampler, oracle["inter"], oracle["flat"]["members"]),
+            implied_probabilities(inter, members, decimal),
+            implied_probabilities(
+                oracle["inter"], oracle["flat"]["members"], sampler_decimal
+            ),
         ):
             assert sorted(implied) == sorted(neighbours), vertex
             for neighbour in neighbours:

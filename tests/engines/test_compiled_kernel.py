@@ -39,6 +39,7 @@ from tests.walks.test_frontier_golden import (
     ENGINE_SEED,
     GOLDEN,
     churn_batch,
+    count_decimal_draws,
     fused_starts,
     golden_runs,
     make_graph,
@@ -308,17 +309,11 @@ def test_compiled_step_equals_numpy_step(engine_name, graph_name, monkeypatch):
 def test_compiled_walk_pauses_for_the_decimal_group(application, monkeypatch):
     engine = build("bingo", "fractional")
     assert engine.frontier_kernel == "compiled"
-    resolved = []
-    original = engine._decimal_sampler
-
-    def counted(vertex):
-        resolved.append(vertex)
-        return original(vertex)
+    resolved = count_decimal_draws(monkeypatch)
 
     def no_step(*_args, **_kwargs):
         raise AssertionError("a compiled walk takes no Python step")
 
-    monkeypatch.setattr(engine, "_decimal_sampler", counted)
     monkeypatch.setattr(engine, "sample_frontier", no_step)
     monkeypatch.setattr(engine, "has_arcs", no_step)
     walk(application, engine, np.random.default_rng(7))

@@ -195,6 +195,36 @@ class TestCopy:
             assert clone.edge_bias(edge.src, edge.dst) == edge.bias
 
 
+class TestFromCsr:
+    @staticmethod
+    def _round_trip(graph):
+        rebuilt = DynamicGraph.from_csr(*graph.csr_columns(), undirected=graph.undirected)
+        for want, got in zip(graph.csr_columns(), rebuilt.csr_columns()):
+            assert np.array_equal(got, want)
+        assert rebuilt.undirected == graph.undirected
+        assert rebuilt.num_edges == graph.num_edges
+        return rebuilt
+
+    def test_directed_rows_keep_their_order(self, example_graph):
+        example_graph.add_edge(3, 3, 0.5)
+        example_graph.remove_edge(0, 1)
+        rebuilt = self._round_trip(example_graph)
+        rebuilt.add_edge(0, 1, 2.0)
+        assert not rebuilt.has_edge(1, 0)
+
+    def test_undirected_arcs_are_not_mirrored_again(self):
+        graph = DynamicGraph.from_edges(
+            [(0, 1, 1.0), (1, 2, 2.5), (2, 2, 3.0)], num_vertices=4, undirected=True
+        )
+        rebuilt = self._round_trip(graph)
+        rebuilt.add_edge(3, 0, 1.5)
+        assert rebuilt.has_edge(0, 3) and rebuilt.has_edge(3, 0)
+
+    def test_empty_graph(self):
+        self._round_trip(DynamicGraph(3))
+        self._round_trip(DynamicGraph())
+
+
 class TestHasArcs:
     @staticmethod
     def _graph(undirected):

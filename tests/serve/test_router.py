@@ -7,9 +7,11 @@ import pytest
 
 from repro.engines import compiled
 from repro.engines.registry import create_engine
-from repro.engines.sliced_tables import pack_arrays
+from repro.engines.sliced_tables import pack_arrays, unpack_arrays
 from repro.errors import ServeError
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.generators import erdos_renyi_graph
+from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.serve import (
     FaultInjector,
@@ -19,7 +21,15 @@ from repro.serve import (
     ServiceConfig,
     service_from_config,
 )
-from repro.serve.router import discard_stale, reassemble, reference_shard_walks
+from repro.serve.router import (
+    _boot_blob,
+    discard_stale,
+    flip_payload,
+    reassemble,
+    reference_shard_walks,
+)
+from repro.serve.shard_worker import apply_flip, boot_replica
+from tests.walks import test_frontier_golden as golden
 
 #: Engines with the fused-frontier serialization the shard workers adopt.
 FRONTIER_ENGINES = ("bingo", "knightking", "gsampler")
@@ -178,6 +188,98 @@ def test_one_shard_router_is_bitwise_identical(engine):
         assert snapshot["frontier_kernel"] == compiled.kernel_name()
         router._pool.frontier_kernels[-1] = "numpy"
         assert router.stats_snapshot()["frontier_kernel"] == "numpy"
+    finally:
+        reference.close()
+        router.close()
+
+
+PARITY_QUERIES = (
+    ("deepwalk", 8, {}),
+    ("ppr", 40, {"termination_probability": 0.15, "max_steps": 40}),
+    ("node2vec", 8, {"p": 0.5, "q": 2.0}),
+)
+
+
+def assert_same_walks(reference, router, starts, queries=PARITY_QUERIES):
+    for application, length, params in queries:
+        want = reference.query(application, starts, length, rng=5, **params)
+        got = router.query(application, starts, length, rng=5, **params)
+        assert np.array_equal(got.walks.matrix, want.walks.matrix), application
+
+
+def test_one_shard_router_matches_the_service_after_fractional_churn():
+    """λ = 1 fractional biases, then a batch with deletions: the replica's
+    decimal-group draws must equal the writer's."""
+    kwargs = {"lam": 1.0}
+    reference = GraphService(
+        "bingo", golden.make_graph(), rng=11, engine_kwargs=kwargs, warm_on_publish=True
+    )
+    router = RouterService(
+        "bingo", golden.make_graph(), shards=1, rng=11, engine_kwargs=kwargs
+    )
+    try:
+        batch = golden.churn_batch(golden.make_graph())
+        for service in (reference, router):
+            service.ingest(batch)
+            service.flush()
+        assert reference.epoch == router.epoch == 1
+        assert_same_walks(reference, router, list(range(golden.ISOLATED + 1)))
+    finally:
+        reference.close()
+        router.close()
+
+
+def triangle_closing_pairs(graph, count):
+    """The ``count`` non-adjacent pairs with the most common neighbours.
+
+    node2vec's distance-1 test reads both arcs of such a pair once it is
+    an edge.
+    """
+    pairs = []
+    for src in range(graph.num_vertices):
+        for dst in range(src + 1, graph.num_vertices):
+            if not graph.has_edge(src, dst):
+                common = set(graph.neighbors(src)) & set(graph.neighbors(dst))
+                pairs.append((-len(common), src, dst))
+    return [(src, dst) for _, src, dst in sorted(pairs)[:count]]
+
+
+@pytest.mark.parametrize("engine", FRONTIER_ENGINES)
+def test_one_shard_router_matches_the_service_on_an_undirected_graph(
+    engine, monkeypatch
+):
+    """NumPy kernel (node2vec probes the replica's graph): after an insert
+    batch the replica's graph must hold both arcs of every new edge."""
+    monkeypatch.setattr(compiled, "load", lambda: None)
+    graph = erdos_renyi_graph(30, 120, rng=6, undirected=True)
+    updates = [
+        GraphUpdate(UpdateKind.INSERT, src, dst, 1.5 + index)
+        for index, (src, dst) in enumerate(triangle_closing_pairs(graph, 4))
+    ]
+    reference = GraphService(engine, graph.copy(), rng=11, warm_on_publish=True)
+    router = RouterService(engine, graph.copy(), shards=1, rng=11)
+    writer = create_engine(engine, rng=11)
+    writer.build(graph.copy())
+    replica = boot_replica(engine, {}, 11, unpack_arrays(_boot_blob(writer, 0)))
+    try:
+        assert router.stats_snapshot()["frontier_kernel"] == "numpy"
+        starts = list(range(graph.num_vertices)) * 6
+        node2vec = (("node2vec", 12, {"p": 0.5, "q": 2.0}),)
+        assert_same_walks(reference, router, starts, node2vec)
+        for service in (reference, router):
+            service.ingest(updates)
+            service.flush()
+        assert_same_walks(reference, router, starts, node2vec)
+        # The worker's flip step, in process.
+        batch = UpdateBatch.from_updates(updates)
+        writer.apply_batch(batch)
+        payload, _ = flip_payload(writer, batch, writer.warm_frontier_tables())
+        apply_flip(replica, unpack_arrays(pack_arrays(payload)))
+        assert replica.graph.undirected
+        for update in updates:
+            assert replica.graph.has_edge(update.src, update.dst)
+            assert replica.graph.has_edge(update.dst, update.src)
+        assert replica.graph.num_edges == writer.graph.num_edges
     finally:
         reference.close()
         router.close()

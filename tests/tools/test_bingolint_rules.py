@@ -314,7 +314,7 @@ class TestBGL004SharedMemoryLifetime:
         assert lint("BGL004", source, "src/repro/serve/router.py") == []
 
     def test_false_positive_factory_returns_block(self):
-        # The _allocate_block pattern: ownership transfers to the caller.
+        # The _publish_blob pattern: ownership transfers to the caller.
         source = """
             from multiprocessing import shared_memory
 

@@ -9,11 +9,10 @@ from repro.engines.sliced_tables import pack_arrays, unpack_arrays
 from repro.errors import ParallelExecutionError, ServeError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import power_law_graph
-from repro.graph.partition import SharedGraphShards, partition_graph
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 from repro.serve.router import ShardServePool, _boot_blob, flip_payload
-from repro.serve.shard_worker import _install_frontier_state, batch_from_payload
+from repro.serve.shard_worker import apply_flip, boot_replica
 from repro.walks.frontier import (
     BatchedWalks,
     run_frontier_deepwalk,
@@ -120,21 +119,6 @@ class TestMultiWorker:
         # A connected power-law graph split in two must cross the partition.
         assert 0 < cross_owner_steps(matrix, owner, 2) <= result.total_steps
 
-    def test_shard_engines_only_build_owned_state(self, graph):
-        store = SharedGraphShards.create(graph, partition_graph(graph, 2))
-        try:
-            view0 = store.shard_view(0)
-            engine = create_engine("bingo", rng=99)
-            engine.build_shard(view0, view0.owned_vertices())
-            owned = set(view0.owned_vertices().tolist())
-            assert set(engine._samplers).issubset(owned)
-            total_with_edges = sum(
-                1 for v in range(graph.num_vertices) if graph.degree(v) > 0
-            )
-            assert 0 < len(engine._samplers) < total_with_edges
-        finally:
-            store.close()
-
     def test_ppr_and_node2vec_multi_worker_valid(self, graph, starts):
         pool = _pool("gsampler", graph, 3)
         try:
@@ -197,15 +181,13 @@ class TestFlip:
     def test_replica_adjacency_store_follows_boot_and_flips(self, graph, engine_name):
         """The shard worker's boot and flip steps, in process, over the real blobs.
 
-        The replica owns half the vertices; its node2vec walks read the
+        The replica builds no sampler; its node2vec walks read the
         writer's adjacency store and must equal the writer's.
         """
         writer = create_engine(engine_name, rng=99)
         writer.build(graph.copy())
-        owned = np.arange(0, graph.num_vertices, 2)
-        replica = type(writer).for_shard(graph.copy(), owned, rng=99)
-        boot = unpack_arrays(_boot_blob(writer, 0))
-        _install_frontier_state(replica, boot, full=True)
+        replica = boot_replica(engine_name, {}, 99, unpack_arrays(_boot_blob(writer, 0)))
+        assert replica._samplers == {}
         replica.check_adjacency_store()
         starts = np.arange(graph.num_vertices)
         hub = max(range(graph.num_vertices), key=graph.degree)
@@ -219,15 +201,14 @@ class TestFlip:
             writer.apply_batch(batch)
             payload, full = flip_payload(writer, batch, writer.warm_frontier_tables())
             assert not full
-            payload = unpack_arrays(pack_arrays(payload))
-            replica._apply_batch_to_graph(batch_from_payload(payload))
-            _install_frontier_state(replica, payload, full=False)
+            apply_flip(replica, unpack_arrays(pack_arrays(payload)))
             replica.check_adjacency_store()
             writer.check_adjacency_store()
             assert np.array_equal(
                 run_frontier_node2vec(replica, starts, 8, rng=seed, **NODE2VEC).matrix,
                 run_frontier_node2vec(writer, starts, 8, rng=seed, **NODE2VEC).matrix,
             )
+        assert replica._samplers == {}
 
     def test_closed_pool_rejects_runs(self, graph):
         pool = _pool("flowwalker", graph, 1)

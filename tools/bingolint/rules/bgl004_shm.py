@@ -9,7 +9,7 @@ instead of a ``finally``.  This rule flags any
   calls ``.close()`` or ``.unlink()`` (the cleanup survives any crash
   path), or
 * the created block escapes through a ``return`` (a factory like
-  ``_allocate_block`` transfers ownership to its caller, which is then
+  ``_publish_blob`` transfers ownership to its caller, which is then
   the one this rule holds to the finally discipline).
 """
 
