@@ -25,8 +25,8 @@ from repro.bench.harness import (
     run_update_only,
 )
 from repro.bench.workloads import sample_start_vertices
-from repro.core.adaptive import GroupKind
-from repro.core.vertex_sampler import BingoVertexSampler
+from repro.core.adaptive import ConversionTracker, GroupKind
+from repro.core.vertex_sampler import BingoVertexSampler, RadixLayout
 from repro.engines.bingo import BingoEngine
 from repro.engines.flowwalker import FlowWalkerEngine
 from repro.engines.registry import create_engine
@@ -37,6 +37,7 @@ from repro.graph.bias import (
     power_law_biases,
     uniform_biases,
 )
+from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from repro.sampling.alias import AliasTable
 from repro.sampling.its import InverseTransformSampler
@@ -229,7 +230,12 @@ def table4_conversion(
     num_batches: int = 4,
     seed: int = 17,
 ) -> dict[str, object]:
-    """Group-type conversion ratios while ingesting a mixed update stream."""
+    """Group-type conversion ratios while ingesting a mixed update stream.
+
+    Each batch's touched rows are laid out before and after the batch
+    (:func:`group_conversions`), so the counts are the ones a per-vertex
+    sampler's rebuild records for the same batches.
+    """
     rng = ensure_rng(seed)
     graph = build_dataset(dataset, rng=rng)
     stream = generate_update_stream(
@@ -242,11 +248,9 @@ def table4_conversion(
     engine = BingoEngine(rng=seed + 1)
     engine.build(stream.initial_graph.copy())
     # Only the conversions triggered by updates matter for Table 4.
-    engine.conversion_tracker.transitions.clear()
-    engine.conversion_tracker.observations = 0
+    tracker = ConversionTracker()
     for batch in stream.batches:
-        engine.apply_batch(batch)
-    tracker = engine.conversion_tracker
+        group_conversions(engine, batch, tracker)
     matrix = {
         old.value: {new.value: ratio for new, ratio in row.items()}
         for old, row in tracker.ratio_matrix().items()
@@ -260,6 +264,40 @@ def table4_conversion(
         ),
         "matrix": matrix,
     }
+
+
+def group_conversions(engine: BingoEngine, batch, tracker: ConversionTracker) -> None:
+    """Apply ``batch`` to ``engine`` and count its group conversions in ``tracker``.
+
+    The batch's source rows are laid out (:class:`RadixLayout`) before and
+    after the batch.  Every group present after it is one observation,
+    keyed by (vertex, bit); it converts when its kind differs from the
+    kind it had before, and a group absent before counts as created
+    regular, as a per-vertex sampler creates it.  On an undirected graph
+    the mirrored endpoints' rows change too and are not counted.
+    """
+    batch = UpdateBatch.coerce(batch)
+    vertices = np.unique(batch.src)
+    before = _group_kinds(engine, vertices)
+    engine.apply_batch(batch)
+    after = _group_kinds(engine, vertices)
+    tracker.observations += len(after)
+    for key, new in after.items():
+        old = before.get(key, GroupKind.REGULAR)
+        if old is not new:
+            tracker.transitions[(old, new)] = tracker.transitions.get((old, new), 0) + 1
+
+
+def _group_kinds(
+    engine: BingoEngine, vertices: np.ndarray
+) -> dict[tuple[int, int], GroupKind]:
+    """(vertex, bit) -> representation of every radix group of ``vertices``' rows."""
+    graph = engine.graph
+    present = vertices[vertices < graph.num_vertices]
+    lengths, _, biases = graph.gather_rows(present)
+    layout = RadixLayout(lengths, biases, engine.lam, engine.classifier)
+    keys = zip(present[layout.group_row].tolist(), layout.group_bit.tolist())
+    return dict(zip(keys, layout.group_kinds()))
 
 
 # --------------------------------------------------------------------------- #
@@ -309,22 +347,11 @@ def fig11_memory(
         # Per-kind comparison: what the GA representation costs for the groups
         # it stores in each simplified form, vs. what the same groups would
         # cost as regular groups.
+        layout = adaptive.radix_layout()
         per_kind: dict[str, dict[str, float]] = {}
-        from repro.core.memory_model import group_memory_bytes
-
         for kind in (GroupKind.DENSE, GroupKind.ONE_ELEMENT, GroupKind.SPARSE):
-            ga_bytes = 0
-            bs_bytes = 0
-            for vertex in range(graph.num_vertices):
-                sampler = adaptive.sampler_for(vertex)
-                if sampler is None:
-                    continue
-                degree = len(sampler)
-                kinds = sampler.group_kinds()
-                for position, size in sampler.group_sizes().items():
-                    if kinds.get(position) is kind:
-                        ga_bytes += group_memory_bytes(kind, size, degree)
-                        bs_bytes += group_memory_bytes(GroupKind.REGULAR, size, degree)
+            ga_bytes = layout.group_bytes(kind)
+            bs_bytes = layout.group_bytes(kind, stored_as=GroupKind.REGULAR)
             per_kind[kind.value] = {
                 "ga_bytes": ga_bytes,
                 "bs_bytes": bs_bytes,
@@ -364,7 +391,9 @@ def fig12_batched_updates(
     cannot show the parallel part, so each cell reports both the measured
     host throughputs and the device-model speedup
     (``serial update steps / modelled parallel kernel steps``) — the latter is
-    the quantity comparable with Figure 12.
+    the quantity comparable with Figure 12.  Both host throughputs include
+    the warm that makes the updates visible: one per streamed update, one
+    per batch.
     """
     from repro.engines.bingo import BingoEngine as _Bingo
 
@@ -384,9 +413,11 @@ def fig12_batched_updates(
             streaming = run_update_only("bingo", stream, streaming=True, rng=seed + 1)
             batched_engine = _Bingo(rng=seed + 1)
             batched_engine.build(stream.initial_graph.copy())
+            batched_engine.warm_frontier_tables()
             batched_start = time.perf_counter()
             for batch in stream.batches:
                 batched_engine.apply_batch(batch)
+                batched_engine.warm_frontier_tables()
             batched_seconds = time.perf_counter() - batched_start
 
             total_updates = stream.num_updates
@@ -419,8 +450,10 @@ def fig13_breakdown(
 ) -> dict[str, dict[str, dict[str, float]]]:
     """Insert/delete, rebuild and sampling time with and without group adaption.
 
-    The measured phases run with the collector paused (a full collection
-    outlasts a whole few-millisecond phase).
+    ``rebuild`` is the warm after each batch: the derivation of the
+    touched vertices' slices from their new graph rows.  The measured
+    phases run with the collector paused (a full collection outlasts a
+    whole few-millisecond phase).
     """
     output: dict[str, dict[str, dict[str, float]]] = {}
     for dataset in datasets:
@@ -437,12 +470,14 @@ def fig13_breakdown(
         for label, adaptive in (("BS", False), ("GA", True)):
             engine = BingoEngine(rng=seed + 1, adaptive_groups=adaptive)
             engine.build(stream.initial_graph.copy())
+            engine.warm_frontier_tables()
             engine.reset_breakdown()
             starts = sample_start_vertices(stream.initial_graph, 64, rng=seed + 2)
             sample_rng = ensure_rng(seed + 3)
             with gc_paused():
                 for batch in stream.batches:
                     engine.apply_batch(batch)
+                    engine.warm_frontier_tables()
                 for _ in range(num_samples):
                     engine.sample_neighbor(starts[sample_rng.randrange(len(starts))])
             phases = engine.breakdown.as_dict()
@@ -515,9 +550,15 @@ def fig15_batch_size_sweep(
     dataset: str = "LJ",
     batch_sizes: Sequence[int] = (50, 125, 250, 375, 500),
     total_updates: int = 1500,
+    repeats: int = 3,
     seed: int = 43,
 ) -> dict[int, dict[str, float]]:
-    """gSampler vs Bingo runtime as the updating batch size grows (Figure 15a)."""
+    """gSampler vs Bingo runtime as the updating batch size grows (Figure 15a).
+
+    Each cell is the best of ``repeats`` :func:`run_update_only` runs with
+    the collector paused, the two engines taking turns, so one burst of
+    host load cannot decide a cell.
+    """
     output: dict[int, dict[str, float]] = {}
     for batch_size in batch_sizes:
         num_batches = max(1, total_updates // batch_size)
@@ -531,9 +572,15 @@ def fig15_batch_size_sweep(
             rng=rng,
         )
         row: dict[str, float] = {}
-        for engine_name in ("gsampler", "bingo"):
-            result = run_update_only(engine_name, stream, streaming=False, rng=seed + 1)
-            row[engine_name] = result.runtime_seconds
+        for _ in range(repeats):
+            for engine_name in ("gsampler", "bingo"):
+                with gc_paused():
+                    result = run_update_only(
+                        engine_name, stream, streaming=False, rng=seed + 1
+                    )
+                row[engine_name] = min(
+                    row.get(engine_name, math.inf), result.runtime_seconds
+                )
         output[batch_size] = row
     return output
 
@@ -738,7 +785,12 @@ def fig16_piecewise(
     num_samples: int = 1000,
     seed: int = 59,
 ) -> dict[str, dict[str, float]]:
-    """Insertion vs deletion vs sampling time for Bingo, and FlowWalker's costs."""
+    """Insertion vs deletion vs sampling time for Bingo, and FlowWalker's costs.
+
+    Bingo's update times include the warm after each update
+    (:func:`run_update_only`); each engine's sampling time is one frontier
+    draw of the whole query, the path every walk takes.
+    """
     output: dict[str, dict[str, float]] = {}
     for dataset in datasets:
         rng = ensure_rng(seed)
@@ -758,6 +810,8 @@ def fig16_piecewise(
 
         bingo = BingoEngine(rng=seed + 4)
         bingo.build(graph.copy())
+        # Writing the staged tables is boot work, not sampling.
+        bingo.warm_frontier_tables()
         flow = FlowWalkerEngine(rng=seed + 4)
         flow.build(graph.copy())
 
@@ -765,14 +819,13 @@ def fig16_piecewise(
         sample_rng = ensure_rng(seed + 6)
         query = [starts[sample_rng.randrange(len(starts))] for _ in range(num_samples)]
 
+        # Both engines draw the query as one frontier, the path walks use.
         bingo_sample_start = time.perf_counter()
-        for vertex in query:
-            bingo.sample_neighbor(vertex)
+        bingo.sample_frontier(query, seed + 6)
         bingo_sampling = time.perf_counter() - bingo_sample_start
 
         flow_sample_start = time.perf_counter()
-        for vertex in query:
-            flow.sample_neighbor(vertex)
+        flow.sample_frontier(query, seed + 6)
         flow_sampling = time.perf_counter() - flow_sample_start
 
         # FlowWalker "update": apply both streams as graph edits + reload.

@@ -221,19 +221,31 @@ def run_update_only(
 ) -> EvaluationResult:
     """Ingest an update stream without running any application.
 
-    Used by the Figure 12 (streaming vs batched throughput) and Figure 16
-    (piecewise update/sampling breakdown) experiments.
+    Each update counts until walks can see it: a fused engine warms its
+    tables after every batch, or after every update when ``streaming``.
+    Used by the Figure 12 (streaming vs batched throughput), Figure 15a
+    (batch size) and Figure 16 (piecewise update/sampling breakdown)
+    experiments.
     """
     generator = ensure_rng(rng)
     engine = create_engine(engine_name, rng=generator, **(engine_kwargs or {}))
     engine.build(update_stream.initial_graph.copy())
+    warm = getattr(engine, "warm_frontier_tables", None)
+    if warm is not None:
+        # The build's first warm is part of boot, not of any update.
+        warm()
 
     start = time.perf_counter()
     for batch in update_stream.batches:
         if streaming:
-            engine.apply_streaming(batch)
+            for update in batch:
+                engine.apply_streaming_update(update)
+                if warm is not None:
+                    warm()
         else:
             engine.apply_batch(batch)
+            if warm is not None:
+                warm()
     elapsed = time.perf_counter() - start
 
     memory = engine.memory_report()

@@ -21,6 +21,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from collections.abc import Iterable, Mapping
 
+import numpy as np
+
 from repro.core.adaptive import GroupKind
 
 #: Modelled width of a neighbour index / slot entry (32-bit, as on the GPU).
@@ -58,6 +60,20 @@ def group_memory_bytes(kind: GroupKind, group_size: int, degree: int) -> int:
         return group_size * INDEX_BYTES * 2
     # Regular: member list + full inverted index of size d.
     return group_size * INDEX_BYTES + degree * INDEX_BYTES
+
+
+def group_memory_total(kind: GroupKind, group_sizes, degrees) -> int:
+    """:func:`group_memory_bytes` summed over many non-empty groups stored as ``kind``.
+
+    ``group_sizes`` and ``degrees`` are aligned arrays: each group's member
+    count and its owning vertex's degree.
+    """
+    sizes = np.asarray(group_sizes, dtype=np.int64)
+    if kind is GroupKind.DENSE or kind is GroupKind.ONE_ELEMENT:
+        return len(sizes) * INDEX_BYTES
+    if kind is GroupKind.SPARSE:
+        return int(sizes.sum()) * INDEX_BYTES * 2
+    return int(sizes.sum() + np.asarray(degrees, dtype=np.int64).sum()) * INDEX_BYTES
 
 
 @dataclass

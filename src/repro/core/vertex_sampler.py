@@ -25,7 +25,6 @@ alias rebuild, giving the O(K) update cost of Table 1.
 from __future__ import annotations
 
 from collections.abc import Iterable, Sequence
-from dataclasses import replace
 from functools import reduce
 from operator import add
 
@@ -34,7 +33,14 @@ import numpy as np
 from repro.core.adaptive import ConversionTracker, GroupClassifier, GroupKind
 from repro.core.batch_rebuild import batch_vose, vose_padded
 from repro.core.groups import DecimalGroup, RadixGroup
-from repro.core.memory_model import MemoryReport, vertex_memory_bytes
+from repro.core.memory_model import (
+    ALIAS_BUCKET_BYTES,
+    BIAS_BYTES,
+    INDEX_BYTES,
+    MemoryReport,
+    group_memory_total,
+    vertex_memory_bytes,
+)
 from repro.core.radix import (
     decompose_bias,
     split_scaled_arrays,
@@ -45,7 +51,7 @@ from repro.errors import EmptySamplerError, SamplerStateError
 from repro.sampling.alias import AliasTable
 from repro.sampling.base import DynamicSampler, SamplerKind
 from repro.sampling.cost_model import OperationCounter
-from repro.utils.rng import NumpySource, RandomSource, clone_rng, ensure_np_rng
+from repro.utils.rng import NumpySource, RandomSource, ensure_np_rng
 from repro.utils.segments import segment_positions
 from repro.utils.validation import check_bias
 
@@ -132,34 +138,6 @@ class BingoVertexSampler(DynamicSampler):
         sampler.auto_rebuild = previous_mode
         sampler.rebuild()
         return sampler
-
-    def clone(self, conversion_tracker: ConversionTracker | None = None) -> BingoVertexSampler:
-        """An independent copy in the same state, generator state included.
-
-        Groups are copied field by field; the inter-group table shares the
-        copy's generator and counter, as the original shares this
-        sampler's.  ``conversion_tracker`` is the copy's tracker (an
-        engine's samplers share one).
-        """
-        twin = BingoVertexSampler.__new__(BingoVertexSampler)
-        twin._rng = clone_rng(self._rng)
-        twin.counter = replace(self.counter)
-        twin.lam = self.lam
-        twin.classifier = self.classifier
-        twin.conversion_tracker = conversion_tracker
-        twin.auto_rebuild = self.auto_rebuild
-        twin._ids = self._ids.copy()
-        twin._biases = self._biases.copy()
-        twin._integer_parts = self._integer_parts.copy()
-        twin._fractions = self._fractions.copy()
-        twin._index_of = self._index_of.copy()
-        twin._groups = {position: group.clone() for position, group in self._groups.items()}
-        twin._decimal = self._decimal.clone()
-        twin._inter_group = self._inter_group.clone(rng=twin._rng, counter=twin.counter)
-        twin._inter_dirty = self._inter_dirty
-        twin.rebuild_count = self.rebuild_count
-        twin._np_cache = None
-        return twin
 
     # ------------------------------------------------------------------ #
     # mutation (Table 1: O(K))
@@ -874,8 +852,8 @@ class RadixLayout:
     is one vertex: ``lengths[r]`` neighbours, back to back in ``biases``.
     The result is the state those per-vertex calls leave — group member
     order, group creation order, classification, decimal running totals,
-    inter-group alias — so :meth:`samplers` assembles samplers
-    indistinguishable from per-vertex ones.
+    inter-group alias — as arrays: Bingo's fused tables, its memory
+    model and its group-kind counts are all read from them.
 
     Arrays, in group *creation order* (row-major; within a row, by first
     member, then bit): ``group_row``, ``group_bit``, ``group_size``,
@@ -972,110 +950,40 @@ class RadixLayout:
         ]
         self.prob, self.alias = vose_padded(self.weights, self.inter_length)
 
-    def record_conversions(self, tracker: ConversionTracker) -> None:
-        """Count this build's classifications in ``tracker``.
+    def group_bytes(self, kind: GroupKind, stored_as: GroupKind | None = None) -> int:
+        """Modelled bytes of the groups classified ``kind``, each stored as
+        ``stored_as`` (default: ``kind`` itself)."""
+        chosen = self.group_kind == _KIND_BY_CODE.index(kind)
+        return group_memory_total(
+            kind if stored_as is None else stored_as,
+            self.group_size[chosen],
+            self.lengths[self.group_row[chosen]],
+        )
 
-        Every group is created regular and classified once; transitions are
-        added in first-occurrence order, as the per-vertex rebuilds would.
+    def group_kinds(self) -> list[GroupKind]:
+        """Every group's representation, in creation order."""
+        return [_KIND_BY_CODE[code] for code in self.group_kind.tolist()]
+
+    def kind_counts(self) -> dict[GroupKind, int]:
+        """Number of groups per representation, for the kinds present."""
+        counts = np.bincount(self.group_kind, minlength=len(_KIND_BY_CODE)).tolist()
+        return {kind: count for kind, count in zip(_KIND_BY_CODE, counts) if count}
+
+    def memory_report(self) -> MemoryReport:
+        """Modelled memory of every row's sampling state.
+
+        Equal, component by component, to the sum of
+        :func:`~repro.core.memory_model.vertex_memory_bytes` over the rows
+        (what each row's :class:`BingoVertexSampler` reports).
         """
-        tracker.observations += len(self.group_kind)
-        converted = self.group_kind[self.group_kind != 0]
-        codes, first, counts = np.unique(converted, return_index=True, return_counts=True)
-        transitions = tracker.transitions
-        for position in np.argsort(first):
-            pair = (GroupKind.REGULAR, _KIND_BY_CODE[int(codes[position])])
-            transitions[pair] = transitions.get(pair, 0) + int(counts[position])
-
-    def samplers(
-        self,
-        ids,
-        biases,
-        rngs: Sequence,
-        *,
-        lam: float,
-        classifier: GroupClassifier,
-        conversion_tracker: ConversionTracker | None,
-    ) -> list[BingoVertexSampler]:
-        """One sampler per row, holding the row's neighbours ``ids`` / ``biases``.
-
-        ``rngs[r]`` becomes row ``r``'s generator.  Samplers are built with
-        ``auto_rebuild=False`` and a clean inter-group table.
-        """
-        id_list = np.asarray(ids).tolist()
-        bias_list = np.asarray(biases, dtype=np.float64).tolist()
-        integer_list = self.integer_parts.tolist()
-        fraction_list = self.fractions.tolist()
-        bit_list = self.group_bit.tolist()
-        prob_rows = self.prob.tolist()
-        alias_rows = self.alias.tolist()
-        weight_rows = self.weights.tolist()
-        lam = float(lam)
-
-        # Every group first, in creation order (row-major).
-        groups = []
-        dense = GroupKind.DENSE
-        member_list = self.members.tolist()
-        member = 0
-        for position, size, code in zip(
-            bit_list, self.group_size.tolist(), self.group_kind.tolist()
-        ):
-            kind = _KIND_BY_CODE[code]
-            members = [] if kind is dense else member_list[member : member + size]
-            groups.append(RadixGroup.built(position, kind, members, size))
-            member += size
-
-        decimal_list = self.decimal_edges.tolist()
-        decimal_totals = self.decimal_total.tolist()
-        samplers: list[BingoVertexSampler] = []
-        new_sampler = BingoVertexSampler.__new__
-        group = 0
-        decimal = 0
-        for row, (start, length, group_count, decimal_count, inter_length) in enumerate(
-            zip(
-                self.starts.tolist(),
-                self.lengths.tolist(),
-                self.group_count.tolist(),
-                self.decimal_count.tolist(),
-                self.inter_length.tolist(),
-            )
-        ):
-            stop = start + length
-            next_group = group + group_count
-            sampler = new_sampler(BingoVertexSampler)
-            sampler._rng = rng = rngs[row]
-            sampler.counter = counter = OperationCounter(4 * length + decimal_count)
-            sampler.lam = lam
-            sampler.classifier = classifier
-            sampler.conversion_tracker = conversion_tracker
-            sampler.auto_rebuild = False
-            sampler._ids = row_ids = id_list[start:stop]
-            sampler._biases = bias_list[start:stop]
-            sampler._integer_parts = integer_list[start:stop]
-            sampler._fractions = fraction_list[start:stop]
-            sampler._index_of = dict(zip(row_ids, range(length)))
-            keys = bit_list[group:next_group]
-            sampler._groups = dict(zip(keys, groups[group:next_group]))
-            group = next_group
-            sampler._decimal = decimal_group = DecimalGroup()
-            if decimal_count:
-                decimal_group.fractions = {
-                    edge - start: fraction_list[edge]
-                    for edge in decimal_list[decimal : decimal + decimal_count]
-                }
-                decimal_group._total = decimal_totals[row]
-                decimal += decimal_count
-                keys.append(DECIMAL_GROUP_KEY)
-            sampler._inter_group = AliasTable.from_built(
-                keys,
-                weight_rows[row][:inter_length],
-                prob_rows[row][:inter_length],
-                alias_rows[row][:inter_length],
-                rng=rng,
-                counter=counter,
-            )
-            sampler._inter_dirty = False
-            sampler.rebuild_count = 1
-            sampler._np_cache = None
-            samplers.append(sampler)
-        return samplers
-
+        report = MemoryReport()
+        if not len(self.lengths):
+            return report
+        report.add("neighbor_list", int(self.lengths.sum()) * (INDEX_BYTES + BIAS_BYTES))
+        for kind in self.kind_counts():
+            report.add(f"group:{kind.value}", self.group_bytes(kind))
+        decimal_members = int(self.decimal_count.sum())
+        if decimal_members:
+            report.add("group:decimal", decimal_members * (INDEX_BYTES + BIAS_BYTES))
+        report.add("inter_group_alias", int(self.inter_length.sum()) * ALIAS_BUCKET_BYTES)
+        return report

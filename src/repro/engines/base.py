@@ -442,11 +442,13 @@ class FusedFrontierEngine(RandomWalkEngine):
     :class:`~repro.engines.sliced_tables.FusedTables`) owns the rest of
     the table lifecycle.  Updates mark their touched vertices with
     ``frontier_tables.mark_dirty``, and kernels read
-    ``frontier_tables.views()``.  Per-vertex scalar samplers live in
-    ``_samplers``; they serve :meth:`sample_neighbor` and the update paths,
-    and no frontier draw or walk reads them.  A shard replica has none: it
-    adopts a writer's tables (:meth:`adopt_frontier_state`) over a graph
-    copied from the writer's columns, and never derives a slice itself.
+    ``frontier_tables.views()``.  KnightKing and gSampler keep per-vertex
+    scalar samplers in ``_samplers``, from which they derive their slices
+    and serve :meth:`sample_neighbor`; Bingo keeps none, and draws even its
+    scalar samples from the tables.  No frontier draw or walk reads a
+    sampler.  A shard replica has none either: it adopts a writer's tables
+    (:meth:`adopt_frontier_state`) over a graph copied from the writer's
+    columns, and never derives a slice itself.
 
     Beside the subclass's stores the tables hold one more, declared here:
     :data:`ADJACENCY_SCHEMA`, each vertex's out-neighbour ids sorted
@@ -685,8 +687,15 @@ class FusedFrontierEngine(RandomWalkEngine):
         return True
 
     def warm_frontier_tables(self) -> FrontierDelta:
-        """Repair the fused tables now; reports the slices it re-derived."""
-        return self.frontier_tables.warm()
+        """Repair the fused tables now; reports the slices it re-derived.
+
+        The time counts as the ``rebuild`` phase: it is what makes the
+        updates so far visible to walks.
+        """
+        start = time.perf_counter()
+        delta = self.frontier_tables.warm()
+        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
+        return delta
 
     # ------------------------------------------------------------------ #
     # cross-process frontier state (the shard-router transport)

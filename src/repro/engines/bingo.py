@@ -1,32 +1,35 @@
-"""The Bingo engine: per-vertex radix-factorized samplers on a dynamic graph.
+"""The Bingo engine: radix-factorized sampling tables on a dynamic graph.
 
-This is the system the paper contributes.  Each vertex with out-edges owns a
-:class:`~repro.core.vertex_sampler.BingoVertexSampler`; streaming updates touch
-one sampler in O(K); batched updates follow the Section 5.2 workflow — group
-requests by vertex, collapse them to net insertions/deletions, apply them with
-the sampler's rebuild deferred, then rebuild each touched vertex exactly once.
-Each batch's device-model parallel steps, ``ceil(touched vertices /
+This is the system the paper contributes.  The engine's whole state is its
+:class:`~repro.graph.dynamic_graph.DynamicGraph` and the fused frontier
+tables derived from it: each vertex's inter-group alias slice over its
+radix groups, the groups' member ids, its decimal group (Section 4.3) and
+its sorted adjacency.  A cold build runs in whole-array passes
+(:class:`~repro.core.vertex_sampler.RadixLayout`), and the slices of any
+vertex set — cold, after a batch, in a clone — come from the same passes
+over those vertices' graph rows, so the tables after any update sequence
+equal a cold build's of the same graph.  Batched updates follow the
+Section 5.2 workflow: group requests by vertex, collapse them to net
+insertions/deletions, refuse any bias λ cannot represent, mutate the graph
+in bulk, and mark each touched vertex once for the next warm.  Each
+batch's device-model parallel steps, ``ceil(touched vertices /
 DEVICE_LANES)``, are counted in ``batch_stats``, so throughput experiments
-can report them alongside wall-clock time.  A cold build runs in
-whole-array passes (:class:`~repro.core.vertex_sampler.RadixLayout`) and
-leaves the state the per-vertex path would.  The fused frontier slices of
-any vertex set — cold, after a batch, in a clone — come from the same
-passes over those vertices' graph rows, so the tables after any update
-sequence equal a cold build's of the same graph.  Walks read only those
-tables: the decimal group's rejection draw reads the fused ``decimal``
-store, never a sampler.
+can report them alongside wall-clock time.  Walks, scalar draws and the
+reports (modelled memory, group kinds) read only the graph and the tables;
+no per-vertex sampler object exists.
 """
 
 from __future__ import annotations
 
 import time
+import copy
 from dataclasses import dataclass, fields, replace
 from functools import partial
 from collections.abc import Sequence
 
 import numpy as np
 
-from repro.core.adaptive import ConversionTracker, GroupClassifier
+from repro.core.adaptive import GroupClassifier
 from repro.core.groups import sample_by_fraction
 from repro.core.memory_model import MemoryReport
 from repro.core.radix import (
@@ -35,16 +38,15 @@ from repro.core.radix import (
     split_scaled_bias,
     vanishing_bias,
 )
-from repro.core.vertex_sampler import (
-    BingoVertexSampler,
-    RadixLayout,
-    rebuild_samplers_batch,
-)
+from repro.core.vertex_sampler import RadixLayout
+
+# No engine path calls it any more; perfbench's trace still patches this
+# name by hand until ROADMAP item 8 replaces that patch list.
+from repro.core.vertex_sampler import rebuild_samplers_batch  # noqa: F401
 from repro.engines import compiled
 from repro.engines.base import (
     PHASE_DELETE,
     PHASE_INSERT,
-    PHASE_REBUILD,
     FusedFrontierEngine,
     adjacency_rows,
     live_frontier,
@@ -54,7 +56,8 @@ from repro.engines.sliced_tables import SliceRows
 from repro.errors import UpdateError
 from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import GraphUpdate, UpdateKind
-from repro.utils.rng import RandomSource, spawn_rng
+from repro.utils.rng import RandomSource, coerce_np_rng
+from repro.utils.segments import segment_positions
 
 #: Parallel lanes of the modelled device: one A100's 108 SMs × 2048
 #: resident threads.  A batch's per-vertex work runs ``DEVICE_LANES`` at a
@@ -146,22 +149,21 @@ class BingoEngine(FusedFrontierEngine):
             beta_percent=beta_percent,
             adaptive=adaptive_groups,
         )
-        self.conversion_tracker = ConversionTracker()
         self.batch_stats = BatchStatistics()
+        #: The generator of scalar draws (``sample_neighbor``), derived from
+        #: the engine generator on first use.
+        self._draw_rng: np.random.Generator | None = None
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def _build_state(self) -> None:
-        """Cold-build every sampler and the fused stores in whole-array passes.
+        """Stage every fused store from one whole-array :class:`RadixLayout`.
 
-        λ comes from the whole bias column; one :class:`RadixLayout` splits
-        every bias, groups and classifies every (vertex, bit) and builds
-        every inter-group alias; samplers are assembled from its arrays and
-        the fused stores are staged from them, so the first warm writes
-        them without a per-vertex gather.  The state is the one per-vertex
-        ``insert_many`` calls plus one batched rebuild leave, down to group
-        member order and the engine generator's state.
+        λ comes from the whole bias column; one layout splits every bias,
+        groups and classifies every (vertex, bit) and builds every
+        inter-group alias, and the stores are staged from its arrays, so
+        the first warm writes them without a per-vertex gather.
         """
         graph = self._require_graph()
         indptr, targets, biases = graph.csr_columns()
@@ -171,17 +173,6 @@ class BingoEngine(FusedFrontierEngine):
         degrees = np.diff(indptr)
         vertices = np.flatnonzero(degrees)
         layout = RadixLayout(degrees[vertices], biases, self.lam, self.classifier)
-        layout.record_conversions(self.conversion_tracker)
-        vertex_list = vertices.tolist()
-        samplers = layout.samplers(
-            targets,
-            biases,
-            [spawn_rng(self._rng, vertex) for vertex in vertex_list],
-            lam=self.lam,
-            classifier=self.classifier,
-            conversion_tracker=self.conversion_tracker,
-        )
-        self._samplers = dict(zip(vertex_list, samplers))
         staged = {
             name: (vertices, *rows) for name, rows in _draw_rows(targets, layout).items()
         }
@@ -190,34 +181,20 @@ class BingoEngine(FusedFrontierEngine):
         )
         self.frontier_tables.stage(staged)
 
-    def _new_sampler(self, vertex: int) -> BingoVertexSampler:
-        return BingoVertexSampler(
-            rng=spawn_rng(self._rng, vertex),
-            lam=self.lam,
-            classifier=self.classifier,
-            conversion_tracker=self.conversion_tracker,
-            auto_rebuild=False,
-        )
-
-    def sampler_for(self, vertex: int) -> BingoVertexSampler | None:
-        """The per-vertex sampler (None for vertices without out-edges)."""
-        return self._samplers.get(vertex)
+    def radix_layout(self) -> RadixLayout:
+        """One :class:`RadixLayout` over every non-sink vertex's graph row,
+        in vertex order: the factorization the fused tables hold."""
+        indptr, _, biases = self._require_graph().csr_columns()
+        degrees = np.diff(indptr)
+        return RadixLayout(degrees[degrees > 0], biases, self.lam, self.classifier)
 
     def _clone_state(self, twin: BingoEngine) -> None:
-        tracker = self.conversion_tracker
-        twin.conversion_tracker = ConversionTracker(
-            dict(tracker.transitions), tracker.observations
-        )
         twin.batch_stats = replace(self.batch_stats)
+        twin._draw_rng = copy.deepcopy(self._draw_rng)
         super()._clone_state(twin)
 
-    def _clone_sampler(
-        self, sampler: BingoVertexSampler, twin: BingoEngine
-    ) -> BingoVertexSampler:
-        return sampler.clone(twin.conversion_tracker)
-
     # ------------------------------------------------------------------ #
-    # streaming updates: O(K) per event plus one inter-group rebuild
+    # streaming updates: the graph changes, the source is marked dirty
     # ------------------------------------------------------------------ #
     def apply_streaming_update(self, update: GraphUpdate) -> None:
         """Refuse a bias λ cannot scale, or that vanishes under λ, before
@@ -229,27 +206,9 @@ class BingoEngine(FusedFrontierEngine):
 
     def _on_insert(self, src: int, dst: int, bias: float) -> None:
         self.frontier_tables.mark_dirty((src,))
-        sampler = self._samplers.get(src)
-        if sampler is None:
-            sampler = self._new_sampler(src)
-            self._samplers[src] = sampler
-        sampler.insert(dst, bias)
-        start = time.perf_counter()
-        sampler.rebuild()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
 
     def _on_delete(self, src: int, dst: int) -> None:
         self.frontier_tables.mark_dirty((src,))
-        sampler = self._samplers.get(src)
-        if sampler is None or not sampler.contains(dst):
-            raise UpdateError(f"Bingo has no sampling state for edge ({src}, {dst})")
-        sampler.delete(dst)
-        start = time.perf_counter()
-        if len(sampler) == 0:
-            del self._samplers[src]
-        else:
-            sampler.rebuild()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
 
     # ------------------------------------------------------------------ #
     # batched updates (Section 5.2, columnar pipeline)
@@ -260,26 +219,20 @@ class BingoEngine(FusedFrontierEngine):
         The Section 5.2 workflow on :class:`~repro.graph.update_batch.UpdateBatch`
         columns: one argsort groups the requests by vertex, each vertex's
         slice is collapsed to net insertions/deletions (vectorized
-        cancellation), the graph mutates through the bulk columnar mutators,
-        samplers absorb whole slices via ``insert_many`` / ``delete_many``,
-        and every touched vertex's inter-group table is rebuilt in one
-        batched Vose pass.  The post-batch engine state is identical to the
-        per-edge oracle in ``tests/engines/scalar_batch_oracle.py`` —
-        including seeded sampling draws.  Every net insertion's bias is
-        split before the first edge changes, so a batch carrying a bias λ
-        cannot scale, or one that vanishes under λ
-        (:class:`~repro.errors.InvalidBiasError`), changes no edge and no
-        sampler.
-
-        Phase timings are aggregated once per batch (one timer pair per
-        phase) instead of per touched vertex, so the fig13 breakdown no
-        longer pays measurement overhead proportional to batch spread.
+        cancellation), every net insertion's bias is split in one
+        vectorized call, and the graph mutates through the bulk columnar
+        mutators.  Each touched vertex is marked dirty once; the next warm
+        re-derives its slices from its new graph row.  The post-batch graph
+        is the per-edge oracle's (``tests/engines/scalar_batch_oracle.py``).
+        A batch carrying a bias λ cannot scale, or one that vanishes under
+        λ (:class:`~repro.errors.InvalidBiasError`), is refused before the
+        first edge changes.
         """
         graph = self._require_graph()
         batch = UpdateBatch.coerce(updates)
         if graph.undirected:
             # Mirrored arcs interleave vertices, so no per-source plan
-            # holds: apply edge by edge, refreshing both endpoints.
+            # holds: apply edge by edge, marking both endpoints.
             self.apply_streaming(batch)
             return
         stats = BatchStatistics()
@@ -297,76 +250,33 @@ class BingoEngine(FusedFrontierEngine):
                 partial(graph.has_edges, vertex)
             )
             stats.cancelled_pairs += cancelled
+            if len(insert_dsts) or graph.degree(vertex):
+                stats.rebuilds += 1
             plans.append((vertex, deletions, insert_dsts, insert_biases))
 
-        # One vectorized bias split for every net insertion in the batch;
-        # each vertex's sampler then absorbs its pre-split slice without
-        # touching NumPy again.
+        # One vectorized bias split over every net insertion: it refuses an
+        # unscalable bias, and a vanishing one is refused here.
         bias_parts = [plan[3] for plan in plans if len(plan[3])]
-        integer_list: list[int] = []
-        fraction_list: list[float] = []
         if bias_parts:
-            merged = (
-                np.concatenate(bias_parts) if len(bias_parts) > 1 else bias_parts[0]
-            )
+            merged = np.concatenate(bias_parts)
             integer_parts, fractions = split_scaled_arrays(merged, self.lam)
             vanished = (integer_parts == 0) & (fractions == 0.0)
             if vanished.any():
                 raise vanishing_bias(float(merged[vanished][0]), self.lam)
-            integer_list, fraction_list = integer_parts.tolist(), fractions.tolist()
         self.frontier_tables.mark_dirty(group.vertex for group in groups)
 
         delete_start = time.perf_counter()
-        samplers = self._samplers
         for vertex, deletions, _, _ in plans:
-            if len(deletions) == 0:
-                continue
-            graph.remove_edges_bulk(vertex, deletions)
-            sampler = samplers.get(vertex)
-            if sampler is not None:
-                index_of = sampler._index_of
-                sampler.delete_many(
-                    [dst for dst in deletions.tolist() if dst in index_of]
-                )
-            stats.deletions += len(deletions)
+            if len(deletions):
+                graph.remove_edges_bulk(vertex, deletions)
+                stats.deletions += len(deletions)
         insert_start = time.perf_counter()
         self.breakdown.add(PHASE_DELETE, insert_start - delete_start)
-
-        cursor = 0
         for vertex, _, insert_dsts, insert_biases in plans:
-            count = len(insert_dsts)
-            if count == 0:
-                continue
-            graph.add_edges_bulk(vertex, insert_dsts, insert_biases)
-            sampler = samplers.get(vertex)
-            if sampler is None:
-                sampler = self._new_sampler(vertex)
-                samplers[vertex] = sampler
-            sampler.insert_many(
-                insert_dsts,
-                insert_biases,
-                split_parts=(
-                    integer_list[cursor : cursor + count],
-                    fraction_list[cursor : cursor + count],
-                ),
-            )
-            cursor += count
-            stats.insertions += count
-        rebuild_start = time.perf_counter()
-        self.breakdown.add(PHASE_INSERT, rebuild_start - insert_start)
-
-        to_rebuild = []
-        for vertex, _, _, _ in plans:
-            sampler = self._samplers.get(vertex)
-            if sampler is None:
-                continue
-            if len(sampler) == 0:
-                self._samplers.pop(vertex, None)
-            else:
-                to_rebuild.append(sampler)
-            stats.rebuilds += 1
-        rebuild_samplers_batch(to_rebuild)
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
+            if len(insert_dsts):
+                graph.add_edges_bulk(vertex, insert_dsts, insert_biases)
+                stats.insertions += len(insert_dsts)
+        self.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
 
         stats.kernel_launches += 1
         stats.parallel_steps += -(-len(groups) // DEVICE_LANES)
@@ -374,23 +284,22 @@ class BingoEngine(FusedFrontierEngine):
         self.updates_applied += len(batch)
 
     # ------------------------------------------------------------------ #
-    # sampling
+    # sampling: every draw reads the fused stores
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:
+        """A one-entry frontier draw on the engine's own draw generator."""
         self._require_graph()
-        sampler = self._samplers.get(vertex)
-        if sampler is None or len(sampler) == 0:
-            return None
-        return sampler.sample()
+        if self._draw_rng is None:
+            self._draw_rng = coerce_np_rng(self._rng)
+        query = np.array([vertex], dtype=np.int64)
+        drawn = int(self._sample_frontier(query, self._draw_rng)[0])
+        return None if drawn < 0 else drawn
 
     def _sample_batch(
         self, vertex: int, count: int, rng: np.random.Generator
     ) -> np.ndarray:
         self._require_graph()
-        sampler = self._samplers.get(vertex)
-        if sampler is None or len(sampler) == 0:
-            return np.full(count, -1, dtype=np.int64)
-        return sampler.sample_many(count, rng)
+        return self._sample_frontier(np.full(count, vertex, dtype=np.int64), rng)
 
     # ------------------------------------------------------------------ #
     # fused frontier kernel
@@ -402,9 +311,7 @@ class BingoEngine(FusedFrontierEngine):
         whose groups, decimal fractions and inter-group alias tables
         become the ``inter``, ``flat`` and ``decimal`` slices
         (:func:`_draw_rows`) — the derivation of the cold build, for any
-        vertex set.  Group and decimal members follow the graph row, so
-        after deletions their order may differ from the samplers'; each
-        edge's probability is the sampler's.
+        vertex set.  Group and decimal members follow the graph row.
         """
         lengths, targets, biases = self._require_graph().gather_rows(vertices)
         rows = {"adjacency": adjacency_rows(lengths, targets)}
@@ -477,46 +384,110 @@ class BingoEngine(FusedFrontierEngine):
     # reporting
     # ------------------------------------------------------------------ #
     def memory_report(self) -> MemoryReport:
+        """The graph plus every vertex's modelled sampling state, from one
+        :meth:`radix_layout`."""
         report = MemoryReport()
         graph = self._require_graph()
         # The adjacency itself (shared by every engine).
         report.add("graph", graph.num_arcs * (4 + 8) + graph.num_vertices * 8)
-        for sampler in self._samplers.values():
-            report.merge(sampler.memory_report())
+        report.merge(self.radix_layout().memory_report())
         return report
 
     def group_kind_ratios(self) -> dict[str, float]:
         """Share of non-empty groups per representation (Figure 11e)."""
-        counts: dict[str, int] = {}
-        total = 0
-        for sampler in self._samplers.values():
-            for kind in sampler.group_kinds().values():
-                counts[kind.value] = counts.get(kind.value, 0) + 1
-                total += 1
-        if total == 0:
-            return {}
-        return {kind: count / total for kind, count in counts.items()}
+        counts = self.radix_layout().kind_counts()
+        total = sum(counts.values())
+        return {kind.value: count / total for kind, count in counts.items()}
 
     def check_consistency(self) -> None:
-        """Verify every sampler and the fused tables match the graph (test hook)."""
+        """Verify the fused tables against the graph (test hook).
+
+        Every vertex's slices must draw exactly its out-neighbours, each
+        with its λ-split bias over its row's total as probability, within
+        1e-12 (:func:`slice_probabilities`); a sink's slices are empty.
+        Then the adjacency store is checked.
+        """
         graph = self._require_graph()
-        for vertex in range(graph.num_vertices):
-            sampler = self._samplers.get(vertex)
-            expected = {dst: graph.edge_bias(vertex, dst) for dst in graph.neighbors(vertex)}
-            if not expected:
-                if sampler is not None and len(sampler) > 0:
-                    raise UpdateError(f"vertex {vertex} has stale sampling state")
-                continue
-            if sampler is None:
-                raise UpdateError(f"vertex {vertex} is missing sampling state")
-            actual = dict(sampler.candidates())
-            if set(actual) != set(expected):
-                raise UpdateError(f"vertex {vertex} sampler/graph neighbour mismatch")
-            for dst, bias in expected.items():
-                if abs(actual[dst] - bias) > 1e-9:
-                    raise UpdateError(f"vertex {vertex} bias mismatch on edge to {dst}")
-            sampler.check_invariants()
+        views = self.frontier_tables.views()
+        count = graph.num_vertices
+        lengths, targets, biases = graph.gather_rows(np.arange(count))
+        drawable = views["inter_length"][:count] > 0
+        if len(drawable) < count or (drawable != (lengths > 0)).any():
+            raise UpdateError("fused slices and graph rows disagree on the sinks")
+        integer_parts, fractions = split_scaled_arrays(biases, self.lam)
+        weights = integer_parts + fractions
+        sources = np.repeat(np.arange(count), lengths)
+        order = np.lexsort((targets, sources))
+        want = (weights / np.bincount(sources, weights, minlength=count)[sources])[order]
+        sources, targets = sources[order], targets[order]
+        got_sources, got_targets, got = slice_probabilities(views, np.flatnonzero(lengths))
+        if not (np.array_equal(got_sources, sources) and np.array_equal(got_targets, targets)):
+            raise UpdateError("fused slices draw a neighbour set the graph does not hold")
+        errors = np.abs(got - want)
+        if len(errors) and errors.max() > 1e-12:
+            worst = int(errors.argmax())
+            raise UpdateError(
+                f"vertex {sources[worst]} draws {targets[worst]} with probability "
+                f"{got[worst]}, not {want[worst]}"
+            )
         super().check_consistency()
+
+
+def slice_probabilities(
+    views: dict[str, np.ndarray], vertices: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each edge's exact draw probability implied by ``vertices``' fused slices.
+
+    Returns ``(sources, neighbours, probabilities)``, one entry per
+    (vertex, neighbour) pair the slices can draw, ordered by vertex and then
+    neighbour.  An inter slot's mass is its own bucket's kept share plus the
+    shares other buckets alias to it, over the slice length; a radix-group
+    slot splits its mass evenly over its members, and the decimal slot by
+    each decimal neighbour's share of the fractions.
+    """
+    lengths = views["inter_length"][vertices]
+    slots = segment_positions(views["inter_offset"][vertices], lengths)
+    owners = np.repeat(vertices, lengths)
+    width = np.repeat(lengths, lengths).astype(np.float64)
+    prob = views["prob"][slots]
+    mass = prob / width
+    first_slot = np.repeat(np.cumsum(lengths) - lengths, lengths)
+    np.add.at(mass, first_slot + views["alias"][slots], (1.0 - prob) / width)
+
+    decimal = views["entry_decimal"][slots]
+    group = ~decimal
+    sizes = views["entry_size"][slots][group]
+    group_owners = owners[group]
+    decimal_owners = owners[decimal]
+    decimal_lengths = views["decimal_length"][decimal_owners]
+    if (sizes < 1).any() or (decimal_lengths < 1).any():
+        raise UpdateError("a fused inter slot points at an empty group")
+    members = segment_positions(
+        views["flat_offset"][group_owners] + views["entry_offset"][slots][group], sizes
+    )
+    decimal_at = segment_positions(views["decimal_offset"][decimal_owners], decimal_lengths)
+    fractions = views["decimal_fractions"][decimal_at]
+    slot_of = np.repeat(np.arange(len(decimal_owners)), decimal_lengths)
+    totals = np.bincount(slot_of, fractions, minlength=len(decimal_owners))
+    sources = np.concatenate(
+        (np.repeat(group_owners, sizes), np.repeat(decimal_owners, decimal_lengths))
+    )
+    neighbours = np.concatenate((views["members"][members], views["decimal_ids"][decimal_at]))
+    shares = np.concatenate(
+        (
+            np.repeat(mass[group] / sizes, sizes),
+            (mass[decimal] / totals)[slot_of] * fractions,
+        )
+    )
+    if not len(shares):
+        return sources, neighbours, shares
+    # One entry per pair: a neighbour in several groups sums their shares.
+    order = np.lexsort((neighbours, sources))
+    sources, neighbours, shares = sources[order], neighbours[order], shares[order]
+    heads = np.flatnonzero(
+        np.r_[True, (sources[1:] != sources[:-1]) | (neighbours[1:] != neighbours[:-1])]
+    )
+    return sources[heads], neighbours[heads], np.add.reduceat(shares, heads)
 
 
 def _draw_rows(targets: np.ndarray, layout: RadixLayout) -> dict[str, SliceRows]:

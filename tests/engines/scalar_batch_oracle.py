@@ -2,8 +2,9 @@
 
 ``apply_batch_scalar(engine, updates)`` is batched ingestion as it ran
 before the columnar pipeline: per-edge Python loops over the scalar graph
-and sampler mutators, then one rebuild per touched vertex (Bingo) or one
-sampler rebuild (KnightKing, gSampler) or reload (FlowWalker).  On an
+mutators, after a per-vertex normalization (Bingo, whose touched vertices
+are then re-derived on the next warm) or followed by one sampler rebuild
+(KnightKing, gSampler) or reload (FlowWalker).  On an
 undirected graph Bingo applies edge by edge and the rebuild baselines mark
 both endpoints dirty, as their columnar paths do.
 ``normalize_vertex_updates`` is the per-destination replay that
@@ -94,7 +95,7 @@ def apply_batch_scalar(engine, updates: Sequence[GraphUpdate]) -> None:
 
 
 def _bingo_batch(engine: BingoEngine, updates: Sequence[GraphUpdate]) -> None:
-    """Section 5.2 per vertex: normalize, delete, insert, rebuild once."""
+    """Section 5.2 per vertex: normalize, then per-edge deletes and inserts."""
     graph = engine._require_graph()
     if graph.undirected:
         engine.apply_streaming(updates)
@@ -117,34 +118,20 @@ def _bingo_batch(engine: BingoEngine, updates: Sequence[GraphUpdate]) -> None:
             vertex_updates, existing
         )
         stats.cancelled_pairs += cancelled
+        if insertions or graph.degree(vertex):
+            stats.rebuilds += 1
 
-        sampler = engine._samplers.get(vertex)
         delete_start = time.perf_counter()
         for dst in deletions:
             graph.remove_edge(vertex, dst)
-            if sampler is not None and sampler.contains(dst):
-                sampler.delete(dst)
             stats.deletions += 1
         engine.breakdown.add(PHASE_DELETE, time.perf_counter() - delete_start)
 
         insert_start = time.perf_counter()
         for dst, bias in insertions:
             graph.add_edge(vertex, dst, bias)
-            if sampler is None:
-                sampler = engine._new_sampler(vertex)
-                engine._samplers[vertex] = sampler
-            sampler.insert(dst, bias)
             stats.insertions += 1
         engine.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
-
-        rebuild_start = time.perf_counter()
-        if sampler is not None:
-            if len(sampler) == 0:
-                engine._samplers.pop(vertex, None)
-            else:
-                sampler.rebuild()
-            stats.rebuilds += 1
-        engine.breakdown.add(PHASE_REBUILD, time.perf_counter() - rebuild_start)
 
     stats.kernel_launches += 1
     stats.parallel_steps += -(-len(grouped) // DEVICE_LANES)

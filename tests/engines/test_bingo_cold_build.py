@@ -1,11 +1,9 @@
 """Bingo's whole-array cold build against the per-vertex oracle, and clones.
 
 The whole-array build (:class:`~repro.core.vertex_sampler.RadixLayout`
-plus staged fused stores) must leave exactly the state the per-vertex
-``insert_many`` build leaves: sampler ids, group kinds / members / slots /
-creation order, decimal fractions and totals, inter-group alias,
-conversion-tracker counts, the engine generator's state and the exported
-fused tables, layout included.  An engine clone must stay equal to its
+plus staged fused stores) must stage exactly the tables the per-vertex
+build gathers from its samplers (layout included), pick the same λ, and
+leave no per-vertex sampler.  An engine clone must stay equal to its
 source: same walks for every application, and again after one more
 identical batch on both.
 """
@@ -61,6 +59,7 @@ def _assert_builds_match(graph, **engine_kwargs):
     engine = BingoEngine(**engine_kwargs)
     engine.build(graph.copy())
     assert bingo_state(engine) == bingo_state(oracle)
+    assert engine._samplers == {}
     assert_same_fused_state(fused_state(engine), fused_state(oracle))
     return engine
 
@@ -73,7 +72,7 @@ class TestWholeArrayBuildMatchesPerVertexOracle:
     def test_fractional_biases_with_automatic_lambda_and_decimal_groups(self):
         engine = _assert_builds_match(_fractional_graph(), rng=11)
         assert engine.lam > 1.0
-        assert sum(s.decimal_group_size() for s in engine._samplers.values()) > 0
+        assert engine.frontier_tables.views()["decimal_length"].sum() > 0
 
     def test_baseline_groups_without_adaption(self):
         graph = power_law_graph(300, 4, rng=2)

@@ -3,7 +3,7 @@
 A warm re-derives the dirty vertices' fused slices from one gather of
 their graph rows (one :class:`~repro.core.vertex_sampler.RadixLayout`
 pass), where the oracle (``tests/engines/bingo_oracle.py``) gathers each
-vertex's slices from its sampler, one vertex at a time.
+vertex's slices from its per-vertex sampler, one vertex at a time.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from repro.bench.datasets import build_dataset
 from repro.engines.bingo import BingoEngine
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from repro.utils.timing import gc_paused
-from tests.engines.bingo_oracle import frontier_rows
+from tests.engines.bingo_oracle import SamplerOracle
 
 #: The delta warm (draw slices, adjacency, writes) must beat the oracle's
 #: gather of the draw slices alone by this factor (``process_time``, best
@@ -25,10 +25,10 @@ from tests.engines.bingo_oracle import frontier_rows
 WARM_SPEEDUP_BOUND = 2.0
 
 
-def _forget_gathers(engine: BingoEngine, vertices: np.ndarray) -> None:
+def _forget_gathers(oracle: SamplerOracle, vertices: np.ndarray) -> None:
     """Drop the samplers' cached NumPy mirrors, as an update batch does."""
     for vertex in vertices.tolist():
-        sampler = engine.sampler_for(vertex)
+        sampler = oracle.samplers.get(vertex)
         if sampler is not None:
             sampler._np_cache = None
             sampler._inter_group._np_arrays = None
@@ -42,7 +42,9 @@ def test_delta_warm_beats_the_per_vertex_oracle_gather():
     engine = BingoEngine(rng=3)
     engine.build(stream.initial_graph.copy())
     engine.warm_frontier_tables()
+    samplers = SamplerOracle.of(engine)
     engine.apply_batch(stream.batches[0])
+    samplers.apply_batch(stream.batches[0])
     delta = engine.warm_frontier_tables()
     assert not delta.full_rebuild and delta.vertices > 300
     dirty = np.array(delta.vertex_ids, dtype=np.int64)
@@ -54,17 +56,17 @@ def test_delta_warm_beats_the_per_vertex_oracle_gather():
             engine.warm_frontier_tables()
             return time.process_time() - start
 
-    def oracle() -> float:
-        _forget_gathers(engine, dirty)
+    def gather() -> float:
+        _forget_gathers(samplers, dirty)
         with gc_paused():
             start = time.process_time()
-            frontier_rows(engine, dirty)
+            samplers.frontier_rows(dirty)
             return time.process_time() - start
 
     warms, gathers = [], []
     for _ in range(5):
         warms.append(warm())
-        gathers.append(oracle())
+        gathers.append(gather())
     assert min(gathers) >= WARM_SPEEDUP_BOUND * min(warms), (min(gathers), min(warms))
     engine.check_consistency()
 

@@ -25,16 +25,17 @@ def _delete(src, dst, ts=0):
 
 
 class TestBuild:
-    def test_build_creates_samplers_for_every_non_sink(self, example_graph):
+    def test_build_gives_every_non_sink_slices_and_keeps_no_sampler(
+        self, example_graph
+    ):
         engine = BingoEngine(rng=1)
         engine.build(example_graph)
+        views = engine.frontier_tables.views()
         for vertex in range(example_graph.num_vertices):
-            sampler = engine.sampler_for(vertex)
-            if example_graph.degree(vertex) > 0:
-                assert sampler is not None
-                assert len(sampler) == example_graph.degree(vertex)
-            else:
-                assert sampler is None
+            degree = example_graph.degree(vertex)
+            assert (views["inter_length"][vertex] > 0) == (degree > 0)
+            assert views["adjacency_length"][vertex] == degree
+        assert engine._samplers == {}
         engine.check_consistency()
 
     def test_auto_lambda_for_integer_biases(self, example_graph):
@@ -84,10 +85,10 @@ class TestStreamingUpdates:
         engine.build(example_graph)
         engine.apply_streaming_update(_insert(2, 3, 3.0))
         assert engine.graph.has_edge(2, 3)
-        assert engine.sampler_for(2).contains(3)
+        assert 3 in engine.sample_neighbors(2, 400, rng=1)
         engine.apply_streaming_update(_delete(2, 1))
         assert not engine.graph.has_edge(2, 1)
-        assert not engine.sampler_for(2).contains(1)
+        assert 1 not in engine.sample_neighbors(2, 400, rng=1)
         engine.check_consistency()
 
     def test_streaming_insert_for_new_vertex(self, example_graph):
@@ -98,18 +99,20 @@ class TestStreamingUpdates:
         assert engine.sample_neighbor(7) == 0
         engine.check_consistency()
 
-    def test_streaming_delete_last_edge_removes_sampler(self, example_graph):
+    def test_streaming_delete_last_edge_empties_the_slices(self, example_graph):
         engine = BingoEngine(rng=2)
         engine.build(example_graph)
         engine.apply_streaming_update(_delete(1, 2))  # vertex 1's only edge
-        assert engine.sampler_for(1) is None
+        assert engine.frontier_tables.views()["inter_length"][1] == 0
         assert engine.sample_neighbor(1) is None
 
     def test_phase_breakdown_accumulates(self, example_graph):
         engine = BingoEngine(rng=2)
         engine.build(example_graph)
+        engine.reset_breakdown()
         engine.apply_streaming_update(_insert(2, 3, 3.0))
         engine.apply_streaming_update(_delete(2, 3))
+        engine.warm_frontier_tables()
         phases = engine.breakdown.as_dict()
         assert phases.get("insert", 0) > 0
         assert phases.get("delete", 0) > 0
@@ -155,7 +158,6 @@ class TestBatchedUpdates:
         batch = [_delete(2, 1, ts=0), _insert(2, 1, 9.0, ts=1)]
         engine.apply_batch(batch)
         assert engine.graph.edge_bias(2, 1) == 9.0
-        assert engine.sampler_for(2).bias_of(1) == 9.0
         engine.check_consistency()
 
     def test_batch_records_kernel_launch_and_stats(self, example_graph):
@@ -208,10 +210,11 @@ class TestBatchedUpdates:
     def test_rebuild_happens_once_per_touched_vertex(self, example_graph):
         engine = BingoEngine(rng=3)
         engine.build(example_graph)
-        sampler = engine.sampler_for(2)
-        rebuilds_before = sampler.rebuild_count
+        engine.warm_frontier_tables()
         engine.apply_batch([_insert(2, 3, 3.0), _insert(2, 0, 1.0), _delete(2, 5)])
-        assert sampler.rebuild_count == rebuilds_before + 1
+        assert engine.batch_stats.rebuilds == 1
+        delta = engine.warm_frontier_tables()
+        assert list(delta.vertex_ids) == [2]
 
 
 class TestAdaptiveConfiguration:
@@ -299,7 +302,7 @@ class TestUnscalableBias:
         assert self._edges(engine) == before
         engine.check_consistency()
         engine.apply_batch([_insert(0, targets[0], 2.0)])
-        assert engine.sampler_for(0).bias_of(targets[0]) == 2.0
+        assert engine.graph.edge_bias(0, targets[0]) == 2.0
         engine.check_consistency()
 
     def test_apply_streaming_raises_and_changes_no_edge(self, example_graph):
@@ -358,7 +361,7 @@ class TestUnscalableBias:
         assert self._edges(engine) == before
         engine.check_consistency()
         engine.apply_batch([_insert(0, 0, 3.0, ts=1)])
-        assert engine.sampler_for(0).bias_of(0) == 3.0
+        assert engine.graph.edge_bias(0, 0) == 3.0
         engine.check_consistency()
 
     def test_vanishing_bias_anywhere_in_a_batch_changes_nothing(self):

@@ -1,8 +1,8 @@
-"""Bingo's fused slices imply every edge's exact sampler probability.
+"""Bingo's fused slices imply every edge's exact per-vertex sampler probability.
 
 The fused ``inter`` / ``flat`` slices are derived from the graph rows, so
-after deletions a group's member order may differ from the sampler's;
-walks may differ bitwise from a per-vertex gather, but never in
+after deletions a group's member order may differ from a per-vertex
+sampler's; walks may differ bitwise from a per-vertex gather, but never in
 distribution.  This suite pins that contract without Monte Carlo noise:
 after mixed churn (fractional biases in decimal groups, dense groups,
 adaptive groups on and off, a vertex deleted down to zero edges and
@@ -10,9 +10,11 @@ reinserted, batched and streaming ingest), the probability each vertex's
 slices give every neighbour — the alias ``prob`` / ``alias`` columns, then
 ``1 / entry_size`` per member, then each neighbour's share of the
 ``decimal`` store's fractions for a decimal entry — equals
-``sampler.structure_probability`` within 1e-12.  The per-vertex oracle
-gather, with the sampler's decimal group, must imply the same
-probabilities.
+``sampler.structure_probability`` of the per-vertex oracle
+(``tests/engines/bingo_oracle.py``) fed the same updates, within 1e-12.
+The oracle's own per-vertex gather, with the sampler's decimal group,
+must imply the same probabilities, and so must the engine's vectorized
+:func:`~repro.engines.bingo.slice_probabilities`.
 """
 
 from __future__ import annotations
@@ -22,10 +24,10 @@ from collections import defaultdict
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.engines.bingo import BingoEngine
+from repro.engines.bingo import BingoEngine, slice_probabilities
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_batch import GraphUpdate, UpdateKind
-from tests.engines.bingo_oracle import frontier_parts
+from tests.engines.bingo_oracle import SamplerOracle, frontier_parts
 
 NUM_VERTICES = 8
 
@@ -58,10 +60,17 @@ def implied_probabilities(
     return dict(implied)
 
 
-def assert_slices_imply_sampler_probabilities(engine: BingoEngine) -> None:
+def assert_slices_imply_sampler_probabilities(
+    engine: BingoEngine, oracle: SamplerOracle
+) -> None:
     engine.check_consistency()
     views = engine.frontier_tables.views()
     graph = engine.graph
+    assert engine._samplers == {}
+    sources, targets, probabilities = slice_probabilities(
+        views, np.arange(graph.num_vertices)
+    )
+    vectorized = dict(zip(zip(sources.tolist(), targets.tolist()), probabilities))
     for vertex in range(graph.num_vertices):
         start = int(views["inter_offset"][vertex])
         length = int(views["inter_length"][vertex])
@@ -69,7 +78,7 @@ def assert_slices_imply_sampler_probabilities(engine: BingoEngine) -> None:
         if not neighbours:
             assert length == 0 and views["flat_length"][vertex] == 0
             continue
-        sampler = engine.sampler_for(vertex)
+        sampler = oracle.samplers[vertex]
         flat = int(views["flat_offset"][vertex])
         inter = {
             column: views[column][start : start + length]
@@ -84,16 +93,17 @@ def assert_slices_imply_sampler_probabilities(engine: BingoEngine) -> None:
                 views["decimal_fractions"][start:stop].tolist(),
             )
         )
-        oracle = frontier_parts(sampler)
         sampler_decimal = {
             sampler._ids[index]: fraction
             for index, fraction in sampler._decimal.fractions.items()
         }
+        gathered = frontier_parts(sampler)
         for implied in (
             implied_probabilities(inter, members, decimal),
             implied_probabilities(
-                oracle["inter"], oracle["flat"]["members"], sampler_decimal
+                gathered["inter"], gathered["flat"]["members"], sampler_decimal
             ),
+            {n: vectorized[vertex, n] for n in neighbours if (vertex, n) in vectorized},
         ):
             assert sorted(implied) == sorted(neighbours), vertex
             for neighbour in neighbours:
@@ -119,11 +129,14 @@ def _draw_batch(data, edges: dict) -> list[GraphUpdate]:
     return updates
 
 
-def _ingest(engine: BingoEngine, updates: list[GraphUpdate], streaming: bool) -> None:
-    if streaming:
-        engine.apply_streaming(updates)
-    else:
-        engine.apply_batch(updates)
+def _ingest(
+    engine: BingoEngine, oracle: SamplerOracle, updates: list[GraphUpdate], streaming: bool
+) -> None:
+    for target in (engine, oracle):
+        if streaming:
+            target.apply_streaming(updates)
+        else:
+            target.apply_batch(updates)
     engine.warm_frontier_tables()
 
 
@@ -139,10 +152,11 @@ def test_slices_imply_the_sampler_probability_through_churn(data, adaptive):
     engine = BingoEngine(rng=1, lam=1.0, adaptive_groups=adaptive)
     engine.build(graph)
     engine.warm_frontier_tables()
-    assert_slices_imply_sampler_probabilities(engine)
+    oracle = SamplerOracle.of(engine)
+    assert_slices_imply_sampler_probabilities(engine, oracle)
     for _ in range(data.draw(st.integers(1, 4))):
-        _ingest(engine, _draw_batch(data, edges), data.draw(st.booleans()))
-        assert_slices_imply_sampler_probabilities(engine)
+        _ingest(engine, oracle, _draw_batch(data, edges), data.draw(st.booleans()))
+        assert_slices_imply_sampler_probabilities(engine, oracle)
 
     # Vertex 0 loses every edge, then gets new ones.
     gone = [
@@ -150,11 +164,11 @@ def test_slices_imply_the_sampler_probability_through_churn(data, adaptive):
         for position, dst in enumerate(sorted(dst for src, dst in edges if src == 0))
     ]
     if gone:
-        _ingest(engine, gone, data.draw(st.booleans()))
-        assert_slices_imply_sampler_probabilities(engine)
+        _ingest(engine, oracle, gone, data.draw(st.booleans()))
+        assert_slices_imply_sampler_probabilities(engine, oracle)
     back = [
         GraphUpdate(UpdateKind.INSERT, 0, dst, data.draw(BIASES), position)
         for position, dst in enumerate(range(1, 6))
     ]
-    _ingest(engine, back, data.draw(st.booleans()))
-    assert_slices_imply_sampler_probabilities(engine)
+    _ingest(engine, oracle, back, data.draw(st.booleans()))
+    assert_slices_imply_sampler_probabilities(engine, oracle)

@@ -3,7 +3,8 @@
 The batched columnar pipeline (``apply_batch``) must be indistinguishable
 from the per-edge oracle (``apply_batch_scalar`` in
 ``tests/engines/scalar_batch_oracle.py``): identical post-batch graph
-(including neighbour-array order), identical sampling state, and identical seeded walk output — plus matching behaviour on every
+(including neighbour-array order), identical sampling state (Bingo: its
+fused tables and batch counters), and identical seeded walk output — plus matching behaviour on every
 batch-update edge case (same-edge insert+delete in both orders, duplicate
 inserts, deletes of batch-inserted edges, brand-new vertices).
 """
@@ -24,6 +25,7 @@ from repro.graph.update_stream import (
     generate_update_stream,
 )
 from repro.walks.deepwalk import DeepWalkConfig, run_deepwalk
+from tests.engines.bingo_oracle import assert_same_fused_state, fused_state
 from tests.engines.scalar_batch_oracle import apply_batch_scalar
 
 ALL_ENGINE_CLASSES = [BingoEngine, KnightKingEngine, GSamplerEngine, FlowWalkerEngine]
@@ -69,29 +71,10 @@ def _assert_same_walks(legacy, columnar, *, rng=123):
     assert scalar_a == scalar_b
 
 
-def _assert_same_bingo_sampler_state(legacy: BingoEngine, columnar: BingoEngine):
-    for vertex in range(legacy.graph.num_vertices):
-        a = legacy.sampler_for(vertex)
-        b = columnar.sampler_for(vertex)
-        assert (a is None) == (b is None), vertex
-        if a is None:
-            continue
-        assert a._ids == b._ids
-        assert a._biases == b._biases
-        assert a._integer_parts == b._integer_parts
-        assert a._fractions == b._fractions
-        assert list(a._groups.keys()) == list(b._groups.keys())
-        for position in a._groups:
-            group_a, group_b = a._groups[position], b._groups[position]
-            assert group_a.kind == group_b.kind
-            assert len(group_a) == len(group_b)
-            assert group_a.members == group_b.members
-            assert group_a.slots == group_b.slots
-        assert dict(a._decimal.fractions) == dict(b._decimal.fractions)
-        assert a._inter_group._ids == b._inter_group._ids
-        assert a._inter_group._biases == b._inter_group._biases
-        assert a._inter_group._prob == b._inter_group._prob
-        assert a._inter_group._alias == b._inter_group._alias
+def _assert_same_bingo_tables(legacy: BingoEngine, columnar: BingoEngine):
+    assert legacy.lam == columnar.lam
+    assert legacy.batch_stats == columnar.batch_stats
+    assert_same_fused_state(fused_state(legacy), fused_state(columnar))
 
 
 @pytest.mark.parametrize("engine_cls", ALL_ENGINE_CLASSES)
@@ -109,7 +92,7 @@ def test_random_streams_identical_state_and_walks(engine_cls, workload):
     if engine_cls is BingoEngine:
         legacy.check_consistency()
         columnar.check_consistency()
-        _assert_same_bingo_sampler_state(legacy, columnar)
+        _assert_same_bingo_tables(legacy, columnar)
     _assert_same_walks(legacy, columnar)
 
 
@@ -145,7 +128,7 @@ class TestBatchEdgeCases:
         columnar.apply_batch(batch)
         assert columnar.graph.edge_bias(2, 3) == 8.0
         _assert_same_graph(legacy, columnar)
-        _assert_same_bingo_sampler_state(legacy, columnar)
+        _assert_same_bingo_tables(legacy, columnar)
         _assert_same_walks(legacy, columnar)
 
     @pytest.mark.parametrize(
@@ -196,7 +179,7 @@ class TestBatchEdgeCases:
         _assert_same_walks(legacy, columnar)
 
     def test_mixed_edge_case_batch_on_bingo_state(self, example_graph):
-        """One batch combining every edge case, checked at sampler depth."""
+        """One batch combining every edge case, checked down to the fused tables."""
         legacy, columnar = _engine_pair(BingoEngine, example_graph)
         highest = example_graph.num_vertices
         batch = [
@@ -217,7 +200,7 @@ class TestBatchEdgeCases:
         assert columnar.graph.edge_bias(5, 2) == 5.0
         assert not columnar.graph.has_edge(2, 3)
         _assert_same_graph(legacy, columnar)
-        _assert_same_bingo_sampler_state(legacy, columnar)
+        _assert_same_bingo_tables(legacy, columnar)
         _assert_same_walks(legacy, columnar)
 
 

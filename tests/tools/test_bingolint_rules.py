@@ -24,8 +24,8 @@ SERVE_PATH = "src/repro/serve/example.py"
 
 
 class TestRegistry:
-    def test_all_ten_rules_registered(self):
-        assert list(all_rules()) == [f"BGL{number:03d}" for number in range(1, 11)]
+    def test_all_eleven_rules_registered(self):
+        assert list(all_rules()) == [f"BGL{number:03d}" for number in range(1, 12)]
 
     def test_every_rule_has_name_and_rationale(self):
         for rule_id, cls in all_rules().items():
@@ -637,3 +637,42 @@ class TestBGL010TestTreeImports:
     def test_out_of_scope_test_tree_imports_itself(self):
         source = "from tests.engines.bingo_oracle import per_vertex_build\n"
         assert lint("BGL010", source, "tests/engines/test_bingo_cold_build.py") == []
+
+
+class TestBGL011ServedSamplers:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.core.vertex_sampler import BingoVertexSampler\n"
+            "sampler = BingoVertexSampler(lam=1.0)\n",
+            "from repro.core import vertex_sampler\n"
+            "sampler = vertex_sampler.BingoVertexSampler(auto_rebuild=False)\n",
+            "def boot(pairs):\n"
+            "    return BingoVertexSampler.from_neighbors(pairs)\n",
+            "def boot(layout, ids, biases, rngs):\n"
+            "    return layout.samplers(ids, biases, rngs)\n",
+        ],
+        ids=["constructor", "module-attribute", "from-neighbors", "layout-samplers"],
+    )
+    def test_true_positive_on_the_engine_and_serve_paths(self, source):
+        assert len(lint("BGL011", source, "src/repro/engines/bingo.py")) == 1
+        assert len(lint("BGL011", source, SERVE_PATH)) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "from repro.core.vertex_sampler import BingoVertexSampler, RadixLayout\n"
+            "layout = RadixLayout(lengths, biases, 1.0, classifier)\n",
+            "kind = isinstance(thing, BingoVertexSampler)\n",
+            "tables = engine.samplers\n",
+            "count = len(self._samplers)\n",
+        ],
+        ids=["layout", "isinstance", "attribute-read", "private-dict"],
+    )
+    def test_false_positive_reads_and_layouts(self, source):
+        assert lint("BGL011", source, "src/repro/engines/bingo.py") == []
+
+    def test_out_of_scope_table1_and_the_oracle_build_samplers(self):
+        source = "sampler = BingoVertexSampler(rng=rng)\n"
+        assert lint("BGL011", source, "src/repro/bench/experiments.py") == []
+        assert lint("BGL011", source, "tests/engines/bingo_oracle.py") == []

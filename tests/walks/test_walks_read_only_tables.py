@@ -1,14 +1,14 @@
 """Walks read only the fused tables: no frontier draw touches a sampler.
 
-The writer keeps per-vertex samplers for its update paths and scalar
-``sample_neighbor``; a walk in any process must not read them.  With
-``engine._samplers`` replaced by a mapping that raises on any access, the
-three fused engines still run DeepWalk, PPR and node2vec — on the compiled
-kernel and on the NumPy one, with Bingo's decimal picks firing.  Bingo's
-walks also run the delta warm, which derives from the graph rows;
-KnightKing and gSampler derive their slices from their samplers, so they
-warm first.  A shard replica, booted, flipped and walked, holds no
-sampler at all.
+KnightKing and gSampler keep per-vertex samplers for their update paths
+and scalar ``sample_neighbor`` (Bingo keeps none); a walk in any process
+must not read them.  With ``engine._samplers`` replaced by a mapping that
+raises on any access, the three fused engines still run DeepWalk, PPR and
+node2vec — on the compiled kernel and on the NumPy one, with Bingo's
+decimal picks firing.  Bingo's walks also run the delta warm, which
+derives from the graph rows; KnightKing and gSampler derive their slices
+from their samplers, so they warm first.  A shard replica, booted,
+flipped and walked, holds no sampler at all.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ import numpy as np
 import pytest
 
 from repro.engines import compiled
-from repro.engines.registry import create_engine
 from repro.engines.sliced_tables import pack_arrays, unpack_arrays
 from repro.graph.update_batch import UpdateBatch
 from repro.serve.router import _boot_blob, flip_payload

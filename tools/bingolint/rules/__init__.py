@@ -11,4 +11,5 @@ from bingolint.rules import (  # noqa: F401 - imported for registration side eff
     bgl008_envelope,
     bgl009_wall_clock,
     bgl010_test_tree_imports,
+    bgl011_served_samplers,
 )
