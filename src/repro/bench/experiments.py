@@ -26,7 +26,8 @@ from repro.bench.harness import (
 )
 from repro.bench.workloads import sample_start_vertices
 from repro.core.adaptive import ConversionTracker, GroupKind
-from repro.core.vertex_sampler import BingoVertexSampler, RadixLayout
+from repro.core.vertex_sampler import BingoVertexSampler
+from repro.engines import compiled
 from repro.engines.bingo import BingoEngine
 from repro.engines.flowwalker import FlowWalkerEngine
 from repro.engines.registry import create_engine
@@ -269,8 +270,8 @@ def table4_conversion(
 def group_conversions(engine: BingoEngine, batch, tracker: ConversionTracker) -> None:
     """Apply ``batch`` to ``engine`` and count its group conversions in ``tracker``.
 
-    The batch's source rows are laid out (:class:`RadixLayout`) before and
-    after the batch.  Every group present after it is one observation,
+    The batch's source rows are laid out (:meth:`BingoEngine.radix_layout`)
+    before and after the batch.  Every group present after it is one observation,
     keyed by (vertex, bit); it converts when its kind differs from the
     kind it had before, and a group absent before counts as created
     regular, as a per-vertex sampler creates it.  On an undirected graph
@@ -278,7 +279,7 @@ def group_conversions(engine: BingoEngine, batch, tracker: ConversionTracker) ->
     """
     batch = UpdateBatch.coerce(batch)
     vertices = np.unique(batch.src)
-    before = _group_kinds(engine, vertices)
+    before = _group_kinds(engine, vertices[vertices < engine.num_vertices()])
     engine.apply_batch(batch)
     after = _group_kinds(engine, vertices)
     tracker.observations += len(after)
@@ -292,11 +293,8 @@ def _group_kinds(
     engine: BingoEngine, vertices: np.ndarray
 ) -> dict[tuple[int, int], GroupKind]:
     """(vertex, bit) -> representation of every radix group of ``vertices``' rows."""
-    graph = engine.graph
-    present = vertices[vertices < graph.num_vertices]
-    lengths, _, biases = graph.gather_rows(present)
-    layout = RadixLayout(lengths, biases, engine.lam, engine.classifier)
-    keys = zip(present[layout.group_row].tolist(), layout.group_bit.tolist())
+    layout = engine.radix_layout(vertices)
+    keys = zip(vertices[layout.group_row].tolist(), layout.group_bit.tolist())
     return dict(zip(keys, layout.group_kinds()))
 
 
@@ -550,14 +548,13 @@ def fig15_batch_size_sweep(
     dataset: str = "LJ",
     batch_sizes: Sequence[int] = (50, 125, 250, 375, 500),
     total_updates: int = 1500,
-    repeats: int = 3,
     seed: int = 43,
 ) -> dict[int, dict[str, float]]:
     """gSampler vs Bingo runtime as the updating batch size grows (Figure 15a).
 
-    Each cell is the best of ``repeats`` :func:`run_update_only` runs with
-    the collector paused, the two engines taking turns, so one burst of
-    host load cannot decide a cell.
+    Each cell is the best of three :func:`run_update_only` runs with the
+    collector paused, the two engines taking turns, so one burst of host
+    load cannot decide a cell.
     """
     output: dict[int, dict[str, float]] = {}
     for batch_size in batch_sizes:
@@ -572,7 +569,7 @@ def fig15_batch_size_sweep(
             rng=rng,
         )
         row: dict[str, float] = {}
-        for _ in range(repeats):
+        for _ in range(3):
             for engine_name in ("gsampler", "bingo"):
                 with gc_paused():
                     result = run_update_only(
@@ -788,8 +785,8 @@ def fig16_piecewise(
     """Insertion vs deletion vs sampling time for Bingo, and FlowWalker's costs.
 
     Bingo's update times include the warm after each update
-    (:func:`run_update_only`); each engine's sampling time is one frontier
-    draw of the whole query, the path every walk takes.
+    (:func:`run_update_only`); each engine's sampling time is one scalar
+    ``sample_neighbor`` call per query entry.
     """
     output: dict[str, dict[str, float]] = {}
     for dataset in datasets:
@@ -810,8 +807,10 @@ def fig16_piecewise(
 
         bingo = BingoEngine(rng=seed + 4)
         bingo.build(graph.copy())
-        # Writing the staged tables is boot work, not sampling.
+        # Writing the staged tables and loading the kernel are boot work,
+        # not sampling.
         bingo.warm_frontier_tables()
+        compiled.load()
         flow = FlowWalkerEngine(rng=seed + 4)
         flow.build(graph.copy())
 
@@ -819,13 +818,14 @@ def fig16_piecewise(
         sample_rng = ensure_rng(seed + 6)
         query = [starts[sample_rng.randrange(len(starts))] for _ in range(num_samples)]
 
-        # Both engines draw the query as one frontier, the path walks use.
         bingo_sample_start = time.perf_counter()
-        bingo.sample_frontier(query, seed + 6)
+        for vertex in query:
+            bingo.sample_neighbor(vertex)
         bingo_sampling = time.perf_counter() - bingo_sample_start
 
         flow_sample_start = time.perf_counter()
-        flow.sample_frontier(query, seed + 6)
+        for vertex in query:
+            flow.sample_neighbor(vertex)
         flow_sampling = time.perf_counter() - flow_sample_start
 
         # FlowWalker "update": apply both streams as graph edits + reload.

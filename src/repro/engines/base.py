@@ -229,7 +229,7 @@ class RandomWalkEngine(abc.ABC):
         touched = []
         add_edge = graph.add_edge
         remove_edge = graph.remove_edge
-        for group in batch.group_by_source(detect_duplicates=False):
+        for group in batch.group_by_source():
             vertex = group.vertex
             dsts = group.dsts
             if len(dsts) == 1:

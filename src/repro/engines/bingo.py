@@ -24,8 +24,7 @@ from __future__ import annotations
 import time
 import copy
 from dataclasses import dataclass, fields, replace
-from functools import partial
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 
 import numpy as np
 
@@ -153,17 +152,20 @@ class BingoEngine(FusedFrontierEngine):
         #: The generator of scalar draws (``sample_neighbor``), derived from
         #: the engine generator on first use.
         self._draw_rng: np.random.Generator | None = None
+        #: ``(packed tables, bound one-entry kernel step)`` of scalar draws.
+        self._stepper: tuple[np.ndarray, Callable[[int], tuple[int, bool]]] | None = None
 
     # ------------------------------------------------------------------ #
     # construction
     # ------------------------------------------------------------------ #
     def _build_state(self) -> None:
-        """Stage every fused store from one whole-array :class:`RadixLayout`.
+        """Stage every fused store from one whole-array pass over the graph.
 
-        λ comes from the whole bias column; one layout splits every bias,
-        groups and classifies every (vertex, bit) and builds every
-        inter-group alias, and the stores are staged from its arrays, so
-        the first warm writes them without a per-vertex gather.
+        λ comes from the whole bias column; one :class:`RadixLayout` splits
+        every bias, groups and classifies every (vertex, bit) and builds
+        every inter-group alias (:meth:`_slice_rows`), and the stores are
+        staged from its arrays, so the first warm writes them without a
+        per-vertex gather.
         """
         graph = self._require_graph()
         indptr, targets, biases = graph.csr_columns()
@@ -172,25 +174,32 @@ class BingoEngine(FusedFrontierEngine):
             self.lam = choose_amortization_factor(biases) if len(biases) else 1.0
         degrees = np.diff(indptr)
         vertices = np.flatnonzero(degrees)
-        layout = RadixLayout(degrees[vertices], biases, self.lam, self.classifier)
-        staged = {
-            name: (vertices, *rows) for name, rows in _draw_rows(targets, layout).items()
-        }
-        staged["adjacency"] = (
-            vertices, degrees[vertices], adjacency_rows(degrees, targets)[1]
+        rows = self._slice_rows(degrees[vertices], targets, biases)
+        self.frontier_tables.stage(
+            {name: (vertices, *columns) for name, columns in rows.items()}
         )
-        self.frontier_tables.stage(staged)
 
-    def radix_layout(self) -> RadixLayout:
-        """One :class:`RadixLayout` over every non-sink vertex's graph row,
-        in vertex order: the factorization the fused tables hold."""
-        indptr, _, biases = self._require_graph().csr_columns()
-        degrees = np.diff(indptr)
-        return RadixLayout(degrees[degrees > 0], biases, self.lam, self.classifier)
+    def radix_layout(self, vertices: np.ndarray | None = None) -> RadixLayout:
+        """One :class:`RadixLayout` over graph rows, with the engine's λ and
+        group classifier.
+
+        Row ``i`` is ``vertices[i]``'s graph row; by default the rows are
+        every non-sink vertex's, in vertex order: the factorization the
+        fused tables hold.
+        """
+        graph = self._require_graph()
+        if vertices is None:
+            indptr, _, biases = graph.csr_columns()
+            lengths = np.diff(indptr)
+            lengths = lengths[lengths > 0]
+        else:
+            lengths, _, biases = graph.gather_rows(vertices)
+        return RadixLayout(lengths, biases, self.lam, self.classifier)
 
     def _clone_state(self, twin: BingoEngine) -> None:
         twin.batch_stats = replace(self.batch_stats)
         twin._draw_rng = copy.deepcopy(self._draw_rng)
+        twin._stepper = None
         super()._clone_state(twin)
 
     # ------------------------------------------------------------------ #
@@ -217,15 +226,16 @@ class BingoEngine(FusedFrontierEngine):
         """Ingest a batch through the columnar pipeline.
 
         The Section 5.2 workflow on :class:`~repro.graph.update_batch.UpdateBatch`
-        columns: one argsort groups the requests by vertex, each vertex's
-        slice is collapsed to net insertions/deletions (vectorized
-        cancellation), every net insertion's bias is split in one
-        vectorized call, and the graph mutates through the bulk columnar
-        mutators.  Each touched vertex is marked dirty once; the next warm
-        re-derives its slices from its new graph row.  The post-batch graph
-        is the per-edge oracle's (``tests/engines/scalar_batch_oracle.py``).
-        A batch carrying a bias λ cannot scale, or one that vanishes under
-        λ (:class:`~repro.errors.InvalidBiasError`), is refused before the
+        columns: one argsort groups the requests by vertex and the batch
+        collapses to net arc deletions and insertions
+        (:meth:`~repro.graph.update_batch.UpdateBatch.net_changes`), every
+        net insertion's bias is split in one vectorized call, and the graph
+        mutates through the whole-batch arc mutators.  Each touched vertex
+        is marked dirty once; the next warm re-derives its slices from its
+        new graph row.  The post-batch graph is the per-edge oracle's
+        (``tests/engines/scalar_batch_oracle.py``).  A batch carrying a bias
+        λ cannot scale, or one that vanishes under λ
+        (:class:`~repro.errors.InvalidBiasError`), is refused before the
         first edge changes.
         """
         graph = self._require_graph()
@@ -235,51 +245,41 @@ class BingoEngine(FusedFrontierEngine):
             # holds: apply edge by edge, marking both endpoints.
             self.apply_streaming(batch)
             return
-        stats = BatchStatistics()
-        groups = batch.group_by_source()
-        stats.touched_vertices = len(groups)
         highest = batch.max_vertex()
         if highest >= 0:
             graph.ensure_vertices(highest)
-
-        # Request reordering + net-effect normalization (host-side prepass).
-        plans = []
-        for group in groups:
-            vertex = group.vertex
-            deletions, insert_dsts, insert_biases, cancelled = group.normalize(
-                partial(graph.has_edges, vertex)
-            )
-            stats.cancelled_pairs += cancelled
-            if len(insert_dsts) or graph.degree(vertex):
-                stats.rebuilds += 1
-            plans.append((vertex, deletions, insert_dsts, insert_biases))
+        changes = batch.net_changes(graph.has_arcs)
+        touched = changes.touched.tolist()
+        # Rebuilt: every touched vertex with edges before the batch or a
+        # net insertion in it.
+        degree = graph.degree
+        inserting = set(changes.insert_srcs.tolist())
+        stats = BatchStatistics(
+            cancelled_pairs=changes.cancelled,
+            touched_vertices=len(touched),
+            rebuilds=sum(1 for vertex in touched if vertex in inserting or degree(vertex)),
+        )
 
         # One vectorized bias split over every net insertion: it refuses an
         # unscalable bias, and a vanishing one is refused here.
-        bias_parts = [plan[3] for plan in plans if len(plan[3])]
-        if bias_parts:
-            merged = np.concatenate(bias_parts)
-            integer_parts, fractions = split_scaled_arrays(merged, self.lam)
+        if len(changes.insert_biases):
+            integer_parts, fractions = split_scaled_arrays(changes.insert_biases, self.lam)
             vanished = (integer_parts == 0) & (fractions == 0.0)
             if vanished.any():
-                raise vanishing_bias(float(merged[vanished][0]), self.lam)
-        self.frontier_tables.mark_dirty(group.vertex for group in groups)
+                raise vanishing_bias(float(changes.insert_biases[vanished][0]), self.lam)
+        self.frontier_tables.mark_dirty(touched)
 
         delete_start = time.perf_counter()
-        for vertex, deletions, _, _ in plans:
-            if len(deletions):
-                graph.remove_edges_bulk(vertex, deletions)
-                stats.deletions += len(deletions)
+        graph.remove_arcs(changes.delete_srcs, changes.delete_dsts)
         insert_start = time.perf_counter()
         self.breakdown.add(PHASE_DELETE, insert_start - delete_start)
-        for vertex, _, insert_dsts, insert_biases in plans:
-            if len(insert_dsts):
-                graph.add_edges_bulk(vertex, insert_dsts, insert_biases)
-                stats.insertions += len(insert_dsts)
+        graph.add_arcs(changes.insert_srcs, changes.insert_dsts, changes.insert_biases)
         self.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
 
-        stats.kernel_launches += 1
-        stats.parallel_steps += -(-len(groups) // DEVICE_LANES)
+        stats.deletions = len(changes.delete_srcs)
+        stats.insertions = len(changes.insert_srcs)
+        stats.kernel_launches = 1
+        stats.parallel_steps = -(-len(touched) // DEVICE_LANES)
         self.batch_stats.merge(stats)
         self.updates_applied += len(batch)
 
@@ -287,12 +287,36 @@ class BingoEngine(FusedFrontierEngine):
     # sampling: every draw reads the fused stores
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:
-        """A one-entry frontier draw on the engine's own draw generator."""
+        """A one-entry frontier draw on the engine's own draw generator.
+
+        With the compiled kernel the draw runs through a
+        :meth:`~repro.engines.compiled.FrontierKernel.stepper` bound to the
+        current packed tables, so a scalar draw allocates nothing.
+        """
         self._require_graph()
         if self._draw_rng is None:
             self._draw_rng = coerce_np_rng(self._rng)
-        query = np.array([vertex], dtype=np.int64)
-        drawn = int(self._sample_frontier(query, self._draw_rng)[0])
+        loaded = self._compiled_tables()
+        if loaded is None:
+            query = np.array([vertex], dtype=np.int64)
+            drawn = int(self._sample_frontier(query, self._draw_rng)[0])
+            return None if drawn < 0 else drawn
+        kernel, tables, _ = loaded
+        if self._stepper is None or self._stepper[0] is not tables:
+            self._stepper = (
+                tables,
+                kernel.stepper(tables, self.kernel_kind, self._draw_rng),
+            )
+        drawn, decimal = self._stepper[1](vertex)
+        if decimal:
+            draws = np.array([drawn], dtype=np.int64)
+            self._resolve_decimal_picks(
+                np.array([vertex], dtype=np.int64),
+                draws,
+                np.zeros(1, dtype=np.int64),
+                self._draw_rng,
+            )
+            drawn = int(draws[0])
         return None if drawn < 0 else drawn
 
     def _sample_batch(
@@ -305,15 +329,20 @@ class BingoEngine(FusedFrontierEngine):
     # fused frontier kernel
     # ------------------------------------------------------------------ #
     def _frontier_rows(self, vertices: np.ndarray) -> dict[str, SliceRows]:
-        """``vertices``' slices of every store, from one gather of their graph rows.
+        """``vertices``' slices of every store, from one gather of their graph rows."""
+        return self._slice_rows(*self._require_graph().gather_rows(vertices))
+
+    def _slice_rows(
+        self, lengths: np.ndarray, targets: np.ndarray, biases: np.ndarray
+    ) -> dict[str, SliceRows]:
+        """The slices of graph rows given back to back, for every store.
 
         The rows feed the adjacency sort and one :class:`RadixLayout`,
         whose groups, decimal fractions and inter-group alias tables
         become the ``inter``, ``flat`` and ``decimal`` slices
-        (:func:`_draw_rows`) — the derivation of the cold build, for any
-        vertex set.  Group and decimal members follow the graph row.
+        (:func:`_draw_rows`) — one derivation for the cold build and any
+        later vertex set.  Group and decimal members follow the graph row.
         """
-        lengths, targets, biases = self._require_graph().gather_rows(vertices)
         rows = {"adjacency": adjacency_rows(lengths, targets)}
         layout = RadixLayout(lengths, biases, self.lam, self.classifier)
         rows.update(_draw_rows(targets, layout))

@@ -31,7 +31,7 @@ import sys
 import sysconfig
 import tempfile
 import threading
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
 from typing import Any
 
@@ -124,6 +124,36 @@ class FrontierKernel:
         if found < 0:
             raise MemoryError("frontier kernel scratch allocation failed")
         return draws, picks[:found]
+
+    def stepper(
+        self, tables: np.ndarray, kind: int, rng: np.random.Generator
+    ) -> Callable[[int], tuple[int, bool]]:
+        """:meth:`step` of a one-entry frontier, bound to ``tables`` and ``rng``.
+
+        Scalar draws call it once per draw, so the query, draw and pick
+        buffers and every address are resolved here, once.  The callable
+        returns ``(draw, decimal)``: ``decimal`` is true when the draw is a
+        Bingo decimal-group pick left for the caller's rejection sampler.
+        The caller keeps ``tables`` (and the views it points into) alive.
+        """
+        buffers = np.zeros(3, dtype=np.int64)  # query, draw, pick
+        query, draw, pick = (buffers.ctypes.data + 8 * slot for slot in range(3))
+        bit_generator = rng.bit_generator
+        lock = bit_generator.lock
+        generator = bit_generator.ctypes.bit_generator.value
+        address = tables.ctypes.data
+        step = self._step
+
+        def draw_one(vertex: int) -> tuple[int, bool]:
+            with lock:
+                buffers[0] = vertex
+                found = step(address, kind, generator, query, 1, draw, pick)
+                drawn = int(buffers[1])
+            if found < 0:
+                raise MemoryError("frontier kernel scratch allocation failed")
+            return drawn, found > 0
+
+        return draw_one
 
     def walk(
         self,

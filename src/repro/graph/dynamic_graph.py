@@ -17,8 +17,10 @@ Two access tiers are exposed:
   :meth:`DynamicGraph.bias_array`) plus bulk mutators
   (:meth:`DynamicGraph.add_edges_bulk` /
   :meth:`DynamicGraph.remove_edges_bulk`) that apply a whole per-vertex
-  update slice with vectorized membership validation — the substrate of the
-  batched ingestion pipeline.
+  update slice with vectorized membership validation, and their
+  whole-batch forms over arcs of any sources
+  (:meth:`DynamicGraph.add_arcs` / :meth:`DynamicGraph.remove_arcs`) —
+  the substrate of the batched ingestion pipeline.
 
 Undirected graphs are represented as two directed arcs sharing one logical
 edge, which matches how the evaluation datasets are ingested.
@@ -28,6 +30,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from collections.abc import Iterable, Iterator, Sequence
+from typing import Any
 
 import numpy as np
 
@@ -51,7 +54,7 @@ _EMPTY_DSTS = np.empty(0, dtype=np.int64)
 _EMPTY_BIASES = np.empty(0, dtype=np.float64)
 
 
-def _first_duplicate(values: list[int]) -> int:
+def _first_duplicate(values: list) -> Any:
     """The first value appearing twice in ``values`` (caller guarantees one)."""
     seen = set()
     for value in values:
@@ -120,7 +123,8 @@ class _VertexAdjacency:
     # -------------------------------------------------------------- #
     def add(self, dst: int, bias: Number) -> int:
         index = self.size
-        self._grow(index + 1)
+        if index == len(self.dsts):
+            self._grow(index + 1)
         self.dsts[index] = dst
         self.biases[index] = bias
         self.position[dst] = index
@@ -139,23 +143,20 @@ class _VertexAdjacency:
         self.position.update(zip(dsts.tolist(), range(start, start + count)))
         self.size = start + count
 
-    def remove(self, dst: int) -> tuple[int, Number, int | None]:
-        """Remove ``dst`` and return (removed_index, removed_bias, moved_dst).
-
-        ``moved_dst`` is the destination that was relocated from the tail into
-        ``removed_index`` (``None`` when the victim was already the tail).
-        """
+    def remove(self, dst: int) -> Number:
+        """Remove ``dst`` and return its bias; the tail moves into its slot."""
         index = self.position.pop(dst)
-        bias = float(self.biases[index])
+        biases = self.biases
+        bias = biases.item(index)
         last = self.size - 1
-        moved: int | None = None
         if index != last:
-            moved = int(self.dsts[last])
-            self.dsts[index] = moved
-            self.biases[index] = self.biases[last]
+            dsts = self.dsts
+            moved = dsts.item(last)
+            dsts[index] = moved
+            biases[index] = biases.item(last)
             self.position[moved] = index
         self.size = last
-        return index, bias, moved
+        return bias
 
     def set_bias(self, dst: int, bias: Number) -> Number:
         index = self.position[dst]
@@ -421,7 +422,7 @@ class DynamicGraph:
         self._check_vertex(dst)
         if dst not in self._adjacency[src].position:
             raise EdgeNotFoundError(src, dst)
-        _, bias, _ = self._adjacency[src].remove(dst)
+        bias = self._adjacency[src].remove(dst)
         if self._undirected and src != dst:
             self._adjacency[dst].remove(src)
         self._num_edges -= 1
@@ -536,12 +537,76 @@ class DynamicGraph:
         removed = np.empty(count, dtype=np.float64)
         undirected = self._undirected
         for slot, dst in enumerate(dst_list):
-            _, bias, _ = adjacency.remove(dst)
+            bias = adjacency.remove(dst)
             removed[slot] = bias
             if undirected and dst != src:
                 self._adjacency[dst].remove(src)
         self._num_edges -= count
         return removed
+
+    def remove_arcs(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
+        """Delete the arcs ``srcs[i] -> dsts[i]`` of a directed graph, in order.
+
+        The whole-batch form of :meth:`remove_edges_bulk`: the arcs may
+        belong to any number of sources, and no per-source slice is built.
+        Each source's surviving neighbour order is the one repeated
+        :meth:`remove_edge` calls leave.  The whole column is validated
+        before the first arc goes: an absent or repeated arc raises
+        :class:`~repro.errors.EdgeNotFoundError`.
+        """
+        pairs = self._arc_pairs("remove_arcs", srcs, dsts)
+        adjacency = self._adjacency
+        for src, dst in pairs:
+            if dst not in adjacency[src].position:
+                raise EdgeNotFoundError(src, dst)
+        if len(set(pairs)) != len(pairs):
+            # The second removal of a repeated arc would miss.
+            raise EdgeNotFoundError(*_first_duplicate(pairs))
+        for src, dst in pairs:
+            adjacency[src].remove(dst)
+        self._num_edges -= len(pairs)
+
+    def add_arcs(self, srcs: np.ndarray, dsts: np.ndarray, biases: np.ndarray) -> None:
+        """Insert the arcs ``srcs[i] -> dsts[i]`` of a directed graph, in order.
+
+        The whole-batch form of :meth:`add_edges_bulk`, with the same
+        neighbour order as repeated :meth:`add_edge` calls and the same
+        errors, raised before the first arc is added.
+        """
+        pairs = self._arc_pairs("add_arcs", srcs, dsts)
+        biases = np.ascontiguousarray(biases, dtype=np.float64)
+        if len(biases) != len(pairs):
+            raise ValueError("srcs, dsts and biases must have matching lengths")
+        valid = np.isfinite(biases) & (biases > 0)
+        if not valid.all():
+            check_bias(float(biases[~valid][0]))  # raises InvalidBiasError
+        adjacency = self._adjacency
+        for src, dst in pairs:
+            if dst in adjacency[src].position:
+                raise DuplicateEdgeError(src, dst)
+        if len(set(pairs)) != len(pairs):
+            raise DuplicateEdgeError(*_first_duplicate(pairs))
+        for (src, dst), bias in zip(pairs, biases.tolist()):
+            adjacency[src].add(dst, bias)
+        self._num_edges += len(pairs)
+
+    def _arc_pairs(
+        self, method: str, srcs: np.ndarray, dsts: np.ndarray
+    ) -> list[tuple[int, int]]:
+        """``(src, dst)`` int pairs, every endpoint checked to be in range."""
+        if self._undirected:
+            raise ValueError(f"{method} takes the arcs of a directed graph")
+        sources = np.ascontiguousarray(srcs, dtype=np.int64)
+        targets = np.ascontiguousarray(dsts, dtype=np.int64)
+        if len(sources) != len(targets):
+            raise ValueError("srcs and dsts must have matching lengths")
+        if len(sources):
+            limit = len(self._adjacency)
+            for ids in (sources, targets):
+                outside = (ids < 0) | (ids >= limit)
+                if outside.any():
+                    raise VertexNotFoundError(int(ids[outside][0]))
+        return list(zip(sources.tolist(), targets.tolist()))
 
     def update_bias(self, src: int, dst: int, bias: Number) -> Number:
         """Change the bias of an existing edge, returning the previous value."""

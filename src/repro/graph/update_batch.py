@@ -10,11 +10,11 @@ structure for that workflow:
   (re-exported by :mod:`repro.graph.update_stream` for compatibility);
 * :class:`UpdateBatch` — the same information as four NumPy columns
   (``src`` / ``dst`` / ``bias`` / ``insert_mask``), with ``argsort``-based
-  per-vertex grouping, vectorized duplicate detection, and net-effect
-  normalization that reproduces the timestamp-ordered semantics of the
-  scalar path exactly (including the order in which net insertions and
-  deletions are emitted, so batched and per-edge ingestion build
-  byte-identical sampling state).
+  per-vertex grouping and whole-batch net-effect normalization
+  (:meth:`UpdateBatch.net_changes`) that reproduces the timestamp-ordered
+  semantics of the scalar path exactly (including the order in which each
+  vertex's net insertions and deletions are emitted, so batched and
+  per-edge ingestion build byte-identical sampling state).
 
 An :class:`UpdateBatch` still behaves like a sequence of
 :class:`GraphUpdate` (``len`` / indexing / iteration), so every legacy
@@ -26,6 +26,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from collections.abc import Callable, Iterable, Iterator, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
@@ -63,14 +64,11 @@ class GraphUpdate:
 class VertexUpdateSlice:
     """One vertex's share of a batch, in timestamp order (column views).
 
-    ``has_duplicates`` records whether any destination appears more than
-    once in this slice — only then can insert/delete cancellation or a bias
-    update occur.  A plain ``__slots__`` class (not a dataclass): one
-    instance is built per touched vertex per batch, on the ingestion hot
-    path.
+    A plain ``__slots__`` class (not a dataclass): one instance is built
+    per touched vertex per batch when a batch is replayed slice by slice.
     """
 
-    __slots__ = ("vertex", "dsts", "biases", "insert_mask", "has_duplicates")
+    __slots__ = ("vertex", "dsts", "biases", "insert_mask")
 
     def __init__(
         self,
@@ -78,13 +76,11 @@ class VertexUpdateSlice:
         dsts: np.ndarray,
         biases: np.ndarray,
         insert_mask: np.ndarray,
-        has_duplicates: bool,
     ) -> None:
         self.vertex = vertex
         self.dsts = dsts
         self.biases = biases
         self.insert_mask = insert_mask
-        self.has_duplicates = has_duplicates
 
     def __len__(self) -> int:
         return len(self.dsts)
@@ -115,84 +111,92 @@ class VertexUpdateSlice:
         runs.append((kind, start, count))
         return runs
 
-    def normalize(
-        self, membership: Callable[[np.ndarray], np.ndarray]
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-        """Collapse the slice into net deletions and insertions.
 
-        Reproduces the per-edge replay ``normalize_vertex_updates`` of the
-        test tree's ``scalar_batch_oracle`` exactly — same net effect, same
-        emission order (first-occurrence order of the surviving
-        destinations), same cancellation count — so the columnar and
-        per-edge ingestion paths build identical state.
+def _replay_net_effect(
+    srcs: list[int],
+    dsts: list[int],
+    biases: list[float],
+    inserts: list[bool],
+    rows: list[int],
+    membership: Callable[[np.ndarray, np.ndarray], np.ndarray],
+) -> tuple[list[tuple[int, int, int]], list[tuple[int, int, int, float]], int]:
+    """The scalar path's per-arc state machine over rows in timestamp order.
 
-        ``membership`` maps an ``int64`` destination array to a boolean
-        array saying which destinations are currently out-neighbours; it is
-        only consulted for delete-then-reinsert destinations, and never on
-        the duplicate-free fast path.
-
-        Returns ``(deletions, insert_dsts, insert_biases, cancelled)``.
-        """
-        if not self.has_duplicates:
-            # Fast path: every destination appears once, so the net effect
-            # is the slice itself split by kind (emission order preserved).
-            # Single-kind slices (the overwhelmingly common case) reuse the
-            # column views without any masking allocation.
-            mask = self.insert_mask
-            if mask.all():
-                return _EMPTY_INT64, self.dsts, self.biases, 0
-            if not mask.any():
-                return self.dsts, _EMPTY_INT64, _EMPTY_FLOAT64, 0
-            return self.dsts[~mask], self.dsts[mask], self.biases[mask], 0
-
-        # Replay the per-destination state machine of the scalar path.
-        net: dict = {}  # dst -> ("insert" | "update" | "delete", bias | None)
-        cancelled = 0
-        for dst, bias, is_insert in zip(
-            self.dsts.tolist(), self.biases.tolist(), self.insert_mask.tolist()
-        ):
-            previous = net.get(dst)
-            if is_insert:
-                if previous is not None and previous[0] == "delete":
-                    # delete then insert: the edge survives with the new bias.
-                    net[dst] = ("update", bias)
-                else:
-                    net[dst] = ("insert", bias)
+    Returns ``(deletions, insertions, cancelled)``: ``(row, src, dst)``
+    arcs to remove, ``(row, src, dst, bias)`` arcs to add, and the number
+    of insert/delete pairs that annihilated.  ``rows`` names each input
+    row; an arc's ``row`` is the row that last entered it into the net
+    effect, so ordering by it is the emission order of
+    ``normalize_vertex_updates`` (first-occurrence order of the surviving
+    arcs), which both lists already follow.  ``membership(srcs, dsts)``
+    says which arcs exist now; it is consulted only for
+    delete-then-reinsert arcs, whose old edge is deleted only when it
+    exists.
+    """
+    # (src, dst) -> [row, "insert" | "update" | "delete", bias | None]
+    net: dict = {}
+    cancelled = 0
+    for row, key, bias, is_insert in zip(rows, zip(srcs, dsts), biases, inserts):
+        previous = net.get(key)
+        if is_insert:
+            if previous is None:
+                net[key] = [row, "insert", bias]
             else:
-                if previous is not None and previous[0] == "insert":
-                    # insert then delete within the batch: both vanish.
-                    del net[dst]
-                    cancelled += 1
-                else:
-                    net[dst] = ("delete", None)
+                # delete then insert: the edge survives with the new bias.
+                previous[1] = "update" if previous[1] == "delete" else "insert"
+                previous[2] = bias
+        elif previous is None:
+            net[key] = [row, "delete", None]
+        elif previous[1] == "insert":
+            # insert then delete within the batch: both vanish.
+            del net[key]
+            cancelled += 1
+        else:
+            previous[1] = "delete"
 
-        update_dsts = [dst for dst, (action, _) in net.items() if action == "update"]
-        existing = set()
-        if update_dsts:
-            present = membership(np.asarray(update_dsts, dtype=np.int64))
-            existing = {
-                dst for dst, hit in zip(update_dsts, present.tolist()) if hit
-            }
-        insert_dsts: list[int] = []
-        insert_biases: list[float] = []
-        deletions: list[int] = []
-        for dst, (action, bias) in net.items():
-            if action == "insert":
-                insert_dsts.append(dst)
-                insert_biases.append(bias)
-            elif action == "delete":
-                deletions.append(dst)
-            else:  # "update": delete the old edge, insert the new bias
-                if dst in existing:
-                    deletions.append(dst)
-                insert_dsts.append(dst)
-                insert_biases.append(bias)
-        return (
-            np.asarray(deletions, dtype=np.int64),
-            np.asarray(insert_dsts, dtype=np.int64),
-            np.asarray(insert_biases, dtype=np.float64),
-            cancelled,
+    updated = [key for key, (_, action, _) in net.items() if action == "update"]
+    existing = set()
+    if updated:
+        sources, targets = zip(*updated)
+        present = membership(
+            np.asarray(sources, dtype=np.int64), np.asarray(targets, dtype=np.int64)
         )
+        existing = {key for key, hit in zip(updated, present.tolist()) if hit}
+    deletions: list[tuple[int, int, int]] = []
+    insertions: list[tuple[int, int, int, float]] = []
+    for key, (row, action, bias) in net.items():
+        if action != "insert" and (action == "delete" or key in existing):
+            deletions.append((row, *key))
+        if action != "delete":
+            # "update": delete the old edge, insert the new bias.
+            insertions.append((row, *key, bias))
+    return deletions, insertions, cancelled
+
+
+class NetChanges(NamedTuple):
+    """A batch's net effect as arc columns (:meth:`UpdateBatch.net_changes`)."""
+
+    #: Every source the batch touches, in first-appearance order.
+    touched: np.ndarray
+    #: Insert/delete pairs on the same arc that annihilated.
+    cancelled: int
+    delete_srcs: np.ndarray
+    delete_dsts: np.ndarray
+    insert_srcs: np.ndarray
+    insert_dsts: np.ndarray
+    insert_biases: np.ndarray
+
+
+class _SourceRuns(NamedTuple):
+    """A batch's columns stably sorted by source, and each source's run."""
+
+    src: np.ndarray
+    dst: np.ndarray
+    bias: np.ndarray
+    insert_mask: np.ndarray
+    #: Run bounds into the sorted columns, in first-appearance order.
+    starts: np.ndarray
+    stops: np.ndarray
 
 
 class UpdateBatch(Sequence[GraphUpdate]):
@@ -210,7 +214,6 @@ class UpdateBatch(Sequence[GraphUpdate]):
         "insert_mask",
         "timestamp",
         "_groups",
-        "_groups_have_dup_info",
     )
 
     def __init__(
@@ -238,7 +241,6 @@ class UpdateBatch(Sequence[GraphUpdate]):
         if len(lengths) != 1:
             raise ValueError("update-batch columns must have matching lengths")
         self._groups: list[VertexUpdateSlice] | None = None
-        self._groups_have_dup_info = False
 
     # ------------------------------------------------------------------ #
     # construction
@@ -318,76 +320,119 @@ class UpdateBatch(Sequence[GraphUpdate]):
     # ------------------------------------------------------------------ #
     # grouping (request reordering, Section 5.2 step 1)
     # ------------------------------------------------------------------ #
-    def group_by_source(self, *, detect_duplicates: bool = True) -> list[VertexUpdateSlice]:
+    def group_by_source(self) -> list[VertexUpdateSlice]:
         """Per-vertex update slices in timestamp order.
 
         One stable ``argsort`` on the source column reorders the whole batch
-        so each vertex's updates are contiguous (relative order preserved);
-        one vectorized pass over the ``(src, dst)`` keys flags the vertices
-        whose slice repeats a destination — only those can need insert/delete
-        cancellation, so every other vertex takes the allocation-free
-        normalization fast path.
-
-        Slices are emitted in *first-appearance* order (the order the scalar
-        path's request-reordering dict would produce), so engines that spawn
-        per-vertex RNG streams on first contact create them in the identical
-        sequence on either ingestion path.
-
-        ``detect_duplicates=False`` skips the repeated-destination scan and
-        marks every slice duplicate-free — only valid for consumers that
-        replay slices verbatim (no normalization), like the rebuild-on-batch
-        baseline engines.
+        so each vertex's updates are contiguous (relative order preserved).
+        Slices are emitted in *first-appearance* order, the order the scalar
+        path's request-reordering dict would produce.
         """
-        if self._groups is not None and (
-            self._groups_have_dup_info or not detect_duplicates
-        ):
+        if self._groups is not None:
             return self._groups
-        count = len(self)
-        if count == 0:
+        if len(self) == 0:
             self._groups = []
-            self._groups_have_dup_info = True
             return self._groups
+        runs = self._source_runs()
+        self._groups = [
+            VertexUpdateSlice(
+                int(runs.src[start]),
+                runs.dst[start:stop],
+                runs.bias[start:stop],
+                runs.insert_mask[start:stop],
+            )
+            for start, stop in zip(runs.starts.tolist(), runs.stops.tolist())
+        ]
+        return self._groups
+
+    def net_changes(
+        self, membership: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ) -> NetChanges:
+        """The batch collapsed to its net arc deletions and insertions.
+
+        Section 5.2's normalization, reproducing the per-edge replay
+        ``normalize_vertex_updates`` of the test tree's
+        ``scalar_batch_oracle`` vertex by vertex: the same net effect, the
+        same cancellation count, and within each source the same emission
+        order (first-occurrence order of the surviving arcs), so batched and
+        per-edge ingestion build the same graph rows.  Across sources the
+        order is unspecified.  A row whose arc no other row names is its own
+        net effect; only the rows of repeated arcs replay the state machine.
+        ``membership(srcs, dsts)`` says which arcs exist now; it is consulted
+        only for delete-then-reinsert arcs.
+        """
+        if len(self) == 0:
+            return NetChanges(
+                _EMPTY_INT64,
+                0,
+                _EMPTY_INT64,
+                _EMPTY_INT64,
+                _EMPTY_INT64,
+                _EMPTY_INT64,
+                _EMPTY_FLOAT64,
+            )
+        runs = self._source_runs()
+        # Rows whose (src, dst) arc another row of the batch also names.
+        keys = runs.src * (int(runs.dst.max()) + 1) + runs.dst
+        by_key = np.argsort(keys, kind="stable")
+        same = keys[by_key[1:]] == keys[by_key[:-1]]
+        replayed = np.zeros(len(self), dtype=bool)
+        replayed[by_key[1:][same]] = True
+        replayed[by_key[:-1][same]] = True
+        deleted = np.flatnonzero(~replayed & ~runs.insert_mask)
+        inserted = np.flatnonzero(~replayed & runs.insert_mask)
+        deletions, insertions, cancelled = _replay_net_effect(
+            runs.src[replayed].tolist(),
+            runs.dst[replayed].tolist(),
+            runs.bias[replayed].tolist(),
+            runs.insert_mask[replayed].tolist(),
+            np.flatnonzero(replayed).tolist(),
+            membership,
+        )
+        # Each surviving arc sits at the sorted row that entered it into
+        # the net effect: ordering by that row restores every source's
+        # emission order.
+        replayed_deletions = np.asarray(deletions, dtype=np.int64).reshape(-1, 3)
+        replayed_insertions = np.asarray(
+            [(row, src, dst) for row, src, dst, _ in insertions], dtype=np.int64
+        ).reshape(-1, 3)
+        delete_order = np.argsort(np.concatenate((deleted, replayed_deletions[:, 0])))
+        insert_order = np.argsort(np.concatenate((inserted, replayed_insertions[:, 0])))
+        insert_biases = np.concatenate(
+            (runs.bias[inserted], np.asarray([bias for *_, bias in insertions], dtype=np.float64))
+        )
+        return NetChanges(
+            runs.src[runs.starts],
+            cancelled,
+            np.concatenate((runs.src[deleted], replayed_deletions[:, 1]))[delete_order],
+            np.concatenate((runs.dst[deleted], replayed_deletions[:, 2]))[delete_order],
+            np.concatenate((runs.src[inserted], replayed_insertions[:, 1]))[insert_order],
+            np.concatenate((runs.dst[inserted], replayed_insertions[:, 2]))[insert_order],
+            insert_biases[insert_order],
+        )
+
+    def _source_runs(self) -> _SourceRuns:
+        """The columns stably sorted by source, and each source's run.
+
+        One stable ``argsort`` on the source column makes each vertex's
+        updates contiguous (relative order preserved).  Runs are listed in
+        first-appearance order: the stable sort keeps each run's first row
+        at its original batch position.
+        """
         order = np.argsort(self.src, kind="stable")
         src_sorted = self.src[order]
-        dst_sorted = self.dst[order]
-        bias_sorted = self.bias[order]
-        insert_sorted = self.insert_mask[order]
         boundaries = np.flatnonzero(src_sorted[1:] != src_sorted[:-1]) + 1
         starts = np.concatenate(([0], boundaries))
-        stops = np.concatenate((boundaries, [count]))
-        # Stable sort keeps each group's first row at its original batch
-        # position; emitting groups by that position reproduces first-touch
-        # order.
+        stops = np.concatenate((boundaries, [len(self)]))
         emit = np.argsort(order[starts], kind="stable")
-        starts = starts[emit]
-        stops = stops[emit]
-
-        # Vectorized duplicate detection: a (src, dst) pair occurring twice
-        # means that vertex's slice needs the full normalization replay.
-        dup_sources: set = set()
-        if detect_duplicates:
-            width = int(dst_sorted.max()) + 1 if count else 1
-            keys = src_sorted * width + dst_sorted
-            sorted_keys = np.sort(keys)
-            if bool((sorted_keys[1:] == sorted_keys[:-1]).any()):
-                unique_keys, key_counts = np.unique(keys, return_counts=True)
-                dup_sources = set((unique_keys[key_counts > 1] // width).tolist())
-
-        groups: list[VertexUpdateSlice] = []
-        for start, stop in zip(starts.tolist(), stops.tolist()):
-            vertex = int(src_sorted[start])
-            groups.append(
-                VertexUpdateSlice(
-                    vertex=vertex,
-                    dsts=dst_sorted[start:stop],
-                    biases=bias_sorted[start:stop],
-                    insert_mask=insert_sorted[start:stop],
-                    has_duplicates=vertex in dup_sources,
-                )
-            )
-        self._groups = groups
-        self._groups_have_dup_info = detect_duplicates
-        return groups
+        return _SourceRuns(
+            src_sorted,
+            self.dst[order],
+            self.bias[order],
+            self.insert_mask[order],
+            starts[emit],
+            stops[emit],
+        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

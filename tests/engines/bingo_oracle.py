@@ -19,7 +19,6 @@ time and staged for the first warm.
 from __future__ import annotations
 
 import random
-from functools import partial
 
 import numpy as np
 
@@ -37,6 +36,7 @@ from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import UpdateKind
 from repro.utils.rng import spawn_rng
 from repro.utils.validation import check_bias
+from tests.engines.scalar_batch_oracle import normalize_vertex_updates
 
 
 def per_edge_amortization_factor(biases) -> float:
@@ -114,12 +114,23 @@ class SamplerOracle:
         highest = batch.max_vertex()
         if highest >= 0:
             graph.ensure_vertices(highest)
+        grouped: dict[int, list] = {}
+        for update in batch:
+            grouped.setdefault(update.src, []).append(update)
         plans = []
-        for group in batch.group_by_source():
-            deletions, insert_dsts, insert_biases, _ = group.normalize(
-                partial(graph.has_edges, group.vertex)
+        for vertex, vertex_updates in grouped.items():
+            existing = {
+                update.dst for update in vertex_updates if graph.has_edge(vertex, update.dst)
+            }
+            insertions, deletions, _ = normalize_vertex_updates(vertex_updates, existing)
+            plans.append(
+                (
+                    vertex,
+                    np.asarray(deletions, dtype=np.int64),
+                    np.asarray([dst for dst, _ in insertions], dtype=np.int64),
+                    np.asarray([bias for _, bias in insertions], dtype=np.float64),
+                )
             )
-            plans.append((group.vertex, deletions, insert_dsts, insert_biases))
         for vertex, deletions, _, _ in plans:
             if len(deletions):
                 graph.remove_edges_bulk(vertex, deletions)

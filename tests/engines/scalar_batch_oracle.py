@@ -8,7 +8,7 @@ are then re-derived on the next warm) or followed by one sampler rebuild
 undirected graph Bingo applies edge by edge and the rebuild baselines mark
 both endpoints dirty, as their columnar paths do.
 ``normalize_vertex_updates`` is the per-destination replay that
-``VertexUpdateSlice.normalize`` vectorizes.
+``UpdateBatch.net_changes`` reproduces for a whole batch.
 """
 
 from __future__ import annotations

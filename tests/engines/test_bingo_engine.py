@@ -1,8 +1,10 @@
 """Tests for the Bingo engine (streaming + batched update paths)."""
 
+import numpy as np
 import pytest
 
 from repro.engines import bingo as bingo_module
+from repro.engines import compiled
 from repro.engines.bingo import BatchStatistics, BingoEngine
 from repro.errors import InvalidBiasError, UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
@@ -13,6 +15,7 @@ from repro.graph.update_stream import (
     UpdateWorkload,
     generate_update_stream,
 )
+from repro.utils.rng import coerce_np_rng
 from tests.conftest import total_variation
 
 
@@ -77,6 +80,42 @@ class TestSampling:
         sink = graph.add_vertex()
         engine.build(graph)
         assert engine.sample_neighbor(sink) is None
+
+    @pytest.mark.parametrize("kernel", ["compiled", "numpy"])
+    def test_scalar_draws_are_one_entry_frontier_draws(self, kernel, monkeypatch):
+        # Float biases, so some draws land in decimal groups; the vertex
+        # list holds a sink and an id past the vertex range.
+        if kernel == "numpy":
+            monkeypatch.setattr(compiled, "load", lambda: None)
+        elif compiled.load() is None:
+            pytest.skip("the compiled frontier kernel is unavailable")
+        graph = power_law_graph(60, 4, rng=7)
+        biases = np.random.default_rng(8)
+        for edge in list(graph.edges()):
+            graph.update_bias(edge.src, edge.dst, float(biases.uniform(0.1, 9.9)))
+        sink = graph.add_vertex()
+        engine = BingoEngine(rng=11)
+        engine.build(graph)
+        twin = engine.clone()
+        vertices = [*range(graph.num_vertices), sink, graph.num_vertices + 5] * 20
+        got = [engine.sample_neighbor(vertex) for vertex in vertices]
+        rng = coerce_np_rng(twin._rng)
+        want = [
+            int(twin._sample_frontier(np.array([vertex], dtype=np.int64), rng)[0])
+            for vertex in vertices
+        ]
+        assert got == [None if drawn < 0 else drawn for drawn in want]
+        assert any(twin.frontier_tables.views()["entry_decimal"])
+
+    def test_scalar_draws_follow_each_batch(self, example_graph):
+        # The bound kernel step is re-bound whenever a warm moves the tables.
+        engine = BingoEngine(rng=3)
+        engine.build(example_graph)
+        assert engine.sample_neighbor(2) in {1, 4, 5}
+        engine.apply_batch([_delete(2, 1), _delete(2, 4)])
+        assert {engine.sample_neighbor(2) for _ in range(50)} == {5}
+        engine.apply_batch([_insert(2, 0, 2.0), _delete(2, 5)])
+        assert {engine.sample_neighbor(2) for _ in range(50)} == {0}
 
 
 class TestStreamingUpdates:

@@ -172,3 +172,57 @@ class TestCapacityDoubling:
         for dst in survivors:
             assert graph.edge_bias(0, dst) == float(dst)
             assert graph.neighbor_at(0, graph.neighbor_index(0, dst)) == (dst, float(dst))
+
+
+class TestArcMutators:
+    """``add_arcs`` / ``remove_arcs``: whole-batch arcs of any sources."""
+
+    def test_match_scalar_edits_including_order(self):
+        graph = DynamicGraph(6)
+        scalar = DynamicGraph(6)
+        for target in (graph, scalar):
+            for src, dst in ((0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (2, 0)):
+                target.add_edge(src, dst, 1.0 + src + dst)
+        graph.remove_arcs(np.array([0, 2, 0]), np.array([1, 5, 3]))
+        graph.add_arcs(np.array([0, 3, 0]), np.array([5, 1, 1]), np.array([7.0, 8.0, 9.0]))
+        for src, dst in ((0, 1), (2, 5), (0, 3)):
+            scalar.remove_edge(src, dst)
+        for src, dst, bias in ((0, 5, 7.0), (3, 1, 8.0), (0, 1, 9.0)):
+            scalar.add_edge(src, dst, bias)
+        for vertex in range(6):
+            assert graph.neighbors(vertex) == scalar.neighbors(vertex)
+            assert graph.neighbor_biases(vertex) == scalar.neighbor_biases(vertex)
+        assert graph.num_edges == scalar.num_edges
+
+    @pytest.mark.parametrize(
+        "srcs, dsts",
+        [([0, 0], [1, 9]), ([0, 0], [1, 1])],
+        ids=["absent-arc", "repeated-arc"],
+    )
+    def test_remove_arcs_validates_before_removing(self, srcs, dsts):
+        graph = _graph_with_fan()
+        with pytest.raises(EdgeNotFoundError):
+            graph.remove_arcs(np.array(srcs), np.array(dsts))
+        assert graph.neighbors(0) == [1, 2, 3]
+
+    @pytest.mark.parametrize(
+        "srcs, dsts, biases, error",
+        [
+            ([4, 0], [5, 1], [1.0, 1.0], DuplicateEdgeError),
+            ([4, 4], [5, 5], [1.0, 1.0], DuplicateEdgeError),
+            ([4, 4], [5, 6], [1.0, -1.0], InvalidBiasError),
+            ([4, 4], [5, 10], [1.0, 1.0], VertexNotFoundError),
+        ],
+        ids=["existing-arc", "repeated-arc", "bad-bias", "unknown-vertex"],
+    )
+    def test_add_arcs_validates_before_adding(self, srcs, dsts, biases, error):
+        graph = _graph_with_fan()
+        with pytest.raises(error):
+            graph.add_arcs(np.array(srcs), np.array(dsts), np.array(biases))
+        assert graph.degree(4) == 0
+        assert graph.num_edges == 3
+
+    def test_undirected_graph_is_refused(self):
+        graph = DynamicGraph(3, undirected=True)
+        with pytest.raises(ValueError):
+            graph.add_arcs(np.array([0]), np.array([1]), np.array([1.0]))

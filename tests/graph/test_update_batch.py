@@ -69,25 +69,21 @@ class TestGrouping:
         assert by_vertex[2].insert_mask.tolist() == [True, True, False]
         assert by_vertex[0].dsts.tolist() == [1, 9]
 
-    def test_duplicate_flag_only_on_repeating_destinations(self):
-        batch = UpdateBatch.from_updates(SAMPLE)
-        by_vertex = {group.vertex: group for group in batch.group_by_source()}
-        assert by_vertex[2].has_duplicates
-        assert not by_vertex[0].has_duplicates
-
-    def test_detect_duplicates_false_skips_the_scan(self):
-        batch = UpdateBatch.from_updates(SAMPLE)
-        groups = batch.group_by_source(detect_duplicates=False)
-        assert all(not group.has_duplicates for group in groups)
-        # Asking again with detection recomputes correctly.
-        groups = batch.group_by_source()
-        assert any(group.has_duplicates for group in groups)
-
     def test_kind_runs(self):
         batch = UpdateBatch.from_updates(SAMPLE)
         by_vertex = {group.vertex: group for group in batch.group_by_source()}
         assert list(by_vertex[2].kind_runs()) == [(True, 0, 2), (False, 2, 3)]
         assert list(by_vertex[0].kind_runs()) == [(False, 0, 1), (True, 1, 2)]
+
+
+def _net(updates, existing):
+    """``net_changes`` of a batch, as ``(insertions, deletions, cancelled)``
+    of destinations: the shape of ``normalize_vertex_updates``."""
+    changes = UpdateBatch.from_updates(updates).net_changes(
+        lambda _, dsts: np.array([d in existing for d in dsts.tolist()], dtype=bool)
+    )
+    insertions = list(zip(changes.insert_dsts.tolist(), changes.insert_biases.tolist()))
+    return insertions, changes.delete_dsts.tolist(), changes.cancelled
 
 
 class TestNormalization:
@@ -106,17 +102,13 @@ class TestNormalization:
                 updates.append(_delete(3, dst, ts))
         existing = {dst for dst in range(5) if rng.random() < 0.5}
 
-        batch = UpdateBatch.from_updates(updates)
-        (group,) = batch.group_by_source()
-        deletions, insert_dsts, insert_biases, cancelled = group.normalize(
-            lambda dsts: np.array([d in existing for d in dsts.tolist()])
-        )
+        insertions, deletions, cancelled = _net(updates, existing)
         ref_insertions, ref_deletions, ref_cancelled = self._reference(
             updates, existing
         )
-        assert deletions.tolist() == ref_deletions
-        assert insert_dsts.tolist() == [dst for dst, _ in ref_insertions]
-        assert insert_biases.tolist() == pytest.approx(
+        assert deletions == ref_deletions
+        assert [dst for dst, _ in insertions] == [dst for dst, _ in ref_insertions]
+        assert [bias for _, bias in insertions] == pytest.approx(
             [bias for _, bias in ref_insertions]
         )
         assert cancelled == ref_cancelled
@@ -144,42 +136,94 @@ class TestNormalization:
     )
     def test_named_cases_match_oracle_and_expectation(self, updates, existing, expected):
         assert self._reference(updates, existing) == expected
-        (group,) = UpdateBatch.from_updates(updates).group_by_source()
-        deletions, insert_dsts, insert_biases, cancelled = group.normalize(
-            lambda dsts: np.array([d in existing for d in dsts.tolist()])
-        )
-        insertions = list(zip(insert_dsts.tolist(), insert_biases.tolist()))
-        assert (insertions, deletions.tolist(), cancelled) == expected
+        assert _net(updates, existing) == expected
 
-    def test_fast_path_single_kind_returns_views(self):
+    def test_single_kind_slice_passes_through(self):
         updates = [_insert(1, 2, 1.0, 0), _insert(1, 4, 2.0, 1)]
-        (group,) = UpdateBatch.from_updates(updates).group_by_source()
-        deletions, insert_dsts, insert_biases, cancelled = group.normalize(None)
-        assert deletions.tolist() == []
-        assert insert_dsts.tolist() == [2, 4]
-        assert insert_biases.tolist() == [1.0, 2.0]
-        assert cancelled == 0
+        assert _net(updates, set()) == ([(2, 1.0), (4, 2.0)], [], 0)
 
     def test_insert_then_delete_cancels(self):
         updates = [_insert(1, 2, 1.0, 0), _delete(1, 2, 1)]
-        (group,) = UpdateBatch.from_updates(updates).group_by_source()
-        deletions, insert_dsts, _, cancelled = group.normalize(
-            lambda dsts: np.zeros(len(dsts), dtype=bool)
-        )
-        assert deletions.tolist() == []
-        assert insert_dsts.tolist() == []
-        assert cancelled == 1
+        assert _net(updates, set()) == ([], [], 1)
 
     def test_delete_then_reinsert_becomes_update(self):
         updates = [_delete(1, 2, 0), _insert(1, 2, 9.0, 1)]
-        (group,) = UpdateBatch.from_updates(updates).group_by_source()
-        deletions, insert_dsts, insert_biases, cancelled = group.normalize(
-            lambda dsts: np.ones(len(dsts), dtype=bool)
+        assert _net(updates, {2}) == ([(2, 9.0)], [2], 0)
+
+
+class TestNetChanges:
+    """``net_changes`` is the per-vertex ``normalize_vertex_updates`` of every source."""
+
+    @staticmethod
+    def _per_source(updates, existing):
+        grouped = {}
+        for update in updates:
+            grouped.setdefault(update.src, []).append(update)
+        deletions, insertions, cancelled = [], [], 0
+        for vertex, vertex_updates in grouped.items():
+            present = {dst for src, dst in existing if src == vertex}
+            inserted, deleted, pairs = normalize_vertex_updates(vertex_updates, present)
+            cancelled += pairs
+            deletions += [(vertex, dst) for dst in deleted]
+            insertions += [(vertex, dst, bias) for dst, bias in inserted]
+        return list(grouped), deletions, insertions, cancelled
+
+    @staticmethod
+    def _by_source(arcs):
+        # Emission order matters within each source only.
+        return sorted(arcs, key=lambda arc: arc[0])
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_matches_per_vertex_normalization(self, seed):
+        rng = random.Random(seed)
+        updates = [
+            _insert(rng.randrange(6), rng.randrange(5), 1.0 + rng.random(), ts)
+            if rng.random() < 0.5
+            else _delete(rng.randrange(6), rng.randrange(5), ts)
+            for ts in range(rng.randrange(1, 40))
+        ]
+        existing = {(s, d) for s in range(6) for d in range(5) if rng.random() < 0.5}
+        batch = UpdateBatch.from_updates(updates)
+        changes = batch.net_changes(
+            lambda srcs, dsts: np.array(
+                [(s, d) in existing for s, d in zip(srcs.tolist(), dsts.tolist())]
+            )
         )
-        assert deletions.tolist() == [2]
-        assert insert_dsts.tolist() == [2]
-        assert insert_biases.tolist() == [9.0]
-        assert cancelled == 0
+        touched, deletions, insertions, cancelled = self._per_source(updates, existing)
+        assert changes.touched.tolist() == touched
+        assert changes.cancelled == cancelled
+        got_deletions = list(zip(changes.delete_srcs.tolist(), changes.delete_dsts.tolist()))
+        got_insertions = list(
+            zip(
+                changes.insert_srcs.tolist(),
+                changes.insert_dsts.tolist(),
+                changes.insert_biases.tolist(),
+            )
+        )
+        assert self._by_source(got_deletions) == self._by_source(deletions)
+        assert self._by_source(got_insertions) == self._by_source(insertions)
+
+    def test_repeated_arc_keeps_its_place_among_unrepeated_ones(self):
+        # Vertex 0: arc 0->1 repeats (cancelled, then re-inserted last), so
+        # the emission order is 0->2, 0->3, 0->1.
+        updates = [
+            _insert(0, 1, 1.0, 0),
+            _insert(0, 2, 2.0, 1),
+            _delete(0, 1, 2),
+            _insert(0, 3, 3.0, 3),
+            _insert(0, 1, 4.0, 4),
+        ]
+        changes = UpdateBatch.from_updates(updates).net_changes(
+            lambda srcs, _: np.zeros(len(srcs), dtype=bool)
+        )
+        assert changes.insert_dsts.tolist() == [2, 3, 1]
+        assert changes.insert_biases.tolist() == [2.0, 3.0, 4.0]
+        assert changes.cancelled == 1
+
+    def test_empty_batch(self):
+        changes = UpdateBatch.from_updates([]).net_changes(None)
+        assert changes.touched.tolist() == []
+        assert len(changes.delete_srcs) == len(changes.insert_srcs) == 0
 
 
 class TestStreamIntegration:

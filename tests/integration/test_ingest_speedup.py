@@ -1,18 +1,17 @@
-"""Perf smoke test: columnar batch ingestion beats the per-edge streaming path.
+"""Perf smoke test: columnar batch ingestion beats the per-edge paths.
 
 Measures Bingo update-ingestion throughput on the LJ stand-in (paper
-workflow: mixed insert/delete batches), each path including the warm that
-makes its updates visible to walks:
+workflow: mixed insert/delete batches) through three paths:
 
-* per-edge streaming (``apply_streaming_update``, then a warm after every
-  update) — the low-latency path,
-* the columnar pipeline (``apply_batch``, then one warm per batch).
+* per-edge streaming (``apply_streaming``) — the pre-batching per-edge path,
+* per-edge batched (``apply_batch_scalar`` of
+  ``tests/engines/scalar_batch_oracle.py``) — the pre-columnar batch path,
+* the columnar pipeline (``apply_batch``).
 
-The columnar pipeline must ingest at least 3x faster.  Best-of-3 per
+The columnar pipeline must ingest at least 3x faster than the per-edge
+streaming path and clearly beat the legacy batched path.  Best-of-3 per
 path, the paths interleaved; marked ``slow`` so it can be skipped with
-``-m "not slow"``.  The per-edge batch replay (``apply_batch_scalar`` of
-``tests/engines/scalar_batch_oracle.py``) is no longer a bar: it runs the
-same graph mutators and the same warm as the columnar path.
+``-m "not slow"``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,7 @@ from repro.engines.bingo import BingoEngine
 from repro.graph.update_stream import UpdateWorkload, generate_update_stream
 from repro.utils.rng import ensure_rng
 from repro.utils.timing import gc_paused
+from tests.engines.scalar_batch_oracle import apply_batch_scalar
 
 
 def _best_ingest_seconds(stream, paths, repeats: int = 3) -> dict[str, float]:
@@ -41,28 +41,12 @@ def _best_ingest_seconds(stream, paths, repeats: int = 3) -> dict[str, float]:
         for name, (apply, batches) in paths.items():
             engine = BingoEngine(rng=32)
             engine.build(stream.initial_graph.copy())
-            engine.warm_frontier_tables()
             with gc_paused():
                 start = time.perf_counter()
                 for batch in batches:
                     apply(engine, batch)
                 best[name] = min(best[name], time.perf_counter() - start)
     return best
-
-
-#: Updates the streaming path times (each followed by a warm).
-STREAMED_UPDATES = 400
-
-
-def _stream_and_warm(engine: BingoEngine, batch) -> None:
-    for update in batch:
-        engine.apply_streaming_update(update)
-        engine.warm_frontier_tables()
-
-
-def _batch_and_warm(engine: BingoEngine, batch) -> None:
-    engine.apply_batch(batch)
-    engine.warm_frontier_tables()
 
 
 @pytest.mark.slow
@@ -72,21 +56,30 @@ def test_columnar_ingest_3x_faster_than_per_edge_path():
     stream = generate_update_stream(
         graph, batch_size=4000, num_batches=2, workload=UpdateWorkload.MIXED, rng=rng
     )
-    # A warm per update costs about 0.5 ms: a prefix of the stream gives
-    # the streaming rate.
-    streamed = list(stream.batches[0])[:STREAMED_UPDATES]
+    scalar_batches = [list(batch) for batch in stream.batches]
 
     best = _best_ingest_seconds(
         stream,
         {
-            "apply_streaming": (_stream_and_warm, [streamed]),
-            "apply_batch": (_batch_and_warm, stream.batches),
+            "apply_streaming": (BingoEngine.apply_streaming, scalar_batches),
+            "apply_batch_scalar": (apply_batch_scalar, scalar_batches),
+            "apply_batch": (BingoEngine.apply_batch, stream.batches),
         },
     )
-    streaming_rate = len(streamed) / best["apply_streaming"]
-    columnar_rate = stream.num_updates / best["apply_batch"]
+    streaming = best["apply_streaming"]
+    legacy = best["apply_batch_scalar"]
+    columnar = best["apply_batch"]
+
+    total = stream.num_updates
+    streaming_rate = total / streaming
+    legacy_rate = total / legacy
+    columnar_rate = total / columnar
 
     assert columnar_rate >= 3.0 * streaming_rate, (
         f"columnar only {columnar_rate / streaming_rate:.2f}x the per-edge "
         f"streaming path ({columnar_rate:.0f} vs {streaming_rate:.0f} updates/s)"
+    )
+    assert columnar_rate >= 1.15 * legacy_rate, (
+        f"columnar only {columnar_rate / legacy_rate:.2f}x the legacy batched "
+        f"path ({columnar_rate:.0f} vs {legacy_rate:.0f} updates/s)"
     )
