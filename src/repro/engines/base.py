@@ -98,11 +98,6 @@ class RandomWalkEngine(abc.ABC):
     #: Human-readable engine name (used by the registry and reports).
     name: str = "abstract"
 
-    #: Whether :meth:`sample_neighbors` runs a real vectorized kernel.  When
-    #: ``False`` the batched API still works but falls back to a scalar loop,
-    #: so the walk frontier can decide whether batching pays off.
-    supports_batch: bool = False
-
     #: Co-located walker groups smaller than this use the scalar draw inside
     #: :meth:`sample_frontier` — the fixed cost of a vectorized kernel call
     #: only amortizes once a few walkers share a vertex.
@@ -190,72 +185,24 @@ class RandomWalkEngine(abc.ABC):
     def apply_batch(self, updates: Sequence[GraphUpdate]) -> None:
         """Ingest a whole batch of updates (the high-throughput path).
 
-        The default implementation streams the batch; engines with a real
-        batched path (Bingo) or rebuild-from-scratch semantics (the static
-        baselines) override this.
+        The graph takes the batch's Section 5.2 net effect
+        (:meth:`~repro.graph.dynamic_graph.DynamicGraph.apply_batch`; a
+        refused batch changes nothing), then :meth:`_reload` rebuilds the
+        sampling state, as the paper reloads the baselines after each
+        round of updates.  Bingo overrides this with its own pipeline over
+        the same graph step.
         """
-        self.apply_streaming(updates)
+        batch = UpdateBatch.coerce(updates)
+        changes = self._require_graph().apply_batch(batch)
+        start = time.perf_counter()
+        self._reload(changes.touched)
+        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
+        self.updates_applied += len(batch)
 
-    def _apply_batch_to_graph(self, batch: UpdateBatch) -> list[int]:
-        """Mutate the adopted graph with a whole columnar batch.
-
-        Groups the batch by source vertex (one stable argsort) and replays
-        each vertex's slice as bulk kind-runs, so the resulting adjacency —
-        including neighbour-array order — is identical to applying the
-        updates one edge at a time in timestamp order.  Returns the touched
-        source vertices in first-appearance order.  Undirected graphs fall
-        back to the scalar path (mirrored arcs interleave vertices) and
-        return both endpoints of every update, since each arc is mirrored.
-        """
-        graph = self._require_graph()
-        if graph.undirected:
-            touched: list[int] = []
-            seen = set()
-            for update in batch:
-                graph.ensure_vertex(update.src)
-                graph.ensure_vertex(update.dst)
-                if update.kind is UpdateKind.INSERT:
-                    graph.add_edge(update.src, update.dst, update.bias)
-                else:
-                    graph.remove_edge(update.src, update.dst)
-                for vertex in (update.src, update.dst):
-                    if vertex not in seen:
-                        seen.add(vertex)
-                        touched.append(vertex)
-            return touched
-        highest = batch.max_vertex()
-        if highest >= 0:
-            graph.ensure_vertices(highest)
-        touched = []
-        add_edge = graph.add_edge
-        remove_edge = graph.remove_edge
-        for group in batch.group_by_source():
-            vertex = group.vertex
-            dsts = group.dsts
-            if len(dsts) == 1:
-                # Single-update slices dominate realistic batches; the bulk
-                # mutators' vectorized validation would only add overhead.
-                if group.insert_mask[0]:
-                    add_edge(vertex, int(dsts[0]), float(group.biases[0]))
-                else:
-                    remove_edge(vertex, int(dsts[0]))
-            else:
-                for is_insert, start, stop in group.kind_runs():
-                    if stop - start == 1:
-                        if is_insert:
-                            add_edge(vertex, int(dsts[start]), float(group.biases[start]))
-                        else:
-                            remove_edge(vertex, int(dsts[start]))
-                    elif is_insert:
-                        graph.add_edges_bulk(
-                            vertex,
-                            dsts[start:stop],
-                            group.biases[start:stop],
-                        )
-                    else:
-                        graph.remove_edges_bulk(vertex, dsts[start:stop])
-            touched.append(vertex)
-        return touched
+    def _reload(self, touched: np.ndarray) -> None:
+        """Rebuild the sampling state after a batch changed the rows of the
+        ``touched`` sources."""
+        raise NotImplementedError(f"{self.name} overrides apply_batch")
 
     # per-update hooks for subclasses (graph mutation already done)
     @abc.abstractmethod
@@ -289,10 +236,7 @@ class RandomWalkEngine(abc.ABC):
 
         Returns an ``int64`` array of length ``count``; every entry is ``-1``
         when the vertex has no out-edges (the batched form of
-        :meth:`sample_neighbor` returning ``None``).  Engines with
-        ``supports_batch`` resolve the whole request in one vectorized
-        kernel; the default implementation loops the scalar draw so every
-        engine can serve walk-frontier queries.
+        :meth:`sample_neighbor` returning ``None``).
         """
         if count <= 0:
             return np.empty(0, dtype=np.int64)
@@ -303,15 +247,11 @@ class RandomWalkEngine(abc.ABC):
             self.breakdown.add(PHASE_SAMPLING, time.perf_counter() - start)
             self.samples_drawn += count
 
+    @abc.abstractmethod
     def _sample_batch(
         self, vertex: int, count: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Engine-specific batched draw (default: scalar fallback loop)."""
-        out = np.empty(count, dtype=np.int64)
-        for position in range(count):
-            drawn = self._sample(vertex)
-            out[position] = -1 if drawn is None else drawn
-        return out
+        """Engine-specific batched draw: one vectorized kernel call."""
 
     def sample_frontier(
         self, vertices: Sequence[int], rng: NumpySource = None
@@ -359,7 +299,7 @@ class RandomWalkEngine(abc.ABC):
         for group, vertex in enumerate(unique):
             members = order[bounds[group] : bounds[group + 1]]
             share = int(counts[group])
-            if self.supports_batch and share >= self.kernel_threshold:
+            if share >= self.kernel_threshold:
                 draws[members] = self._sample_batch(int(vertex), share, rng)
             else:
                 for member in members:

@@ -101,7 +101,6 @@ class BingoEngine(FusedFrontierEngine):
     """
 
     name = "bingo"
-    supports_batch = True
     # Three stores: each vertex's inter-group alias slice, its flat member
     # table, and its decimal group (neighbour ids and fractions, in graph
     # row order) for the rejection draw.  ``entry_offset`` is local to the
@@ -226,38 +225,35 @@ class BingoEngine(FusedFrontierEngine):
         """Ingest a batch through the columnar pipeline.
 
         The Section 5.2 workflow on :class:`~repro.graph.update_batch.UpdateBatch`
-        columns: one argsort groups the requests by vertex and the batch
-        collapses to net arc deletions and insertions
-        (:meth:`~repro.graph.update_batch.UpdateBatch.net_changes`), every
-        net insertion's bias is split in one vectorized call, and the graph
+        columns, through the graph's one batch step: the batch collapses
+        to validated net arc deletions and insertions
+        (:meth:`~repro.graph.dynamic_graph.DynamicGraph.batch_changes`;
+        an undirected batch to both arcs of each edge), every net
+        insertion's bias is split in one vectorized call, and the graph
         mutates through the whole-batch arc mutators.  Each touched vertex
         is marked dirty once; the next warm re-derives its slices from its
-        new graph row.  The post-batch graph is the per-edge oracle's
-        (``tests/engines/scalar_batch_oracle.py``).  A batch carrying a bias
-        λ cannot scale, or one that vanishes under λ
+        new graph row.  A batch the graph refuses, or one carrying a bias
+        λ cannot scale or that vanishes under λ
         (:class:`~repro.errors.InvalidBiasError`), is refused before the
         first edge changes.
         """
         graph = self._require_graph()
         batch = UpdateBatch.coerce(updates)
-        if graph.undirected:
-            # Mirrored arcs interleave vertices, so no per-source plan
-            # holds: apply edge by edge, marking both endpoints.
-            self.apply_streaming(batch)
-            return
-        highest = batch.max_vertex()
-        if highest >= 0:
-            graph.ensure_vertices(highest)
-        changes = batch.net_changes(graph.has_arcs)
+        changes = graph.batch_changes(batch)
         touched = changes.touched.tolist()
         # Rebuilt: every touched vertex with edges before the batch or a
         # net insertion in it.
         degree = graph.degree
+        limit = graph.num_vertices
         inserting = set(changes.insert_srcs.tolist())
         stats = BatchStatistics(
             cancelled_pairs=changes.cancelled,
             touched_vertices=len(touched),
-            rebuilds=sum(1 for vertex in touched if vertex in inserting or degree(vertex)),
+            rebuilds=sum(
+                1
+                for vertex in touched
+                if vertex in inserting or (vertex < limit and degree(vertex))
+            ),
         )
 
         # One vectorized bias split over every net insertion: it refuses an
@@ -270,10 +266,10 @@ class BingoEngine(FusedFrontierEngine):
         self.frontier_tables.mark_dirty(touched)
 
         delete_start = time.perf_counter()
-        graph.remove_arcs(changes.delete_srcs, changes.delete_dsts)
+        graph.remove_arcs(changes)
         insert_start = time.perf_counter()
         self.breakdown.add(PHASE_DELETE, insert_start - delete_start)
-        graph.add_arcs(changes.insert_srcs, changes.insert_dsts, changes.insert_biases)
+        graph.add_arcs(changes)
         self.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
 
         stats.deletions = len(changes.delete_srcs)

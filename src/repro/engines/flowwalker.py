@@ -11,15 +11,11 @@ Twitter graph (Figure 16b, Table 3).
 from __future__ import annotations
 
 import math
-import time
-from collections.abc import Sequence
 
 import numpy as np
 
 from repro.core.memory_model import MemoryReport
-from repro.engines.base import PHASE_REBUILD, RandomWalkEngine
-from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate
+from repro.engines.base import RandomWalkEngine
 from repro.utils.rng import RandomSource
 
 
@@ -27,7 +23,6 @@ class FlowWalkerEngine(RandomWalkEngine):
     """Reservoir-sampling engine: zero auxiliary state, O(d) per sample."""
 
     name = "flowwalker"
-    supports_batch = True
 
     def __init__(self, *, rng: RandomSource = None) -> None:
         super().__init__(rng=rng)
@@ -45,16 +40,10 @@ class FlowWalkerEngine(RandomWalkEngine):
     def _on_delete(self, src: int, dst: int) -> None:
         return None
 
-    def apply_batch(self, updates: Sequence[GraphUpdate]) -> None:
-        """Apply the edits columnar (bulk per-vertex kind-runs), then reload."""
-        batch = UpdateBatch.coerce(updates)
-        self._apply_batch_to_graph(batch)
+    def _reload(self, touched: np.ndarray) -> None:
         # FlowWalker "reloads the new graph after updates": model that as a
         # single pass over the edited adjacency.
-        start = time.perf_counter()
         self._build_state()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-        self.updates_applied += len(batch)
 
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:

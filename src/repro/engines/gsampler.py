@@ -11,7 +11,6 @@ reconstruction of the sampling state.
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -24,8 +23,6 @@ from repro.engines.base import (
     scatter_live,
 )
 from repro.engines.sliced_tables import SliceParts
-from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate
 from repro.sampling.its import InverseTransformSampler
 from repro.utils.rng import spawn_rng
 
@@ -43,7 +40,6 @@ class GSamplerEngine(FusedFrontierEngine):
     """
 
     name = "gsampler"
-    supports_batch = True
     frontier_schemas = {"cdf": {"ids": np.int64, "cumulative": np.float64}}
     kernel_kind = compiled.KIND_GSAMPLER
     kernel_fields = ("cdf_offset", "cdf_length", "cumulative", "ids")
@@ -99,14 +95,9 @@ class GSamplerEngine(FusedFrontierEngine):
         # Interior deletion invalidates the CDF: rebuild the vertex, O(d).
         self._rebuild_vertex(src)
 
-    def apply_batch(self, updates: Sequence[GraphUpdate]) -> None:
-        """Apply the edits columnar (bulk per-vertex kind-runs), then rebuild."""
-        batch = UpdateBatch.coerce(updates)
-        self.frontier_tables.mark_dirty(self._apply_batch_to_graph(batch))
-        start = time.perf_counter()
+    def _reload(self, touched: np.ndarray) -> None:
+        self.frontier_tables.mark_dirty(touched)
         self._rebuild_samplers()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-        self.updates_applied += len(batch)
 
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:

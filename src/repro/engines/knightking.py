@@ -17,7 +17,6 @@ This engine reproduces those costs:
 from __future__ import annotations
 
 import time
-from collections.abc import Sequence
 
 import numpy as np
 
@@ -30,8 +29,6 @@ from repro.engines.base import (
     scatter_live,
 )
 from repro.engines.sliced_tables import SliceParts
-from repro.graph.update_batch import UpdateBatch
-from repro.graph.update_stream import GraphUpdate
 from repro.sampling.alias import AliasTable
 from repro.utils.rng import spawn_rng
 
@@ -45,7 +42,6 @@ class KnightKingEngine(FusedFrontierEngine):
     """
 
     name = "knightking"
-    supports_batch = True
     frontier_schemas = {
         "table": {"ids": np.int64, "prob": np.float64, "alias": np.int64}
     }
@@ -98,14 +94,9 @@ class KnightKingEngine(FusedFrontierEngine):
     def _on_delete(self, src: int, dst: int) -> None:
         self._rebuild_vertex(src)
 
-    def apply_batch(self, updates: Sequence[GraphUpdate]) -> None:
-        """Apply the edits columnar (bulk per-vertex kind-runs), then rebuild."""
-        batch = UpdateBatch.coerce(updates)
-        self.frontier_tables.mark_dirty(self._apply_batch_to_graph(batch))
-        start = time.perf_counter()
+    def _reload(self, touched: np.ndarray) -> None:
+        self.frontier_tables.mark_dirty(touched)
         self._rebuild_samplers()
-        self.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
-        self.updates_applied += len(batch)
 
     # ------------------------------------------------------------------ #
     def _sample(self, vertex: int) -> int | None:

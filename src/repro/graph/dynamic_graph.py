@@ -8,22 +8,25 @@ O(1) lookup.  This module reproduces those semantics on the host with a
 and ``float64`` bias arrays — so bulk ingestion and the vectorized walk
 kernels operate on contiguous memory instead of Python lists.
 
-Two access tiers are exposed:
+Access tiers:
 
-* the legacy scalar API (:meth:`DynamicGraph.add_edge`,
-  :meth:`DynamicGraph.remove_edge`, :meth:`DynamicGraph.neighbors`, ...)
-  with unchanged semantics, and
+* the scalar API (:meth:`DynamicGraph.add_edge`,
+  :meth:`DynamicGraph.remove_edge`, :meth:`DynamicGraph.neighbors`, ...),
+  which streaming updates use;
 * zero-copy array views (:meth:`DynamicGraph.neighbor_array` /
-  :meth:`DynamicGraph.bias_array`) plus bulk mutators
-  (:meth:`DynamicGraph.add_edges_bulk` /
-  :meth:`DynamicGraph.remove_edges_bulk`) that apply a whole per-vertex
-  update slice with vectorized membership validation, and their
-  whole-batch forms over arcs of any sources
-  (:meth:`DynamicGraph.add_arcs` / :meth:`DynamicGraph.remove_arcs`) —
-  the substrate of the batched ingestion pipeline.
+  :meth:`DynamicGraph.bias_array`) and whole-graph CSR columns;
+* the batch path, the only way an update batch changes a graph:
+  :meth:`DynamicGraph.batch_changes` collapses the batch to its Section 5.2
+  net effect (:meth:`~repro.graph.update_batch.UpdateBatch.net_changes`)
+  and validates both of its columns, then :meth:`DynamicGraph.remove_arcs`
+  and :meth:`DynamicGraph.add_arcs` apply them
+  (:meth:`DynamicGraph.apply_batch` runs all three).  Every engine and
+  every shard replica applies its batches this way.
 
 Undirected graphs are represented as two directed arcs sharing one logical
-edge, which matches how the evaluation datasets are ingested.
+edge, which matches how the evaluation datasets are ingested; the batch
+path mirrors each update into both arcs, so an undirected batch is the
+directed batch of its mirrored arcs.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from repro.errors import (
     EdgeNotFoundError,
     VertexNotFoundError,
 )
+from repro.graph.update_batch import GraphUpdate, NetChanges, UpdateBatch
 from repro.utils.validation import check_bias, check_non_negative_int
 
 Number = float
@@ -62,6 +66,19 @@ def _first_duplicate(values: list) -> Any:
             return value
         seen.add(value)
     return values[-1]  # pragma: no cover - unreachable under the guarantee
+
+
+def _mirrored(batch: UpdateBatch) -> UpdateBatch:
+    """Each update as both of its arcs, ``src -> dst`` first; a self-loop once."""
+    kept = np.column_stack((np.ones(len(batch), dtype=bool), batch.src != batch.dst)).ravel()
+    rows = np.repeat(np.arange(len(batch)), 2)[kept]
+    return UpdateBatch(
+        np.column_stack((batch.src, batch.dst)).ravel()[kept],
+        np.column_stack((batch.dst, batch.src)).ravel()[kept],
+        batch.bias[rows],
+        batch.insert_mask[rows],
+        batch.timestamp[rows],
+    )
 
 
 @dataclass(frozen=True)
@@ -429,8 +446,9 @@ class DynamicGraph:
         return bias
 
     # ------------------------------------------------------------------ #
-    # bulk edge operations (the batched-ingestion fast path)
+    # per-vertex bulk edge operations
     # ------------------------------------------------------------------ #
+    # Kept only because perfbench calls and patches them by name (ROADMAP item 8).
     def add_edges_bulk(
         self,
         src: int,
@@ -544,69 +562,101 @@ class DynamicGraph:
         self._num_edges -= count
         return removed
 
-    def remove_arcs(self, srcs: np.ndarray, dsts: np.ndarray) -> None:
-        """Delete the arcs ``srcs[i] -> dsts[i]`` of a directed graph, in order.
+    # ------------------------------------------------------------------ #
+    # batched updates: the one path a batch takes into the graph
+    # ------------------------------------------------------------------ #
+    def apply_batch(self, batch: UpdateBatch | Sequence[GraphUpdate]) -> NetChanges:
+        """Apply a whole batch's net effect and return it.
 
-        The whole-batch form of :meth:`remove_edges_bulk`: the arcs may
-        belong to any number of sources, and no per-source slice is built.
-        Each source's surviving neighbour order is the one repeated
-        :meth:`remove_edge` calls leave.  The whole column is validated
-        before the first arc goes: an absent or repeated arc raises
-        :class:`~repro.errors.EdgeNotFoundError`.
+        :meth:`batch_changes`, then :meth:`remove_arcs` and
+        :meth:`add_arcs`: a refused batch changes nothing.
         """
-        pairs = self._arc_pairs("remove_arcs", srcs, dsts)
-        adjacency = self._adjacency
-        for src, dst in pairs:
-            if dst not in adjacency[src].position:
-                raise EdgeNotFoundError(src, dst)
-        if len(set(pairs)) != len(pairs):
-            # The second removal of a repeated arc would miss.
-            raise EdgeNotFoundError(*_first_duplicate(pairs))
-        for src, dst in pairs:
-            adjacency[src].remove(dst)
-        self._num_edges -= len(pairs)
+        changes = self.batch_changes(batch)
+        self.remove_arcs(changes)
+        self.add_arcs(changes)
+        return changes
 
-    def add_arcs(self, srcs: np.ndarray, dsts: np.ndarray, biases: np.ndarray) -> None:
-        """Insert the arcs ``srcs[i] -> dsts[i]`` of a directed graph, in order.
+    def batch_changes(self, batch: UpdateBatch | Sequence[GraphUpdate]) -> NetChanges:
+        """``batch``'s net effect on this graph, validated; nothing changes.
 
-        The whole-batch form of :meth:`add_edges_bulk`, with the same
-        neighbour order as repeated :meth:`add_edge` calls and the same
-        errors, raised before the first arc is added.
+        Section 5.2's normalization (:meth:`UpdateBatch.net_changes`): per
+        arc the last operation wins, insert-then-delete cancels, and
+        delete-then-insert updates the bias.  An undirected graph first
+        mirrors each update into both of its arcs (a self-loop once), so
+        every row sees its operations in timestamp order and both arcs of
+        an edge share one fate.  Each column is checked once: a deleted
+        arc must exist (:class:`~repro.errors.EdgeNotFoundError`), an
+        inserted one must be absent or deleted by the same batch
+        (:class:`~repro.errors.DuplicateEdgeError`), every inserted bias
+        must be valid, and no id may be negative.  Apply the result with
+        :meth:`remove_arcs`, then :meth:`add_arcs`.
         """
-        pairs = self._arc_pairs("add_arcs", srcs, dsts)
-        biases = np.ascontiguousarray(biases, dtype=np.float64)
-        if len(biases) != len(pairs):
-            raise ValueError("srcs, dsts and biases must have matching lengths")
+        batch = UpdateBatch.coerce(batch)
+        if len(batch):
+            lowest = min(int(batch.src.min()), int(batch.dst.min()))
+            if lowest < 0:
+                raise VertexNotFoundError(lowest)
+        if self._undirected:
+            batch = _mirrored(batch)
+        changes = batch.net_changes(self.has_arcs)
+        present = self.has_arcs(changes.delete_srcs, changes.delete_dsts)
+        if not present.all():
+            missing = np.flatnonzero(~present)[0]
+            raise EdgeNotFoundError(
+                int(changes.delete_srcs[missing]), int(changes.delete_dsts[missing])
+            )
+        biases = changes.insert_biases
         valid = np.isfinite(biases) & (biases > 0)
         if not valid.all():
             check_bias(float(biases[~valid][0]))  # raises InvalidBiasError
-        adjacency = self._adjacency
-        for src, dst in pairs:
-            if dst in adjacency[src].position:
-                raise DuplicateEdgeError(src, dst)
-        if len(set(pairs)) != len(pairs):
-            raise DuplicateEdgeError(*_first_duplicate(pairs))
-        for (src, dst), bias in zip(pairs, biases.tolist()):
-            adjacency[src].add(dst, bias)
-        self._num_edges += len(pairs)
+        present = self.has_arcs(changes.insert_srcs, changes.insert_dsts)
+        if present.any():
+            replaced = set(zip(changes.delete_srcs.tolist(), changes.delete_dsts.tolist()))
+            for arc in zip(
+                changes.insert_srcs[present].tolist(), changes.insert_dsts[present].tolist()
+            ):
+                if arc not in replaced:
+                    raise DuplicateEdgeError(*arc)
+        return changes
 
-    def _arc_pairs(
-        self, method: str, srcs: np.ndarray, dsts: np.ndarray
-    ) -> list[tuple[int, int]]:
-        """``(src, dst)`` int pairs, every endpoint checked to be in range."""
-        if self._undirected:
-            raise ValueError(f"{method} takes the arcs of a directed graph")
-        sources = np.ascontiguousarray(srcs, dtype=np.int64)
-        targets = np.ascontiguousarray(dsts, dtype=np.int64)
-        if len(sources) != len(targets):
-            raise ValueError("srcs and dsts must have matching lengths")
-        if len(sources):
-            limit = len(self._adjacency)
-            for ids in (sources, targets):
-                outside = (ids < 0) | (ids >= limit)
-                if outside.any():
-                    raise VertexNotFoundError(int(ids[outside][0]))
-        return list(zip(sources.tolist(), targets.tolist()))
+    def remove_arcs(self, changes: NetChanges) -> None:
+        """Delete a batch's net deletions, in column order.
+
+        ``changes`` comes from :meth:`batch_changes`, which validated it.
+        Each source's surviving neighbour order is the one repeated
+        :meth:`remove_edge` calls leave; on an undirected graph the column
+        holds both arcs of every edge.
+        """
+        adjacency = self._adjacency
+        for src, dst in zip(changes.delete_srcs.tolist(), changes.delete_dsts.tolist()):
+            adjacency[src].remove(dst)
+        self._num_edges -= self._logical_edges(changes.delete_srcs, changes.delete_dsts)
+
+    def add_arcs(self, changes: NetChanges) -> None:
+        """Grow the vertex set to the batch's ids, then insert its net
+        insertions in column order, with the neighbour order repeated
+        :meth:`add_edge` calls leave.
+
+        ``changes`` comes from :meth:`batch_changes` and follows
+        :meth:`remove_arcs` of the same changes.
+        """
+        if changes.highest >= 0:
+            self.ensure_vertices(changes.highest)
+        adjacency = self._adjacency
+        for src, dst, bias in zip(
+            changes.insert_srcs.tolist(),
+            changes.insert_dsts.tolist(),
+            changes.insert_biases.tolist(),
+        ):
+            adjacency[src].add(dst, bias)
+        self._num_edges += self._logical_edges(changes.insert_srcs, changes.insert_dsts)
+
+    def _logical_edges(self, srcs: np.ndarray, dsts: np.ndarray) -> int:
+        """How many edges a column of arcs is: on an undirected graph it
+        holds both arcs of each edge but a self-loop once."""
+        if not self._undirected:
+            return len(srcs)
+        return (len(srcs) + int(np.count_nonzero(srcs == dsts))) // 2
 
     def update_bias(self, src: int, dst: int, bias: Number) -> Number:
         """Change the bias of an existing edge, returning the previous value."""

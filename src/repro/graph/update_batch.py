@@ -11,10 +11,12 @@ structure for that workflow:
 * :class:`UpdateBatch` — the same information as four NumPy columns
   (``src`` / ``dst`` / ``bias`` / ``insert_mask``), with ``argsort``-based
   per-vertex grouping and whole-batch net-effect normalization
-  (:meth:`UpdateBatch.net_changes`) that reproduces the timestamp-ordered
-  semantics of the scalar path exactly (including the order in which each
-  vertex's net insertions and deletions are emitted, so batched and
-  per-edge ingestion build byte-identical sampling state).
+  (:meth:`UpdateBatch.net_changes`): the one meaning a batch has on every
+  engine.  Per arc the last operation wins, insert-then-delete cancels,
+  delete-then-insert updates the bias, and surviving deletions apply
+  before insertions; each vertex's net changes are emitted in the order
+  the per-vertex oracle emits them, so both build the same graph rows.
+  :meth:`repro.graph.dynamic_graph.DynamicGraph.apply_batch` applies it.
 
 An :class:`UpdateBatch` still behaves like a sequence of
 :class:`GraphUpdate` (``len`` / indexing / iteration), so every legacy
@@ -64,8 +66,8 @@ class GraphUpdate:
 class VertexUpdateSlice:
     """One vertex's share of a batch, in timestamp order (column views).
 
-    A plain ``__slots__`` class (not a dataclass): one instance is built
-    per touched vertex per batch when a batch is replayed slice by slice.
+    A plain ``__slots__`` class (not a dataclass): one instance per
+    touched vertex, built by :meth:`UpdateBatch.group_by_source`.
     """
 
     __slots__ = ("vertex", "dsts", "biases", "insert_mask")
@@ -84,32 +86,6 @@ class VertexUpdateSlice:
 
     def __len__(self) -> int:
         return len(self.dsts)
-
-    def kind_runs(self) -> list[tuple[bool, int, int]]:
-        """Maximal runs of equal update kind as ``(is_insert, start, stop)``.
-
-        Replaying the slice run-by-run preserves the exact timestamp order
-        of the scalar path while letting each run use a bulk mutator.
-        """
-        mask = self.insert_mask
-        count = len(mask)
-        if count == 0:
-            return []
-        first = bool(mask[0])
-        if count == 1:
-            return [(first, 0, 1)]
-        boundaries = np.flatnonzero(mask[1:] != mask[:-1])
-        if len(boundaries) == 0:
-            return [(first, 0, count)]
-        runs: list[tuple[bool, int, int]] = []
-        kind = first
-        start = 0
-        for stop in (boundaries + 1).tolist():
-            runs.append((kind, start, stop))
-            kind = not kind
-            start = stop
-        runs.append((kind, start, count))
-        return runs
 
 
 def _replay_net_effect(
@@ -185,6 +161,9 @@ class NetChanges(NamedTuple):
     insert_srcs: np.ndarray
     insert_dsts: np.ndarray
     insert_biases: np.ndarray
+    #: The highest vertex id any row of the batch names (-1 when empty):
+    #: applying the batch grows the vertex set to it.
+    highest: int = -1
 
 
 class _SourceRuns(NamedTuple):
@@ -327,6 +306,8 @@ class UpdateBatch(Sequence[GraphUpdate]):
         so each vertex's updates are contiguous (relative order preserved).
         Slices are emitted in *first-appearance* order, the order the scalar
         path's request-reordering dict would produce.
+
+        Kept only because perfbench patches it by name (ROADMAP item 8).
         """
         if self._groups is not None:
             return self._groups
@@ -409,6 +390,7 @@ class UpdateBatch(Sequence[GraphUpdate]):
             np.concatenate((runs.src[inserted], replayed_insertions[:, 1]))[insert_order],
             np.concatenate((runs.dst[inserted], replayed_insertions[:, 2]))[insert_order],
             insert_biases[insert_order],
+            self.max_vertex(),
         )
 
     def _source_runs(self) -> _SourceRuns:

@@ -21,7 +21,7 @@ import enum
 from dataclasses import dataclass, field
 from collections.abc import Iterator
 
-from repro.errors import DuplicateEdgeError, EdgeNotFoundError, UpdateError
+from repro.errors import UpdateError
 from repro.graph.dynamic_graph import DynamicGraph, Edge
 from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
 from repro.utils.rng import RandomSource, ensure_rng
@@ -33,7 +33,6 @@ __all__ = [
     "UpdateKind",
     "UpdateStream",
     "UpdateWorkload",
-    "apply_updates",
     "generate_update_stream",
     "split_initial_and_updates",
 ]
@@ -78,79 +77,11 @@ class UpdateStream:
             yield from batch
 
     def final_graph(self) -> DynamicGraph:
-        """Apply every update to a copy of the initial graph and return it."""
+        """A copy of the initial graph with every batch applied, in order."""
         graph = self.initial_graph.copy()
-        apply_updates(graph, self.all_updates())
+        for batch in self.batches:
+            graph.apply_batch(batch)
         return graph
-
-
-def apply_updates(graph: DynamicGraph, updates) -> None:
-    """Apply a sequence of updates to ``graph`` in place.
-
-    The batch is coerced to columnar form, grouped by source vertex with one
-    stable argsort, and each vertex's slice is replayed as bulk kind-runs, so
-    the resulting adjacency (including neighbour-array order) is identical
-    to applying the updates one at a time in timestamp order.  Insertions of
-    already-present edges and deletions of absent edges raise
-    :class:`UpdateError` so that stream-generation bugs surface immediately.
-    """
-    if graph.undirected:
-        # Mirrored arcs interleave vertices; keep the scalar order exactly.
-        apply_updates_scalar(graph, updates)
-        return
-    batch = UpdateBatch.coerce(updates)
-    if len(batch) == 0:
-        return
-    graph.ensure_vertices(batch.max_vertex())
-    for group in batch.group_by_source():
-        vertex = group.vertex
-        dsts = group.dsts
-        try:
-            if len(dsts) == 1:
-                if group.insert_mask[0]:
-                    graph.add_edge(vertex, int(dsts[0]), float(group.biases[0]))
-                else:
-                    graph.remove_edge(vertex, int(dsts[0]))
-            else:
-                for is_insert, start, stop in group.kind_runs():
-                    if is_insert:
-                        graph.add_edges_bulk(
-                            vertex,
-                            dsts[start:stop],
-                            group.biases[start:stop],
-                        )
-                    else:
-                        graph.remove_edges_bulk(vertex, dsts[start:stop])
-        except DuplicateEdgeError as exc:
-            raise UpdateError(f"insertion of existing edge ({exc})") from exc
-        except EdgeNotFoundError as exc:
-            raise UpdateError(f"deletion of missing edge ({exc})") from exc
-
-
-def apply_updates_scalar(graph: DynamicGraph, updates) -> None:
-    """The legacy per-edge application path (reference semantics).
-
-    Used for undirected graphs (where bulk per-vertex grouping would reorder
-    the mirrored arcs) and by the equivalence tests as the ground truth the
-    columnar path must match.
-    """
-    for update in updates:
-        graph.ensure_vertex(update.src)
-        graph.ensure_vertex(update.dst)
-        if update.kind is UpdateKind.INSERT:
-            if graph.has_edge(update.src, update.dst):
-                raise UpdateError(
-                    f"insertion of existing edge ({update.src}, {update.dst})"
-                )
-            graph.add_edge(update.src, update.dst, update.bias)
-        elif update.kind is UpdateKind.DELETE:
-            if not graph.has_edge(update.src, update.dst):
-                raise UpdateError(
-                    f"deletion of missing edge ({update.src}, {update.dst})"
-                )
-            graph.remove_edge(update.src, update.dst)
-        else:  # pragma: no cover - enum is exhaustive
-            raise UpdateError(f"unknown update kind {update.kind!r}")
 
 
 def split_initial_and_updates(
@@ -163,10 +94,11 @@ def split_initial_and_updates(
 
     ``reserve_edges`` edges are removed uniformly at random from the graph and
     returned as the pool future insertions will draw from, mirroring step (i)
-    of the paper's workload recipe.
+    of the paper's workload recipe.  An undirected edge is one candidate,
+    not two arcs.
     """
     generator = ensure_rng(rng)
-    all_edges = list(graph.edges())
+    all_edges = _logical_edges(graph)
     if reserve_edges > len(all_edges):
         raise ValueError(
             f"cannot reserve {reserve_edges} edges from a graph with only "
@@ -178,6 +110,13 @@ def split_initial_and_updates(
     for edge in reserve:
         initial.remove_edge(edge.src, edge.dst)
     return initial, reserve
+
+
+def _logical_edges(graph: DynamicGraph) -> list[Edge]:
+    """Every edge once: an undirected edge as its ``src <= dst`` arc."""
+    if not graph.undirected:
+        return list(graph.edges())
+    return [edge for edge in graph.edges() if edge.src <= edge.dst]
 
 
 def generate_update_stream(
@@ -217,7 +156,7 @@ def generate_update_stream(
 
     # Track the live edge set of A so deletions always pick an existing edge
     # and insertions never duplicate one.
-    live_edges: list[Edge] = list(initial.edges())
+    live_edges: list[Edge] = _logical_edges(initial)
     live_keys = {(edge.src, edge.dst) for edge in live_edges}
 
     def pick_live_index() -> int:

@@ -96,7 +96,7 @@ def apply_flip(engine, payload) -> None:
     """One epoch flip on a replica: the batch's columns, then the tables."""
     batch = batch_from_payload(payload)
     if len(batch):
-        engine._apply_batch_to_graph(batch)
+        engine.graph.apply_batch(batch)
     _install_frontier_state(engine, payload, full=bool(payload[FULL_STATE_KEY][0]))
 
 

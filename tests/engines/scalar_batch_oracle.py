@@ -1,13 +1,17 @@
 """The per-edge batch path: the oracle for every engine's columnar ``apply_batch``.
 
-``apply_batch_scalar(engine, updates)`` is batched ingestion as it ran
-before the columnar pipeline: per-edge Python loops over the scalar graph
-mutators, after a per-vertex normalization (Bingo, whose touched vertices
-are then re-derived on the next warm) or followed by one sampler rebuild
-(KnightKing, gSampler) or reload (FlowWalker).  On an
-undirected graph Bingo applies edge by edge and the rebuild baselines mark
-both endpoints dirty, as their columnar paths do.
-``normalize_vertex_updates`` is the per-destination replay that
+``apply_batch_scalar(engine, updates)`` is Section 5.2's batch meaning
+written as per-edge Python loops over the scalar graph mutators, one
+vertex at a time: group the batch by source, normalize each vertex's
+updates (``normalize_vertex_updates``: per destination the last
+operation wins, insert-then-delete cancels, delete-then-insert updates
+the bias), then delete and insert edge by edge.  The same meaning holds
+on all four engines.  Afterwards Bingo marks the touched vertices dirty
+(the next warm re-derives them), KnightKing and gSampler rebuild their
+samplers, and FlowWalker reloads.  An undirected batch is the directed
+batch of its mirrored arcs: the oracle applies those to a directed copy
+of the graph's arcs and gives the engine the undirected graph of the
+result.  ``normalize_vertex_updates`` is the per-destination replay that
 ``UpdateBatch.net_changes`` reproduces for a whole batch.
 """
 
@@ -19,6 +23,7 @@ from collections.abc import Sequence
 from repro.engines.base import PHASE_DELETE, PHASE_INSERT, PHASE_REBUILD
 from repro.engines.bingo import DEVICE_LANES, BatchStatistics, BingoEngine
 from repro.engines.flowwalker import FlowWalkerEngine
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.update_stream import GraphUpdate, UpdateKind
 
 
@@ -67,50 +72,52 @@ def normalize_vertex_updates(
 
 def apply_batch_scalar(engine, updates: Sequence[GraphUpdate]) -> None:
     """Apply ``updates`` to ``engine`` one edge at a time (see the module doc)."""
-    if isinstance(engine, BingoEngine):
-        _bingo_batch(engine, updates)
-        return
     graph = engine._require_graph()
-    touched = set()
-    for update in updates:
-        graph.ensure_vertex(update.src)
-        graph.ensure_vertex(update.dst)
-        if update.kind is UpdateKind.INSERT:
-            graph.add_edge(update.src, update.dst, update.bias)
-        else:
-            graph.remove_edge(update.src, update.dst)
-        touched.add(update.src)
-        if graph.undirected:
-            touched.add(update.dst)
-    reload = isinstance(engine, FlowWalkerEngine)
-    if not reload:
-        engine.frontier_tables.mark_dirty(touched)
-    start = time.perf_counter()
-    if reload:
-        engine._build_state()
+    if graph.undirected:
+        arcs = DynamicGraph.from_csr(*graph.csr_columns())
+        mirrored = []
+        for update in updates:
+            mirrored.append(update)
+            if update.src != update.dst:
+                mirrored.append(
+                    GraphUpdate(update.kind, update.dst, update.src, update.bias, update.timestamp)
+                )
+        touched, stats = _apply_per_vertex(engine, arcs, mirrored)
+        engine.graph = DynamicGraph.from_csr(*arcs.csr_columns(), undirected=True)
     else:
-        engine._rebuild_samplers()
-    engine.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
+        touched, stats = _apply_per_vertex(engine, graph, updates)
+    if isinstance(engine, BingoEngine):
+        engine.frontier_tables.mark_dirty(touched)
+        engine.batch_stats.merge(stats)
+    else:
+        reload = isinstance(engine, FlowWalkerEngine)
+        if not reload:
+            engine.frontier_tables.mark_dirty(touched)
+        start = time.perf_counter()
+        if reload:
+            engine._build_state()
+        else:
+            engine._rebuild_samplers()
+        engine.breakdown.add(PHASE_REBUILD, time.perf_counter() - start)
     engine.updates_applied += len(updates)
 
 
-def _bingo_batch(engine: BingoEngine, updates: Sequence[GraphUpdate]) -> None:
-    """Section 5.2 per vertex: normalize, then per-edge deletes and inserts."""
-    graph = engine._require_graph()
-    if graph.undirected:
-        engine.apply_streaming(updates)
-        return
-    stats = BatchStatistics()
+def _apply_per_vertex(
+    engine, graph: DynamicGraph, updates: Sequence[GraphUpdate]
+) -> tuple[list[int], BatchStatistics]:
+    """Section 5.2 per vertex on a directed ``graph``: normalize, then per-edge
+    deletes and inserts.  Returns the touched sources and Bingo's counters."""
     grouped: dict[int, list[GraphUpdate]] = {}
     for update in updates:
         grouped.setdefault(update.src, []).append(update)
-    engine.frontier_tables.mark_dirty(grouped)
-    stats.touched_vertices = len(grouped)
-
+        graph.ensure_vertex(update.src)
+        graph.ensure_vertex(update.dst)
+    stats = BatchStatistics(
+        touched_vertices=len(grouped),
+        kernel_launches=1,
+        parallel_steps=-(-len(grouped) // DEVICE_LANES),
+    )
     for vertex, vertex_updates in grouped.items():
-        graph.ensure_vertex(vertex)
-        for update in vertex_updates:
-            graph.ensure_vertex(update.dst)
         existing = {
             update.dst for update in vertex_updates if graph.has_edge(vertex, update.dst)
         }
@@ -132,8 +139,4 @@ def _bingo_batch(engine: BingoEngine, updates: Sequence[GraphUpdate]) -> None:
             graph.add_edge(vertex, dst, bias)
             stats.insertions += 1
         engine.breakdown.add(PHASE_INSERT, time.perf_counter() - insert_start)
-
-    stats.kernel_launches += 1
-    stats.parallel_steps += -(-len(grouped) // DEVICE_LANES)
-    engine.batch_stats.merge(stats)
-    engine.updates_applied += len(updates)
+    return list(grouped), stats

@@ -1,23 +1,27 @@
 """Columnar vs per-edge ingestion: strict equivalence on all engines.
 
 The batched columnar pipeline (``apply_batch``) must be indistinguishable
-from the per-edge oracle (``apply_batch_scalar`` in
+from the per-edge Section 5.2 oracle (``apply_batch_scalar`` in
 ``tests/engines/scalar_batch_oracle.py``): identical post-batch graph
 (including neighbour-array order), identical sampling state (Bingo: its
-fused tables and batch counters), and identical seeded walk output — plus matching behaviour on every
-batch-update edge case (same-edge insert+delete in both orders, duplicate
-inserts, deletes of batch-inserted edges, brand-new vertices).
+fused tables and batch counters), and identical seeded walk output — plus
+matching behaviour on every batch-update edge case (same-edge
+insert+delete in both orders, duplicate inserts, deletes of batch-inserted
+edges, brand-new vertices).  A batch an engine refuses changes nothing,
+and an undirected batch is the directed batch of its mirrored arcs.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.engines.bingo import BingoEngine
 from repro.engines.flowwalker import FlowWalkerEngine
 from repro.engines.gsampler import GSamplerEngine
 from repro.engines.knightking import KnightKingEngine
-from repro.errors import DuplicateEdgeError
+from repro.errors import DuplicateEdgeError, EdgeNotFoundError
+from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
 from repro.graph.update_stream import (
     GraphUpdate,
@@ -119,32 +123,19 @@ class TestBatchEdgeCases:
         _assert_same_graph(legacy, columnar)
         _assert_same_walks(legacy, columnar)
 
-    def test_duplicate_inserts_keep_last_bias_on_bingo(self, example_graph):
-        # Bingo's Section 5.2 normalization collapses duplicates: the last
-        # write wins — identically on both paths.
-        legacy, columnar = _engine_pair(BingoEngine, example_graph)
+    @pytest.mark.parametrize("engine_cls", ALL_ENGINE_CLASSES)
+    def test_duplicate_inserts_keep_last_bias(self, engine_cls, example_graph):
+        # Section 5.2's normalization collapses duplicates on every engine:
+        # the last write wins, identically on both paths.
+        legacy, columnar = _engine_pair(engine_cls, example_graph)
         batch = [_insert(2, 3, 3.0, ts=0), _insert(2, 3, 8.0, ts=1)]
         apply_batch_scalar(legacy, list(batch))
         columnar.apply_batch(batch)
         assert columnar.graph.edge_bias(2, 3) == 8.0
         _assert_same_graph(legacy, columnar)
-        _assert_same_bingo_tables(legacy, columnar)
+        if engine_cls is BingoEngine:
+            _assert_same_bingo_tables(legacy, columnar)
         _assert_same_walks(legacy, columnar)
-
-    @pytest.mark.parametrize(
-        "engine_cls", [KnightKingEngine, GSamplerEngine, FlowWalkerEngine]
-    )
-    def test_duplicate_inserts_raise_on_rebuild_baselines(
-        self, engine_cls, example_graph
-    ):
-        # The baselines replay the batch verbatim; both paths reject the
-        # second insert of the same edge with the same error type.
-        batch = [_insert(2, 3, 3.0, ts=0), _insert(2, 3, 8.0, ts=1)]
-        legacy, columnar = _engine_pair(engine_cls, example_graph)
-        with pytest.raises(DuplicateEdgeError):
-            apply_batch_scalar(legacy, list(batch))
-        with pytest.raises(DuplicateEdgeError):
-            columnar.apply_batch(batch)
 
     @pytest.mark.parametrize("engine_cls", ALL_ENGINE_CLASSES)
     def test_delete_of_batch_inserted_edge_after_gap(self, engine_cls, example_graph):
@@ -202,6 +193,91 @@ class TestBatchEdgeCases:
         _assert_same_graph(legacy, columnar)
         _assert_same_bingo_tables(legacy, columnar)
         _assert_same_walks(legacy, columnar)
+
+
+@pytest.mark.parametrize("engine_cls", ALL_ENGINE_CLASSES)
+@pytest.mark.parametrize("refusal", ["existing-insert", "absent-delete"])
+def test_a_refused_batch_changes_nothing(engine_cls, refusal):
+    """On the highest-degree vertex a batch that deletes an edge, then
+    breaks the graph's contract, leaves the graph, its edge count and (after
+    a warm) the fused tables as they were."""
+    graph = erdos_renyi_graph(60, 400, rng=11)
+    hub = max(range(graph.num_vertices), key=graph.degree)
+    first, second = graph.neighbors(hub)[:2]
+    absent = next(v for v in range(graph.num_vertices) if not graph.has_edge(hub, v))
+    batch = [_delete(hub, first, ts=0), _insert(hub, absent, 2.0, ts=1)]
+    if refusal == "existing-insert":
+        batch.append(_insert(hub, second, 3.0, ts=2))
+    else:
+        batch.append(_delete(hub, absent + 1000, ts=2))
+    engine = engine_cls(rng=9)
+    engine.build(graph.copy())
+    fused = hasattr(engine, "warm_frontier_tables")
+    if fused:
+        engine.warm_frontier_tables()
+        tables = engine.export_frontier_state()
+    error = DuplicateEdgeError if refusal == "existing-insert" else EdgeNotFoundError
+    with pytest.raises(error):
+        engine.apply_batch(batch)
+    assert engine.graph.num_edges == graph.num_edges
+    assert engine.graph.num_vertices == graph.num_vertices
+    for vertex in range(graph.num_vertices):
+        assert engine.graph.neighbors(vertex) == graph.neighbors(vertex)
+        assert engine.graph.neighbor_biases(vertex) == graph.neighbor_biases(vertex)
+    if fused:
+        engine.warm_frontier_tables()
+        after = engine.export_frontier_state()
+        assert sorted(after) == sorted(tables)
+        assert all(np.array_equal(after[key], tables[key]) for key in tables)
+    reference = engine_cls(rng=9)
+    reference.build(graph.copy())
+    _assert_same_walks(reference, engine)
+
+
+def _mirrored_arcs(batch) -> list[GraphUpdate]:
+    """The directed batch of an undirected batch's arcs, ``src -> dst`` first."""
+    arcs = []
+    for update in batch:
+        arcs.append(update)
+        if update.src != update.dst:
+            arcs.append(
+                GraphUpdate(update.kind, update.dst, update.src, update.bias, update.timestamp)
+            )
+    return arcs
+
+
+@pytest.mark.parametrize("engine_cls", ALL_ENGINE_CLASSES)
+def test_undirected_batch_is_the_directed_batch_of_its_arcs(engine_cls):
+    """A generated undirected stream, batch by batch, against the same
+    arcs on a directed graph: the same rows, tables and walks, and the
+    per-edge oracle agrees."""
+    graph = erdos_renyi_graph(120, 500, rng=11, undirected=True)
+    stream = generate_update_stream(
+        graph, batch_size=120, num_batches=2, workload="mixed", rng=12
+    )
+    undirected, legacy = _engine_pair(engine_cls, stream.initial_graph)
+    directed = engine_cls(rng=9)
+    directed.build(DynamicGraph.from_csr(*stream.initial_graph.csr_columns()))
+    for batch in stream.batches:
+        undirected.apply_batch(batch)
+        apply_batch_scalar(legacy, list(batch))
+        directed.apply_batch(_mirrored_arcs(batch))
+    assert undirected.graph.undirected and not directed.graph.undirected
+    assert undirected.graph.num_arcs == directed.graph.num_edges
+    assert undirected.graph.num_edges == stream.final_graph().num_edges
+    _assert_same_graph(legacy, undirected)
+    for vertex in range(directed.graph.num_vertices):
+        assert undirected.graph.neighbors(vertex) == directed.graph.neighbors(vertex)
+        assert undirected.graph.neighbor_biases(
+            vertex
+        ) == directed.graph.neighbor_biases(vertex)
+    if engine_cls is BingoEngine:
+        undirected.check_consistency()
+        _assert_same_bingo_tables(undirected, directed)
+        _assert_same_bingo_tables(undirected, legacy)
+    twin = undirected.clone()
+    _assert_same_walks(undirected, directed)
+    _assert_same_walks(twin, legacy)
 
 
 def test_streaming_and_columnar_batched_converge_on_bingo():

@@ -23,7 +23,6 @@ from repro.engines.knightking import KnightKingEngine
 from repro.engines.sliced_tables import FrontierDelta, SlicedTableStore
 from repro.errors import ReproError
 from repro.graph.generators import erdos_renyi_graph, power_law_graph
-from repro.graph.update_batch import UpdateBatch
 from repro.graph.update_stream import (
     GraphUpdate,
     UpdateKind,
@@ -342,7 +341,7 @@ def test_replica_fed_patches_tracks_a_compacting_writer(engine_cls):
     for seed, updates in enumerate((grow, shrink)):
         writer.apply_batch(updates)
         # A shard replica's graph takes the batch; its tables take patches.
-        replica._apply_batch_to_graph(UpdateBatch.coerce(updates))
+        replica.graph.apply_batch(updates)
         delta = writer.warm_frontier_tables()
         replica.apply_frontier_patch(writer.export_frontier_patch(delta.vertex_ids))
         want = writer.export_frontier_state()

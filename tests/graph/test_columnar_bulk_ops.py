@@ -10,6 +10,7 @@ from repro.errors import (
     VertexNotFoundError,
 )
 from repro.graph.dynamic_graph import DynamicGraph
+from repro.graph.update_batch import GraphUpdate, UpdateBatch, UpdateKind
 
 
 def _graph_with_fan(num_vertices=10, src=0, dsts=(1, 2, 3), bias=2.0):
@@ -174,55 +175,116 @@ class TestCapacityDoubling:
             assert graph.neighbor_at(0, graph.neighbor_index(0, dst)) == (dst, float(dst))
 
 
-class TestArcMutators:
-    """``add_arcs`` / ``remove_arcs``: whole-batch arcs of any sources."""
+def _batch(*rows):
+    """An :class:`UpdateBatch` of ``(kind, src, dst, bias)`` rows, "+" inserting."""
+    return UpdateBatch.from_updates(
+        GraphUpdate(
+            UpdateKind.INSERT if kind == "+" else UpdateKind.DELETE, src, dst, bias, stamp
+        )
+        for stamp, (kind, src, dst, bias) in enumerate(rows)
+    )
 
-    def test_match_scalar_edits_including_order(self):
+
+def _rows(graph):
+    return [
+        (graph.neighbors(vertex), graph.neighbor_biases(vertex))
+        for vertex in range(graph.num_vertices)
+    ]
+
+
+class TestBatchPath:
+    """``apply_batch``: a batch's validated net effect through ``remove_arcs``
+    and ``add_arcs``, on directed and undirected graphs alike."""
+
+    def test_matches_scalar_edits_including_order(self):
         graph = DynamicGraph(6)
         scalar = DynamicGraph(6)
         for target in (graph, scalar):
             for src, dst in ((0, 1), (0, 2), (0, 3), (0, 4), (2, 5), (2, 0)):
                 target.add_edge(src, dst, 1.0 + src + dst)
-        graph.remove_arcs(np.array([0, 2, 0]), np.array([1, 5, 3]))
-        graph.add_arcs(np.array([0, 3, 0]), np.array([5, 1, 1]), np.array([7.0, 8.0, 9.0]))
-        for src, dst in ((0, 1), (2, 5), (0, 3)):
+        graph.apply_batch(
+            _batch(
+                ("-", 0, 1, 1.0),
+                ("+", 0, 5, 7.0),
+                ("-", 2, 5, 1.0),
+                ("+", 3, 1, 8.0),
+                ("-", 0, 3, 1.0),
+                ("+", 0, 1, 9.0),
+            )
+        )
+        # Per source: the net deletions, then the net insertions, each in
+        # the order their arcs first appear (0 -> 1 is a bias update).
+        for src, dst in ((0, 1), (0, 3), (2, 5)):
             scalar.remove_edge(src, dst)
-        for src, dst, bias in ((0, 5, 7.0), (3, 1, 8.0), (0, 1, 9.0)):
+        for src, dst, bias in ((0, 1, 9.0), (0, 5, 7.0), (3, 1, 8.0)):
             scalar.add_edge(src, dst, bias)
-        for vertex in range(6):
-            assert graph.neighbors(vertex) == scalar.neighbors(vertex)
-            assert graph.neighbor_biases(vertex) == scalar.neighbor_biases(vertex)
+        assert _rows(graph) == _rows(scalar)
         assert graph.num_edges == scalar.num_edges
 
-    @pytest.mark.parametrize(
-        "srcs, dsts",
-        [([0, 0], [1, 9]), ([0, 0], [1, 1])],
-        ids=["absent-arc", "repeated-arc"],
-    )
-    def test_remove_arcs_validates_before_removing(self, srcs, dsts):
+    def test_repeated_arcs_collapse_to_their_net_effect(self):
         graph = _graph_with_fan()
-        with pytest.raises(EdgeNotFoundError):
-            graph.remove_arcs(np.array(srcs), np.array(dsts))
-        assert graph.neighbors(0) == [1, 2, 3]
-
-    @pytest.mark.parametrize(
-        "srcs, dsts, biases, error",
-        [
-            ([4, 0], [5, 1], [1.0, 1.0], DuplicateEdgeError),
-            ([4, 4], [5, 5], [1.0, 1.0], DuplicateEdgeError),
-            ([4, 4], [5, 6], [1.0, -1.0], InvalidBiasError),
-            ([4, 4], [5, 10], [1.0, 1.0], VertexNotFoundError),
-        ],
-        ids=["existing-arc", "repeated-arc", "bad-bias", "unknown-vertex"],
-    )
-    def test_add_arcs_validates_before_adding(self, srcs, dsts, biases, error):
-        graph = _graph_with_fan()
-        with pytest.raises(error):
-            graph.add_arcs(np.array(srcs), np.array(dsts), np.array(biases))
-        assert graph.degree(4) == 0
+        changes = graph.apply_batch(
+            _batch(
+                ("+", 4, 5, 3.0),
+                ("+", 4, 5, 8.0),  # the last write wins
+                ("+", 4, 6, 1.0),
+                ("-", 4, 6, 1.0),  # cancels the insert
+                ("-", 0, 1, 1.0),
+                ("-", 0, 1, 1.0),  # deleted once
+            )
+        )
+        assert changes.cancelled == 1
+        assert graph.neighbors(4) == [5] and graph.edge_bias(4, 5) == 8.0
+        assert graph.neighbors(0) == [3, 2]
         assert graph.num_edges == 3
 
-    def test_undirected_graph_is_refused(self):
-        graph = DynamicGraph(3, undirected=True)
-        with pytest.raises(ValueError):
-            graph.add_arcs(np.array([0]), np.array([1]), np.array([1.0]))
+    @pytest.mark.parametrize(
+        "rows, error",
+        [
+            ([("-", 0, 1, 1.0), ("-", 0, 9, 1.0)], EdgeNotFoundError),
+            ([("-", 0, 1, 1.0), ("+", 0, 2, 1.0)], DuplicateEdgeError),
+            ([("-", 0, 1, 1.0), ("+", 4, 6, -1.0)], InvalidBiasError),
+            ([("-", 0, 1, 1.0), ("+", 4, -1, 1.0)], VertexNotFoundError),
+        ],
+        ids=["absent-arc", "existing-arc", "bad-bias", "negative-vertex"],
+    )
+    def test_a_refused_batch_changes_nothing(self, rows, error):
+        graph = _graph_with_fan()
+        before = _rows(graph)
+        with pytest.raises(error):
+            graph.apply_batch(_batch(*rows, ("+", 4, 12, 1.0)))
+        assert _rows(graph) == before
+        assert graph.num_edges == 3
+
+    def test_new_vertices_grow_the_vertex_set(self):
+        graph = _graph_with_fan()
+        graph.apply_batch(_batch(("+", 11, 0, 1.0), ("+", 0, 14, 1.0), ("-", 0, 14, 1.0)))
+        assert graph.num_vertices == 15
+        assert graph.neighbors(11) == [0] and graph.neighbors(0) == [1, 2, 3]
+
+    def test_undirected_batch_is_the_directed_batch_of_its_arcs(self):
+        edges = [(0, 1, 2.0), (1, 2, 3.0), (2, 3, 4.0), (3, 3, 5.0)]
+        undirected = DynamicGraph.from_edges(edges, num_vertices=5, undirected=True)
+        directed = DynamicGraph.from_csr(*undirected.csr_columns())
+        rows = [
+            ("-", 2, 1, 1.0),
+            ("+", 0, 4, 6.0),
+            ("-", 3, 3, 1.0),
+            ("+", 4, 4, 7.0),
+            ("+", 1, 2, 8.0),  # delete-then-reinsert, named the other way
+            ("+", 3, 0, 9.0),
+            ("-", 0, 3, 1.0),  # cancels the insert above
+        ]
+        arcs = []
+        for kind, src, dst, bias in rows:
+            arcs.append((kind, src, dst, bias))
+            if src != dst:
+                arcs.append((kind, dst, src, bias))
+        changes = undirected.apply_batch(_batch(*rows))
+        directed.apply_batch(_batch(*arcs))
+        assert _rows(undirected) == _rows(directed)
+        assert undirected.edge_bias(2, 1) == undirected.edge_bias(1, 2) == 8.0
+        assert changes.cancelled == 2  # both arcs of the cancelled edge
+        # 4 edges - the loop (3, 3) + (0, 4) + the loop (4, 4); (1, 2) is updated.
+        assert undirected.num_edges == 5
+        assert undirected.num_arcs == 2 * 5 - 1

@@ -69,12 +69,6 @@ class TestGrouping:
         assert by_vertex[2].insert_mask.tolist() == [True, True, False]
         assert by_vertex[0].dsts.tolist() == [1, 9]
 
-    def test_kind_runs(self):
-        batch = UpdateBatch.from_updates(SAMPLE)
-        by_vertex = {group.vertex: group for group in batch.group_by_source()}
-        assert list(by_vertex[2].kind_runs()) == [(True, 0, 2), (False, 2, 3)]
-        assert list(by_vertex[0].kind_runs()) == [(False, 0, 1), (True, 1, 2)]
-
 
 def _net(updates, existing):
     """``net_changes`` of a batch, as ``(insertions, deletions, cancelled)``
@@ -236,6 +230,6 @@ class TestStreamIntegration:
         for batch in stream.batches:
             assert isinstance(batch, UpdateBatch)
             assert len(batch) == 25
-        # final_graph still replays cleanly through the bulk path.
+        # final_graph applies each batch through the graph's batch path.
         final = stream.final_graph()
         assert final.num_edges >= 0

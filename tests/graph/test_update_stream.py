@@ -2,14 +2,13 @@
 
 import pytest
 
-from repro.errors import UpdateError
+from repro.errors import DuplicateEdgeError, EdgeNotFoundError, UpdateError
 from repro.graph.dynamic_graph import DynamicGraph
 from repro.graph.generators import erdos_renyi_graph
 from repro.graph.update_stream import (
     GraphUpdate,
     UpdateKind,
     UpdateWorkload,
-    apply_updates,
     generate_update_stream,
     split_initial_and_updates,
 )
@@ -34,7 +33,9 @@ class TestSplit:
             split_initial_and_updates(base_graph, base_graph.num_edges + 1)
 
 
-class TestApplyUpdates:
+class TestGraphApplyBatch:
+    """The graph's batch step, as a stream's batches take it."""
+
     def test_insert_and_delete(self):
         graph = DynamicGraph(3)
         updates = [
@@ -42,24 +43,24 @@ class TestApplyUpdates:
             GraphUpdate(UpdateKind.INSERT, 1, 2, 3.0, 1),
             GraphUpdate(UpdateKind.DELETE, 0, 1, 2.0, 2),
         ]
-        apply_updates(graph, updates)
+        graph.apply_batch(updates)
         assert not graph.has_edge(0, 1)
         assert graph.has_edge(1, 2)
 
     def test_duplicate_insert_raises(self):
         graph = DynamicGraph(2)
         graph.add_edge(0, 1, 1.0)
-        with pytest.raises(UpdateError):
-            apply_updates(graph, [GraphUpdate(UpdateKind.INSERT, 0, 1, 1.0, 0)])
+        with pytest.raises(DuplicateEdgeError):
+            graph.apply_batch([GraphUpdate(UpdateKind.INSERT, 0, 1, 1.0, 0)])
 
     def test_missing_delete_raises(self):
         graph = DynamicGraph(2)
-        with pytest.raises(UpdateError):
-            apply_updates(graph, [GraphUpdate(UpdateKind.DELETE, 0, 1, 1.0, 0)])
+        with pytest.raises(EdgeNotFoundError):
+            graph.apply_batch([GraphUpdate(UpdateKind.DELETE, 0, 1, 1.0, 0)])
 
     def test_grows_vertex_set(self):
         graph = DynamicGraph(1)
-        apply_updates(graph, [GraphUpdate(UpdateKind.INSERT, 0, 5, 1.0, 0)])
+        graph.apply_batch([GraphUpdate(UpdateKind.INSERT, 0, 5, 1.0, 0)])
         assert graph.num_vertices == 6
 
 
@@ -120,6 +121,23 @@ class TestGenerateStream:
             generate_update_stream(
                 tiny, batch_size=100, num_batches=10, workload="insertion", rng=3
             )
+
+    def test_undirected_graph_streams_each_edge_once(self):
+        """The reserve and the live set hold each undirected edge once, not
+        both of its arcs, so the stream replays onto the initial graph."""
+        graph = erdos_renyi_graph(120, 500, rng=11, undirected=True)
+        initial, reserve = split_initial_and_updates(graph, 200, rng=1)
+        assert initial.num_edges == graph.num_edges - 200
+        assert len({frozenset((edge.src, edge.dst)) for edge in reserve}) == 200
+        stream = generate_update_stream(
+            graph, batch_size=120, num_batches=2, workload=UpdateWorkload.MIXED, rng=12
+        )
+        final = stream.final_graph()
+        expected_delta = sum(
+            1 if u.kind is UpdateKind.INSERT else -1 for u in stream.all_updates()
+        )
+        assert final.num_edges == stream.initial_graph.num_edges + expected_delta
+        assert final.num_arcs == 2 * final.num_edges
 
     def test_timestamps_are_monotone(self, base_graph):
         stream = generate_update_stream(

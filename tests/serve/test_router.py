@@ -286,6 +286,41 @@ def test_one_shard_router_matches_the_service_on_an_undirected_graph(
 
 
 @pytest.mark.parametrize("engine", FRONTIER_ENGINES)
+def test_one_shard_router_matches_the_service_on_a_batch_that_repeats_an_arc(engine):
+    """The writer and every replica give a batch the same net effect: a
+    duplicate insert keeps the last bias, delete-then-reinsert updates the
+    bias, and insert-then-delete cancels.  The epoch advances and the
+    pool keeps serving."""
+    graph = make_graph()
+    src = 1
+    existing = graph.neighbors(src)[0]
+    fresh = [v for v in range(graph.num_vertices) if v != src and not graph.has_edge(src, v)]
+    updates = [
+        GraphUpdate(UpdateKind.INSERT, src, fresh[0], 3.0),
+        GraphUpdate(UpdateKind.INSERT, src, fresh[0], 8.0),
+        GraphUpdate(UpdateKind.DELETE, src, existing),
+        GraphUpdate(UpdateKind.INSERT, src, existing, 5.0),
+        GraphUpdate(UpdateKind.INSERT, src, fresh[1], 2.0),
+        GraphUpdate(UpdateKind.DELETE, src, fresh[1]),
+    ]
+    reference = GraphService(engine, make_graph(), rng=11, warm_on_publish=True)
+    router = RouterService(engine, make_graph(), shards=1, rng=11)
+    try:
+        for round_, batch in enumerate(
+            (updates, insert_updates(0, np.random.default_rng(1000)))
+        ):
+            for service in (reference, router):
+                service.ingest(batch)
+                service.flush()
+            assert reference.epoch == router.epoch == round_ + 1
+            assert_same_walks(reference, router, list(range(graph.num_vertices)))
+        assert router.stats_snapshot()["batches_quarantined"] == 0
+    finally:
+        reference.close()
+        router.close()
+
+
+@pytest.mark.parametrize("engine", FRONTIER_ENGINES)
 def test_two_shard_router_matches_in_process_reference(engine):
     router = RouterService(
         engine, make_graph(), shards=2, rng=13, service_seed=42

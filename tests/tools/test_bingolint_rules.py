@@ -24,8 +24,8 @@ SERVE_PATH = "src/repro/serve/example.py"
 
 
 class TestRegistry:
-    def test_all_eleven_rules_registered(self):
-        assert list(all_rules()) == [f"BGL{number:03d}" for number in range(1, 12)]
+    def test_all_twelve_rules_registered(self):
+        assert list(all_rules()) == [f"BGL{number:03d}" for number in range(1, 13)]
 
     def test_every_rule_has_name_and_rationale(self):
         for rule_id, cls in all_rules().items():
@@ -676,3 +676,40 @@ class TestBGL011ServedSamplers:
         source = "sampler = BingoVertexSampler(rng=rng)\n"
         assert lint("BGL011", source, "src/repro/bench/experiments.py") == []
         assert lint("BGL011", source, "tests/engines/bingo_oracle.py") == []
+
+
+class TestBGL012OneBatchPath:
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "for group in batch.group_by_source():\n    pass\n",
+            "graph.add_edges_bulk(vertex, dsts, biases)\n",
+            "self.graph.remove_edges_bulk(vertex, dsts)\n",
+        ],
+        ids=["group-by-source", "add-edges-bulk", "remove-edges-bulk"],
+    )
+    def test_true_positive_on_the_batch_paths(self, source):
+        assert len(lint("BGL012", source, "src/repro/engines/base.py")) == 1
+        assert len(lint("BGL012", source, SERVE_PATH)) == 1
+        assert len(lint("BGL012", source, "src/repro/graph/update_stream.py")) == 1
+
+    @pytest.mark.parametrize(
+        "source",
+        [
+            "changes = graph.apply_batch(batch)\n",
+            "changes = graph.batch_changes(batch)\n"
+            "graph.remove_arcs(changes)\n"
+            "graph.add_arcs(changes)\n",
+            "groups = batch.group_by_source\n",
+            "def group_by_source(self):\n    return []\n",
+        ],
+        ids=["apply-batch", "batch-step", "attribute-read", "definition"],
+    )
+    def test_false_positive_on_the_batch_step(self, source):
+        assert lint("BGL012", source, "src/repro/engines/base.py") == []
+
+    def test_out_of_scope_perfbench_the_graph_and_the_tests_may_call_them(self):
+        source = "graph.add_edges_bulk(int(src[lo]), dst[lo:hi], bias[lo:hi])\n"
+        assert lint("BGL012", source, "perfbench/server.py") == []
+        assert lint("BGL012", source, "src/repro/graph/dynamic_graph.py") == []
+        assert lint("BGL012", source, "tests/engines/bingo_oracle.py") == []

@@ -12,4 +12,5 @@ from bingolint.rules import (  # noqa: F401 - imported for registration side eff
     bgl009_wall_clock,
     bgl010_test_tree_imports,
     bgl011_served_samplers,
+    bgl012_one_batch_path,
 )
